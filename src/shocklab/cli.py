@@ -16,6 +16,7 @@ Every subcommand exits 0 only if all checks it enables pass.
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -42,6 +43,13 @@ def _config_from_args(args):
     else:
         cfg.validate()
     return cfg
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_config_args(p):
@@ -101,11 +109,14 @@ def cmd_simulate(args):
 
 def cmd_verify_inequalities(args):
     checks = []
+    t0 = time.perf_counter()
     t2 = ineq.theta_squared_quadrature()
     theta_err = abs(t2 - (5.0 - np.pi ** 2 / 3.0))
     checks.append(("theta quadrature vs closed form", theta_err < 1e-8,
-                   f"|error| = {theta_err:.3e}"))
+                   f"|error| = {theta_err:.3e}", "1 quadrature",
+                   time.perf_counter() - t0))
 
+    t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     worst_poly = np.inf
     for _ in range(args.poincare_trials):
@@ -113,27 +124,38 @@ def cmd_verify_inequalities(args):
         c = rng.standard_normal(deg + 1)
         worst_poly = min(worst_poly, ineq.poincare_slack_from_poly(c))
     checks.append(("Poincare slack over random polynomials",
-                   worst_poly >= -1e-12, f"min slack = {worst_poly:.3e}"))
+                   worst_poly >= -1e-12, f"min slack = {worst_poly:.3e}",
+                   f"{args.poincare_trials} polynomials",
+                   time.perf_counter() - t0))
 
     step = 1e-4 if args.fast else 1e-5
     rep_g = ineq.certify_g_negative(step=step)
     checks.append((rep_g.target, rep_g.certified,
-                   f"worst = {rep_g.worst_value:.6g}, margin = {rep_g.margin:.3e}"))
+                   f"worst = {rep_g.worst_value:.6g}, margin = {rep_g.margin:.3e}",
+                   f"{rep_g.details['grid_points']} grid points",
+                   rep_g.runtime_s))
 
     pstep = 5e-3 if args.fast else 1e-3
     rep_p = ineq.certify_prop_algebra(step=pstep)
     checks.append((rep_p.target, rep_p.certified,
-                   f"worst = {rep_p.worst_value:.3e}"))
+                   f"worst = {rep_p.worst_value:.3e}",
+                   f"{rep_p.details['grid_points']} grid points, "
+                   f"{rep_p.details['admissible_points']} in the band",
+                   rep_p.runtime_s))
 
     n_starts = 30 if args.fast else 200
     rep_r = ineq.maximize_r_delta(n_starts=n_starts, seed=args.seed)
     checks.append((rep_r.target, rep_r.certified,
-                   f"max found = {rep_r.worst_value:.3e}"))
+                   f"max found = {rep_r.worst_value:.3e}",
+                   f"{rep_r.details['nfev']} objective calls, "
+                   f"{rep_r.details['nit']} iterations",
+                   rep_r.runtime_s))
 
     all_ok = True
-    for name, ok, detail in checks:
+    for name, ok, detail, work, runtime_s in checks:
         all_ok &= ok
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} "
+              f"({work}, {runtime_s:.3f} s)")
     return 0 if all_ok else 1
 
 
@@ -204,7 +226,7 @@ def build_parser():
     sp.add_argument("--fast", action="store_true",
                     help="coarser grids / fewer starts for a quick look")
     sp.add_argument("--seed", type=int, default=20240817)
-    sp.add_argument("--poincare-trials", type=int, default=200)
+    sp.add_argument("--poincare-trials", type=_positive_int, default=200)
     sp.set_defaults(func=cmd_verify_inequalities)
 
     sp = sub.add_parser("sweep", help="batch of runs over one config key")

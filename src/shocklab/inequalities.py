@@ -14,7 +14,7 @@ Contents:
   * the one-variable cubic-radical function g on [-2, 0] and its negativity,
   * the two-variable polynomial P_delta with constraint band |E| <= delta_1,
   * the constrained functional R_delta(W) on (0,1) and its multistart
-    maximization.
+    maximization (L-BFGS-B on the exact gradient of R_delta).
 """
 
 import time
@@ -296,7 +296,8 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
 
     The box is (z1_lo, z1_hi, z2_lo, z2_hi); evaluation is chunked over z1
     rows to bound memory.  Reports the worst admissible value and where it
-    occurs.
+    occurs.  A box whose grid has no point in the band certifies nothing and
+    is reported as not certified.
     """
     t0 = time.perf_counter()
     z1_lo, z1_hi, z2_lo, z2_hi = box
@@ -319,7 +320,7 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
         if val[j] > worst:
             worst = float(val[j])
             arg = (float(zz1[j[0], 0]), float(zz2[0, j[1]]))
-    certified = worst <= tol
+    certified = n_admissible > 0 and worst <= tol
     return CertificationReport(
         target="P_delta - E^2 <= 0 on |E| <= delta1",
         domain=f"box {box}, band |E|<={delta1}",
@@ -329,6 +330,7 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
         certified=certified,
         method="grid",
         details={"delta": delta, "delta1": delta1, "argmax": arg,
+                 "grid_points": int(z1.size * z2.size),
                  "admissible_points": n_admissible},
         runtime_s=time.perf_counter() - t0,
     )
@@ -379,25 +381,51 @@ def r_delta(W, delta):
             + (2.0 / 3.0) * i3 + delta * i3a - (1.0 - delta) * dir_term)
 
 
-def _r_delta_legendre(coeffs, y, delta, c1):
-    """R_delta of the Legendre parametrization with exact derivative and
-    radial projection onto {int W^2 <= c1}."""
-    c = np.asarray(coeffs, dtype=float)
+def _legendre_maps(y, degree):
+    """Matrices taking Legendre coefficients (on 2y-1) to samples of W and of
+    its exact derivative W' on y."""
     t = 2.0 * y - 1.0
-    w = npleg.legval(t, c)
-    wp = 2.0 * npleg.legval(t, npleg.legder(c)) if c.size > 1 else np.zeros_like(y)
-    i2 = np.trapezoid(w * w, y)
-    if i2 > c1 and i2 > 0.0:
-        s = np.sqrt(c1 / i2)
-        w = s * w
-        wp = s * wp
-        i2 = c1
-    i1 = np.trapezoid(w, y)
-    i3 = np.trapezoid(w ** 3, y)
-    i3a = np.trapezoid(np.abs(w) ** 3, y)
-    dir_term = np.trapezoid(y * (1.0 - y) * wp * wp, y)
-    return (-(i2 + 2.0 * i1) ** 2 / delta + (1.0 + delta) * i2
-            + (2.0 / 3.0) * i3 + delta * i3a - (1.0 - delta) * dir_term)
+    return (npleg.legvander(t, degree),
+            2.0 * npleg.legval(t, npleg.legder(np.eye(degree + 1))).T)
+
+
+def _r_delta_kernel(p, A, D, q, qd, delta, c1):
+    """R_delta and its exact gradient for W = A p, W' = D p.
+
+    q and qd = q y(1-y) are the trapezoid weight vectors of the y-grid
+    (q @ f is np.trapezoid(f, y)).  W is
+    first projected radially onto {int W^2 <= c1}: with s = sqrt(c1/int W^2)
+    the map w -> s w has Jacobian s (I - w (q w)^T / int W^2), applied to
+    both W and W'.  |W|^3 is C^1 with derivative 3|W|W.
+    """
+    w = A @ p
+    wp = D @ p
+    qw = q * w
+    i2w = qw @ w
+    if i2w > c1:
+        s, i2 = np.sqrt(c1 / i2w), c1
+    else:
+        s, i2 = 1.0, i2w
+    u = s * w
+    v = s * wp
+    i1 = q @ u
+    u2 = u * u
+    au = np.abs(u)
+    a = i2 + 2.0 * i1
+    val = (-a * a / delta + (1.0 + delta) * i2 + (2.0 / 3.0) * (q @ (u2 * u))
+           + delta * (q @ (u2 * au)) - (1.0 - delta) * (qd @ (v * v)))
+    g_u = q * (-(4.0 * a / delta) * (u + 1.0) + 2.0 * (1.0 + delta) * u
+               + 2.0 * u2 + 3.0 * delta * au * u)
+    g_v = -2.0 * (1.0 - delta) * qd * v
+    grad = A.T @ g_u + D.T @ g_v
+    if s != 1.0:
+        grad = s * (grad - (A.T @ qw) * ((g_u @ w + g_v @ wp) / i2w))
+    return val, grad
+
+
+def _neg_r_delta(p, *args):
+    val, grad = _r_delta_kernel(p, *args)
+    return -val, -grad
 
 
 def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
@@ -405,45 +433,52 @@ def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
     """Seeded multistart maximization of R_delta under int W^2 <= c1.
 
     Starts are random Legendre coefficient vectors (decaying spectrum, random
-    radius), ascended with L-BFGS-B; the best candidate is then re-optimized
-    over its raw grid values.  Returns a CertificationReport whose
-    worst_value is the largest R_delta found (the claim is that it stays
-    <= 0 up to discretization noise).
+    radius), ascended with L-BFGS-B on the exact gradient; the best candidate
+    is then re-optimized over its raw grid values, again with the exact
+    gradient (W' is the matrix form of np.gradient, as in
+    DiscretizedW.moments).  Returns a CertificationReport whose worst_value
+    is the largest R_delta found (the claim is that it stays <= 0 up to
+    discretization noise); details carry nfev and nit summed over every
+    L-BFGS-B run.
     """
+    if n_starts < 1 or n_grid < 3 or degree < 0:
+        raise ValueError("need n_starts >= 1, n_grid >= 3 and degree >= 0")
+    if not (delta > 0.0 and c1 > 0.0):
+        raise ValueError("need delta > 0 and c1 > 0")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     y = np.linspace(0.0, 1.0, n_grid)
+    eye = np.eye(n_grid)
+    q = np.trapezoid(eye, y, axis=0)
+    qd = q * y * (1.0 - y)
+    leg, leg_d = _legendre_maps(y, degree)
+    nfev = nit = 0
+
+    def ascend(x0, A, D, options):
+        nonlocal nfev, nit
+        res = minimize(_neg_r_delta, x0, args=(A, D, q, qd, delta, c1),
+                       jac=True, method="L-BFGS-B", options=options)
+        nfev += int(res.nfev)
+        nit += int(res.nit)
+        return res
+
     best_val = -np.inf
     best_W = None
-
     for _ in range(n_starts):
         c0 = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1)) ** 2
         c0 *= rng.uniform(0.05, np.sqrt(c1))
-        res = minimize(lambda c: -_r_delta_legendre(c, y, delta, c1), c0,
-                       method="L-BFGS-B",
-                       options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12})
-        val = -res.fun
-        if val > best_val:
-            best_val = val
-            t = 2.0 * y - 1.0
-            w = npleg.legval(t, res.x)
-            i2 = np.trapezoid(w * w, y)
-            if i2 > c1 and i2 > 0:
-                w *= np.sqrt(c1 / i2)
-            best_W = w
+        res = ascend(c0, leg, leg_d,
+                     {"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12})
+        if -res.fun > best_val:
+            best_val = -res.fun
+            w = leg @ res.x
+            i2 = q @ (w * w)
+            best_W = w * np.sqrt(c1 / i2) if i2 > c1 else w
 
-    if polish_best and best_W is not None:
-        def raw_obj(wv):
-            W = DiscretizedW(y=y, w=wv)
-            i2 = W.moments()[1]
-            if i2 > c1 and i2 > 0:
-                W = DiscretizedW(y=y, w=wv * np.sqrt(c1 / i2))
-            return -r_delta(W, delta)
-
-        res = minimize(raw_obj, best_W, method="L-BFGS-B",
-                       options={"maxiter": 300, "ftol": 1e-15, "gtol": 1e-13})
+    if polish_best:
+        res = ascend(best_W, eye, np.gradient(eye, y, axis=0),
+                     {"maxiter": 300, "ftol": 1e-15, "gtol": 1e-13})
         best_val = max(best_val, -res.fun)
-        best_W = res.x
 
     return CertificationReport(
         target="R_delta(W) <= 0 under int W^2 <= C1",
@@ -453,7 +488,8 @@ def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
         margin=-float(best_val),
         certified=bool(best_val <= 1e-8),
         method="multistart",
-        details={"delta": delta, "c1": c1, "n_starts": n_starts, "seed": seed},
+        details={"delta": delta, "c1": c1, "n_starts": n_starts, "seed": seed,
+                 "nfev": nfev, "nit": nit},
         runtime_s=time.perf_counter() - t0,
     )
 

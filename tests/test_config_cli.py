@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -115,6 +116,18 @@ def test_cli_audit_exit_zero():
     assert rc == 0
 
 
-def test_cli_verify_inequalities_fast():
+def test_cli_verify_inequalities_fast(capsys):
     rc = main(["verify-inequalities", "--fast"])
     assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(ln.startswith("[PASS] ") for ln in lines)
+    # every check reports its work and its runtime
+    assert all(re.search(r"\(\d+ [^()]*, \d+\.\d{3} s\)$", ln) for ln in lines)
+    assert re.search(r"max found = \S+ \(\d+ objective calls", lines[-1])
+
+
+def test_cli_verify_inequalities_rejects_zero_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-inequalities", "--poincare-trials", "0"])
+    assert exc.value.code == 2
+    assert "--poincare-trials" in capsys.readouterr().err

@@ -9,6 +9,8 @@ from shocklab.inequalities import (
     DiscretizedW,
     E_poly,
     P_delta_poly,
+    _legendre_maps,
+    _r_delta_kernel,
     centered_cubic_bound_slack,
     cubic_mean_decomposition,
     g_deriv,
@@ -170,6 +172,13 @@ def test_certify_prop_algebra_small_box():
     assert rep.details["admissible_points"] > 1000
 
 
+def test_certify_prop_algebra_empty_band_is_not_certified():
+    # |E| >= 59 on this box: no grid point is admissible, nothing is checked
+    rep = sl.certify_prop_algebra(box=(5.0, 6.0, 5.0, 6.0), step=1e-2)
+    assert rep.details["admissible_points"] == 0
+    assert not rep.certified
+
+
 # -- the constrained cubic functional ----------------------------------------
 
 def uniform_W(value=0.1, n=101):
@@ -236,3 +245,76 @@ def test_maximize_r_delta_smoke():
     rep = sl.maximize_r_delta(n_starts=8, degree=8)
     assert rep.worst_value <= 1e-6
     assert rep.details["n_starts"] == 8
+
+
+def test_maximize_r_delta_reports_work_and_repeats():
+    a = sl.maximize_r_delta(n_starts=4, degree=6, seed=5)
+    b = sl.maximize_r_delta(n_starts=4, degree=6, seed=5)
+    assert a.worst_value == b.worst_value
+    assert a.details["nfev"] == b.details["nfev"] > 4
+    assert a.details["nit"] > 0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_starts": 0}, {"n_grid": 2}, {"degree": -1},
+    {"delta": 0.0}, {"c1": -1.0},
+], ids=lambda kw: next(iter(kw)))
+def test_maximize_r_delta_rejects_vacuous_input(kwargs):
+    with pytest.raises(ValueError):
+        sl.maximize_r_delta(**kwargs)
+
+
+# -- the R_delta kernel behind the multistart --------------------------------
+
+DELTA, C1 = 0.01, 10.0
+Y64 = np.linspace(0.0, 1.0, 64)
+Q64 = np.trapezoid(np.eye(Y64.size), Y64, axis=0)
+QD64 = Q64 * Y64 * (1.0 - Y64)
+
+
+def legendre_point(scale):
+    rng = np.random.default_rng(41)
+    return rng.standard_normal(9) / (1.0 + np.arange(9)) ** 2 * scale
+
+
+def grid_maps():
+    return np.eye(Y64.size), np.gradient(np.eye(Y64.size), Y64, axis=0)
+
+
+def kernel(p, maps):
+    return _r_delta_kernel(p, *maps, Q64, QD64, DELTA, C1)
+
+
+def test_legendre_maps_are_exact():
+    c = legendre_point(1.0)
+    A, D = _legendre_maps(Y64, 8)
+    t = 2.0 * Y64 - 1.0
+    npt.assert_allclose(A @ c, np.polynomial.legendre.legval(t, c), atol=1e-14)
+    npt.assert_allclose(D @ c, 2.0 * np.polynomial.legendre.legval(
+        t, np.polynomial.legendre.legder(c)), atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.3, 4.0])
+@pytest.mark.parametrize("raw", [False, True])
+def test_r_delta_kernel_gradient_matches_central_differences(scale, raw):
+    c = legendre_point(scale)
+    A, D = _legendre_maps(Y64, 8)
+    i2 = Q64 @ (A @ c) ** 2
+    # one point inside the c1 ball and one well outside it
+    assert (i2 < 0.5 * C1) if scale < 1.0 else (i2 > 2.0 * C1)
+    maps, p = ((grid_maps(), A @ c) if raw else ((A, D), c))
+    _, grad = kernel(p, maps)
+    h = 1e-6 * np.abs(p).max()
+    fd = np.array([(kernel(p + h * e, maps)[0] - kernel(p - h * e, maps)[0])
+                   / (2.0 * h) for e in np.eye(p.size)])
+    npt.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
+
+
+@pytest.mark.parametrize("scale", [0.3, 4.0])
+def test_r_delta_kernel_value_matches_r_delta(scale):
+    A, _ = _legendre_maps(Y64, 8)
+    w = A @ legendre_point(scale)
+    i2 = DiscretizedW(y=Y64, w=w).moments()[1]
+    W = DiscretizedW(y=Y64, w=w * min(1.0, np.sqrt(C1 / i2)))
+    val, _ = kernel(w, grid_maps())
+    npt.assert_allclose(val, sl.r_delta(W, DELTA), rtol=1e-12)
