@@ -10,7 +10,10 @@ Subcommands:
   audit                check the recorded entropy rate against its budget
                        identity at two resolutions
 
-Every subcommand exits 0 only if all checks it enables pass.
+Every subcommand exits 0 only if all checks it enables pass.  A config
+file or --set value that cannot be loaded (unknown key, wrong type, value
+out of range, unreadable file) is reported as one "error: ..." line on
+stderr with exit code 2.
 """
 
 import argparse
@@ -31,18 +34,21 @@ from .solver import write_checkpoint
 from .weight import build_weight
 
 
-def _config_from_args(args):
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
-    overrides = {}
-    for item in getattr(args, "set", None) or []:
-        overrides.update(parse_config_text(item))
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    else:
-        cfg.validate()
-    return cfg
+class _ConfigError(Exception):
+    """A config file or override that no run can start from."""
+
+
+def _config_from_args(args, extra=None):
+    try:
+        cfg = ExperimentConfig()
+        if getattr(args, "config", None):
+            cfg = load_config(args.config, base=cfg)
+        overrides = {}
+        for item in getattr(args, "set", None) or []:
+            overrides.update(parse_config_text(item))
+        return apply_overrides(cfg, {**overrides, **(extra or {})})
+    except (KeyError, ValueError, OSError) as exc:
+        raise _ConfigError(exc.args[0] if isinstance(exc, KeyError) else exc) from exc
 
 
 def _positive_int(text):
@@ -161,8 +167,9 @@ def cmd_verify_inequalities(args):
 
 def cmd_sweep(args):
     cfg = _config_from_args(args)
-    values = [_parse_value(v) for v in args.values.split(",")]
-    overrides = [{args.key: v} for v in values]
+    points = [_config_from_args(args, {args.key: _parse_value(v)})
+              for v in args.values.split(",")]
+    overrides = [{args.key: getattr(point, args.key)} for point in points]
     results = sweep(cfg, overrides)
     rows = []
     ok = True
@@ -249,7 +256,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

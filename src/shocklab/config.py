@@ -8,8 +8,10 @@ Format, one assignment per line:
     perturb_kind = bump
 
 Keys are ExperimentConfig field names; values are parsed as bool
-("true"/"false"), int, float, or bare string, in that order.  Unknown keys
-are an error so typos fail loudly.
+("true"/"false"), int, float, or bare string, in that order, and must then
+fit the field's type (an int is taken for a float, an integral float for an
+int).  Unknown keys and mistyped values are errors that name the key, so
+typos fail loudly.
 """
 
 from dataclasses import fields, replace
@@ -54,23 +56,30 @@ def parse_config_text(text):
     return out
 
 
-def _coerce(config, updates):
+def _typed(key, value, kind):
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise ValueError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
+
+
+def _coerce(updates):
     known = {f.name: f.type for f in fields(ExperimentConfig)}
     clean = {}
     for key, value in updates.items():
         if key not in known:
             raise KeyError(f"unknown config key {key!r}; known keys: "
                            + ", ".join(sorted(known)))
-        current = getattr(config, key)
-        if isinstance(current, float) and isinstance(value, (int, bool)):
-            value = float(value)
-        clean[key] = value
+        clean[key] = _typed(key, value, known[key])
     return clean
 
 
 def apply_overrides(config, updates):
     """Return a new ExperimentConfig with updates applied and validated."""
-    cfg = replace(config, **_coerce(config, updates))
+    cfg = replace(config, **_coerce(updates))
     cfg.validate()
     return cfg
 

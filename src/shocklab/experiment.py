@@ -22,7 +22,8 @@ from .functionals import FrameCache, compute_breakdown, quick_yb
 from .gas import GasModel
 from .profile import solve_profile
 from .shift import overshoot, r_residual, saturated, shift_rhs
-from .solver import FieldState, Grid, semi_discrete_rhs, stable_dt, steady_state
+from .solver import (FieldState, Grid, effective_velocity, march, rk4,
+                     semi_discrete_rhs, stable_dt, steady_state)
 from .weight import build_weight
 
 __all__ = [
@@ -73,6 +74,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown perturbation kind {self.perturb_kind!r}")
         if self.h_mode not in ("direct", "from-velocity"):
             raise ValueError(f"unknown h_mode {self.h_mode!r}")
+        for key in ("t_end_sigma", "record_sigma", "cfl_safety"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
         L = self.span_over_eps / self.eps
         if abs(self.center) + self.width > 0.8 * L:
             raise ValueError("perturbation support must stay within 80% of the domain")
@@ -224,14 +229,8 @@ def initial_state(setup):
         h = h + dh
     else:
         # prescribe velocity u = u_tilde + dh, then h = u + d_xi p(v)
-        dx = setup.grid.dx
-        p = setup.gas.pressure(v)
-        d1p = np.empty_like(p)
-        d1p[1:-1] = (p[2:] - p[:-2]) / (2.0 * dx)
-        d1p[0] = (p[1] - p[0]) / dx
-        d1p[-1] = (p[-1] - p[-2]) / dx
         u_tilde = h - pr.dpressure_profile(x)  # u of the (possibly stretched) reference
-        h = u_tilde + dh + d1p
+        h = effective_velocity(setup.gas, setup.grid, v, u_tilde + dh)
 
     # pin the ends exactly to the initial reference values (Dirichlet data)
     return FieldState(t=0.0, v=v, h=h)
@@ -272,22 +271,15 @@ class ContractionTrace:
         return np.column_stack([getattr(self, c) for c in self.COLUMNS])
 
 
-def _coupled_rhs(setup, v, h, X, cache=None):
-    dv, dh = semi_discrete_rhs(setup.gas, setup.sigma, setup.grid, v, h)
-    Y, B = quick_yb(setup.grid.x, v, h, setup.profile, setup.weight, X, cache=cache)
-    dX = shift_rhs(Y, B, setup.eps)
-    return dv, dh, dX
-
-
 def coupled_rk4_step(setup, v, h, X, dt, cache=None):
-    k1v, k1h, k1x = _coupled_rhs(setup, v, h, X, cache)
-    k2v, k2h, k2x = _coupled_rhs(setup, v + 0.5 * dt * k1v, h + 0.5 * dt * k1h, X + 0.5 * dt * k1x, cache)
-    k3v, k3h, k3x = _coupled_rhs(setup, v + 0.5 * dt * k2v, h + 0.5 * dt * k2h, X + 0.5 * dt * k2x, cache)
-    k4v, k4h, k4x = _coupled_rhs(setup, v + dt * k3v, h + dt * k3h, X + dt * k3x, cache)
-    vn = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    hn = h + (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
-    Xn = X + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    return vn, hn, Xn
+    """One RK4 step of (v, h, X); the shift rate is evaluated at every stage."""
+    def rhs(y):
+        dv, dh = semi_discrete_rhs(setup.gas, setup.sigma, setup.grid, y[0], y[1])
+        Y, B = quick_yb(setup.grid.x, y[0], y[1], setup.profile, setup.weight, y[2],
+                        cache=cache)
+        return dv, dh, shift_rhs(Y, B, setup.eps)
+
+    return rk4(rhs, (v, h, X), dt)
 
 
 def run_experiment(setup_or_config, snapshots=None):
@@ -307,12 +299,11 @@ def run_experiment(setup_or_config, snapshots=None):
     v_floor = cfg.v_floor_frac * setup.profile.states.v_plus
 
     state = initial_state(setup)
-    v, h, X = state.v, state.h, 0.0
-    t = 0.0
     rows = {c: [] for c in ContractionTrace.COLUMNS}
     t_wall = time.perf_counter()
 
-    def record(t, v, h, X):
+    def record(t, y):
+        v, h, X = y
         bd = compute_breakdown(setup.grid.x, v, h, setup.profile, setup.weight, X)
         xdot = shift_rhs(bd.Y, bd.B, eps)
         w_sup = float(np.max(np.abs(
@@ -330,31 +321,16 @@ def run_experiment(setup_or_config, snapshots=None):
         if snapshots is not None:
             snapshots.append((t, v.copy(), h.copy()))
 
-    record(t, v, h, X)
     cache = FrameCache()
-    next_rec = rec_dt
-    while t < t_end - 1e-12:
-        dt = min(stable_dt(setup.gas, sig, setup.grid, v, cfg.cfl_safety),
-                 next_rec - t, t_end - t)
-        tries = 0
-        while True:
-            vn, hn, Xn = coupled_rk4_step(setup, v, h, X, dt, cache)
-            if np.min(vn) > v_floor:
-                break
-            tries += 1
-            if tries > 5:
-                raise RuntimeError("positivity guard tripped repeatedly")
-            dt *= 0.5
-        v, h, X = vn, hn, Xn
-        t += dt
-        if t >= next_rec - 1e-12:
-            record(t, v, h, X)
-            next_rec += rec_dt
+    t, (v, h, X) = march(
+        lambda y, dt: coupled_rk4_step(setup, *y, dt, cache),
+        (state.v, state.h, 0.0), 0.0, t_end,
+        lambda y: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety),
+        v_floor, rec_dt, record)
 
     trace = ContractionTrace(**{c: np.array(rows[c]) for c in ContractionTrace.COLUMNS})
     summary = summarize_trace(trace, setup, wall_time=time.perf_counter() - t_wall)
-    final = FieldState(t=t, v=v, h=h)
-    return trace, (final, X), summary
+    return trace, (FieldState(t=t, v=v, h=h), X), summary
 
 
 def summarize_trace(trace, setup, wall_time=None):

@@ -31,6 +31,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from .solver import _d1
+
 __all__ = [
     "FunctionalBreakdown",
     "compute_breakdown",
@@ -62,14 +64,6 @@ class FunctionalBreakdown:
         return self.B - self.G
 
 
-def _d1_grid(f, dx):
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    out[0] = (f[1] - f[0]) / dx
-    out[-1] = (f[-1] - f[-2]) / dx
-    return out
-
-
 def _shifted_frames(x, profile, weight, shift):
     fr = weight.frame(np.asarray(x, dtype=float) - shift)
     return fr["a"], fr["da"], fr["d2a"], fr["profile_frame"]
@@ -98,6 +92,24 @@ class FrameCache:
         return self._frames
 
 
+def _trapz(f, dx):
+    return float(np.trapezoid(f, dx=dx))
+
+
+def _yb_kernel(v, h, gas, sig, dx, frames):
+    """Y, B1, B2 and the pointwise arrays (w, h - h_tilde, q(v|v_tilde), eta)."""
+    a, da, d2a, pf = frames
+    w = gas.pressure(v) - pf["p"]
+    dh_field = h - pf["h"]
+    q_rel = gas.q_relative(v, pf["v"])
+    eta = 0.5 * dh_field ** 2 + q_rel
+    Y = (-_trapz(da * eta, dx)
+         + _trapz(a * (-pf["dp"] * (v - pf["v"]) + pf["dh"] * dh_field), dx))
+    B1 = sig * _trapz(a * pf["dv"] * gas.p_relative(v, pf["v"]), dx)
+    B2 = _trapz(da * w ** 2, dx) / (2.0 * sig) + 0.5 * _trapz(d2a * w ** 2, dx)
+    return Y, B1, B2, w, dh_field, q_rel, eta
+
+
 def compute_breakdown(x, v, h, profile, weight, shift=0.0):
     """Full functional breakdown of the state (v, h) on grid x at shift X.
 
@@ -109,33 +121,24 @@ def compute_breakdown(x, v, h, profile, weight, shift=0.0):
     dx = x[1] - x[0]
     gas = profile.gas
     sig = profile.sigma
-    a, da, d2a, pf = _shifted_frames(x, profile, weight, shift)
-
-    w = gas.pressure(v) - pf["p"]
-    dh_field = h - pf["h"]
+    frames = _shifted_frames(x, profile, weight, shift)
+    a, da, d2a, pf = frames
+    Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas, sig, dx, frames)
     b = dh_field - w / sig
-    q_rel = gas.q_relative(v, pf["v"])
-    p_rel = gas.p_relative(v, pf["v"])
-    eta = 0.5 * dh_field ** 2 + q_rel
 
     def T(f):
-        return float(np.trapezoid(f, dx=dx))
+        return _trapz(f, dx)
 
-    weighted_entropy = T(a * eta)
-    Y = -T(da * eta) + T(a * (-pf["dp"] * (v - pf["v"]) + pf["dh"] * dh_field))
     Y_g = (-T(da * w ** 2) / (2.0 * sig * sig) - T(da * q_rel)
            - T(a * pf["dp"] * (v - pf["v"])) + T(a * pf["dh"] * w) / sig)
     Y_b = -0.5 * T(da * b ** 2) - T(da * w * b) / sig
     Y_l = T(a * pf["dh"] * b)
-
-    B1 = sig * T(a * pf["dv"] * p_rel)
-    B2 = T(da * w ** 2) / (2.0 * sig) + 0.5 * T(d2a * w ** 2)
     G1 = 0.5 * sig * T(da * b ** 2)
     G2 = sig * T(da * q_rel)
-    D = T(a * _d1_grid(w, dx) ** 2)
+    D = T(a * _d1(w, dx) ** 2)
 
     return FunctionalBreakdown(
-        weighted_entropy=weighted_entropy,
+        weighted_entropy=T(a * eta),
         Y=Y, Y_g=Y_g, Y_b=Y_b, Y_l=Y_l,
         B1=B1, B2=B2, B=B1 + B2,
         G1=G1, G2=G2, D=D, G=G1 + G2 + D,
@@ -145,23 +148,11 @@ def compute_breakdown(x, v, h, profile, weight, shift=0.0):
 def quick_yb(x, v, h, profile, weight, shift=0.0, cache=None):
     """(Y, B) only — the pair the shift ODE needs at every RK stage."""
     x = np.asarray(x, dtype=float)
-    dx = x[1] - x[0]
-    gas = profile.gas
-    sig = profile.sigma
     if cache is None:
-        a, da, d2a, pf = _shifted_frames(x, profile, weight, shift)
+        frames = _shifted_frames(x, profile, weight, shift)
     else:
-        a, da, d2a, pf = cache.get(x, profile, weight, shift)
-    w = gas.pressure(v) - pf["p"]
-    dh_field = h - pf["h"]
-    eta = 0.5 * dh_field ** 2 + gas.q_relative(v, pf["v"])
-
-    def T(f):
-        return float(np.trapezoid(f, dx=dx))
-
-    Y = -T(da * eta) + T(a * (-pf["dp"] * (v - pf["v"]) + pf["dh"] * dh_field))
-    B1 = sig * T(a * pf["dv"] * gas.p_relative(v, pf["v"]))
-    B2 = T(da * w ** 2) / (2.0 * sig) + 0.5 * T(d2a * w ** 2)
+        frames = cache.get(x, profile, weight, shift)
+    Y, B1, B2 = _yb_kernel(v, h, profile.gas, profile.sigma, x[1] - x[0], frames)[:3]
     return Y, B1 + B2
 
 
@@ -191,7 +182,7 @@ def bd_relative_functional(x, v, u, profile, shift=0.0):
     dx = x[1] - x[0]
     gas = profile.gas
     pf = profile.frame(x - shift)
-    h_eff = u + _d1_grid(gas.pressure(v), dx)
+    h_eff = u + _d1(gas.pressure(v), dx)
     integrand = 0.5 * (h_eff - pf["h"]) ** 2 + gas.q_relative(v, pf["v"])
     return float(np.trapezoid(integrand, dx=dx))
 
@@ -215,16 +206,13 @@ def weighted_q_probe(profile, weight, span_over_eps=40.0, cells_per_layer=50):
     L = span_over_eps / eps
     x = np.linspace(-L, L, int(2 * span_over_eps * cells_per_layer) + 1)
     dx = x[1] - x[0]
-    fr = weight.frame(x)
-    a, da, pf = fr["a"], fr["da"], fr["profile_frame"]
+    frames = _shifted_frames(x, profile, weight, 0.0)
+    _, da, _, pf = frames
     width = 4.0 * alpha / eps  # ~ two layer widths
     S = np.clip(1.0 - (x / width) ** 2, 0.0, None) ** 3
 
-    def Y_of(t):
-        v = pf["v"] + t * S
-        eta = gas.q_relative(v, pf["v"])  # h untouched
-        val = -np.trapezoid(da * eta, dx=dx) + np.trapezoid(a * (-pf["dp"]) * (t * S), dx=dx)
-        return float(val)
+    def Y_of(t):  # h untouched
+        return _yb_kernel(pf["v"] + t * S, pf["h"], gas, profile.sigma, dx, frames)[0]
 
     # bracket the nontrivial zero: Y < 0 for small t, > 0 past t* ~ eps/lam
     t_lo = 1e-3 * eps / lam

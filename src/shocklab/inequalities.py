@@ -202,11 +202,11 @@ def g_deriv(x, theta=None):
 #: global bound for |g'| on [-2, 0]: |2-4x-4x^2| <= 6 (checked at the
 #: vertex x=-1/2 and both endpoints) and
 #: |4 theta (x+1) sqrt(1-(x+1)^2)| <= 2 theta  (|z sqrt(1-z^2)| <= 1/2)
-G_LIPSCHITZ_BOUND = 6.0 + 2.0 * 1.3077202420999
+G_LIPSCHITZ_BOUND = 6.0 + 2.0 * theta_constant()
 
 #: the analytic near-zero bound  g(x) <= 2x + (4 theta/3)(2|x|)^(3/2)
 #: is strictly negative for |x| < (6 / (4 theta 2^(3/2)))^2
-G_ANALYTIC_THRESHOLD = (6.0 / (4.0 * 1.3077202420999 * 2.0 ** 1.5)) ** 2
+G_ANALYTIC_THRESHOLD = (6.0 / (4.0 * theta_constant() * 2.0 ** 1.5)) ** 2
 
 
 def certify_g_negative(step=1e-5, eta=0.15):

@@ -10,6 +10,9 @@ parabolic with diffusivity |p'(v)|).  Discretization: second-order central
 differences on a uniform grid, Dirichlet-pinned end values, classic RK4 in
 time with dt = safety*min(dx/c_max, dx^2/(2*max|p'(v)|)).
 
+`rk4` and `march` are the package's one RK4 step and one guarded time loop:
+`simulate` marches (v, h) with them, the coupled experiment (v, h, X).
+
 Also here: a damped-Newton solver for the *discrete* steady state (a run
 started from it stays put to machine precision, which the shift-coupled
 steady tests need), a conservation diagnostic, and binary checkpoint IO.
@@ -26,7 +29,8 @@ __all__ = [
     "FieldState",
     "semi_discrete_rhs",
     "stable_dt",
-    "rk4_step",
+    "rk4",
+    "march",
     "simulate",
     "steady_state",
     "effective_velocity",
@@ -71,18 +75,12 @@ class FieldState:
 
 
 def _d1(f, dx):
-    """Central first derivative, one-sided at the ends (diagnostics only)."""
+    """Central first derivative, one-sided at the ends: the package's one copy
+    (h = u + p(v)_xi and diagnostics; the march uses semi_discrete_rhs)."""
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
     out[0] = (f[1] - f[0]) / dx
     out[-1] = (f[-1] - f[-2]) / dx
-    return out
-
-
-def _d2(f, dx):
-    """Central second derivative; end entries zero (interior use only)."""
-    out = np.zeros_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
     return out
 
 
@@ -111,58 +109,72 @@ def stable_dt(gas, sigma, grid, v, safety=0.4):
     vmin = float(np.min(v))
     if vmin <= 0.0:
         raise ValueError("non-positive v in stable_dt")
-    c_ac = float(np.sqrt(-gas.dpressure(vmin)))  # |p'| is largest at min v
-    c_max = abs(sigma) + c_ac
-    dp_max = float(-gas.dpressure(vmin))
+    dp_max = float(-gas.dpressure(vmin))  # |p'| is largest at min v
+    c_max = abs(sigma) + float(np.sqrt(dp_max))
     return safety * min(grid.dx / c_max, grid.dx ** 2 / (2.0 * dp_max))
 
 
-def rk4_step(gas, sigma, grid, state, dt):
-    """One classic RK4 step (no guard); returns a new FieldState."""
-    v, h = state.v, state.h
-    k1v, k1h = semi_discrete_rhs(gas, sigma, grid, v, h)
-    k2v, k2h = semi_discrete_rhs(gas, sigma, grid, v + 0.5 * dt * k1v, h + 0.5 * dt * k1h)
-    k3v, k3h = semi_discrete_rhs(gas, sigma, grid, v + 0.5 * dt * k2v, h + 0.5 * dt * k2h)
-    k4v, k4h = semi_discrete_rhs(gas, sigma, grid, v + dt * k3v, h + dt * k3h)
-    vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    hn = h + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-    return FieldState(state.t + dt, vn, hn)
+def rk4(rhs, y, dt):
+    """One classic RK4 step of y' = rhs(y) for a tuple y of arrays or floats."""
+    k1 = rhs(y)
+    k2 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = rhs(tuple(a + dt * k for a, k in zip(y, k3)))
+    return tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+
+def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
+          max_retries=5):
+    """March the tuple y = (v, ...) from t to t_end with the positivity guard.
+
+    step(y, dt) returns the state one step of size dt later; dt_limit(y) is
+    the stable step at y.  dt is clipped to t_end and, when record_dt is set,
+    to the next record time, so records land exactly on the cadence;
+    on_record(t, y) fires at the start and at each record time.  If min(v)
+    after a step is not above v_floor the step is retried with halved dt, up
+    to max_retries times; persistent failure raises.  Returns (t, y).
+    """
+    if record_dt is not None and not record_dt > 0.0:
+        raise ValueError(f"record_dt must be positive, got {record_dt}")
+    if on_record is not None:
+        on_record(t, y)
+    next_rec = t + record_dt if record_dt is not None else np.inf
+    while t < t_end - 1e-12:
+        dt = min(dt_limit(y), t_end - t, next_rec - t)
+        for _ in range(max_retries + 1):
+            cand = step(y, dt)
+            if np.min(cand[0]) > v_floor:
+                break
+            dt *= 0.5
+        else:
+            raise RuntimeError(
+                f"positivity guard: v <= {v_floor} persists after {max_retries} dt halvings"
+            )
+        t, y = t + dt, cand
+        if t >= next_rec - 1e-12:
+            if on_record is not None:
+                on_record(t, y)
+            next_rec += record_dt
+    return t, y
 
 
 def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None,
              record_dt=None, max_retries=5):
-    """March the PDE to t_end with the positivity guard.
+    """March the PDE to t_end with the positivity guard of `march`.
 
-    If v drops to v_floor after a step the step is retried with halved dt, up
-    to max_retries times; persistent failure raises.  When record_dt is set,
-    dt is clipped so records land exactly on the cadence and on_record(state)
-    fires at each record time (including t = 0).
+    When record_dt is set, on_record(state) fires at each record time
+    (including t = 0); without it, only at t = 0.
     """
-    state = state.copy()
-    if on_record is not None:
-        on_record(state)
-    next_rec = state.t + record_dt if record_dt is not None else np.inf
-    while state.t < t_end - 1e-12:
-        dt = min(stable_dt(gas, sigma, grid, state.v, safety), t_end - state.t)
-        if record_dt is not None:
-            dt = min(dt, next_rec - state.t)
-        tries = 0
-        while True:
-            cand = rk4_step(gas, sigma, grid, state, dt)
-            if np.min(cand.v) > v_floor:
-                break
-            tries += 1
-            if tries > max_retries:
-                raise RuntimeError(
-                    f"positivity guard: v <= {v_floor} persists after {max_retries} dt halvings"
-                )
-            dt *= 0.5
-        state = cand
-        if record_dt is not None and state.t >= next_rec - 1e-12:
-            if on_record is not None:
-                on_record(state)
-            next_rec += record_dt
-    return state
+    if not safety > 0.0:
+        raise ValueError(f"safety must be positive, got {safety}")
+    t, (v, h) = march(
+        lambda y, dt: rk4(lambda z: semi_discrete_rhs(gas, sigma, grid, *z), y, dt),
+        (state.v.copy(), state.h.copy()), state.t, t_end,
+        lambda y: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
+        None if on_record is None else lambda t, y: on_record(FieldState(t, *y)),
+        max_retries)
+    return FieldState(t, v, h)
 
 
 def steady_state(gas, sigma, grid, v0, h0, tol=1e-13, maxiter=40):
@@ -192,10 +204,8 @@ def steady_state(gas, sigma, grid, v0, h0, tol=1e-13, maxiter=40):
         )
 
     def resid(v):
-        p = gas.pressure(v)
-        h = (p + C) / sigma
-        dv = sigma * _d1(v, dx) + _d1(h, dx) - _d2(p, dx)
-        return dv[1:-1]
+        h = (gas.pressure(v) + C) / sigma
+        return semi_discrete_rhs(gas, sigma, grid, v, h)[0][1:-1]
 
     F = resid(v)
     for _ in range(maxiter):

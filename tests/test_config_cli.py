@@ -49,6 +49,27 @@ def test_apply_overrides():
         sl.apply_overrides(cfg, {"bogus": 1})
 
 
+def test_overrides_are_type_checked():
+    cfg = sl.ExperimentConfig()
+    for text, key in (("eps = abc", "eps"), ("cells_per_layer = 50.5", "cells_per_layer"),
+                      ("modes = 2.5", "modes"), ("steady_relax = 1", "steady_relax"),
+                      ("perturb_kind = 3", "perturb_kind"), ("gamma = true", "gamma")):
+        with pytest.raises(ValueError, match=repr(key)):
+            sl.apply_overrides(cfg, sl.parse_config_text(text))
+    out = sl.apply_overrides(cfg, {"cells_per_layer": 60.0, "gamma": 3})
+    assert out.cells_per_layer == 60 and type(out.cells_per_layer) is int
+    assert out.gamma == 3.0 and type(out.gamma) is float
+
+
+def test_march_settings_must_be_positive_and_finite():
+    # each of these used to start a march whose dt never left 0 (or a crash)
+    cfg = sl.ExperimentConfig()
+    for key in ("record_sigma", "cfl_safety", "t_end_sigma"):
+        for value in (0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=key):
+                sl.apply_overrides(cfg, {key: value})
+
+
 def test_config_text_roundtrip():
     cfg = sl.ExperimentConfig(eps=0.07, perturb_kind="none", modes=9,
                               steady_relax=True)
@@ -114,6 +135,36 @@ def test_cli_audit_exit_zero():
                "--set", "t_end_sigma=0.5", "--set", "width=5",
                "--refine", "2"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("item, key", [
+    ("eps=abc", "eps"),
+    ("cells_per_layer=50.5", "cells_per_layer"),
+    ("record_sigma=-0.01", "record_sigma"),
+    ("t_end_sigma=nan", "t_end_sigma"),
+    ("no_such_knob=1", "no_such_knob"),
+    ("eps", "key = value"),
+])
+def test_cli_config_error_is_one_line(capsys, item, key):
+    rc = main(["simulate", "--set", item])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
+def test_cli_config_error_from_file_and_sweep(capsys):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "bad.cfg")
+        with open(path, "w") as f:
+            f.write("t_end_sigma = -1\n")
+        assert main(["simulate", "--config", path]) == 2
+        assert "t_end_sigma" in capsys.readouterr().err
+        assert main(["simulate", "--config", os.path.join(d, "missing.cfg")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["sweep", "record_sigma", "0.01,-0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record_sigma" in err
 
 
 def test_cli_verify_inequalities_fast(capsys):

@@ -6,6 +6,8 @@ import pytest
 
 import shocklab as sl
 from shocklab.inequalities import (
+    G_ANALYTIC_THRESHOLD,
+    G_LIPSCHITZ_BOUND,
     DiscretizedW,
     E_poly,
     P_delta_poly,
@@ -123,6 +125,12 @@ def test_certify_g_negative():
     assert rep.certified
     assert rep.margin > 0.08
     assert -0.0857 < rep.worst_value < -0.0855
+
+
+def test_g_certificate_constants_follow_theta():
+    # both constants are derived from the sharp theta, not from a copy of it
+    assert G_LIPSCHITZ_BOUND == 6.0 + 2.0 * THETA
+    assert G_ANALYTIC_THRESHOLD == (6.0 / (4.0 * THETA * 2.0 ** 1.5)) ** 2
 
 
 def test_certify_g_eta_validation():

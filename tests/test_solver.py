@@ -11,7 +11,8 @@ import shocklab as sl
 from shocklab.solver import (
     conservation_balance,
     effective_velocity,
-    rk4_step,
+    march,
+    rk4,
     write_snapshot_csv,
 )
 
@@ -115,15 +116,64 @@ def test_simulate_records_and_positivity(gas2, profile01):
     assert np.min(out.v) > 0.1
 
 
-def test_simulate_positivity_guard_raises(gas2, profile01):
+def _guard_simulate(gas2, profile01):
     # a state already at the floor cannot be evolved with that floor
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
     v, h = profile_arrays(profile01, grid)
-    v2 = v - 0.9  # drives v near 0.05, below any sane floor
-    state = sl.FieldState(0.0, v2, h)
-    with pytest.raises(RuntimeError):
-        sl.simulate(gas2, profile01.states.sigma, grid, state, t_end=0.5,
-                    v_floor=0.5)
+    state = sl.FieldState(0.0, v - 0.9, h)  # drives v near 0.05, below any sane floor
+    return 0.5, lambda: sl.simulate(gas2, profile01.states.sigma, grid, state,
+                                    t_end=0.5, v_floor=0.5)
+
+
+def _guard_run_experiment(gas2, profile01):
+    # a floor above v_plus: the pinned end value v_plus can never clear it
+    setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.5,
+                                               width=5.0, v_floor_frac=1.5))
+    return 1.5 * setup.profile.states.v_plus, lambda: sl.run_experiment(setup)
+
+
+@pytest.mark.parametrize("entry", [_guard_simulate, _guard_run_experiment],
+                         ids=["simulate", "run_experiment"])
+def test_positivity_guard_raises(entry, gas2, profile01):
+    floor, run = entry(gas2, profile01)
+    with pytest.raises(RuntimeError) as exc:
+        run()
+    assert str(exc.value) == f"positivity guard: v <= {floor} persists after 5 dt halvings"
+
+
+def test_rk4_is_the_classic_fourth_order_step():
+    # on y' = -2y one step multiplies y by the degree-4 Taylor factor of e^z
+    z = -2.0 * 0.1
+    factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    v, X = rk4(lambda y: tuple(-2.0 * a for a in y), (np.array([1.0, 3.0]), 0.5), 0.1)
+    npt.assert_allclose(v, [factor, 3.0 * factor], rtol=1e-15)
+    assert abs(X - 0.5 * factor) < 1e-15
+
+
+def test_march_halves_dt_until_the_guard_clears():
+    # a step is accepted only once dt <= 0.26: 0.5 is halved once, 0.25 passes
+    tried, records = [], []
+
+    def step(y, dt):
+        tried.append(dt)
+        return (y[0] if dt <= 0.26 else -y[0],)
+
+    t, (v,) = march(step, (np.ones(3),), 0.0, 0.5, lambda y: 1.0, 0.0,
+                    on_record=lambda t, y: records.append(t))
+    assert tried == [0.5, 0.25, 0.25]
+    assert t == 0.5 and np.all(v == 1.0)
+    assert records == [0.0]
+
+
+def test_simulate_rejects_nonpositive_cadence_and_safety(gas2, profile01):
+    # either would leave dt at 0 and the march would never end
+    grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
+    state = sl.FieldState(0.0, *profile_arrays(profile01, grid))
+    sigma = profile01.states.sigma
+    for kw in ({"record_dt": 0.0}, {"record_dt": -0.05}, {"safety": 0.0},
+               {"safety": -0.4}):
+        with pytest.raises(ValueError):
+            sl.simulate(gas2, sigma, grid, state, t_end=0.1, v_floor=0.1, **kw)
 
 
 def test_sampled_profile_drift_over_long_run(gas2, profile01):
