@@ -13,7 +13,7 @@ like dx^2 (the record cadence is scaled with dx so both error sources do).
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -74,10 +74,19 @@ class ExperimentConfig:
             raise ValueError(f"unknown perturbation kind {self.perturb_kind!r}")
         if self.h_mode not in ("direct", "from-velocity"):
             raise ValueError(f"unknown h_mode {self.h_mode!r}")
-        for key in ("t_end_sigma", "record_sigma", "cfl_safety"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for key in ("eps", "t_end_sigma", "record_sigma", "cfl_safety"):
             value = getattr(self, key)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{key} must be positive and finite, got {value!r}")
+            if not value > 0.0:
+                raise ValueError(f"{key} must be positive, got {value!r}")
+        if not (0.0 < self.lam <= 0.5):
+            raise ValueError(f"lam must lie in (0, 1/2], got {self.lam!r}")
+        if self.cfl_safety > 1.0:
+            # at 1 dt already sits at the advective and parabolic limits
+            raise ValueError(f"cfl_safety must be at most 1, got {self.cfl_safety!r}")
         L = self.span_over_eps / self.eps
         if abs(self.center) + self.width > 0.8 * L:
             raise ValueError("perturbation support must stay within 80% of the domain")

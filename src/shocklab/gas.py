@@ -4,6 +4,11 @@ Everything downstream (profiles, PDE, functionals) talks to the gas law only
 through this module: pressure p(v) = v**(-gamma), the entropy-flux potential
 q(v) = v**(1-gamma)/(gamma-1) with q'(v) = -p(v), and the relative
 ("Bregman gap") versions of both.  All functions broadcast over numpy arrays.
+
+The closures are bare formulas and do not check their arguments: they run at
+every RK stage, so positivity and finiteness are checked where data enters
+(the starting state of a march, and the march guard after every step).  A
+non-positive v gives nan or a meaningless number, not an exception.
 """
 
 from dataclasses import dataclass
@@ -20,13 +25,6 @@ __all__ = [
     "pressure_inverse_combination",
     "inverse_combination_sweep",
 ]
-
-
-def _as_positive(x, name):
-    x = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError(f"{name} must be positive and finite")
-    return x
 
 
 @dataclass(frozen=True)
@@ -52,39 +50,39 @@ class GasModel:
     # -- bare closures ----------------------------------------------------
 
     def pressure(self, v):
-        v = _as_positive(v, "v")
+        v = np.asarray(v, dtype=float)
         return v ** (-self.gamma)
 
     def pressure_inverse(self, p):
-        p = _as_positive(p, "p")
+        p = np.asarray(p, dtype=float)
         return p ** (-1.0 / self.gamma)
 
     def dpressure(self, v):
         """p'(v) = -gamma * v**(-gamma-1) (negative for v > 0)."""
-        v = _as_positive(v, "v")
+        v = np.asarray(v, dtype=float)
         return -self.gamma * v ** (-self.gamma - 1.0)
 
     def d2pressure(self, v):
-        v = _as_positive(v, "v")
+        v = np.asarray(v, dtype=float)
         return self.gamma * (self.gamma + 1.0) * v ** (-self.gamma - 2.0)
 
     def entropy(self, v):
         """q(v) = v**(1-gamma)/(gamma-1); q'(v) = -p(v), q'' = -p' > 0."""
-        v = _as_positive(v, "v")
+        v = np.asarray(v, dtype=float)
         return v ** (1.0 - self.gamma) / (self.gamma - 1.0)
 
     # -- relative (Bregman) quantities ------------------------------------
 
     def q_relative(self, v, w):
         """q(v|w) = q(v) - q(w) - q'(w)(v-w) >= 0, with q'(w) = -p(w)."""
-        v = _as_positive(v, "v")
-        w = _as_positive(w, "w")
+        v = np.asarray(v, dtype=float)
+        w = np.asarray(w, dtype=float)
         return self.entropy(v) - self.entropy(w) + self.pressure(w) * (v - w)
 
     def p_relative(self, v, w):
         """p(v|w) = p(v) - p(w) - p'(w)(v-w) >= 0 (p is convex)."""
-        v = _as_positive(v, "v")
-        w = _as_positive(w, "w")
+        v = np.asarray(v, dtype=float)
+        w = np.asarray(w, dtype=float)
         return self.pressure(v) - self.pressure(w) - self.dpressure(w) * (v - w)
 
     # -- reference-state derived numbers ----------------------------------
@@ -220,6 +218,8 @@ def local_expansion_report(gas, w, delta):
     each ratio from its limit over a dense v-grid.
     """
     w = float(w)
+    if not (w > 0.0 and np.isfinite(w)):
+        raise ValueError("w must be positive and finite")
     pw = float(gas.pressure(w))
     if not (delta > 0 and delta < pw):
         raise ValueError("need 0 < delta < p(w)")
@@ -251,7 +251,7 @@ def pressure_inverse_combination(gas, p_minus, p_plus, p):
     p = np.asarray(p, dtype=float)
     if not (p_plus > p_minus > 0.0):
         raise ValueError("need 0 < p_minus < p_plus")
-    if np.any(p <= p_minus) or np.any(p >= p_plus):
+    if not np.all((p > p_minus) & (p < p_plus)):
         raise ValueError("p must lie strictly between p_minus and p_plus")
     vmi = float(gas.pressure_inverse(p_minus))
     vpl = float(gas.pressure_inverse(p_plus))

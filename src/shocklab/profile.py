@@ -92,8 +92,10 @@ def _profile_rhs(states):
     p_plus = states.p_plus
     inv_gamma = 1.0 / gas.gamma
 
-    def f(p):
-        v = np.clip(p, 1e-300, None) ** (-inv_gamma)
+    def f(p, v=None):
+        # v, when given, is p**(-1/gamma) already at hand (ShockProfile.frame)
+        if v is None:
+            v = np.clip(p, 1e-300, None) ** (-inv_gamma)
         return (sig * sig * (v - v_plus) + (p - p_plus)) / sig
 
     return f
@@ -149,19 +151,22 @@ class ShockProfile:
         """p_tilde(xi) for any xi, exponential splice beyond the stored window."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.xi[0], self.xi[-1]
-        out = np.empty_like(x)
-        inside = (x >= lo) & (x <= hi)
-        out[inside] = self._spline(x[inside])
-        left = x < lo
-        if np.any(left):
-            out[left] = self.states.p_minus + self.tail_amp_minus * np.exp(
-                self.tail_rate_minus * (x[left] - lo)
-            )
-        right = x > hi
-        if np.any(right):
-            out[right] = self.states.p_plus - self.tail_amp_plus * np.exp(
-                -self.tail_rate_plus * (x[right] - hi)
-            )
+        if x.size and lo <= x.min() and x.max() <= hi:
+            out = self._spline(x)
+        else:
+            out = np.empty_like(x)
+            inside = (x >= lo) & (x <= hi)
+            out[inside] = self._spline(x[inside])
+            left = x < lo
+            if np.any(left):
+                out[left] = self.states.p_minus + self.tail_amp_minus * np.exp(
+                    self.tail_rate_minus * (x[left] - lo)
+                )
+            right = x > hi
+            if np.any(right):
+                out[right] = self.states.p_plus - self.tail_amp_plus * np.exp(
+                    -self.tail_rate_plus * (x[right] - hi)
+                )
         np.clip(out, self.states.p_minus, self.states.p_plus, out=out)
         return out
 
@@ -197,13 +202,16 @@ class ShockProfile:
 
         Returns a dict with p, dp, d2p, v, dv, h, dh — everything downstream
         (weight, functionals) derives from p_tilde and the ODE relation, so a
-        single spline evaluation feeds the whole frame.
+        single spline evaluation feeds the whole frame.  It also carries the
+        gas closures at v_tilde, pv = p(v_tilde), qv = q(v_tilde) and
+        dpv = p'(v_tilde) (pv differs from p by roundoff), which the relative
+        quantities q(v|v_tilde) and p(v|v_tilde) need at every use of the frame.
         """
         p = self.pressure_profile(x)
         gas = self.gas
         sig = self.sigma
-        dp = _profile_rhs(self.states)(p)
         v = gas.pressure_inverse(p)
+        dp = _profile_rhs(self.states)(p, v)
         dpv = gas.dpressure(v)
         return {
             "p": p,
@@ -213,6 +221,9 @@ class ShockProfile:
             "dv": dp / dpv,
             "h": self.states.u_minus + (p - self.states.p_minus) / sig,
             "dh": dp / sig,
+            "pv": gas.pressure(v),
+            "qv": gas.entropy(v),
+            "dpv": dpv,
         }
 
     # -- normalized layer coordinate --------------------------------------

@@ -19,6 +19,7 @@ steady tests need), a conservation diagnostic, and binary checkpoint IO.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix, diags
@@ -59,9 +60,12 @@ class Grid:
     def dx(self):
         return (self.hi - self.lo) / self.n
 
-    @property
+    @cached_property
     def x(self):
-        return np.linspace(self.lo, self.hi, self.n + 1)
+        """Grid points, built once per grid and read-only (callers share them)."""
+        x = np.linspace(self.lo, self.hi, self.n + 1)
+        x.flags.writeable = False
+        return x
 
 
 @dataclass
@@ -124,6 +128,10 @@ def rk4(rhs, y, dt):
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
+def _finite(y):
+    return all(np.all(np.isfinite(a)) for a in y)
+
+
 def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
           max_retries=5):
     """March the tuple y = (v, ...) from t to t_end with the positivity guard.
@@ -131,12 +139,19 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
     step(y, dt) returns the state one step of size dt later; dt_limit(y) is
     the stable step at y.  dt is clipped to t_end and, when record_dt is set,
     to the next record time, so records land exactly on the cadence;
-    on_record(t, y) fires at the start and at each record time.  If min(v)
-    after a step is not above v_floor the step is retried with halved dt, up
-    to max_retries times; persistent failure raises.  Returns (t, y).
+    on_record(t, y) fires at the start and at each record time.  The start
+    must have v > 0 and every component finite.  If a step result has a
+    non-finite entry, or min(v) not above v_floor, the step is retried with
+    halved dt, up to max_retries times; persistent failure raises and says
+    which of the two tripped.  This guard is the march's only state check:
+    the gas closures inside a step do not validate.  Returns (t, y).
     """
     if record_dt is not None and not record_dt > 0.0:
         raise ValueError(f"record_dt must be positive, got {record_dt}")
+    if not _finite(y):
+        raise ValueError("starting state must be finite")
+    if not np.min(y[0]) > 0.0:
+        raise ValueError("starting v must be positive")
     if on_record is not None:
         on_record(t, y)
     next_rec = t + record_dt if record_dt is not None else np.inf
@@ -144,10 +159,16 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
         dt = min(dt_limit(y), t_end - t, next_rec - t)
         for _ in range(max_retries + 1):
             cand = step(y, dt)
-            if np.min(cand[0]) > v_floor:
+            finite = _finite(cand)
+            if finite and np.min(cand[0]) > v_floor:
                 break
             dt *= 0.5
         else:
+            if not finite:
+                raise RuntimeError(
+                    f"non-finite state: NaN or inf in the stepped state persists "
+                    f"after {max_retries} dt halvings"
+                )
             raise RuntimeError(
                 f"positivity guard: v <= {v_floor} persists after {max_retries} dt halvings"
             )
@@ -161,7 +182,9 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
 
 def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None,
              record_dt=None, max_retries=5):
-    """March the PDE to t_end with the positivity guard of `march`.
+    """March the PDE to t_end with the guards of `march`.
+
+    The starting state must be finite with v > 0 (ValueError otherwise).
 
     When record_dt is set, on_record(state) fires at each record time
     (including t = 0); without it, only at t = 0.

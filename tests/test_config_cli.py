@@ -70,6 +70,16 @@ def test_march_settings_must_be_positive_and_finite():
                 sl.apply_overrides(cfg, {key: value})
 
 
+def test_lam_and_cfl_safety_upper_bounds_are_closed():
+    cfg = sl.ExperimentConfig()
+    for key, value in (("lam", 0.5 + 1e-12), ("lam", float("nan")),
+                       ("cfl_safety", 1.0 + 1e-12)):
+        with pytest.raises(ValueError, match=key):
+            sl.apply_overrides(cfg, {key: value})
+    out = sl.apply_overrides(cfg, {"lam": 0.5, "cfl_safety": 1.0})
+    assert out.lam == 0.5 and out.cfl_safety == 1.0
+
+
 def test_config_text_roundtrip():
     cfg = sl.ExperimentConfig(eps=0.07, perturb_kind="none", modes=9,
                               steady_relax=True)
@@ -142,6 +152,12 @@ def test_cli_audit_exit_zero():
     ("cells_per_layer=50.5", "cells_per_layer"),
     ("record_sigma=-0.01", "record_sigma"),
     ("t_end_sigma=nan", "t_end_sigma"),
+    ("eps=0", "eps"),
+    ("eps=-0.1", "eps"),
+    ("lam=0.7", "lam"),
+    ("lam=0", "lam"),
+    ("cfl_safety=5", "cfl_safety"),
+    ("amplitude=nan", "amplitude"),
     ("no_such_knob=1", "no_such_knob"),
     ("eps", "key = value"),
 ])

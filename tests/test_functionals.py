@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 import shocklab as sl
-from shocklab.functionals import FrameCache, weighted_q_probe
+from shocklab.functionals import (FrameCache, _shifted_frames, _yb_kernel,
+                                  weighted_q_probe)
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +165,17 @@ def test_weighted_q_probe_smoke(profile01, weight01):
     assert 0.5 < rep["t_star_over_eps_by_lam"] < 2.5
     # the weighted Q integral at that state scales like eps^2/lam
     assert 0.05 < rep["ratio"] < 20.0
+
+
+def test_kernel_relative_quantities_match_gas_closures_bitwise(profile01, weight01, wide_x):
+    # the kernel evaluates p(v) and q(v) once and takes the closures at
+    # v_tilde from the frame; the results must be the GasModel ones, bit for bit
+    v, h = perturbed_state(profile01, wide_x)
+    gas = profile01.gas
+    frames = _shifted_frames(wide_x, profile01, weight01, 0.37)
+    pf = frames[3]
+    out = _yb_kernel(v, h, gas, profile01.sigma, wide_x[1] - wide_x[0], frames)
+    q_rel, p_rel = out[5], out[6]
+    assert np.array_equal(q_rel, gas.q_relative(v, pf["v"]))
+    assert np.array_equal(p_rel, gas.p_relative(v, pf["v"]))
+    assert np.array_equal(out[3], gas.pressure(v) - pf["p"])

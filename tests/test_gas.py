@@ -137,3 +137,13 @@ def test_inverse_combination_domain_is_strict(gas2):
     assert abs(mid) < 0.01
     with pytest.raises(ValueError):
         pressure_inverse_combination(gas2, p_minus, p_plus, p_minus)
+
+
+def test_report_functions_check_their_inputs(gas2):
+    # the closures no longer validate, so the report functions that take
+    # user data keep their own checks at the boundary
+    for w in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            local_expansion_report(gas2, w, 1e-4)
+    with pytest.raises(ValueError):
+        pressure_inverse_combination(gas2, 1.0, 1.1, np.array([1.05, np.nan]))

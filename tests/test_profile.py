@@ -145,3 +145,24 @@ def test_profile_csv_export(profile01, weight01):
     assert len(rows) > 100
     first = [float(tok) for tok in rows[0].split(",")]
     assert len(first) == len(cols)
+
+
+def test_frame_carries_gas_closures_at_v_tilde(profile01, setup_default):
+    # p(v_tilde), q(v_tilde) and p'(v_tilde) ride in the frame, equal to the
+    # GasModel closures at pf["v"]; dp derived from v_tilde equals the ODE
+    # right-hand side evaluated the long way
+    gas = profile01.gas
+    x = setup_default.grid.x - 0.37
+    pf = profile01.frame(x)
+    assert np.array_equal(pf["pv"], gas.pressure(pf["v"]))
+    assert np.array_equal(pf["qv"], gas.entropy(pf["v"]))
+    assert np.array_equal(pf["dpv"], gas.dpressure(pf["v"]))
+    assert np.array_equal(pf["dp"], profile01.dpressure_profile(x))
+
+
+def test_pressure_profile_in_window_matches_masked_path(profile01):
+    # an all-in-window call skips the tail masks; the values must not move
+    x = np.linspace(profile01.xi[0], profile01.xi[-1], 1001)
+    with_tail = np.append(x, profile01.xi[-1] + 5.0)
+    assert np.array_equal(profile01.pressure_profile(x),
+                          profile01.pressure_profile(with_tail)[:-1])

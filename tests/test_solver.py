@@ -165,6 +165,44 @@ def test_march_halves_dt_until_the_guard_clears():
     assert records == [0.0]
 
 
+@pytest.mark.parametrize("bad", [0, 1], ids=["nan-in-v", "nan-in-h"])
+def test_march_names_a_non_finite_state(bad):
+    # a stage that meets a non-positive v yields NaN (the gas closures do not
+    # raise); the guard must say so instead of blaming the floor
+    def step(y, dt):
+        out = [a.copy() for a in y]
+        out[bad][1] = np.nan
+        return tuple(out)
+
+    with pytest.raises(RuntimeError) as exc:
+        march(step, (np.ones(3), np.zeros(3)), 0.0, 0.5, lambda y: 1.0, 0.1)
+    assert str(exc.value) == (
+        "non-finite state: NaN or inf in the stepped state persists after 5 dt halvings")
+
+
+def test_simulate_rejects_a_bad_starting_state(gas2, profile01):
+    grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
+    v, h = profile_arrays(profile01, grid)
+    sigma = profile01.states.sigma
+    for bad in (-0.5, 0.0, np.nan):
+        v_bad = v.copy()
+        v_bad[7] = bad
+        with pytest.raises(ValueError, match="starting"):
+            sl.simulate(gas2, sigma, grid, sl.FieldState(0.0, v_bad, h), t_end=0.1,
+                        v_floor=0.1)
+    h_bad = h.copy()
+    h_bad[3] = np.inf
+    with pytest.raises(ValueError, match="starting state must be finite"):
+        sl.simulate(gas2, sigma, grid, sl.FieldState(0.0, v, h_bad), t_end=0.1, v_floor=0.1)
+
+
+def test_grid_points_are_built_once_and_read_only():
+    g = make_grid()
+    assert g.x is g.x
+    with pytest.raises(ValueError):
+        g.x[0] = 1.0
+
+
 def test_simulate_rejects_nonpositive_cadence_and_safety(gas2, profile01):
     # either would leave dt at 0 and the march would never end
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
