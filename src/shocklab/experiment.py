@@ -24,7 +24,7 @@ from .profile import solve_profile
 from .shift import overshoot, r_residual, saturated, shift_rhs
 from .solver import (FieldState, Grid, effective_velocity, march, rk4,
                      semi_discrete_rhs, stable_dt, steady_state)
-from .weight import build_weight
+from .weight import build_weight, check_lam
 
 __all__ = [
     "ExperimentConfig",
@@ -82,8 +82,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not value > 0.0:
                 raise ValueError(f"{key} must be positive, got {value!r}")
-        if not (0.0 < self.lam <= 0.5):
-            raise ValueError(f"lam must lie in (0, 1/2], got {self.lam!r}")
+        check_lam(self.lam)
         if self.cfl_safety > 1.0:
             # at 1 dt already sits at the advective and parabolic limits
             raise ValueError(f"cfl_safety must be at most 1, got {self.cfl_safety!r}")

@@ -93,14 +93,11 @@ class FrameCache:
 
 
 def _trapz(f, dx):
-    # np.trapezoid(f, dx=dx) for 1-d f, written out with the same operations
-    # in the same order (so the same bits) without its per-call overhead
-    return float((dx * (f[1:] + f[:-1]) / 2.0).sum())
+    return float(np.trapezoid(f, dx=dx))
 
 
 def _yb_kernel(v, h, gas, sig, dx, frames):
-    """Y, B1, B2 and the pointwise arrays (w, h - h_tilde, q(v|v_tilde),
-    p(v|v_tilde), eta).
+    """Y, B1, B2 and the pointwise arrays (w, h - h_tilde, q(v|v_tilde), eta).
 
     p(v) and q(v) are evaluated once; the closures at v_tilde come with the
     frame.  q(v|v_tilde) and p(v|v_tilde) keep the operation order of
@@ -119,7 +116,7 @@ def _yb_kernel(v, h, gas, sig, dx, frames):
     B1 = sig * _trapz(a * pf["dv"] * p_rel, dx)
     w2 = w ** 2
     B2 = _trapz(da * w2, dx) / (2.0 * sig) + 0.5 * _trapz(d2a * w2, dx)
-    return Y, B1, B2, w, dh_field, q_rel, p_rel, eta
+    return Y, B1, B2, w, dh_field, q_rel, eta
 
 
 def compute_breakdown(x, v, h, profile, weight, shift=0.0):
@@ -135,7 +132,7 @@ def compute_breakdown(x, v, h, profile, weight, shift=0.0):
     sig = profile.sigma
     frames = _shifted_frames(x, profile, weight, shift)
     a, da, d2a, pf = frames
-    Y, B1, B2, w, dh_field, q_rel, _, eta = _yb_kernel(v, h, gas, sig, dx, frames)
+    Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas, sig, dx, frames)
     b = dh_field - w / sig
 
     def T(f):
@@ -196,7 +193,7 @@ def bd_relative_functional(x, v, u, profile, shift=0.0):
     pf = profile.frame(x - shift)
     h_eff = u + _d1(gas.pressure(v), dx)
     integrand = 0.5 * (h_eff - pf["h"]) ** 2 + gas.q_relative(v, pf["v"])
-    return _trapz(integrand, dx)
+    return float(np.trapezoid(integrand, dx=dx))
 
 
 def weighted_q_probe(profile, weight, span_over_eps=40.0, cells_per_layer=50):
@@ -237,7 +234,7 @@ def weighted_q_probe(profile, weight, span_over_eps=40.0, cells_per_layer=50):
             raise RuntimeError("no sign change for the layer probe amplitude")
     t_star = brentq(Y_of, t_lo, t_hi, xtol=1e-14)
     v = pf["v"] + t_star * S
-    iq = _trapz(np.abs(da) * gas.q_relative(v, pf["v"]), dx)
+    iq = float(np.trapezoid(np.abs(da) * gas.q_relative(v, pf["v"]), dx=dx))
     return {
         "t_star": float(t_star),
         "t_star_over_eps_by_lam": float(t_star * lam / eps),

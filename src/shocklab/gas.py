@@ -8,7 +8,8 @@ q(v) = v**(1-gamma)/(gamma-1) with q'(v) = -p(v), and the relative
 The closures are bare formulas and do not check their arguments: they run at
 every RK stage, so positivity and finiteness are checked where data enters
 (the starting state of a march, and the march guard after every step).  A
-non-positive v gives nan or a meaningless number, not an exception.
+non-positive v gives no exception: nan at non-integral gamma, a finite but
+meaningless number at integral gamma.
 """
 
 from dataclasses import dataclass

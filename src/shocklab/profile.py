@@ -85,17 +85,16 @@ def end_states_from_amplitude(gas, eps):
 
 
 def _profile_rhs(states):
-    """d p_tilde / d xi as a function of p_tilde (autonomous scalar ODE)."""
-    gas = states.gas
+    """d p_tilde / d xi as f(p_tilde, v_tilde) with v_tilde = p_tilde**(-1/gamma).
+
+    The caller supplies v_tilde: most have it at hand, or need it again for
+    p'(v_tilde).
+    """
     sig = states.sigma
     v_plus = states.v_plus
     p_plus = states.p_plus
-    inv_gamma = 1.0 / gas.gamma
 
-    def f(p, v=None):
-        # v, when given, is p**(-1/gamma) already at hand (ShockProfile.frame)
-        if v is None:
-            v = np.clip(p, 1e-300, None) ** (-inv_gamma)
+    def f(p, v):
         return (sig * sig * (v - v_plus) + (p - p_plus)) / sig
 
     return f
@@ -145,40 +144,38 @@ class ShockProfile:
 
     @property
     def dp(self):
-        return _profile_rhs(self.states)(self.p)
+        return _profile_rhs(self.states)(self.p, self.v)
 
     def pressure_profile(self, x):
         """p_tilde(xi) for any xi, exponential splice beyond the stored window."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.xi[0], self.xi[-1]
-        if x.size and lo <= x.min() and x.max() <= hi:
-            out = self._spline(x)
-        else:
-            out = np.empty_like(x)
-            inside = (x >= lo) & (x <= hi)
-            out[inside] = self._spline(x[inside])
-            left = x < lo
-            if np.any(left):
-                out[left] = self.states.p_minus + self.tail_amp_minus * np.exp(
-                    self.tail_rate_minus * (x[left] - lo)
-                )
-            right = x > hi
-            if np.any(right):
-                out[right] = self.states.p_plus - self.tail_amp_plus * np.exp(
-                    -self.tail_rate_plus * (x[right] - hi)
-                )
+        # the spline evaluates each point on its own, so the tails simply
+        # overwrite its extrapolated values
+        out = self._spline(x)
+        left = x < lo
+        if np.any(left):
+            out[left] = self.states.p_minus + self.tail_amp_minus * np.exp(
+                self.tail_rate_minus * (x[left] - lo)
+            )
+        right = x > hi
+        if np.any(right):
+            out[right] = self.states.p_plus - self.tail_amp_plus * np.exp(
+                -self.tail_rate_plus * (x[right] - hi)
+            )
         np.clip(out, self.states.p_minus, self.states.p_plus, out=out)
         return out
 
     def dpressure_profile(self, x):
         """(p_tilde)'(xi) through the profile equation (smooth across the splice)."""
-        return _profile_rhs(self.states)(self.pressure_profile(x))
+        p = self.pressure_profile(x)
+        return _profile_rhs(self.states)(p, self.gas.pressure_inverse(p))
 
     def d2pressure_profile(self, x):
         """(p_tilde)''(xi) = (sigma^2/p'(v_tilde) + 1) * (p_tilde)'/sigma."""
         p = self.pressure_profile(x)
         v = self.gas.pressure_inverse(p)
-        dp = _profile_rhs(self.states)(p)
+        dp = _profile_rhs(self.states)(p, v)
         sig = self.sigma
         return (sig * sig / self.gas.dpressure(v) + 1.0) * dp / sig
 
@@ -189,7 +186,7 @@ class ShockProfile:
         """(v_tilde)' = (p_tilde)'/p'(v_tilde)  (negative: v decreases)."""
         p = self.pressure_profile(x)
         v = self.gas.pressure_inverse(p)
-        return _profile_rhs(self.states)(p) / self.gas.dpressure(v)
+        return _profile_rhs(self.states)(p, v) / self.gas.dpressure(v)
 
     def h_profile(self, x):
         return self.states.u_minus + (self.pressure_profile(x) - self.states.p_minus) / self.sigma
@@ -249,7 +246,7 @@ class ShockProfile:
         path from the stored ODE right-hand side.
         """
         dps = self._spline.derivative()(self.xi)
-        f = _profile_rhs(self.states)(self.p)
+        f = _profile_rhs(self.states)(self.p, self.v)
         return float(np.max(np.abs(self.sigma * (dps - f))))
 
     def monotone(self):
@@ -279,7 +276,8 @@ def solve_profile(gas, eps, span_over_eps=40.0, stop_frac=1e-12, target_residual
     h = max(h, 2.0 * L / 500_000.0)
 
     def rhs(_x, y):
-        return [f(y[0])]
+        p = y[0]
+        return [f(p, max(p, 1e-300) ** (-1.0 / gas.gamma))]
 
     ev_plus = lambda _x, y: y[0] - (p_plus - stop_frac * eps)
     ev_plus.terminal = True

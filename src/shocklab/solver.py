@@ -144,7 +144,10 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
     non-finite entry, or min(v) not above v_floor, the step is retried with
     halved dt, up to max_retries times; persistent failure raises and says
     which of the two tripped.  This guard is the march's only state check:
-    the gas closures inside a step do not validate.  Returns (t, y).
+    the gas closures inside a step do not validate.  A stage that goes
+    non-positive gives NaN at non-integral gamma, but finite values at
+    integral gamma (v**-2 is finite for v < 0); it is then caught only if
+    the step result falls to the floor.  Returns (t, y).
     """
     if record_dt is not None and not record_dt > 0.0:
         raise ValueError(f"record_dt must be positive, got {record_dt}")

@@ -40,11 +40,16 @@ class WeightFn:
                 "da": s * fr["dp"], "d2a": s * fr["d2p"], "profile_frame": fr}
 
 
-def build_weight(profile, lam):
-    """Weight with slope parameter lam in (0, 1/2] (1/2 included for lam = 5*eps runs)."""
-    lam = float(lam)
+def check_lam(lam):
+    """Raise ValueError unless the slope lam lies in (0, 1/2] (1/2 for lam = 5*eps runs)."""
     if not (0.0 < lam <= 0.5):
-        raise ValueError("lam must lie in (0, 1/2]")
+        raise ValueError(f"lam must lie in (0, 1/2], got {lam!r}")
+
+
+def build_weight(profile, lam):
+    """Weight with slope parameter lam in (0, 1/2]."""
+    lam = float(lam)
+    check_lam(lam)
     return WeightFn(profile=profile, lam=lam)
 
 

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import shocklab as sl
-from shocklab.functionals import (FrameCache, _shifted_frames, _yb_kernel,
+from shocklab.functionals import (FrameCache, _shifted_frames, _trapz, _yb_kernel,
                                   weighted_q_probe)
 
 
@@ -169,13 +169,14 @@ def test_weighted_q_probe_smoke(profile01, weight01):
 
 def test_kernel_relative_quantities_match_gas_closures_bitwise(profile01, weight01, wide_x):
     # the kernel evaluates p(v) and q(v) once and takes the closures at
-    # v_tilde from the frame; the results must be the GasModel ones, bit for bit
+    # v_tilde from the frame; the results must be the GasModel ones, bit for
+    # bit.  p(v|v_tilde) enters only B1, so it is checked through B1.
     v, h = perturbed_state(profile01, wide_x)
     gas = profile01.gas
+    sig, dx = profile01.sigma, wide_x[1] - wide_x[0]
     frames = _shifted_frames(wide_x, profile01, weight01, 0.37)
-    pf = frames[3]
-    out = _yb_kernel(v, h, gas, profile01.sigma, wide_x[1] - wide_x[0], frames)
-    q_rel, p_rel = out[5], out[6]
-    assert np.array_equal(q_rel, gas.q_relative(v, pf["v"]))
-    assert np.array_equal(p_rel, gas.p_relative(v, pf["v"]))
+    a, pf = frames[0], frames[3]
+    out = _yb_kernel(v, h, gas, sig, dx, frames)
+    assert np.array_equal(out[5], gas.q_relative(v, pf["v"]))
+    assert out[1] == sig * _trapz(a * pf["dv"] * gas.p_relative(v, pf["v"]), dx)
     assert np.array_equal(out[3], gas.pressure(v) - pf["p"])

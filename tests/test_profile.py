@@ -160,9 +160,12 @@ def test_frame_carries_gas_closures_at_v_tilde(profile01, setup_default):
     assert np.array_equal(pf["dp"], profile01.dpressure_profile(x))
 
 
-def test_pressure_profile_in_window_matches_masked_path(profile01):
-    # an all-in-window call skips the tail masks; the values must not move
+def test_pressure_profile_values_do_not_depend_on_the_other_points(profile01):
+    # each point is evaluated on its own: a tail point in the same call must
+    # not move the in-window values, and a NaN point gives NaN
     x = np.linspace(profile01.xi[0], profile01.xi[-1], 1001)
     with_tail = np.append(x, profile01.xi[-1] + 5.0)
     assert np.array_equal(profile01.pressure_profile(x),
                           profile01.pressure_profile(with_tail)[:-1])
+    out = profile01.pressure_profile(np.array([np.nan, 0.0]))
+    assert np.isnan(out[0]) and out[1] == profile01.pressure_profile(0.0)

@@ -167,8 +167,9 @@ def test_march_halves_dt_until_the_guard_clears():
 
 @pytest.mark.parametrize("bad", [0, 1], ids=["nan-in-v", "nan-in-h"])
 def test_march_names_a_non_finite_state(bad):
-    # a stage that meets a non-positive v yields NaN (the gas closures do not
-    # raise); the guard must say so instead of blaming the floor
+    # at non-integral gamma a stage that meets v < 0 yields NaN (the gas
+    # closures do not raise, and v ** -1.4 is NaN there); the guard must say
+    # so instead of blaming the floor
     def step(y, dt):
         out = [a.copy() for a in y]
         out[bad][1] = np.nan
@@ -178,6 +179,24 @@ def test_march_names_a_non_finite_state(bad):
         march(step, (np.ones(3), np.zeros(3)), 0.0, 0.5, lambda y: 1.0, 0.1)
     assert str(exc.value) == (
         "non-finite state: NaN or inf in the stepped state persists after 5 dt halvings")
+
+
+def test_march_judges_a_negative_stage_only_by_the_step_result():
+    # at integral gamma the closures are finite for v < 0, so a stage that
+    # goes negative is no error by itself: the guard sees only the step
+    # result.  v' = p'(v) with gamma = 2 and dt = 1.5 puts stage 2 at
+    # v = -0.5, yet the result (about 8) clears the floor and is accepted.
+    gas = sl.GasModel(gamma=2.0, v_minus=1.0)
+    stages, tried = [], []
+
+    def step(y, dt):
+        tried.append(dt)
+        return rk4(lambda s: stages.append(s[0][0]) or (gas.dpressure(s[0]),), y, dt)
+
+    t, (v,) = march(step, (np.ones(1),), 0.0, 1.5, lambda y: 1.5, 0.1)
+    assert stages[1] == -0.5
+    assert tried == [1.5] and t == 1.5
+    assert 7.9 < v[0] < 8.1
 
 
 def test_simulate_rejects_a_bad_starting_state(gas2, profile01):
