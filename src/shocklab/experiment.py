@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 from .functionals import FrameCache, compute_breakdown, quick_yb
 from .gas import GasModel
-from .profile import solve_profile
+from .profile import end_states_from_amplitude, solve_profile
 from .shift import overshoot, r_residual, saturated, shift_rhs
 from .solver import (FieldState, Grid, effective_velocity, march, rk4,
                      semi_discrete_rhs, stable_dt, steady_state)
@@ -78,11 +78,22 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type is float and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for key in ("eps", "t_end_sigma", "record_sigma", "cfl_safety"):
+        for key in ("eps", "span_over_eps", "cells_per_layer", "t_end_sigma",
+                    "record_sigma", "cfl_safety", "width"):
             value = getattr(self, key)
             if not value > 0.0:
                 raise ValueError(f"{key} must be positive, got {value!r}")
+        if not self.profile_margin_over_eps >= 0.0:  # solve the profile over the whole grid
+            raise ValueError("profile_margin_over_eps must be nonnegative, got "
+                             f"{self.profile_margin_over_eps!r}")
+        # the ranges of gamma, v_minus and eps are the gas's and the profile's
+        end_states_from_amplitude(
+            GasModel(gamma=self.gamma, v_minus=self.v_minus, u_minus=self.u_minus), self.eps)
         check_lam(self.lam)
+        if not 0.0 < self.v_floor_frac < 1.0:
+            # the guard floor frac * v_plus must stay below v_plus, the
+            # lowest value of the profile
+            raise ValueError(f"v_floor_frac must lie in (0, 1), got {self.v_floor_frac!r}")
         if self.cfl_safety > 1.0:
             # at 1 dt already sits at the advective and parabolic limits
             raise ValueError(f"cfl_safety must be at most 1, got {self.cfl_safety!r}")
@@ -205,8 +216,8 @@ def initial_state(setup):
     cfg = setup.config
     x = setup.grid.x
     pr = setup.profile
-    v = pr.v_profile(x)
-    h = pr.h_profile(x)
+    fr = pr.frame(x)
+    v, h = fr["v"], fr["h"]
     if cfg.steady_relax:
         state = phase_aligned_steady(setup)
         v, h = state.v, state.h
@@ -223,8 +234,8 @@ def initial_state(setup):
         dv = cfg.amplitude * _fourier_noise(x, cfg.center, cfg.width, cfg.modes, rng)
         dh = cfg.amplitude_h * _fourier_noise(x, cfg.center, cfg.width, cfg.modes, rng)
     else:  # large-amplitude: stretch the layer and add an O(1) bump
-        v = pr.v_profile(cfg.stretch * x)
-        h = pr.h_profile(cfg.stretch * x)
+        stretched = pr.frame(cfg.stretch * x)
+        v, h = stretched["v"], stretched["h"]
         dv = cfg.amplitude * c2_bump(s)
         dh = cfg.amplitude_h * c2_bump(s)
 
@@ -237,7 +248,7 @@ def initial_state(setup):
         h = h + dh
     else:
         # prescribe velocity u = u_tilde + dh, then h = u + d_xi p(v)
-        u_tilde = h - pr.dpressure_profile(x)  # u of the (possibly stretched) reference
+        u_tilde = h - fr["dp"]  # u of the (possibly stretched) reference
         h = effective_velocity(setup.gas, setup.grid, v, u_tilde + dh)
 
     # pin the ends exactly to the initial reference values (Dirichlet data)
@@ -314,8 +325,6 @@ def run_experiment(setup_or_config, snapshots=None):
         v, h, X = y
         bd = compute_breakdown(setup.grid.x, v, h, setup.profile, setup.weight, X)
         xdot = shift_rhs(bd.Y, bd.B, eps)
-        w_sup = float(np.max(np.abs(
-            setup.gas.pressure(v) - setup.profile.pressure_profile(setup.grid.x - X))))
         rows["t"].append(t)
         rows["X"].append(X)
         rows["Xdot"].append(xdot)
@@ -325,7 +334,7 @@ def run_experiment(setup_or_config, snapshots=None):
         rows["R"].append(r_residual(bd, eps, cfg.lam, cfg.margin_coeff))
         rows["branch_saturated"].append(1.0 if saturated(bd.Y, eps) else 0.0)
         rows["overshoot"].append(overshoot(xdot, eps))
-        rows["sup_w"].append(w_sup)
+        rows["sup_w"].append(bd.sup_w)
         if snapshots is not None:
             snapshots.append((t, v.copy(), h.copy()))
 

@@ -57,6 +57,7 @@ class FunctionalBreakdown:
     G2: float
     D: float
     G: float
+    sup_w: float  # max |w| = max |p(v) - p_tilde| on the grid
 
     @property
     def rate(self):
@@ -64,16 +65,11 @@ class FunctionalBreakdown:
         return self.B - self.G
 
 
-def _shifted_frames(x, profile, weight, shift):
-    fr = weight.frame(np.asarray(x, dtype=float) - shift)
-    return fr["a"], fr["da"], fr["d2a"], fr["profile_frame"]
-
-
 class FrameCache:
-    """Reuse profile/weight frames while the shift barely moves.
+    """Reuse the weight frame while the shift barely moves.
 
-    Spline evaluation of the shifted frames dominates the cost of the
-    per-stage (Y, B) evaluation; within |X - X_cached| <= tol the frames are
+    Spline evaluation of the shifted frame dominates the cost of the
+    per-stage (Y, B) evaluation; within |X - X_cached| <= tol the frame is
     reused, which perturbs Y by at most tol * sup|dY/dX| -- with the default
     tol = 1e-6 that is orders below every tolerance in the controller
     (deadband eps^2) and in the recorded diagnostics, which are evaluated
@@ -83,27 +79,28 @@ class FrameCache:
     def __init__(self, tol=1e-6):
         self.tol = tol
         self._shift = None
-        self._frames = None
+        self._frame = None
 
-    def get(self, x, profile, weight, shift):
-        if self._frames is None or abs(shift - self._shift) > self.tol:
-            self._frames = _shifted_frames(x, profile, weight, shift)
+    def get(self, x, weight, shift):
+        if self._frame is None or abs(shift - self._shift) > self.tol:
+            self._frame = weight.frame(x - shift)
             self._shift = shift
-        return self._frames
+        return self._frame
 
 
 def _trapz(f, dx):
     return float(np.trapezoid(f, dx=dx))
 
 
-def _yb_kernel(v, h, gas, sig, dx, frames):
+def _yb_kernel(v, h, gas, sig, dx, pf):
     """Y, B1, B2 and the pointwise arrays (w, h - h_tilde, q(v|v_tilde), eta).
 
-    p(v) and q(v) are evaluated once; the closures at v_tilde come with the
-    frame.  q(v|v_tilde) and p(v|v_tilde) keep the operation order of
+    pf is a weight frame (WeightFn.frame at the shifted points).  p(v) and
+    q(v) are evaluated once; the closures at v_tilde come with the frame.
+    q(v|v_tilde) and p(v|v_tilde) keep the operation order of
     GasModel.q_relative and p_relative, so they match those bit for bit.
     """
-    a, da, d2a, pf = frames
+    a, da, d2a = pf["a"], pf["da"], pf["d2a"]
     pv = gas.pressure(v)
     dv = v - pf["v"]
     w = pv - pf["p"]
@@ -130,9 +127,9 @@ def compute_breakdown(x, v, h, profile, weight, shift=0.0):
     dx = x[1] - x[0]
     gas = profile.gas
     sig = profile.sigma
-    frames = _shifted_frames(x, profile, weight, shift)
-    a, da, d2a, pf = frames
-    Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas, sig, dx, frames)
+    pf = weight.frame(x - shift)
+    a, da = pf["a"], pf["da"]
+    Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas, sig, dx, pf)
     b = dh_field - w / sig
 
     def T(f):
@@ -151,17 +148,15 @@ def compute_breakdown(x, v, h, profile, weight, shift=0.0):
         Y=Y, Y_g=Y_g, Y_b=Y_b, Y_l=Y_l,
         B1=B1, B2=B2, B=B1 + B2,
         G1=G1, G2=G2, D=D, G=G1 + G2 + D,
+        sup_w=float(np.max(np.abs(w))),
     )
 
 
 def quick_yb(x, v, h, profile, weight, shift=0.0, cache=None):
     """(Y, B) only — the pair the shift ODE needs at every RK stage."""
     x = np.asarray(x, dtype=float)
-    if cache is None:
-        frames = _shifted_frames(x, profile, weight, shift)
-    else:
-        frames = cache.get(x, profile, weight, shift)
-    Y, B1, B2 = _yb_kernel(v, h, profile.gas, profile.sigma, x[1] - x[0], frames)[:3]
+    pf = weight.frame(x - shift) if cache is None else cache.get(x, weight, shift)
+    Y, B1, B2 = _yb_kernel(v, h, profile.gas, profile.sigma, x[1] - x[0], pf)[:3]
     return Y, B1 + B2
 
 
@@ -215,13 +210,12 @@ def weighted_q_probe(profile, weight, span_over_eps=40.0, cells_per_layer=50):
     L = span_over_eps / eps
     x = np.linspace(-L, L, int(2 * span_over_eps * cells_per_layer) + 1)
     dx = x[1] - x[0]
-    frames = _shifted_frames(x, profile, weight, 0.0)
-    _, da, _, pf = frames
+    pf = weight.frame(x)
     width = 4.0 * alpha / eps  # ~ two layer widths
     S = np.clip(1.0 - (x / width) ** 2, 0.0, None) ** 3
 
     def Y_of(t):  # h untouched
-        return _yb_kernel(pf["v"] + t * S, pf["h"], gas, profile.sigma, dx, frames)[0]
+        return _yb_kernel(pf["v"] + t * S, pf["h"], gas, profile.sigma, dx, pf)[0]
 
     # bracket the nontrivial zero: Y < 0 for small t, > 0 past t* ~ eps/lam
     t_lo = 1e-3 * eps / lam
@@ -234,7 +228,7 @@ def weighted_q_probe(profile, weight, span_over_eps=40.0, cells_per_layer=50):
             raise RuntimeError("no sign change for the layer probe amplitude")
     t_star = brentq(Y_of, t_lo, t_hi, xtol=1e-14)
     v = pf["v"] + t_star * S
-    iq = float(np.trapezoid(np.abs(da) * gas.q_relative(v, pf["v"]), dx=dx))
+    iq = float(np.trapezoid(np.abs(pf["da"]) * gas.q_relative(v, pf["v"]), dx=dx))
     return {
         "t_star": float(t_star),
         "t_star_over_eps_by_lam": float(t_star * lam / eps),

@@ -44,9 +44,9 @@ class GasModel:
 
     def __post_init__(self):
         if not (self.gamma > 1.0):
-            raise ValueError("gamma must be > 1")
+            raise ValueError(f"gamma must be > 1, got {self.gamma!r}")
         if not (self.v_minus > 0.0):
-            raise ValueError("v_minus must be > 0")
+            raise ValueError(f"v_minus must be > 0, got {self.v_minus!r}")
 
     # -- bare closures ----------------------------------------------------
 

@@ -76,7 +76,8 @@ def end_states_from_amplitude(gas, eps):
     if not (eps > 0.0 and np.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     if eps >= 10.0 * gas.p_minus:
-        raise ValueError("eps out of supported range (need eps < 10*p(v_minus))")
+        raise ValueError("eps out of supported range (need eps < 10*p(v_minus)"
+                         f" = {10.0 * gas.p_minus:g}), got {eps!r}")
     p_plus = gas.p_minus + eps
     v_plus = float(gas.pressure_inverse(p_plus))
     sigma = -float(np.sqrt(eps / (gas.v_minus - v_plus)))
@@ -104,11 +105,13 @@ def _profile_rhs(states):
 class ShockProfile:
     """Sampled profile plus dense interpolant and exponential tail splices.
 
-    Arrays xi, p, dp, v, h cover the stored window [xi[0], xi[-1]].  All
-    evaluation methods accept any xi (tails handled by the splice).  dp is the
-    exact ODE right-hand side evaluated on p, so the stored samples satisfy
-    the profile equation identically; the independent accuracy check is
-    :meth:`ode_residual_sup`, which differentiates the interpolant instead.
+    The samples xi, p cover the stored window [xi[0], xi[-1]].  :meth:`frame`
+    evaluates every profile field at any xi (tails handled by the splice);
+    the named methods (v_profile, dpressure_profile, ...) are views of one
+    field of it.  Derivatives come from the ODE right-hand side, so stored
+    samples satisfy the profile equation identically; the independent
+    accuracy check is :meth:`ode_residual_sup`, which differentiates the
+    interpolant instead.
     """
 
     states: ShockEndStates
@@ -134,18 +137,6 @@ class ShockProfile:
     def sigma(self):
         return self.states.sigma
 
-    @property
-    def v(self):
-        return self.gas.pressure_inverse(self.p)
-
-    @property
-    def h(self):
-        return self.states.u_minus + (self.p - self.states.p_minus) / self.sigma
-
-    @property
-    def dp(self):
-        return _profile_rhs(self.states)(self.p, self.v)
-
     def pressure_profile(self, x):
         """p_tilde(xi) for any xi, exponential splice beyond the stored window."""
         x = np.asarray(x, dtype=float)
@@ -166,45 +157,15 @@ class ShockProfile:
         np.clip(out, self.states.p_minus, self.states.p_plus, out=out)
         return out
 
-    def dpressure_profile(self, x):
-        """(p_tilde)'(xi) through the profile equation (smooth across the splice)."""
-        p = self.pressure_profile(x)
-        return _profile_rhs(self.states)(p, self.gas.pressure_inverse(p))
+    def _fields(self, p):
+        """Every profile field at the pressure values p = p_tilde(xi).
 
-    def d2pressure_profile(self, x):
-        """(p_tilde)''(xi) = (sigma^2/p'(v_tilde) + 1) * (p_tilde)'/sigma."""
-        p = self.pressure_profile(x)
-        v = self.gas.pressure_inverse(p)
-        dp = _profile_rhs(self.states)(p, v)
-        sig = self.sigma
-        return (sig * sig / self.gas.dpressure(v) + 1.0) * dp / sig
-
-    def v_profile(self, x):
-        return self.gas.pressure_inverse(self.pressure_profile(x))
-
-    def dv_profile(self, x):
-        """(v_tilde)' = (p_tilde)'/p'(v_tilde)  (negative: v decreases)."""
-        p = self.pressure_profile(x)
-        v = self.gas.pressure_inverse(p)
-        return _profile_rhs(self.states)(p, v) / self.gas.dpressure(v)
-
-    def h_profile(self, x):
-        return self.states.u_minus + (self.pressure_profile(x) - self.states.p_minus) / self.sigma
-
-    def dh_profile(self, x):
-        return self.dpressure_profile(x) / self.sigma
-
-    def frame(self, x):
-        """All profile fields at xi in one interpolant pass.
-
-        Returns a dict with p, dp, d2p, v, dv, h, dh — everything downstream
-        (weight, functionals) derives from p_tilde and the ODE relation, so a
-        single spline evaluation feeds the whole frame.  It also carries the
-        gas closures at v_tilde, pv = p(v_tilde), qv = q(v_tilde) and
-        dpv = p'(v_tilde) (pv differs from p by roundoff), which the relative
-        quantities q(v|v_tilde) and p(v|v_tilde) need at every use of the frame.
+        p, dp, d2p, v, dv, h, dh: everything downstream derives from p_tilde
+        and the ODE relation.  Also the gas closures at v_tilde, pv = p(v_tilde),
+        qv = q(v_tilde) and dpv = p'(v_tilde) (pv differs from p by roundoff),
+        which the relative quantities q(v|v_tilde) and p(v|v_tilde) need at
+        every use of the frame.
         """
-        p = self.pressure_profile(x)
         gas = self.gas
         sig = self.sigma
         v = gas.pressure_inverse(p)
@@ -222,6 +183,29 @@ class ShockProfile:
             "qv": gas.entropy(v),
             "dpv": dpv,
         }
+
+    def frame(self, x):
+        """All profile fields at xi (see _fields) from one interpolant pass."""
+        return self._fields(self.pressure_profile(x))
+
+    # views of one field of the frame
+
+    def dpressure_profile(self, x):
+        """(p_tilde)'(xi) through the profile equation (smooth across the splice)."""
+        return self.frame(x)["dp"]
+
+    def v_profile(self, x):
+        return self.frame(x)["v"]
+
+    def dv_profile(self, x):
+        """(v_tilde)' = (p_tilde)'/p'(v_tilde)  (negative: v decreases)."""
+        return self.frame(x)["dv"]
+
+    def h_profile(self, x):
+        return self.frame(x)["h"]
+
+    def dh_profile(self, x):
+        return self.frame(x)["dh"]
 
     # -- normalized layer coordinate --------------------------------------
 
@@ -246,7 +230,7 @@ class ShockProfile:
         path from the stored ODE right-hand side.
         """
         dps = self._spline.derivative()(self.xi)
-        f = _profile_rhs(self.states)(self.p, self.v)
+        f = self._fields(self.p)["dp"]
         return float(np.max(np.abs(self.sigma * (dps - f))))
 
     def monotone(self):
@@ -364,10 +348,10 @@ def tail_decay_report(profile):
     states = profile.states
     eps = states.eps
     an_minus, an_plus = analytic_tail_rates(states)
-    x_core = np.linspace(-1.0 / eps, 1.0 / eps, 2001)
-    dv_core = profile.dv_profile(x_core)
-    floor = float(np.min(np.abs(dv_core))) / eps ** 2
-    dv0 = float(profile.dv_profile(np.array([0.0]))[0])
+    # the core grid plus xi = 0 in one pass; each point is evaluated on its own
+    dv = profile.dv_profile(np.append(np.linspace(-1.0 / eps, 1.0 / eps, 2001), 0.0))
+    floor = float(np.min(np.abs(dv[:-1]))) / eps ** 2
+    dv0 = float(dv[-1])
     amp = states.v_minus - states.v_plus
     rate_mean = 0.5 * (profile.tail_rate_minus + profile.tail_rate_plus)
     centre_ratio = abs(dv0) / (amp * rate_mean / 4.0)
@@ -393,9 +377,9 @@ def layer_coordinate_residual(profile, n=4001):
     states = profile.states
     eps = states.eps
     alpha = states.gas.layer_constant
-    xi = np.linspace(profile.xi[0], profile.xi[-1], n)
-    y = (profile.pressure_profile(xi) - states.p_minus) / eps
-    dy = profile.dpressure_profile(xi) / eps
+    fr = profile.frame(np.linspace(profile.xi[0], profile.xi[-1], n))
+    y = (fr["p"] - states.p_minus) / eps
+    dy = fr["dp"] / eps
     closure = (eps / (2.0 * alpha)) * y * (1.0 - y)
     resid = np.abs(dy - closure)
     return {
@@ -407,9 +391,11 @@ def layer_coordinate_residual(profile, n=4001):
 
 def write_profile_csv(profile, path, weight=None):
     """Dump xi, v, h, p, dp columns (plus a, da, d2a when a weight is given)."""
-    cols = [profile.xi, profile.v, profile.h, profile.p, profile.dp]
+    fr = profile._fields(profile.p)
+    cols = [profile.xi] + [fr[k] for k in ("v", "h", "p", "dp")]
     header = "xi,v,h,p,dp"
     if weight is not None:
-        cols += [weight.a(profile.xi), weight.da(profile.xi), weight.d2a(profile.xi)]
+        wf = weight.frame(profile.xi)
+        cols += [wf[k] for k in ("a", "da", "d2a")]
         header += ",a,da,d2a"
     np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="")

@@ -22,22 +22,25 @@ class WeightFn:
     def eps(self):
         return self.profile.eps
 
-    def a(self, x):
-        pr = self.profile
-        return 1.0 - self.lam * (pr.pressure_profile(x) - pr.states.p_minus) / pr.eps
-
-    def da(self, x):
-        return -self.lam * self.profile.dpressure_profile(x) / self.profile.eps
-
-    def d2a(self, x):
-        return -self.lam * self.profile.d2pressure_profile(x) / self.profile.eps
-
     def frame(self, x):
-        """a, da, d2a evaluated from one profile-frame pass."""
+        """The profile frame at xi plus a, da, d2a, from one profile-frame pass."""
         fr = self.profile.frame(x)
         s = -self.lam / self.profile.eps
-        return {"a": 1.0 + s * (fr["p"] - self.profile.states.p_minus),
-                "da": s * fr["dp"], "d2a": s * fr["d2p"], "profile_frame": fr}
+        fr["a"] = 1.0 + s * (fr["p"] - self.profile.states.p_minus)
+        fr["da"] = s * fr["dp"]
+        fr["d2a"] = s * fr["d2p"]
+        return fr
+
+    # views of one field of the frame
+
+    def a(self, x):
+        return self.frame(x)["a"]
+
+    def da(self, x):
+        return self.frame(x)["da"]
+
+    def d2a(self, x):
+        return self.frame(x)["d2a"]
 
 
 def check_lam(lam):
@@ -63,16 +66,15 @@ def weight_report(weight, n=20001):
     eps = pr.eps
     lam = weight.lam
     x = np.linspace(pr.xi[0], pr.xi[-1], n)
-    a = weight.a(x)
-    da = weight.da(x)
-    d2a = weight.d2a(x)
+    fr = weight.frame(x)
+    a, da, d2a, dv = fr["a"], fr["da"], fr["d2a"], fr["dv"]
 
+    # x runs from xi[0] to xi[-1] exactly, so the window ends are fr["p"][[0, -1]]
     tv_window = float(np.trapezoid(np.abs(da), x))
-    tail_lo = lam * (pr.pressure_profile(pr.xi[:1])[0] - pr.states.p_minus) / eps
-    tail_hi = lam * (pr.states.p_plus - pr.pressure_profile(pr.xi[-1:])[0]) / eps
+    tail_lo = lam * (fr["p"][0] - pr.states.p_minus) / eps
+    tail_hi = lam * (pr.states.p_plus - fr["p"][-1]) / eps
     tv = tv_window + tail_lo + tail_hi
 
-    dv = pr.dv_profile(x)
     equiv = np.abs(da) * eps / (lam * np.maximum(np.abs(dv), 1e-300))
 
     return {

@@ -158,6 +158,15 @@ def test_cli_audit_exit_zero():
     ("lam=0", "lam"),
     ("cfl_safety=5", "cfl_safety"),
     ("amplitude=nan", "amplitude"),
+    ("gamma=1", "gamma"),
+    ("v_minus=-1", "v_minus"),
+    ("eps=12", "eps"),
+    ("span_over_eps=-40", "span_over_eps"),
+    ("profile_margin_over_eps=-45", "profile_margin_over_eps"),
+    ("cells_per_layer=0", "cells_per_layer"),
+    ("width=0", "width"),
+    ("width=-5", "width"),
+    ("v_floor_frac=2", "v_floor_frac"),
     ("no_such_knob=1", "no_such_knob"),
     ("eps", "key = value"),
 ])

@@ -101,6 +101,18 @@ def test_trace_structure_and_summary():
     assert summary["records"] == n
 
 
+def test_sup_w_column_is_max_pressure_perturbation():
+    cfg = short_config(record_sigma=0.05)
+    setup = sl.build_setup(cfg)
+    snaps = []
+    trace, _, _ = sl.run_experiment(setup, snapshots=snaps)
+    assert np.any(trace.X != 0.0)  # the shift moves, so X enters the check
+    expected = [np.max(np.abs(setup.gas.pressure(v)
+                              - setup.profile.pressure_profile(setup.grid.x - X)))
+                for (_, v, _), X in zip(snaps, trace.X)]
+    npt.assert_array_equal(trace.sup_w, expected)
+
+
 def test_entropy_decreases_for_small_bump():
     cfg = sl.ExperimentConfig(span_over_eps=20.0, t_end_sigma=2.0,
                               amplitude=0.01, amplitude_h=0.01)

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 import shocklab as sl
-from shocklab.functionals import (FrameCache, _shifted_frames, _trapz, _yb_kernel,
+from shocklab.functionals import (FrameCache, _trapz, _yb_kernel,
                                   weighted_q_probe)
 
 
@@ -174,9 +174,9 @@ def test_kernel_relative_quantities_match_gas_closures_bitwise(profile01, weight
     v, h = perturbed_state(profile01, wide_x)
     gas = profile01.gas
     sig, dx = profile01.sigma, wide_x[1] - wide_x[0]
-    frames = _shifted_frames(wide_x, profile01, weight01, 0.37)
-    a, pf = frames[0], frames[3]
-    out = _yb_kernel(v, h, gas, sig, dx, frames)
+    pf = weight01.frame(wide_x - 0.37)
+    a = pf["a"]
+    out = _yb_kernel(v, h, gas, sig, dx, pf)
     assert np.array_equal(out[5], gas.q_relative(v, pf["v"]))
     assert out[1] == sig * _trapz(a * pf["dv"] * gas.p_relative(v, pf["v"]), dx)
     assert np.array_equal(out[3], gas.pressure(v) - pf["p"])

@@ -81,11 +81,15 @@ def test_h_slaved_to_pressure(profile01):
 
 
 def test_frame_consistency(profile01):
-    x = np.linspace(-30.0, 30.0, 501)
+    # points past both ends of the stored window exercise the tail splices
+    x = np.linspace(profile01.xi[0] - 30.0, profile01.xi[-1] + 30.0, 501)
     fr = profile01.frame(x)
-    npt.assert_array_equal(fr["v"], profile01.v_profile(x))
-    npt.assert_array_equal(fr["h"], profile01.h_profile(x))
     npt.assert_array_equal(fr["p"], profile01.pressure_profile(x))
+    npt.assert_array_equal(fr["dp"], profile01.dpressure_profile(x))
+    npt.assert_array_equal(fr["v"], profile01.v_profile(x))
+    npt.assert_array_equal(fr["dv"], profile01.dv_profile(x))
+    npt.assert_array_equal(fr["h"], profile01.h_profile(x))
+    npt.assert_array_equal(fr["dh"], profile01.dh_profile(x))
 
 
 def test_derivative_profiles_match_fd(profile01):
@@ -140,11 +144,18 @@ def test_profile_csv_export(profile01, weight01):
             header = f.readline().strip()
             rows = f.readlines()
     cols = header.split(",")
-    assert cols[0] == "xi"
-    assert "v" in cols and "h" in cols and "p" in cols and "a" in cols
+    assert cols == ["xi", "v", "h", "p", "dp", "a", "da", "d2a"]
     assert len(rows) > 100
-    first = [float(tok) for tok in rows[0].split(",")]
-    assert len(first) == len(cols)
+    data = np.loadtxt(rows, delimiter=",")
+    assert data.shape == (len(rows), len(cols))
+    # each column is the field at the stored samples, written to the last bit
+    fields = profile01._fields(profile01.p)
+    wf = weight01.frame(profile01.xi)
+    npt.assert_array_equal(data[:, 0], profile01.xi)
+    for j, key in enumerate(cols[1:5], start=1):
+        npt.assert_array_equal(data[:, j], fields[key])
+    for j, key in enumerate(cols[5:], start=5):
+        npt.assert_array_equal(data[:, j], wf[key])
 
 
 def test_frame_carries_gas_closures_at_v_tilde(profile01, setup_default):

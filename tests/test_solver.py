@@ -126,10 +126,12 @@ def _guard_simulate(gas2, profile01):
 
 
 def _guard_run_experiment(gas2, profile01):
-    # a floor above v_plus: the pinned end value v_plus can never clear it
+    # a dip to v ~ 0.68 under a floor of 0.9 * v_plus ~ 0.86: one step of
+    # diffusion cannot lift it back over the floor
     setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.5,
-                                               width=5.0, v_floor_frac=1.5))
-    return 1.5 * setup.profile.states.v_plus, lambda: sl.run_experiment(setup)
+                                               width=5.0, amplitude=-0.3,
+                                               v_floor_frac=0.9))
+    return 0.9 * setup.profile.states.v_plus, lambda: sl.run_experiment(setup)
 
 
 @pytest.mark.parametrize("entry", [_guard_simulate, _guard_run_experiment],

@@ -54,8 +54,9 @@ def test_weight_derivatives_match_fd(weight01):
 def test_weight_frame_matches_pointwise(weight01):
     x = np.linspace(-10.0, 10.0, 41)
     fr = weight01.frame(x)
-    npt.assert_allclose(fr["a"], weight01.a(x), rtol=0, atol=1e-15)
-    npt.assert_allclose(fr["da"], weight01.da(x), rtol=1e-13)
+    npt.assert_array_equal(fr["a"], weight01.a(x))
+    npt.assert_array_equal(fr["da"], weight01.da(x))
+    npt.assert_array_equal(fr["d2a"], weight01.d2a(x))
 
 
 def test_weight_lambda_validation(profile01):
