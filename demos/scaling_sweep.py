@@ -40,7 +40,7 @@ for eps in [0.1, 0.07, 0.05]:
     prof = sl.solve_profile(gas, eps)
     for lam in [0.25, 0.35, 0.5]:
         w = sl.build_weight(prof, lam)
-        rep = weighted_q_probe(prof, w)
+        rep = weighted_q_probe(w)
         rows.append((eps, rep["int_abs_da_q"]))
         print("  %-6g  %-5g  %.3f       %.3e    %.3e   %.3f" %
               (eps, lam, rep["t_star_over_eps_by_lam"], rep["int_abs_da_q"],

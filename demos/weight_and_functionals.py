@@ -25,7 +25,7 @@ x = np.linspace(-400.0, 400.0, 4001)
 v = profile.v_profile(x) + 0.01 * np.exp(-((x - 2.0) / 6.0) ** 2)
 h = profile.h_profile(x) + 0.01 * np.exp(-((x + 4.0) / 8.0) ** 2)
 
-bd = sl.compute_breakdown(x, v, h, profile, weight)
+bd = sl.compute_breakdown(x, v, h, weight)
 print("\nfunctional breakdown at the perturbed state:")
 print("  weighted entropy  %.6e" % bd.weighted_entropy)
 print("  Y  = %.6e   (= %.2e + %.2e + %.2e)" % (bd.Y, bd.Y_g, bd.Y_b, bd.Y_l))
@@ -33,8 +33,7 @@ print("  B  = %.6e   (B1 %.2e + B2 %.2e)" % (bd.B, bd.B1, bd.B2))
 print("  G  = %.6e   (G1 %.2e + G2 %.2e + D %.2e)" % (bd.G, bd.G1, bd.G2, bd.D))
 
 # the same numbers vanish identically at the unperturbed wave
-bd0 = sl.compute_breakdown(x, profile.v_profile(x), profile.h_profile(x),
-                           profile, weight)
+bd0 = sl.compute_breakdown(x, profile.v_profile(x), profile.h_profile(x), weight)
 print("\nat the exact wave: entropy %.1e, Y %.1e, B %.1e, G %.1e"
       % (bd0.weighted_entropy, bd0.Y, bd0.B, bd0.G))
 
@@ -45,5 +44,5 @@ v_moved = profile.v_profile(x + 0.8)
 h_moved = profile.h_profile(x + 0.8)
 print("\nentropy of a translated wave vs scoring shift:")
 for s in shifts:
-    e = sl.compute_breakdown(x, v_moved, h_moved, profile, weight, shift=s)
+    e = sl.compute_breakdown(x, v_moved, h_moved, weight, shift=s)
     print("  shift %5.2f   entropy %.3e" % (s, e.weighted_entropy))

@@ -12,8 +12,8 @@ Subcommands:
 
 Every subcommand exits 0 only if all checks it enables pass.  A config
 file or --set value that cannot be loaded (unknown key, wrong type, value
-out of range, unreadable file) is reported as one "error: ..." line on
-stderr with exit code 2.
+out of range, unreadable file), or whose perturbation drives v below
+v_plus/2, is reported as one "error: ..." line on stderr with exit code 2.
 """
 
 import argparse
@@ -24,18 +24,15 @@ import time
 import numpy as np
 
 from . import inequalities as ineq
-from .config import apply_overrides, load_config, parse_config_text
-from .experiment import (ExperimentConfig, build_setup, identity_audit,
-                         initial_state, run_experiment, sweep,
+from .config import (_parse_scalar, apply_overrides, load_config,
+                     parse_config_text)
+from .experiment import (ConfigError, ExperimentConfig, build_setup,
+                         identity_audit, run_experiment, sweep,
                          write_summary_json, write_trace_csv)
-from .profile import (analytic_tail_rates, end_states_from_amplitude,
-                      solve_profile, tail_decay_report, write_profile_csv)
+from .gas import GasModel
+from .profile import solve_profile, tail_decay_report, write_profile_csv
 from .solver import write_checkpoint
 from .weight import build_weight
-
-
-class _ConfigError(Exception):
-    """A config file or override that no run can start from."""
 
 
 def _config_from_args(args, extra=None):
@@ -48,7 +45,7 @@ def _config_from_args(args, extra=None):
             overrides.update(parse_config_text(item))
         return apply_overrides(cfg, {**overrides, **(extra or {})})
     except (KeyError, ValueError, OSError) as exc:
-        raise _ConfigError(exc.args[0] if isinstance(exc, KeyError) else exc) from exc
+        raise ConfigError(exc.args[0] if isinstance(exc, KeyError) else exc) from exc
 
 
 def _positive_int(text):
@@ -66,10 +63,9 @@ def _add_config_args(p):
 
 def cmd_profile(args):
     cfg = _config_from_args(args)
-    from .gas import GasModel
     gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus, u_minus=cfg.u_minus)
-    states = end_states_from_amplitude(gas, cfg.eps)
     profile = solve_profile(gas, cfg.eps, span_over_eps=cfg.span_over_eps)
+    states = profile.states
     rh = states.rankine_hugoniot_residuals()
     resid = profile.ode_residual_sup()
     rates = tail_decay_report(profile)
@@ -167,7 +163,7 @@ def cmd_verify_inequalities(args):
 
 def cmd_sweep(args):
     cfg = _config_from_args(args)
-    points = [_config_from_args(args, {args.key: _parse_value(v)})
+    points = [_config_from_args(args, {args.key: _parse_scalar(v)})
               for v in args.values.split(",")]
     overrides = [{args.key: getattr(point, args.key)} for point in points]
     results = sweep(cfg, overrides)
@@ -184,11 +180,6 @@ def cmd_sweep(args):
         print(f"wrote {args.out}")
     print("sweep check:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _parse_value(text):
-    from .config import _parse_scalar
-    return _parse_scalar(text)
 
 
 def cmd_audit(args):
@@ -258,7 +249,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ConfigError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,6 +27,7 @@ from .solver import (FieldState, Grid, effective_velocity, march, rk4,
 from .weight import build_weight, check_lam
 
 __all__ = [
+    "ConfigError",
     "ExperimentConfig",
     "ContractionTrace",
     "LabSetup",
@@ -39,6 +40,10 @@ __all__ = [
     "write_trace_csv",
     "write_summary_json",
 ]
+
+
+class ConfigError(ValueError):
+    """A config or override that no run can start from."""
 
 
 @dataclass(frozen=True)
@@ -108,10 +113,13 @@ class LabSetup:
     """Everything a run needs, built once from a config."""
 
     config: ExperimentConfig
-    gas: GasModel
     profile: object
     weight: object
     grid: Grid
+
+    @property
+    def gas(self):
+        return self.profile.gas
 
     @property
     def sigma(self):
@@ -134,7 +142,7 @@ def build_setup(config):
     dx = 1.0 / (config.eps * config.cells_per_layer)
     n = int(np.ceil(2.0 * L / dx))
     grid = Grid(lo=-L, hi=L, n=n)
-    return LabSetup(config=config, gas=gas, profile=profile, weight=weight, grid=grid)
+    return LabSetup(config=config, profile=profile, weight=weight, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +170,7 @@ def _fourier_noise(x, center, width, modes, rng):
     return out / sup if sup > 0 else out
 
 
-def phase_aligned_steady(setup, ytol=1e-15, maxiter=60):
+def phase_aligned_steady(setup):
     """Discrete steady state whose shift functional Y vanishes.
 
     The Dirichlet pin values select the phase of the discrete steady state;
@@ -184,11 +192,11 @@ def phase_aligned_steady(setup, ytol=1e-15, maxiter=60):
 
     def ymis(beta):
         v_s, h_s = solve(beta)
-        Y, _ = quick_yb(x, v_s, h_s, pr, setup.weight, 0.0)
+        Y, _ = quick_yb(x, v_s, h_s, setup.weight, 0.0)
         return Y, v_s, h_s
 
     y0, v_s, h_s = ymis(0.0)
-    if abs(y0) <= ytol:
+    if abs(y0) <= 1e-15:
         return FieldState(t=0.0, v=v_s, h=h_s)
     # expand a bracket along the direction that reduces |Y|
     db = 1e-4
@@ -206,7 +214,7 @@ def phase_aligned_steady(setup, ytol=1e-15, maxiter=60):
         tries += 1
         if tries > 8:
             raise RuntimeError("could not bracket the phase-aligned steady state")
-    beta_star = brentq(lambda b: ymis(b)[0], lo, hi, xtol=1e-13, maxiter=maxiter)
+    beta_star = brentq(lambda b: ymis(b)[0], lo, hi, xtol=1e-13, maxiter=60)
     y_star, v_s, h_s = ymis(beta_star)
     return FieldState(t=0.0, v=v_s, h=h_s)
 
@@ -240,9 +248,9 @@ def initial_state(setup):
         dh = cfg.amplitude_h * c2_bump(s)
 
     v = v + dv
-    states = pr.states
-    if np.min(v) < 0.5 * states.v_plus:
-        raise ValueError("perturbation drives v below v_plus/2; reduce amplitude")
+    if np.min(v) < 0.5 * pr.states.v_plus:
+        raise ConfigError(f"amplitude = {cfg.amplitude!r} drives v below v_plus/2; "
+                          "reduce |amplitude|")
 
     if cfg.h_mode == "direct":
         h = h + dh
@@ -282,34 +290,26 @@ class ContractionTrace:
     overshoot: np.ndarray
     sup_w: np.ndarray
 
-    COLUMNS = ("t", "X", "Xdot", "weighted_entropy", "Y", "Y_g", "Y_b", "Y_l",
-               "B1", "B2", "B", "G1", "G2", "D", "G", "R",
-               "branch_saturated", "overshoot", "sup_w")
-
     def as_matrix(self):
-        return np.column_stack([getattr(self, c) for c in self.COLUMNS])
+        return np.column_stack([getattr(self, f.name) for f in fields(self)])
 
 
-def coupled_rk4_step(setup, v, h, X, dt, cache=None):
+def coupled_rk4_step(setup, v, h, X, dt, cache):
     """One RK4 step of (v, h, X); the shift rate is evaluated at every stage."""
     def rhs(y):
         dv, dh = semi_discrete_rhs(setup.gas, setup.sigma, setup.grid, y[0], y[1])
-        Y, B = quick_yb(setup.grid.x, y[0], y[1], setup.profile, setup.weight, y[2],
-                        cache=cache)
+        Y, B = quick_yb(setup.grid.x, y[0], y[1], setup.weight, y[2], cache=cache)
         return dv, dh, shift_rhs(Y, B, setup.eps)
 
     return rk4(rhs, (v, h, X), dt)
 
 
-def run_experiment(setup_or_config, snapshots=None):
+def run_experiment(setup, snapshots=None):
     """March the coupled system to t_end, recording the breakdown at the cadence.
 
     Returns (trace, final FieldState with shift, summary dict).  `snapshots`,
     if given, is a list that receives (t, v, h) copies at each record.
     """
-    setup = setup_or_config
-    if isinstance(setup, ExperimentConfig):
-        setup = build_setup(setup)
     cfg = setup.config
     sig = setup.sigma
     eps = setup.eps
@@ -318,23 +318,21 @@ def run_experiment(setup_or_config, snapshots=None):
     v_floor = cfg.v_floor_frac * setup.profile.states.v_plus
 
     state = initial_state(setup)
-    rows = {c: [] for c in ContractionTrace.COLUMNS}
+    rows = {f.name: [] for f in fields(ContractionTrace)}
     t_wall = time.perf_counter()
 
     def record(t, y):
         v, h, X = y
-        bd = compute_breakdown(setup.grid.x, v, h, setup.profile, setup.weight, X)
+        bd = compute_breakdown(setup.grid.x, v, h, setup.weight, X)
         xdot = shift_rhs(bd.Y, bd.B, eps)
+        for f in fields(bd):
+            rows[f.name].append(getattr(bd, f.name))
         rows["t"].append(t)
         rows["X"].append(X)
         rows["Xdot"].append(xdot)
-        rows["weighted_entropy"].append(bd.weighted_entropy)
-        for name in ("Y", "Y_g", "Y_b", "Y_l", "B1", "B2", "B", "G1", "G2", "D", "G"):
-            rows[name].append(getattr(bd, name))
         rows["R"].append(r_residual(bd, eps, cfg.lam, cfg.margin_coeff))
         rows["branch_saturated"].append(1.0 if saturated(bd.Y, eps) else 0.0)
         rows["overshoot"].append(overshoot(xdot, eps))
-        rows["sup_w"].append(bd.sup_w)
         if snapshots is not None:
             snapshots.append((t, v.copy(), h.copy()))
 
@@ -345,12 +343,12 @@ def run_experiment(setup_or_config, snapshots=None):
         lambda y: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety),
         v_floor, rec_dt, record)
 
-    trace = ContractionTrace(**{c: np.array(rows[c]) for c in ContractionTrace.COLUMNS})
-    summary = summarize_trace(trace, setup, wall_time=time.perf_counter() - t_wall)
+    trace = ContractionTrace(**{name: np.array(col) for name, col in rows.items()})
+    summary = summarize_trace(trace, setup, time.perf_counter() - t_wall)
     return trace, (FieldState(t=t, v=v, h=h), X), summary
 
 
-def summarize_trace(trace, setup, wall_time=None):
+def summarize_trace(trace, setup, wall_time):
     cfg = setup.config
     E = trace.weighted_entropy
     increments = np.diff(E)
@@ -370,9 +368,8 @@ def summarize_trace(trace, setup, wall_time=None):
         "max_abs_X": float(np.max(np.abs(trace.X))),
         "max_overshoot": float(np.max(trace.overshoot)),
         "saturated_fraction": float(np.mean(trace.branch_saturated)),
+        "wall_time_s": wall_time,
     }
-    if wall_time is not None:
-        summary["wall_time_s"] = wall_time
     return summary
 
 
@@ -381,16 +378,16 @@ def summarize_trace(trace, setup, wall_time=None):
 # ---------------------------------------------------------------------------
 
 
-def audit_trace(trace, floor=1e-14):
+def audit_trace(trace):
     """Relative error series of d/dt int a*eta vs Xdot*Y + B - G at interior records."""
     t, E = trace.t, trace.weighted_entropy
     dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
     rhs = (trace.Xdot * trace.Y + trace.B - trace.G)[1:-1]
-    scale = np.maximum(np.abs(trace.B) + trace.G, floor)[1:-1]
+    scale = np.maximum(np.abs(trace.B) + trace.G, 1e-14)[1:-1]
     return np.abs(dEdt - rhs) / scale
 
 
-def identity_audit(config, refinements=(1, 2), floor=1e-14):
+def identity_audit(config, refinements=(1, 2)):
     """Run the config on a resolution ladder and audit the entropy identity.
 
     Each refinement r multiplies cells_per_layer by r and divides the record
@@ -404,7 +401,7 @@ def identity_audit(config, refinements=(1, 2), floor=1e-14):
                       record_sigma=config.record_sigma / r)
         setup = build_setup(cfg)
         trace, _, _ = run_experiment(setup)
-        rel = audit_trace(trace, floor=floor)
+        rel = audit_trace(trace)
         levels.append({
             "refine": r,
             "dx": setup.grid.dx,
@@ -435,7 +432,7 @@ def sweep(base_config, overrides_list):
 
 def write_trace_csv(trace, path):
     np.savetxt(path, trace.as_matrix(), delimiter=",",
-               header=",".join(ContractionTrace.COLUMNS), comments="")
+               header=",".join(f.name for f in fields(trace)), comments="")
 
 
 def write_summary_json(summary, path):

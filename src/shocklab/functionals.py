@@ -70,19 +70,18 @@ class FrameCache:
 
     Spline evaluation of the shifted frame dominates the cost of the
     per-stage (Y, B) evaluation; within |X - X_cached| <= tol the frame is
-    reused, which perturbs Y by at most tol * sup|dY/dX| -- with the default
+    reused, which perturbs Y by at most tol * sup|dY/dX| -- with
     tol = 1e-6 that is orders below every tolerance in the controller
     (deadband eps^2) and in the recorded diagnostics, which are evaluated
     exactly anyway.
     """
 
-    def __init__(self, tol=1e-6):
-        self.tol = tol
+    def __init__(self):
         self._shift = None
         self._frame = None
 
     def get(self, x, weight, shift):
-        if self._frame is None or abs(shift - self._shift) > self.tol:
+        if self._frame is None or abs(shift - self._shift) > 1e-6:
             self._frame = weight.frame(x - shift)
             self._shift = shift
         return self._frame
@@ -116,7 +115,7 @@ def _yb_kernel(v, h, gas, sig, dx, pf):
     return Y, B1, B2, w, dh_field, q_rel, eta
 
 
-def compute_breakdown(x, v, h, profile, weight, shift=0.0):
+def compute_breakdown(x, v, h, weight, shift=0.0):
     """Full functional breakdown of the state (v, h) on grid x at shift X.
 
     Grid must be uniform.  Returns a FunctionalBreakdown; see the module
@@ -125,8 +124,8 @@ def compute_breakdown(x, v, h, profile, weight, shift=0.0):
     """
     x = np.asarray(x, dtype=float)
     dx = x[1] - x[0]
-    gas = profile.gas
-    sig = profile.sigma
+    gas = weight.profile.gas
+    sig = weight.profile.sigma
     pf = weight.frame(x - shift)
     a, da = pf["a"], pf["da"]
     Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas, sig, dx, pf)
@@ -135,12 +134,14 @@ def compute_breakdown(x, v, h, profile, weight, shift=0.0):
     def T(f):
         return _trapz(f, dx)
 
-    Y_g = (-T(da * w ** 2) / (2.0 * sig * sig) - T(da * q_rel)
+    i_da_q = T(da * q_rel)
+    i_da_b2 = T(da * b ** 2)
+    Y_g = (-T(da * w ** 2) / (2.0 * sig * sig) - i_da_q
            - T(a * pf["dp"] * (v - pf["v"])) + T(a * pf["dh"] * w) / sig)
-    Y_b = -0.5 * T(da * b ** 2) - T(da * w * b) / sig
+    Y_b = -0.5 * i_da_b2 - T(da * w * b) / sig
     Y_l = T(a * pf["dh"] * b)
-    G1 = 0.5 * sig * T(da * b ** 2)
-    G2 = sig * T(da * q_rel)
+    G1 = 0.5 * sig * i_da_b2
+    G2 = sig * i_da_q
     D = T(a * _d1(w, dx) ** 2)
 
     return FunctionalBreakdown(
@@ -152,11 +153,12 @@ def compute_breakdown(x, v, h, profile, weight, shift=0.0):
     )
 
 
-def quick_yb(x, v, h, profile, weight, shift=0.0, cache=None):
+def quick_yb(x, v, h, weight, shift=0.0, cache=None):
     """(Y, B) only — the pair the shift ODE needs at every RK stage."""
     x = np.asarray(x, dtype=float)
     pf = weight.frame(x - shift) if cache is None else cache.get(x, weight, shift)
-    Y, B1, B2 = _yb_kernel(v, h, profile.gas, profile.sigma, x[1] - x[0], pf)[:3]
+    pr = weight.profile
+    Y, B1, B2 = _yb_kernel(v, h, pr.gas, pr.sigma, x[1] - x[0], pf)[:3]
     return Y, B1 + B2
 
 
@@ -175,7 +177,7 @@ def truncate_state(x, v, profile, shift, level):
     return gas.pressure_inverse(p_t + np.clip(w, -level, level))
 
 
-def bd_relative_functional(x, v, u, profile, shift=0.0):
+def bd_relative_functional(x, v, u, profile):
     """Unweighted relative functional of (v, u) data against the profile.
 
     int [ 1/2 (u + d_xi p(v) - h_tilde)^2 + q(v|v_tilde) ] dxi  with the
@@ -185,13 +187,13 @@ def bd_relative_functional(x, v, u, profile, shift=0.0):
     x = np.asarray(x, dtype=float)
     dx = x[1] - x[0]
     gas = profile.gas
-    pf = profile.frame(x - shift)
+    pf = profile.frame(x)
     h_eff = u + _d1(gas.pressure(v), dx)
     integrand = 0.5 * (h_eff - pf["h"]) ** 2 + gas.q_relative(v, pf["v"])
     return float(np.trapezoid(integrand, dx=dx))
 
 
-def weighted_q_probe(profile, weight, span_over_eps=40.0, cells_per_layer=50):
+def weighted_q_probe(weight):
     """Size of int |a'| q(v|v_tilde) for the largest layer-aligned
     perturbation the shift functional tolerates.
 
@@ -202,13 +204,13 @@ def weighted_q_probe(profile, weight, span_over_eps=40.0, cells_per_layer=50):
     amplitude — an admissible state for the |Y| <= eps^2 branch — the report
     returns int |a'| q, whose predicted size is eps^2/lam.
     """
-    states = profile.states
-    gas = states.gas
-    eps = states.eps
+    profile = weight.profile
+    gas = profile.gas
+    eps = profile.eps
     lam = weight.lam
     alpha = gas.layer_constant
-    L = span_over_eps / eps
-    x = np.linspace(-L, L, int(2 * span_over_eps * cells_per_layer) + 1)
+    L = 40.0 / eps
+    x = np.linspace(-L, L, 4001)
     dx = x[1] - x[0]
     pf = weight.frame(x)
     width = 4.0 * alpha / eps  # ~ two layer widths
@@ -238,18 +240,19 @@ def weighted_q_probe(profile, weight, span_over_eps=40.0, cells_per_layer=50):
     }
 
 
-def normalized_layer_variables(x, v, profile, weight, shift=0.0, n_y=257, y_edge=1e-3):
+def normalized_layer_variables(x, v, weight, shift=0.0):
     """Resample the pressure perturbation to the layer coordinate.
 
-    Returns (y, W) on a uniform y-grid in [y_edge, 1-y_edge], where
+    Returns (y, W) on a uniform 257-point y-grid in [1e-3, 1 - 1e-3], where
     y = (p_tilde - p_minus)/eps is the layer progress variable and
     W = (lam/eps) * (p(v) - p_tilde) the normalized perturbation, both read
-    along the shifted profile.
+    along the weight's shifted profile.
     """
     x = np.asarray(x, dtype=float)
+    profile = weight.profile
     gas = profile.gas
     w_spline = CubicSpline(x, gas.pressure(v) - profile.pressure_profile(x - shift))
-    y = np.linspace(y_edge, 1.0 - y_edge, n_y)
+    y = np.linspace(1e-3, 1.0 - 1e-3, 257)
     xi_y = profile.xi_of_y(y) + shift
     if np.any(xi_y < x[0]) or np.any(xi_y > x[-1]):
         raise ValueError("layer window (after shift) exceeds the field grid")

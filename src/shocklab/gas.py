@@ -132,16 +132,17 @@ class GasBoundConstants:
     c_pq: float            # |p(v)-p(w)|^2 <= c_pq * q(v|w)       near w ~ v_minus
 
 
-def fit_bound_constants(gas, n=400, v_max_factor=40.0, safety=1.05):
+def fit_bound_constants(gas):
     """Fit the global bound constants on a deterministic (v, w) grid.
 
-    w ranges over (v_minus/4, v_minus), v over (v_minus/40, v_max_factor*v_minus)
-    on log-spaced grids; each constant is the extremal observed ratio times a
-    small safety factor on the bounding side.
+    w ranges over (v_minus/4, v_minus) on 400 linear points, v over
+    (v_minus/40, 40*v_minus) on 1600 log-spaced points; each constant is the
+    extremal observed ratio times a safety factor of 1.05 on the bounding side.
     """
     vm = gas.v_minus
-    w = np.linspace(0.2501 * vm, 0.9999 * vm, n)
-    v = np.geomspace(vm / 40.0, v_max_factor * vm, 4 * n)
+    safety = 1.05
+    w = np.linspace(0.2501 * vm, 0.9999 * vm, 400)
+    v = np.geomspace(vm / 40.0, 40.0 * vm, 1600)
     V, W = np.meshgrid(v, w, indexing="ij")
     dv = np.abs(V - W)
     q_rel = gas.q_relative(V, W)
@@ -261,7 +262,7 @@ def pressure_inverse_combination(gas, p_minus, p_plus, p):
     return (v - vmi) / (p - p_minus) + (v - vpl) / (p_plus - p) + curv * (vmi - vpl)
 
 
-def inverse_combination_sweep(gas, eps_list, n=513):
+def inverse_combination_sweep(gas, eps_list):
     """Sup-norm of the combination residual per shock strength, plus fitted slope.
 
     Returns (sups, slope) where slope is the log-log regression exponent of
@@ -271,7 +272,7 @@ def inverse_combination_sweep(gas, eps_list, n=513):
     sups = []
     for eps in eps_list:
         p_p = p_m + float(eps)
-        p = np.linspace(p_m, p_p, n + 2)[1:-1]
+        p = np.linspace(p_m, p_p, 515)[1:-1]
         r = pressure_inverse_combination(gas, p_m, p_p, p)
         sups.append(float(np.max(np.abs(r))))
     sups = np.array(sups)

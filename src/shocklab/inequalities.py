@@ -183,10 +183,10 @@ def _check_g_domain(x):
     return x
 
 
-def g_poly(x, theta=None):
+def g_poly(x):
     """g(x) = 2x - 2x^2 - (4/3)x^3 + (4 theta/3)(-x^2-2x)^(3/2) on [-2, 0]."""
     x = _check_g_domain(x)
-    th = theta_constant() if theta is None else theta
+    th = theta_constant()
     rad = np.clip(-x * x - 2.0 * x, 0.0, None)
     return 2.0 * x - 2.0 * x * x - (4.0 / 3.0) * x ** 3 + (4.0 * th / 3.0) * rad ** 1.5
 
@@ -247,8 +247,8 @@ def certify_g_negative(step=1e-5, eta=0.15):
     )
 
 
-def locate_g_critical_points(lo=-1.0, hi=0.0, n_scan=200001):
-    """Roots of g' on (lo, hi) by sign-change scan + bisection refinement.
+def locate_g_critical_points(lo=-1.0, hi=0.0):
+    """Roots of g' on (lo, hi) by a 200001-point sign-change scan + bisection.
 
     Returns a list of dicts {x, kind} with kind in {"max", "min"} from the
     sign pattern of g' around the root.  An empty list means g' has no sign
@@ -257,7 +257,7 @@ def locate_g_critical_points(lo=-1.0, hi=0.0, n_scan=200001):
     point (sign 0); so an empty list shows g monotone only together with a
     positive lower bound on |g'|, as acceptance criterion 02b asserts.
     """
-    x = np.linspace(lo + 1e-9, hi - 1e-9, n_scan)
+    x = np.linspace(lo + 1e-9, hi - 1e-9, 200001)
     d = g_deriv(x)
     roots = []
     sign_change = np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
@@ -280,10 +280,10 @@ def E_poly(z1, z2):
     return z1 * z1 + z2 * z2 + 2.0 * z1
 
 
-def P_delta_poly(z1, z2, delta, theta=None):
+def P_delta_poly(z1, z2, delta):
     """(1+d)(Z1^2+Z2^2) + 2 Z1 Z2^2 + (2/3)Z1^3 + 6d(|Z1|Z2^2+|Z1|^3)
     - 2(1 - d - (2/3+d) theta Z2) Z2^2."""
-    th = theta_constant() if theta is None else theta
+    th = theta_constant()
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     a1 = np.abs(z1)
@@ -294,23 +294,24 @@ def P_delta_poly(z1, z2, delta, theta=None):
 
 
 def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
-                         step=1e-3, tol=1e-10, chunk_rows=64):
-    """Grid-certify  P_delta - E^2 <= tol  on the band {|E| <= delta1}.
+                         step=1e-3):
+    """Grid-certify  P_delta - E^2 <= 1e-10  on the band {|E| <= delta1}.
 
-    The box is (z1_lo, z1_hi, z2_lo, z2_hi); evaluation is chunked over z1
-    rows to bound memory.  Reports the worst admissible value and where it
-    occurs.  A box whose grid has no point in the band certifies nothing and
-    is reported as not certified.
+    The box is (z1_lo, z1_hi, z2_lo, z2_hi); evaluation is chunked over 64
+    z1 rows at a time to bound memory.  Reports the worst admissible value
+    and where it occurs.  A box whose grid has no point in the band certifies
+    nothing and is reported as not certified.
     """
     t0 = time.perf_counter()
+    tol = 1e-10
     z1_lo, z1_hi, z2_lo, z2_hi = box
     z1 = np.arange(0, round((z1_hi - z1_lo) / step) + 1) * step + z1_lo
     z2 = np.arange(0, round((z2_hi - z2_lo) / step) + 1) * step + z2_lo
     worst = -np.inf
     arg = (np.nan, np.nan)
     n_admissible = 0
-    for i0 in range(0, z1.size, chunk_rows):
-        zz1 = z1[i0:i0 + chunk_rows][:, None]
+    for i0 in range(0, z1.size, 64):
+        zz1 = z1[i0:i0 + 64][:, None]
         zz2 = z2[None, :]
         E = E_poly(zz1, zz2)
         mask = np.abs(E) <= delta1
@@ -432,7 +433,7 @@ def _neg_r_delta(p, *args):
 
 
 def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
-                     seed=20240817, polish_best=True):
+                     seed=20240817):
     """Seeded multistart maximization of R_delta under int W^2 <= c1.
 
     Starts are random Legendre coefficient vectors (decaying spectrum, random
@@ -478,10 +479,9 @@ def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
             i2 = q @ (w * w)
             best_W = w * np.sqrt(c1 / i2) if i2 > c1 else w
 
-    if polish_best:
-        res = ascend(best_W, eye, np.gradient(eye, y, axis=0),
-                     {"maxiter": 300, "ftol": 1e-15, "gtol": 1e-13})
-        best_val = max(best_val, -res.fun)
+    res = ascend(best_W, eye, np.gradient(eye, y, axis=0),
+                 {"maxiter": 300, "ftol": 1e-15, "gtol": 1e-13})
+    best_val = max(best_val, -res.fun)
 
     return CertificationReport(
         target="R_delta(W) <= 0 under int W^2 <= C1",

@@ -237,13 +237,13 @@ class ShockProfile:
         return bool(np.all(np.diff(self.p) > 0.0))
 
 
-def solve_profile(gas, eps, span_over_eps=40.0, stop_frac=1e-12, target_residual=1e-11):
+def solve_profile(gas, eps, span_over_eps=40.0):
     """Integrate the profile ODE outward from xi = 0 and build a ShockProfile.
 
     span_over_eps sets the window half-width L = span_over_eps/eps.  Each side
-    stops early when |p_tilde - p_limit| < stop_frac*eps.  The sample step is
+    stops early when |p_tilde - p_limit| < 1e-12*eps.  The sample step is
     chosen so the cubic interpolant's derivative error stays below
-    target_residual (the rate estimate eps/(2*alpha_gamma) sets the scale).
+    1e-11 (the rate estimate eps/(2*alpha_gamma) sets the scale).
     """
     states = end_states_from_amplitude(gas, eps)
     f = _profile_rhs(states)
@@ -255,7 +255,7 @@ def solve_profile(gas, eps, span_over_eps=40.0, stop_frac=1e-12, target_residual
 
     rate_hat = eps / (2.0 * gas.layer_constant)
     # cubic-spline derivative error ~ (h^3/24)*max|p''''| with |p''''| ~ eps*rate^4
-    h = (24.0 * target_residual / (10.0 * max(abs(sig), 1.0) * eps * rate_hat ** 4)) ** (1.0 / 3.0)
+    h = (24.0 * 1e-11 / (10.0 * max(abs(sig), 1.0) * eps * rate_hat ** 4)) ** (1.0 / 3.0)
     h = min(h, 0.2 / rate_hat, L / 50.0)
     h = max(h, 2.0 * L / 500_000.0)
 
@@ -263,9 +263,9 @@ def solve_profile(gas, eps, span_over_eps=40.0, stop_frac=1e-12, target_residual
         p = y[0]
         return [f(p, max(p, 1e-300) ** (-1.0 / gas.gamma))]
 
-    ev_plus = lambda _x, y: y[0] - (p_plus - stop_frac * eps)
+    ev_plus = lambda _x, y: y[0] - (p_plus - 1e-12 * eps)
     ev_plus.terminal = True
-    ev_minus = lambda _x, y: y[0] - (p_minus + stop_frac * eps)
+    ev_minus = lambda _x, y: y[0] - (p_minus + 1e-12 * eps)
     ev_minus.terminal = True
 
     kw = dict(method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True)
@@ -365,7 +365,7 @@ def tail_decay_report(profile):
     }
 
 
-def layer_coordinate_residual(profile, n=4001):
+def layer_coordinate_residual(profile):
     """Sup deviation of the layer coordinate from its logistic closure.
 
     y(xi) = (p_tilde - p_minus)/eps traverses (0, 1); to leading order in the
@@ -377,7 +377,7 @@ def layer_coordinate_residual(profile, n=4001):
     states = profile.states
     eps = states.eps
     alpha = states.gas.layer_constant
-    fr = profile.frame(np.linspace(profile.xi[0], profile.xi[-1], n))
+    fr = profile.frame(np.linspace(profile.xi[0], profile.xi[-1], 4001))
     y = (fr["p"] - states.p_minus) / eps
     dy = fr["dp"] / eps
     closure = (eps / (2.0 * alpha)) * y * (1.0 - y)

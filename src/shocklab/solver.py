@@ -43,6 +43,9 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"SHCKPT01"
 
+#: 33 times the longest march of any test, demo or benchmark workload (3,000 steps)
+MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -132,8 +135,7 @@ def _finite(y):
     return all(np.all(np.isfinite(a)) for a in y)
 
 
-def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
-          max_retries=5):
+def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None):
     """March the tuple y = (v, ...) from t to t_end with the positivity guard.
 
     step(y, dt) returns the state one step of size dt later; dt_limit(y) is
@@ -142,12 +144,13 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
     on_record(t, y) fires at the start and at each record time.  The start
     must have v > 0 and every component finite.  If a step result has a
     non-finite entry, or min(v) not above v_floor, the step is retried with
-    halved dt, up to max_retries times; persistent failure raises and says
-    which of the two tripped.  This guard is the march's only state check:
-    the gas closures inside a step do not validate.  A stage that goes
-    non-positive gives NaN at non-integral gamma, but finite values at
-    integral gamma (v**-2 is finite for v < 0); it is then caught only if
-    the step result falls to the floor.  Returns (t, y).
+    halved dt, up to 5 times; persistent failure raises and says which of
+    the two tripped.  This guard is the march's only state check: the gas
+    closures inside a step do not validate.  A stage that goes non-positive
+    gives NaN at non-integral gamma, but finite values at integral gamma
+    (v**-2 is finite for v < 0); it is then caught only if the step result
+    falls to the floor.  A march that would take more than MAX_STEPS steps
+    raises instead of running on.  Returns (t, y).
     """
     if record_dt is not None and not record_dt > 0.0:
         raise ValueError(f"record_dt must be positive, got {record_dt}")
@@ -158,9 +161,13 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
     if on_record is not None:
         on_record(t, y)
     next_rec = t + record_dt if record_dt is not None else np.inf
+    steps = 0
     while t < t_end - 1e-12:
+        if steps == MAX_STEPS:
+            raise RuntimeError(f"step-count limit: {MAX_STEPS} steps reached at "
+                               f"t = {t:.6g} before t_end = {t_end:.6g}")
         dt = min(dt_limit(y), t_end - t, next_rec - t)
-        for _ in range(max_retries + 1):
+        for _ in range(6):  # the first try and up to 5 halvings
             cand = step(y, dt)
             finite = _finite(cand)
             if finite and np.min(cand[0]) > v_floor:
@@ -169,13 +176,13 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
         else:
             if not finite:
                 raise RuntimeError(
-                    f"non-finite state: NaN or inf in the stepped state persists "
-                    f"after {max_retries} dt halvings"
+                    "non-finite state: NaN or inf in the stepped state persists "
+                    "after 5 dt halvings"
                 )
             raise RuntimeError(
-                f"positivity guard: v <= {v_floor} persists after {max_retries} dt halvings"
+                f"positivity guard: v <= {v_floor} persists after 5 dt halvings"
             )
-        t, y = t + dt, cand
+        t, y, steps = t + dt, cand, steps + 1
         if t >= next_rec - 1e-12:
             if on_record is not None:
                 on_record(t, y)
@@ -184,7 +191,7 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None,
 
 
 def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None,
-             record_dt=None, max_retries=5):
+             record_dt=None):
     """March the PDE to t_end with the guards of `march`.
 
     The starting state must be finite with v > 0 (ValueError otherwise).
@@ -198,12 +205,11 @@ def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None
         lambda y, dt: rk4(lambda z: semi_discrete_rhs(gas, sigma, grid, *z), y, dt),
         (state.v.copy(), state.h.copy()), state.t, t_end,
         lambda y: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
-        None if on_record is None else lambda t, y: on_record(FieldState(t, *y)),
-        max_retries)
+        None if on_record is None else lambda t, y: on_record(FieldState(t, *y)))
     return FieldState(t, v, h)
 
 
-def steady_state(gas, sigma, grid, v0, h0, tol=1e-13, maxiter=40):
+def steady_state(gas, sigma, grid, v0, h0):
     """Damped Newton for the discrete steady state, boundary values pinned.
 
     The steady h-equation integrates exactly: sigma*h - p(v) must equal a
@@ -234,9 +240,9 @@ def steady_state(gas, sigma, grid, v0, h0, tol=1e-13, maxiter=40):
         return semi_discrete_rhs(gas, sigma, grid, v, h)[0][1:-1]
 
     F = resid(v)
-    for _ in range(maxiter):
+    for _ in range(40):
         nrm = float(np.max(np.abs(F)))
-        if nrm <= tol:
+        if nrm <= 1e-13:
             h = (gas.pressure(v) + C) / sigma
             return v, h
         pv = gas.dpressure(v)
@@ -260,7 +266,7 @@ def steady_state(gas, sigma, grid, v0, h0, tol=1e-13, maxiter=40):
             step *= 0.5
         else:
             raise RuntimeError("steady-state Newton stalled (no descent step)")
-    raise RuntimeError(f"steady-state Newton did not reach tol={tol}")
+    raise RuntimeError("steady-state Newton did not reach tol=1e-13")
 
 
 def conservation_balance(gas, sigma, grid, state):

@@ -56,7 +56,7 @@ def build_weight(profile, lam):
     return WeightFn(profile=profile, lam=lam)
 
 
-def weight_report(weight, n=20001):
+def weight_report(weight):
     """Shape diagnostics: range, monotonicity, TV vs lam, |a''|/(eps|a'|) sup.
 
     TV is trapezoid over the stored window plus the exact tail remainders
@@ -65,7 +65,7 @@ def weight_report(weight, n=20001):
     pr = weight.profile
     eps = pr.eps
     lam = weight.lam
-    x = np.linspace(pr.xi[0], pr.xi[-1], n)
+    x = np.linspace(pr.xi[0], pr.xi[-1], 20001)
     fr = weight.frame(x)
     a, da, d2a, dv = fr["a"], fr["da"], fr["d2a"], fr["dv"]
 

@@ -225,7 +225,7 @@ def test_criterion_11_scaling_diagnostics():
         pr = sl.solve_profile(gas, eps)
         for lam in (0.25, 0.35, 0.5):
             wt = sl.build_weight(pr, lam)
-            rep = weighted_q_probe(pr, wt)
+            rep = weighted_q_probe(wt)
             pts.append((eps**2 / lam, rep["int_abs_da_q"]))
     xs, ys = map(np.array, zip(*pts))
     slope_q = np.polyfit(np.log(xs), np.log(ys), 1)[0]

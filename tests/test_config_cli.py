@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,7 +105,8 @@ def test_cli_profile_exit_zero_and_csv():
         csv = os.path.join(d, "prof.csv")
         rc = main(["profile", "--set", "eps=0.1", "--out", csv,
                    "--with-weight"])
-        header = open(csv).readline().strip().split(",")
+        with open(csv) as fh:
+            header = fh.readline().strip().split(",")
     assert rc == 0
     assert "a" in header and "v" in header
 
@@ -120,9 +122,9 @@ def test_cli_simulate_artifacts():
                    "--trace", trace, "--summary", summary,
                    "--checkpoint", chk])
         assert rc == 0
-        loaded = json.load(open(summary))
+        loaded = json.loads(Path(summary).read_text())
         t, X, v, h = sl.read_checkpoint(chk)
-        n_rows = len(open(trace).read().strip().splitlines()) - 1
+        n_rows = len(Path(trace).read_text().strip().splitlines()) - 1
     assert loaded["records"] == n_rows
     assert np.all(v > 0)
     assert t > 0
@@ -134,7 +136,7 @@ def test_cli_sweep():
         rc = main(["sweep", "--set", "span_over_eps=10",
                    "--set", "t_end_sigma=0.2", "--set", "width=5",
                    "amplitude", "0.005,0.01", "--out", out])
-        rows = json.load(open(out))
+        rows = json.loads(Path(out).read_text())
     assert rc == 0
     assert len(rows) == 2
     assert rows[0]["overrides"]["amplitude"] == 0.005
@@ -167,6 +169,7 @@ def test_cli_audit_exit_zero():
     ("width=0", "width"),
     ("width=-5", "width"),
     ("v_floor_frac=2", "v_floor_frac"),
+    ("amplitude=-0.6", "amplitude"),
     ("no_such_knob=1", "no_such_knob"),
     ("eps", "key = value"),
 ])
@@ -190,6 +193,11 @@ def test_cli_config_error_from_file_and_sweep(capsys):
     assert main(["sweep", "record_sigma", "0.01,-0.01"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "record_sigma" in err
+    # a perturbation that drives v below v_plus/2 is found once the profile is built
+    for argv in (["audit", "--set", "amplitude=-0.6"], ["sweep", "amplitude", "-0.6"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "amplitude" in err
 
 
 def test_cli_verify_inequalities_fast(capsys):

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -142,8 +143,7 @@ def test_phase_aligned_steady_is_steady():
     dv, dh = sl.semi_discrete_rhs(setup.gas, setup.profile.states.sigma,
                                   setup.grid, state.v, state.h)
     assert max(np.abs(dv).max(), np.abs(dh).max()) < 1e-10
-    Y, B = sl.quick_yb(setup.grid.x, state.v, state.h, setup.profile,
-                       setup.weight)
+    Y, B = sl.quick_yb(setup.grid.x, state.v, state.h, setup.weight)
     assert abs(Y) < 1e-12
 
 
@@ -223,7 +223,7 @@ def test_unweighted_pinned_identity():
     recs = []
 
     def on_record(s):
-        bd = sl.compute_breakdown(grid.x, s.v, s.h, pr, wt)
+        bd = sl.compute_breakdown(grid.x, s.v, s.h, wt)
         recs.append((s.t, bd.weighted_entropy, bd.B, bd.G))
 
     sl.simulate(setup.gas, pr.states.sigma, grid, state,
@@ -261,9 +261,10 @@ def test_trace_csv_and_summary_json_roundtrip():
         json_path = os.path.join(d, "summary.json")
         sl.write_trace_csv(trace, csv_path)
         sl.write_summary_json(summary, json_path)
-        header = open(csv_path).readline().strip().split(",")
+        with open(csv_path) as fh:
+            header = fh.readline().strip().split(",")
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-        loaded = json.load(open(json_path))
+        loaded = json.loads(Path(json_path).read_text())
     assert header[0] == "t" and "X" in header and "Y" in header
     assert data.shape == (len(trace.t), len(header))
     npt.assert_allclose(data[:, header.index("Y")], trace.Y, rtol=1e-12)

@@ -26,7 +26,7 @@ def perturbed_state(profile, x, amp=0.01, seed=5):
 def test_all_functionals_vanish_at_profile(profile01, weight01, wide_x):
     x = wide_x
     bd = sl.compute_breakdown(x, profile01.v_profile(x), profile01.h_profile(x),
-                              profile01, weight01)
+                              weight01)
     for name in ("Y", "Y_g", "Y_b", "Y_l", "B1", "B2", "B", "G1", "G2", "D", "G"):
         assert abs(getattr(bd, name)) < 1e-13, name
     assert abs(bd.weighted_entropy) < 1e-13
@@ -34,7 +34,7 @@ def test_all_functionals_vanish_at_profile(profile01, weight01, wide_x):
 
 def test_decomposition_identities(profile01, weight01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
-    bd = sl.compute_breakdown(wide_x, v, h, profile01, weight01)
+    bd = sl.compute_breakdown(wide_x, v, h, weight01)
     assert abs(bd.Y - (bd.Y_g + bd.Y_b + bd.Y_l)) < 1e-14
     assert abs(bd.B - (bd.B1 + bd.B2)) < 1e-14
     assert abs(bd.G - (bd.G1 + bd.G2 + bd.D)) < 1e-14
@@ -44,7 +44,7 @@ def test_sign_structure(profile01, weight01, wide_x):
     # good terms are nonnegative by construction, for any admissible state
     for seed in range(5):
         v, h = perturbed_state(profile01, wide_x, amp=0.02, seed=seed)
-        bd = sl.compute_breakdown(wide_x, v, h, profile01, weight01)
+        bd = sl.compute_breakdown(wide_x, v, h, weight01)
         assert bd.G1 >= 0 and bd.G2 >= 0 and bd.D >= 0
         assert bd.B1 >= 0  # sigma * v_tilde' > 0 and p(v|v_tilde) >= 0
         assert bd.weighted_entropy > 0
@@ -54,7 +54,7 @@ def test_entropy_weight_sandwich(profile01, weight01, wide_x):
     # a in [1/2, 1] pinches the weighted entropy between half and one times
     # the unweighted relative entropy
     v, h = perturbed_state(profile01, wide_x)
-    bd = sl.compute_breakdown(wide_x, v, h, profile01, weight01)
+    bd = sl.compute_breakdown(wide_x, v, h, weight01)
     gas = profile01.states.gas
     eta = sl.eta_relative(gas, v, h, profile01.v_profile(wide_x),
                           profile01.h_profile(wide_x))
@@ -65,8 +65,8 @@ def test_entropy_weight_sandwich(profile01, weight01, wide_x):
 def test_quick_yb_agrees_with_breakdown(profile01, weight01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
     for shift in (0.0, 0.37, -1.2):
-        bd = sl.compute_breakdown(wide_x, v, h, profile01, weight01, shift=shift)
-        Y, B = sl.quick_yb(wide_x, v, h, profile01, weight01, shift=shift)
+        bd = sl.compute_breakdown(wide_x, v, h, weight01, shift=shift)
+        Y, B = sl.quick_yb(wide_x, v, h, weight01, shift=shift)
         # one kernel computes both, so they agree to the last bit
         assert Y == bd.Y
         assert B == bd.B
@@ -78,8 +78,8 @@ def test_shift_moves_frame(profile01, weight01, wide_x):
     x = wide_x
     v = profile01.v_profile(x + 0.8)
     h = profile01.h_profile(x + 0.8)
-    bd0 = sl.compute_breakdown(x, v, h, profile01, weight01, shift=0.0)
-    bd1 = sl.compute_breakdown(x, v, h, profile01, weight01, shift=-0.8)
+    bd0 = sl.compute_breakdown(x, v, h, weight01, shift=0.0)
+    bd1 = sl.compute_breakdown(x, v, h, weight01, shift=-0.8)
     assert bd1.weighted_entropy < 1e-13
     assert bd0.weighted_entropy > 1e-5
     assert abs(bd1.Y) < 1e-13
@@ -89,8 +89,8 @@ def test_frame_cache_consistency(profile01, weight01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
     cache = FrameCache()
     for shift in (0.0, 0.0, 1e-9, 0.5, 0.5 + 5e-7, -0.3):
-        y_direct = sl.quick_yb(wide_x, v, h, profile01, weight01, shift=shift)
-        y_cached = sl.quick_yb(wide_x, v, h, profile01, weight01, shift=shift,
+        y_direct = sl.quick_yb(wide_x, v, h, weight01, shift=shift)
+        y_cached = sl.quick_yb(wide_x, v, h, weight01, shift=shift,
                                cache=cache)
         # cache reuse introduces at most ~|dshift| * sup|d(a eta)/dx| error
         assert abs(y_direct[0] - y_cached[0]) < 1e-6
@@ -100,9 +100,9 @@ def test_frame_cache_consistency(profile01, weight01, wide_x):
 def test_frame_cache_exact_on_refresh(profile01, weight01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
     cache = FrameCache()
-    first = sl.quick_yb(wide_x, v, h, profile01, weight01, shift=0.0, cache=cache)
-    moved = sl.quick_yb(wide_x, v, h, profile01, weight01, shift=2.0, cache=cache)
-    direct = sl.quick_yb(wide_x, v, h, profile01, weight01, shift=2.0)
+    first = sl.quick_yb(wide_x, v, h, weight01, shift=0.0, cache=cache)
+    moved = sl.quick_yb(wide_x, v, h, weight01, shift=2.0, cache=cache)
+    direct = sl.quick_yb(wide_x, v, h, weight01, shift=2.0)
     assert moved == direct  # jump beyond tolerance forces a fresh frame
 
 
@@ -141,12 +141,11 @@ def test_bd_relative_functional_properties(profile01, wide_x):
 def test_normalized_layer_variables(profile01, weight01, wide_x):
     x = wide_x
     v = profile01.v_profile(x) + 1e-3 * np.exp(-(x / 5.0) ** 2)
-    y, W = sl.normalized_layer_variables(x, v, profile01, weight01, 0.0)
+    y, W = sl.normalized_layer_variables(x, v, weight01, 0.0)
     assert np.all(np.diff(y) > 0)
     assert y[0] >= 1e-3 - 1e-12 and y[-1] <= 1.0 - 1e-3 + 1e-12
     # at the exact profile W vanishes identically
-    y0, W0 = sl.normalized_layer_variables(x, profile01.v_profile(x), profile01,
-                                           weight01, 0.0)
+    y0, W0 = sl.normalized_layer_variables(x, profile01.v_profile(x), weight01, 0.0)
     assert np.abs(W0).max() < 1e-12
 
 
@@ -154,11 +153,11 @@ def test_normalized_layer_variables_window_check(profile01, weight01):
     x = np.linspace(-40.0, 40.0, 401)  # far narrower than the layer window
     v = profile01.v_profile(x)
     with pytest.raises(ValueError):
-        sl.normalized_layer_variables(x, v, profile01, weight01, 0.0)
+        sl.normalized_layer_variables(x, v, weight01, 0.0)
 
 
 def test_weighted_q_probe_smoke(profile01, weight01):
-    rep = weighted_q_probe(profile01, weight01)
+    rep = weighted_q_probe(weight01)
     eps, lam = 0.1, 0.5
     assert rep["t_star"] > 0
     # the nontrivial zero of Y sits at t ~ eps/lam

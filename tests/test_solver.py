@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -141,6 +142,29 @@ def test_positivity_guard_raises(entry, gas2, profile01):
     with pytest.raises(RuntimeError) as exc:
         run()
     assert str(exc.value) == f"positivity guard: v <= {floor} persists after 5 dt halvings"
+
+
+def _cap_simulate(gas2, profile01):
+    grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
+    state = sl.FieldState(0.0, *profile_arrays(profile01, grid))
+    return lambda: sl.simulate(gas2, profile01.states.sigma, grid, state,
+                               t_end=0.5, v_floor=0.1)
+
+
+def _cap_run_experiment(gas2, profile01):
+    setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.5,
+                                               width=5.0))
+    return lambda: sl.run_experiment(setup)
+
+
+@pytest.mark.parametrize("entry", [_cap_simulate, _cap_run_experiment],
+                         ids=["simulate", "run_experiment"])
+def test_step_count_limit_raises(entry, gas2, profile01, monkeypatch):
+    # both runs need well over 3 steps; a runaway t_end meets the real limit
+    monkeypatch.setattr(sl.solver, "MAX_STEPS", 3)
+    run = entry(gas2, profile01)
+    with pytest.raises(RuntimeError, match=r"^step-count limit: 3 steps reached at t = "):
+        run()
 
 
 def test_rk4_is_the_classic_fourth_order_step():
@@ -320,7 +344,7 @@ def test_checkpoint_rejects_corruption(profile01):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "state.chk")
         sl.write_checkpoint(path, 0.0, 0.0, v, h)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         with open(path, "wb") as f:
             f.write(b"BADMAGIC" + raw[8:])
         with pytest.raises(ValueError):
@@ -337,6 +361,6 @@ def test_snapshot_csv(profile01):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "snap.csv")
         write_snapshot_csv(path, grid.x, v, h)
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
     assert lines[0].split(",") == ["xi", "v", "h"]
     assert len(lines) == grid.n + 2
