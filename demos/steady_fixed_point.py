@@ -20,7 +20,7 @@ setup = sl.build_setup(cfg)
 
 state0 = sl.initial_state(setup)
 v0, h0 = state0.v, state0.h
-rhs_v, rhs_h = sl.semi_discrete_rhs(setup.gas, setup.sigma, setup.grid, v0, h0)
+rhs_v, rhs_h = sl.semi_discrete_rhs(setup.sigma, setup.grid, v0, h0, setup.gas.pressure(v0))
 print("phase-aligned steady state on dx = %.3f:" % setup.grid.dx)
 print("  sup |dv/dt| = %.3e   sup |dh/dt| = %.3e" %
       (np.abs(rhs_v).max(), np.abs(rhs_h).max()))

@@ -10,10 +10,14 @@ Subcommands:
   audit                check the recorded entropy rate against its budget
                        identity at two resolutions
 
-Every subcommand exits 0 only if all checks it enables pass.  A config
-file or --set value that cannot be loaded (unknown key, wrong type, value
-out of range, unreadable file), or whose perturbation drives v below
-v_plus/2, is reported as one "error: ..." line on stderr with exit code 2.
+Every subcommand exits 0 only if all checks it enables pass, and 1 if one
+fails.  A config file or --set value that cannot be loaded (unknown key,
+wrong type, value out of range, unreadable file), or whose perturbation
+drives v below v_plus/2, is reported as one "error: ..." line on stderr
+with exit code 2.  A run that fails on the way (the march's positivity
+guard, a non-finite state, the step-count limit) is reported as one
+"error: run failed: ..." line on stderr with exit code 3; sweep reports
+such a point on its own line, runs the remaining points, and then exits 3.
 """
 
 import argparse
@@ -169,17 +173,23 @@ def cmd_sweep(args):
     results = sweep(cfg, overrides)
     rows = []
     ok = True
-    for ov, summary in zip(overrides, results):
-        rows.append({"overrides": ov, "summary": summary})
-        ok &= summary["entropy_final"] <= summary["entropy_initial"] + args.tol
+    failed = False
+    for ov, result in zip(overrides, results):
+        if "error" in result:
+            rows.append({"overrides": ov, "error": result["error"]})
+            failed = True
+            print(f"{args.key} = {ov[args.key]}: run failed: {result['error']}")
+            continue
+        rows.append({"overrides": ov, "summary": result})
+        ok &= result["entropy_final"] <= result["entropy_initial"] + args.tol
         print(f"{args.key} = {ov[args.key]}: entropy "
-              f"{summary['entropy_initial']:.6g} -> {summary['entropy_final']:.6g}")
+              f"{result['entropy_initial']:.6g} -> {result['entropy_final']:.6g}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)
         print(f"wrote {args.out}")
-    print("sweep check:", "PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    print("sweep check:", "PASS" if ok and not failed else "FAIL")
+    return 3 if failed else 0 if ok else 1
 
 
 def cmd_audit(args):
@@ -252,6 +262,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: run failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

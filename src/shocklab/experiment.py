@@ -192,7 +192,7 @@ def phase_aligned_steady(setup):
 
     def ymis(beta):
         v_s, h_s = solve(beta)
-        Y, _ = quick_yb(x, v_s, h_s, setup.weight, 0.0)
+        Y, _ = quick_yb(x, v_s, h_s, gas.pressure(v_s), setup.weight, 0.0)
         return Y, v_s, h_s
 
     y0, v_s, h_s = ymis(0.0)
@@ -297,8 +297,10 @@ class ContractionTrace:
 def coupled_rk4_step(setup, v, h, X, dt, cache):
     """One RK4 step of (v, h, X); the shift rate is evaluated at every stage."""
     def rhs(y):
-        dv, dh = semi_discrete_rhs(setup.gas, setup.sigma, setup.grid, y[0], y[1])
-        Y, B = quick_yb(setup.grid.x, y[0], y[1], setup.weight, y[2], cache=cache)
+        v, h, X = y
+        p = setup.gas.pressure(v)  # one p(v) per stage, for both consumers
+        dv, dh = semi_discrete_rhs(setup.sigma, setup.grid, v, h, p)
+        Y, B = quick_yb(setup.grid.x, v, h, p, setup.weight, X, cache=cache)
         return dv, dh, shift_rhs(Y, B, setup.eps)
 
     return rk4(rhs, (v, h, X), dt)
@@ -416,11 +418,18 @@ def identity_audit(config, refinements=(1, 2)):
 
 
 def sweep(base_config, overrides_list):
-    """Run a family of configs (dicts of field overrides); returns summaries."""
+    """Run a family of configs (dicts of field overrides); returns summaries.
+
+    A point whose run fails (a RuntimeError: the march guard, a non-finite
+    state or the step-count limit) gives {"error": message} in place of its
+    summary, and the remaining points still run.  A config error raises.
+    """
     out = []
     for overrides in overrides_list:
-        cfg = replace(base_config, **overrides)
-        _, _, summary = run_experiment(build_setup(cfg))
+        try:
+            _, _, summary = run_experiment(build_setup(replace(base_config, **overrides)))
+        except RuntimeError as exc:
+            summary = {"error": str(exc)}
         out.append(summary)
     return out
 

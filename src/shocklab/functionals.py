@@ -68,12 +68,14 @@ class FunctionalBreakdown:
 class FrameCache:
     """Reuse the weight frame while the shift barely moves.
 
-    Spline evaluation of the shifted frame dominates the cost of the
-    per-stage (Y, B) evaluation; within |X - X_cached| <= tol the frame is
-    reused, which perturbs Y by at most tol * sup|dY/dX| -- with
-    tol = 1e-6 that is orders below every tolerance in the controller
-    (deadband eps^2) and in the recorded diagnostics, which are evaluated
-    exactly anyway.
+    A fresh shifted frame costs more than the rest of a coupled RK stage:
+    at n = 8001 points about 600 us against 370 us for p(v), the
+    right-hand side and the (Y, B) kernel together.  The spline pass is
+    about 230 us of it, the four gas powers and the profile formulas the
+    rest.  Within |X - X_cached| <= tol the frame is reused, which perturbs
+    Y by at most tol * sup|dY/dX| -- with tol = 1e-6 that is orders below
+    every tolerance in the controller (deadband eps^2) and in the recorded
+    diagnostics, which are evaluated exactly anyway.
     """
 
     def __init__(self):
@@ -91,21 +93,21 @@ def _trapz(f, dx):
     return float(np.trapezoid(f, dx=dx))
 
 
-def _yb_kernel(v, h, gas, sig, dx, pf):
+def _yb_kernel(v, h, p, gas, sig, dx, pf):
     """Y, B1, B2 and the pointwise arrays (w, h - h_tilde, q(v|v_tilde), eta).
 
-    pf is a weight frame (WeightFn.frame at the shifted points).  p(v) and
-    q(v) are evaluated once; the closures at v_tilde come with the frame.
-    q(v|v_tilde) and p(v|v_tilde) keep the operation order of
-    GasModel.q_relative and p_relative, so they match those bit for bit.
+    p is p(v), which every caller already has; pf is a weight frame
+    (WeightFn.frame at the shifted points), which brings the closures at
+    v_tilde.  q(v) is evaluated once.  q(v|v_tilde) and p(v|v_tilde) keep
+    the operation order of GasModel.q_relative and p_relative, so they match
+    those bit for bit.
     """
     a, da, d2a = pf["a"], pf["da"], pf["d2a"]
-    pv = gas.pressure(v)
     dv = v - pf["v"]
-    w = pv - pf["p"]
+    w = p - pf["p"]
     dh_field = h - pf["h"]
     q_rel = gas.entropy(v) - pf["qv"] + pf["pv"] * dv
-    p_rel = pv - pf["pv"] - pf["dpv"] * dv
+    p_rel = p - pf["pv"] - pf["dpv"] * dv
     eta = 0.5 * dh_field ** 2 + q_rel
     Y = (-_trapz(da * eta, dx)
          + _trapz(a * (-pf["dp"] * dv + pf["dh"] * dh_field), dx))
@@ -128,7 +130,7 @@ def compute_breakdown(x, v, h, weight, shift=0.0):
     sig = weight.profile.sigma
     pf = weight.frame(x - shift)
     a, da = pf["a"], pf["da"]
-    Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas, sig, dx, pf)
+    Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas.pressure(v), gas, sig, dx, pf)
     b = dh_field - w / sig
 
     def T(f):
@@ -153,12 +155,12 @@ def compute_breakdown(x, v, h, weight, shift=0.0):
     )
 
 
-def quick_yb(x, v, h, weight, shift=0.0, cache=None):
-    """(Y, B) only — the pair the shift ODE needs at every RK stage."""
+def quick_yb(x, v, h, p, weight, shift=0.0, cache=None):
+    """(Y, B) only — the pair the shift ODE needs at every RK stage; p = p(v)."""
     x = np.asarray(x, dtype=float)
     pf = weight.frame(x - shift) if cache is None else cache.get(x, weight, shift)
     pr = weight.profile
-    Y, B1, B2 = _yb_kernel(v, h, pr.gas, pr.sigma, x[1] - x[0], pf)[:3]
+    Y, B1, B2 = _yb_kernel(v, h, p, pr.gas, pr.sigma, x[1] - x[0], pf)[:3]
     return Y, B1 + B2
 
 
@@ -217,7 +219,8 @@ def weighted_q_probe(weight):
     S = np.clip(1.0 - (x / width) ** 2, 0.0, None) ** 3
 
     def Y_of(t):  # h untouched
-        return _yb_kernel(pf["v"] + t * S, pf["h"], gas, profile.sigma, dx, pf)[0]
+        v = pf["v"] + t * S
+        return _yb_kernel(v, pf["h"], gas.pressure(v), gas, profile.sigma, dx, pf)[0]
 
     # bracket the nontrivial zero: Y < 0 for small t, > 0 past t* ~ eps/lam
     t_lo = 1e-3 * eps / lam

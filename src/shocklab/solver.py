@@ -18,6 +18,7 @@ started from it stays put to machine precision, which the shift-coupled
 steady tests need), a conservation diagnostic, and binary checkpoint IO.
 """
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -96,10 +97,13 @@ def effective_velocity(gas, grid, v, u):
     return u + _d1(gas.pressure(v), grid.dx)
 
 
-def semi_discrete_rhs(gas, sigma, grid, v, h):
-    """Right-hand side arrays (dv, dh); boundary rows are zero (pinned)."""
+def semi_discrete_rhs(sigma, grid, v, h, p):
+    """Right-hand side arrays (dv, dh) with p = p(v); boundary rows are zero (pinned).
+
+    The caller passes p(v): the coupled march needs it again for the shift
+    functionals of the same stage.
+    """
     dx = grid.dx
-    p = gas.pressure(v)
     dv = np.zeros_like(v)
     dh = np.zeros_like(h)
     d1v = (v[2:] - v[:-2]) / (2.0 * dx)
@@ -202,7 +206,8 @@ def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None
     if not safety > 0.0:
         raise ValueError(f"safety must be positive, got {safety}")
     t, (v, h) = march(
-        lambda y, dt: rk4(lambda z: semi_discrete_rhs(gas, sigma, grid, *z), y, dt),
+        lambda y, dt: rk4(lambda z: semi_discrete_rhs(sigma, grid, *z, gas.pressure(z[0])),
+                          y, dt),
         (state.v.copy(), state.h.copy()), state.t, t_end,
         lambda y: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
         None if on_record is None else lambda t, y: on_record(FieldState(t, *y)))
@@ -236,8 +241,8 @@ def steady_state(gas, sigma, grid, v0, h0):
         )
 
     def resid(v):
-        h = (gas.pressure(v) + C) / sigma
-        return semi_discrete_rhs(gas, sigma, grid, v, h)[0][1:-1]
+        p = gas.pressure(v)
+        return semi_discrete_rhs(sigma, grid, v, (p + C) / sigma, p)[0][1:-1]
 
     F = resid(v)
     for _ in range(40):
@@ -275,9 +280,9 @@ def conservation_balance(gas, sigma, grid, state):
     The continuum law is d/dt int v = [sigma*v + h - (p(v))_xi] at the ends;
     both numbers are returned so callers can compare at their own tolerance.
     """
-    dv, _ = semi_discrete_rhs(gas, sigma, grid, state.v, state.h)
-    growth = float(np.trapezoid(dv, dx=grid.dx))
     p = gas.pressure(state.v)
+    dv, _ = semi_discrete_rhs(sigma, grid, state.v, state.h, p)
+    growth = float(np.trapezoid(dv, dx=grid.dx))
     flux = sigma * state.v + state.h - _d1(p, grid.dx)
     return growth, float(flux[-1] - flux[0])
 
@@ -286,7 +291,8 @@ def conservation_balance(gas, sigma, grid, state):
 # binary restart checkpoints
 #
 # Layout (all little-endian): 8-byte magic b"SHCKPT01", int64 n_points,
-# float64 t, float64 shift X, then v[n_points] and h[n_points] as float64.
+# float64 t, float64 shift X, then v[n_points] and h[n_points] as float64:
+# 32 + 16*n_points bytes in all.
 # ---------------------------------------------------------------------------
 
 
@@ -304,18 +310,32 @@ def write_checkpoint(path, t, shift, v, h):
 
 
 def read_checkpoint(path):
-    """Returns (t, shift, v, h); raises on bad magic or truncation."""
+    """Returns (t, shift, v, h).
+
+    Raises ValueError on a bad magic, a header with n < 1 points, a file size
+    other than the 32 + 16*n bytes the header promises (truncated, or with
+    trailing bytes), or a non-finite t or shift.  The size is checked before
+    any array is read, so a corrupt n never asks for more than the file holds.
+    """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CHECKPOINT_MAGIC:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(8) != CHECKPOINT_MAGIC:
             raise ValueError("not a shocklab checkpoint (bad magic)")
+        if size < 32:
+            raise ValueError(f"truncated checkpoint: {size} bytes, the header alone is 32")
         n = int(np.fromfile(f, dtype="<i8", count=1)[0])
-        head = np.fromfile(f, dtype="<f8", count=2)
+        t, shift = np.fromfile(f, dtype="<f8", count=2).tolist()
+        if n < 1:
+            raise ValueError(f"corrupt checkpoint header: n = {n} points")
+        expected = 32 + 16 * n
+        if size != expected:
+            kind = "truncated checkpoint" if size < expected else "trailing bytes in checkpoint"
+            raise ValueError(f"{kind}: {size} bytes, the header's n = {n} needs {expected}")
+        if not (np.isfinite(t) and np.isfinite(shift)):
+            raise ValueError(f"corrupt checkpoint header: t = {t!r}, shift = {shift!r}")
         v = np.fromfile(f, dtype="<f8", count=n)
         h = np.fromfile(f, dtype="<f8", count=n)
-    if v.size != n or h.size != n:
-        raise ValueError("truncated checkpoint")
-    return float(head[0]), float(head[1]), v, h
+    return t, shift, v, h
 
 
 def write_snapshot_csv(path, x, v, h):

@@ -200,6 +200,35 @@ def test_cli_config_error_from_file_and_sweep(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "amplitude" in err
 
 
+def test_cli_run_failure_is_one_line(capsys, monkeypatch):
+    # a run that fails in the march is one "error: run failed: ..." line and
+    # exit 3, apart from config errors (2) and failed checks (1)
+    assert main(["simulate", "--set", "v_floor_frac=0.9", "--set", "amplitude=-0.3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: run failed: positivity guard") and err.count("\n") == 1
+    monkeypatch.setattr(sl.solver, "MAX_STEPS", 3)
+    assert main(["simulate", "--set", "span_over_eps=10", "--set", "width=5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: run failed: step-count limit: 3 steps")
+    assert err.count("\n") == 1
+
+
+def test_cli_sweep_runs_past_a_failed_point(capsys):
+    with tempfile.TemporaryDirectory() as d:
+        out = os.path.join(d, "sweep.json")
+        rc = main(["sweep", "--set", "span_over_eps=10", "--set", "t_end_sigma=0.2",
+                   "--set", "width=5", "--set", "amplitude=-0.3",
+                   "v_floor_frac", "0.9,0.1", "--out", out])
+        rows = json.loads(Path(out).read_text())
+    assert rc == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("v_floor_frac = 0.9: run failed: positivity guard")
+    assert lines[1].startswith("v_floor_frac = 0.1: entropy ")
+    assert rows[0]["overrides"] == {"v_floor_frac": 0.9}
+    assert rows[0]["error"].startswith("positivity guard") and "summary" not in rows[0]
+    assert rows[1]["summary"]["config"]["v_floor_frac"] == 0.1
+
+
 def test_cli_verify_inequalities_fast(capsys):
     rc = main(["verify-inequalities", "--fast"])
     assert rc == 0

@@ -140,10 +140,11 @@ def test_phase_aligned_steady_is_steady():
     setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=20.0,
                                                steady_relax=True))
     state = phase_aligned_steady(setup)
-    dv, dh = sl.semi_discrete_rhs(setup.gas, setup.profile.states.sigma,
-                                  setup.grid, state.v, state.h)
+    p = setup.gas.pressure(state.v)
+    dv, dh = sl.semi_discrete_rhs(setup.profile.states.sigma, setup.grid,
+                                  state.v, state.h, p)
     assert max(np.abs(dv).max(), np.abs(dh).max()) < 1e-10
-    Y, B = sl.quick_yb(setup.grid.x, state.v, state.h, setup.weight)
+    Y, B = sl.quick_yb(setup.grid.x, state.v, state.h, p, setup.weight)
     assert abs(Y) < 1e-12
 
 

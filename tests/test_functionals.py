@@ -1,12 +1,14 @@
 """Weighted relative-entropy functionals and their decompositions."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import shocklab as sl
-from shocklab.functionals import (FrameCache, _trapz, _yb_kernel,
-                                  weighted_q_probe)
+from shocklab.functionals import FrameCache, _trapz, _yb_kernel, weighted_q_probe
+from shocklab.solver import _d1
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +66,10 @@ def test_entropy_weight_sandwich(profile01, weight01, wide_x):
 
 def test_quick_yb_agrees_with_breakdown(profile01, weight01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
+    p = profile01.gas.pressure(v)
     for shift in (0.0, 0.37, -1.2):
         bd = sl.compute_breakdown(wide_x, v, h, weight01, shift=shift)
-        Y, B = sl.quick_yb(wide_x, v, h, weight01, shift=shift)
+        Y, B = sl.quick_yb(wide_x, v, h, p, weight01, shift=shift)
         # one kernel computes both, so they agree to the last bit
         assert Y == bd.Y
         assert B == bd.B
@@ -87,10 +90,11 @@ def test_shift_moves_frame(profile01, weight01, wide_x):
 
 def test_frame_cache_consistency(profile01, weight01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
+    p = profile01.gas.pressure(v)
     cache = FrameCache()
     for shift in (0.0, 0.0, 1e-9, 0.5, 0.5 + 5e-7, -0.3):
-        y_direct = sl.quick_yb(wide_x, v, h, weight01, shift=shift)
-        y_cached = sl.quick_yb(wide_x, v, h, weight01, shift=shift,
+        y_direct = sl.quick_yb(wide_x, v, h, p, weight01, shift=shift)
+        y_cached = sl.quick_yb(wide_x, v, h, p, weight01, shift=shift,
                                cache=cache)
         # cache reuse introduces at most ~|dshift| * sup|d(a eta)/dx| error
         assert abs(y_direct[0] - y_cached[0]) < 1e-6
@@ -99,10 +103,11 @@ def test_frame_cache_consistency(profile01, weight01, wide_x):
 
 def test_frame_cache_exact_on_refresh(profile01, weight01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
+    p = profile01.gas.pressure(v)
     cache = FrameCache()
-    first = sl.quick_yb(wide_x, v, h, weight01, shift=0.0, cache=cache)
-    moved = sl.quick_yb(wide_x, v, h, weight01, shift=2.0, cache=cache)
-    direct = sl.quick_yb(wide_x, v, h, weight01, shift=2.0)
+    first = sl.quick_yb(wide_x, v, h, p, weight01, shift=0.0, cache=cache)
+    moved = sl.quick_yb(wide_x, v, h, p, weight01, shift=2.0, cache=cache)
+    direct = sl.quick_yb(wide_x, v, h, p, weight01, shift=2.0)
     assert moved == direct  # jump beyond tolerance forces a fresh frame
 
 
@@ -167,15 +172,70 @@ def test_weighted_q_probe_smoke(profile01, weight01):
 
 
 def test_kernel_relative_quantities_match_gas_closures_bitwise(profile01, weight01, wide_x):
-    # the kernel evaluates p(v) and q(v) once and takes the closures at
-    # v_tilde from the frame; the results must be the GasModel ones, bit for
-    # bit.  p(v|v_tilde) enters only B1, so it is checked through B1.
+    # the kernel takes p(v) from its caller, evaluates q(v) once and takes
+    # the closures at v_tilde from the frame; the results must be the
+    # GasModel ones, bit for bit.  p(v|v_tilde) enters only B1, so it is
+    # checked through B1.
     v, h = perturbed_state(profile01, wide_x)
     gas = profile01.gas
     sig, dx = profile01.sigma, wide_x[1] - wide_x[0]
     pf = weight01.frame(wide_x - 0.37)
     a = pf["a"]
-    out = _yb_kernel(v, h, gas, sig, dx, pf)
+    out = _yb_kernel(v, h, gas.pressure(v), gas, sig, dx, pf)
     assert np.array_equal(out[5], gas.q_relative(v, pf["v"]))
     assert out[1] == sig * _trapz(a * pf["dv"] * gas.p_relative(v, pf["v"]), dx)
     assert np.array_equal(out[3], gas.pressure(v) - pf["p"])
+
+
+def reference_breakdown(x, v, h, weight, shift):
+    """The functional breakdown with one np.trapezoid call per integral,
+    each integrand written out from the frame's own fields."""
+    dx = x[1] - x[0]
+    gas, sig = weight.profile.gas, weight.profile.sigma
+    pf = weight.frame(x - shift)
+    a, da, d2a = pf["a"], pf["da"], pf["d2a"]
+
+    def T(f):
+        return float(np.trapezoid(f, dx=dx))
+
+    dv = v - pf["v"]
+    w = gas.pressure(v) - pf["p"]
+    dh = h - pf["h"]
+    q_rel = gas.q_relative(v, pf["v"])
+    eta = 0.5 * dh ** 2 + q_rel
+    b = dh - w / sig
+    B1 = sig * T(a * pf["dv"] * gas.p_relative(v, pf["v"]))
+    B2 = T(da * w ** 2) / (2.0 * sig) + 0.5 * T(d2a * w ** 2)
+    G1 = 0.5 * sig * T(da * b ** 2)
+    G2 = sig * T(da * q_rel)
+    D = T(a * _d1(w, dx) ** 2)
+    return {
+        "weighted_entropy": T(a * eta),
+        "Y": -T(da * eta) + T(a * (-pf["dp"] * dv + pf["dh"] * dh)),
+        "Y_g": (-T(da * w ** 2) / (2.0 * sig * sig) - T(da * q_rel)
+                - T(a * pf["dp"] * dv) + T(a * pf["dh"] * w) / sig),
+        "Y_b": -0.5 * T(da * b ** 2) - T(da * w * b) / sig,
+        "Y_l": T(a * pf["dh"] * b),
+        "B1": B1, "B2": B2, "B": B1 + B2,
+        "G1": G1, "G2": G2, "D": D, "G": G1 + G2 + D,
+        "sup_w": float(np.max(np.abs(w))),
+    }
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.37, -1.2])
+def test_kernel_and_breakdown_match_the_integrals_written_out(profile01, weight01, wide_x,
+                                                              shift):
+    # the kernel takes p(v) from its caller and the closures at v_tilde from
+    # the frame; every number must keep the bits of the formulas written
+    # out from the GasModel closures, one np.trapezoid call per integral
+    for seed in (5, 6):
+        v, h = perturbed_state(profile01, wide_x, amp=0.02, seed=seed)
+        ref = reference_breakdown(wide_x, v, h, weight01, shift)
+        gas = profile01.gas
+        Y, B1, B2 = _yb_kernel(v, h, gas.pressure(v), gas, profile01.sigma,
+                               wide_x[1] - wide_x[0], weight01.frame(wide_x - shift))[:3]
+        assert (Y, B1, B2) == (ref["Y"], ref["B1"], ref["B2"])
+        bd = sl.compute_breakdown(wide_x, v, h, weight01, shift=shift)
+        for f in dataclasses.fields(bd):
+            value = getattr(bd, f.name)
+            assert type(value) is float and value == ref[f.name], f.name

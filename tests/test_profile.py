@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -173,10 +174,57 @@ def test_frame_carries_gas_closures_at_v_tilde(profile01, setup_default):
 
 def test_pressure_profile_values_do_not_depend_on_the_other_points(profile01):
     # each point is evaluated on its own: a tail point in the same call must
-    # not move the in-window values, and a NaN point gives NaN
+    # not move the in-window values, and a NaN point gives NaN, with no
+    # warning, in an array or on its own
     x = np.linspace(profile01.xi[0], profile01.xi[-1], 1001)
     with_tail = np.append(x, profile01.xi[-1] + 5.0)
     assert np.array_equal(profile01.pressure_profile(x),
                           profile01.pressure_profile(with_tail)[:-1])
-    out = profile01.pressure_profile(np.array([np.nan, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = profile01.pressure_profile(np.array([np.nan, 0.0]))
+        alone = profile01.pressure_profile(np.nan)
     assert np.isnan(out[0]) and out[1] == profile01.pressure_profile(0.0)
+    assert alone.shape == () and np.isnan(alone)
+
+
+def spline_pressure_profile(profile, x):
+    """p_tilde through scipy's CubicSpline.__call__ and the tail splice."""
+    x = np.asarray(x, dtype=float)
+    lo, hi = profile.xi[0], profile.xi[-1]
+    st = profile.states
+    out = profile._spline(x)
+    left, right = x < lo, x > hi
+    out[left] = st.p_minus + profile.tail_amp_minus * np.exp(
+        profile.tail_rate_minus * (x[left] - lo))
+    out[right] = st.p_plus - profile.tail_amp_plus * np.exp(
+        -profile.tail_rate_plus * (x[right] - hi))
+    np.clip(out, st.p_minus, st.p_plus, out=out)
+    return out
+
+
+@pytest.mark.parametrize("gamma, eps", [(2.0, 0.1), (2.0, 0.05), (1.4, 0.1), (1.4, 0.05)])
+def test_pressure_profile_is_scipys_spline_bit_for_bit(gamma, eps):
+    # the cell index comes from the two uniform knot pieces and the cubic is
+    # evaluated in scipy's order; every value must be CubicSpline's
+    profile = sl.solve_profile(sl.GasModel(gamma, 1.0), eps)
+    xi = profile.xi
+    lo, hi = xi[0], xi[-1]
+    rng = np.random.default_rng(7)
+    cases = {
+        "random": rng.uniform(lo, hi, 50_000),
+        "knots": xi,
+        "above knots": np.nextafter(xi, np.inf),
+        "below knots": np.nextafter(xi, -np.inf),
+        "window ends": np.array([lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]),
+        "outside": np.concatenate([rng.uniform(lo - 200.0, lo, 500),
+                                   rng.uniform(hi, hi + 200.0, 500), [-1e300, 1e300]]),
+        "2-d": rng.uniform(lo, hi, (40, 25)),
+    }
+    for name, x in cases.items():
+        got = profile.pressure_profile(x)
+        assert got.shape == x.shape and np.array_equal(got, spline_pressure_profile(profile, x)), name
+    for x in (0.0, np.float64(0.3), np.float64(hi), np.float64(lo - 1.0)):
+        got = profile.pressure_profile(x)
+        assert type(got) is np.ndarray and got.shape == ()
+        assert got == spline_pressure_profile(profile, x)

@@ -45,22 +45,41 @@ def test_rhs_zero_on_constant_state(gas2):
     grid = make_grid()
     v = np.full(grid.n + 1, 0.8)
     h = np.full(grid.n + 1, 0.3)
-    dv, dh = sl.semi_discrete_rhs(gas2, -1.5, grid, v, h)
+    dv, dh = sl.semi_discrete_rhs(-1.5, grid, v, h, gas2.pressure(v))
     assert np.all(dv == 0.0) and np.all(dh == 0.0)
+
+
+def test_rhs_is_the_difference_formulas_bit_for_bit(gas2, profile01):
+    # p(v) comes from the caller; the differences are the scheme's formulas,
+    # in their operation order, bit for bit
+    grid = make_grid(dx=0.2)
+    rng = np.random.default_rng(3)
+    v, h = profile_arrays(profile01, grid)
+    v = v + 0.01 * rng.standard_normal(v.size)
+    h = h + 0.01 * rng.standard_normal(h.size)
+    sigma, dx = profile01.states.sigma, grid.dx
+    p = gas2.pressure(v)
+    d1v = (v[2:] - v[:-2]) / (2.0 * dx)
+    d1h = (h[2:] - h[:-2]) / (2.0 * dx)
+    d1p = (p[2:] - p[:-2]) / (2.0 * dx)
+    d2p = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (dx * dx)
+    dv, dh = sl.semi_discrete_rhs(sigma, grid, v, h, p)
+    assert np.array_equal(dv, np.concatenate([[0.0], sigma * d1v + d1h - d2p, [0.0]]))
+    assert np.array_equal(dh, np.concatenate([[0.0], sigma * d1h - d1p, [0.0]]))
 
 
 def test_rhs_small_on_sampled_profile(gas2, profile01):
     # truncation error of the scheme on the exact traveling wave is O(dx^2)
     grid = make_grid(dx=0.2)
     v, h = profile_arrays(profile01, grid)
-    dv, dh = sl.semi_discrete_rhs(gas2, profile01.states.sigma, grid, v, h)
+    dv, dh = sl.semi_discrete_rhs(profile01.states.sigma, grid, v, h, gas2.pressure(v))
     sup_coarse = max(np.abs(dv).max(), np.abs(dh).max())
     k_rhs = sup_coarse / grid.dx**2
     assert sup_coarse < 1e-8, f"RHS sup {sup_coarse:.3e} (K = {k_rhs:.3e})"
 
     fine = make_grid(dx=0.1)
     vf, hf = profile_arrays(profile01, fine)
-    dvf, dhf = sl.semi_discrete_rhs(gas2, profile01.states.sigma, fine, vf, hf)
+    dvf, dhf = sl.semi_discrete_rhs(profile01.states.sigma, fine, vf, hf, gas2.pressure(vf))
     sup_fine = max(np.abs(dvf).max(), np.abs(dhf).max())
     ratio = sup_coarse / sup_fine
     assert 3.0 < ratio < 5.0, f"refinement ratio {ratio:.2f}"
@@ -94,7 +113,7 @@ def test_rk4_matches_reference_integrator(gas2, profile01):
     m = grid.n + 1
 
     def rhs(_t, yv):
-        dv, dh = sl.semi_discrete_rhs(gas2, sigma, grid, yv[:m], yv[m:])
+        dv, dh = sl.semi_discrete_rhs(sigma, grid, yv[:m], yv[m:], gas2.pressure(yv[:m]))
         return np.concatenate([dv, dh])
 
     ref = solve_ivp(rhs, (0.0, t_end), np.concatenate([v, h]),
@@ -274,7 +293,7 @@ def test_steady_state_residual_and_consistency(gas2, profile01):
     grid = make_grid(lo=-40.0, hi=40.0, dx=0.2)
     v0, h0 = profile_arrays(profile01, grid)
     v, h = sl.steady_state(gas2, profile01.states.sigma, grid, v0, h0)
-    dv, dh = sl.semi_discrete_rhs(gas2, profile01.states.sigma, grid, v, h)
+    dv, dh = sl.semi_discrete_rhs(profile01.states.sigma, grid, v, h, gas2.pressure(v))
     assert max(np.abs(dv).max(), np.abs(dh).max()) < 1e-12
     # the steady solution stays close to the sampled profile (O(dx^2))
     assert np.abs(v - v0).max() < 1e-3
@@ -341,18 +360,32 @@ def test_checkpoint_roundtrip(profile01):
 def test_checkpoint_rejects_corruption(profile01):
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
     v, h = profile_arrays(profile01, grid)
+    n = v.size
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "state.chk")
         sl.write_checkpoint(path, 0.0, 0.0, v, h)
         raw = Path(path).read_bytes()
-        with open(path, "wb") as f:
-            f.write(b"BADMAGIC" + raw[8:])
-        with pytest.raises(ValueError):
-            sl.read_checkpoint(path)
-        with open(path, "wb") as f:
-            f.write(raw[: len(raw) // 2])
-        with pytest.raises(ValueError):
-            sl.read_checkpoint(path)
+
+        def header(count, t=0.0, shift=0.0):
+            return (raw[:8] + np.array([count], "<i8").tobytes()
+                    + np.array([t, shift], "<f8").tobytes())
+
+        for corrupt, message in (
+            (b"BADMAGIC" + raw[8:], "bad magic"),
+            (raw[:20], "truncated checkpoint: 20 bytes"),
+            (raw[: len(raw) // 2], "truncated checkpoint"),
+            (raw + b"\0" * 8, "trailing bytes"),
+            (header(0) + raw[32:], "n = 0 points"),
+            (header(-1) + raw[32:], "n = -1 points"),
+            # a huge n is caught by the size check, before any allocation
+            (header(10 ** 12) + raw[32:], f"n = {10 ** 12} needs"),
+            (header(n + 1) + raw[32:], "truncated checkpoint"),
+            (header(n, t=float("nan")) + raw[32:], "t = nan"),
+            (header(n, shift=float("inf")) + raw[32:], "shift = inf"),
+        ):
+            Path(path).write_bytes(corrupt)
+            with pytest.raises(ValueError, match=message):
+                sl.read_checkpoint(path)
 
 
 def test_snapshot_csv(profile01):
