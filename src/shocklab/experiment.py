@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 from scipy.optimize import brentq
 
+from . import solver
 from .functionals import FrameCache, compute_breakdown, quick_yb
 from .gas import GasModel
 from .profile import end_states_from_amplitude, solve_profile
@@ -105,6 +106,12 @@ class ExperimentConfig:
         L = self.span_over_eps / self.eps
         if abs(self.center) + self.width > 0.8 * L:
             raise ValueError("perturbation support must stay within 80% of the domain")
+        # a step has dt < cfl_safety*dx/|sigma| and dt <= record_dt (+1: end tolerance)
+        min_steps = self.t_end_sigma * max(self.eps * self.cells_per_layer / self.cfl_safety,
+                                           1.0 / self.record_sigma)
+        if min_steps > solver.MAX_STEPS + 1:
+            raise ConfigError(f"t_end_sigma = {self.t_end_sigma!r} needs at least {min_steps:.4g} "
+                              f"steps, over the step-count limit of {solver.MAX_STEPS}")
         return self
 
 
@@ -204,18 +211,14 @@ def phase_aligned_steady(setup):
     slope = (y1 - y0) / db
     beta = -y0 / slope if slope != 0.0 else db
     lo, hi = (0.0, beta) if beta > 0.0 else (beta, 0.0)
-    flo, _, _ = ymis(lo)
-    fhi, _, _ = ymis(hi)
-    tries = 0
-    while flo * fhi > 0.0:
+    for _ in range(9):
+        if not ymis(lo)[0] * ymis(hi)[0] > 0.0:
+            break
         lo, hi = lo - abs(beta), hi + abs(beta)
-        flo, _, _ = ymis(lo)
-        fhi, _, _ = ymis(hi)
-        tries += 1
-        if tries > 8:
-            raise RuntimeError("could not bracket the phase-aligned steady state")
+    else:
+        raise RuntimeError("could not bracket the phase-aligned steady state")
     beta_star = brentq(lambda b: ymis(b)[0], lo, hi, xtol=1e-13, maxiter=60)
-    y_star, v_s, h_s = ymis(beta_star)
+    _, v_s, h_s = ymis(beta_star)
     return FieldState(t=0.0, v=v_s, h=h_s)
 
 
@@ -232,18 +235,15 @@ def initial_state(setup):
 
     s = (x - cfg.center) / cfg.width
     if cfg.perturb_kind == "none":
-        dv = np.zeros_like(x)
-        dh = np.zeros_like(x)
-    elif cfg.perturb_kind == "bump":
-        dv = cfg.amplitude * c2_bump(s)
-        dh = cfg.amplitude_h * c2_bump(s)
+        dv = dh = np.zeros_like(x)
     elif cfg.perturb_kind == "random-fourier":
         rng = np.random.default_rng(cfg.seed)
         dv = cfg.amplitude * _fourier_noise(x, cfg.center, cfg.width, cfg.modes, rng)
         dh = cfg.amplitude_h * _fourier_noise(x, cfg.center, cfg.width, cfg.modes, rng)
-    else:  # large-amplitude: stretch the layer and add an O(1) bump
-        stretched = pr.frame(cfg.stretch * x)
-        v, h = stretched["v"], stretched["h"]
+    else:  # a bump; large-amplitude first stretches the layer (O(1) bump)
+        if cfg.perturb_kind == "large-amplitude":
+            stretched = pr.frame(cfg.stretch * x)
+            v, h = stretched["v"], stretched["h"]
         dv = cfg.amplitude * c2_bump(s)
         dh = cfg.amplitude_h * c2_bump(s)
 
@@ -312,9 +312,7 @@ def run_experiment(setup, snapshots=None):
     Returns (trace, final FieldState with shift, summary dict).  `snapshots`,
     if given, is a list that receives (t, v, h) copies at each record.
     """
-    cfg = setup.config
-    sig = setup.sigma
-    eps = setup.eps
+    cfg, sig, eps = setup.config, setup.sigma, setup.eps
     t_end = cfg.t_end_sigma / abs(sig)
     rec_dt = cfg.record_sigma / abs(sig)
     v_floor = cfg.v_floor_frac * setup.profile.states.v_plus
@@ -357,7 +355,7 @@ def summarize_trace(trace, setup, wall_time):
     lin = trace.branch_saturated < 0.5
     worst_R_linear = float(np.max(trace.R[lin])) if np.any(lin) else float("nan")
     shift_ratio = np.abs(trace.Xdot) * setup.eps ** 2 / (1.0 + 2.0 * np.abs(trace.B))
-    summary = {
+    return {
         "config": asdict(cfg),
         "sigma": setup.sigma,
         "dx": setup.grid.dx,
@@ -372,7 +370,6 @@ def summarize_trace(trace, setup, wall_time):
         "saturated_fraction": float(np.mean(trace.branch_saturated)),
         "wall_time_s": wall_time,
     }
-    return summary
 
 
 # ---------------------------------------------------------------------------

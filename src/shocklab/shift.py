@@ -17,19 +17,13 @@ the useful object is the residual
 whose nonpositivity is what makes the entropy rate negative there.
 """
 
-import numpy as np
-
 __all__ = ["phi_eps", "shift_rhs", "saturated", "r_residual", "overshoot"]
 
 
 def phi_eps(y, eps):
-    """Capped-linear shift response; vectorized, exact at the knots."""
-    y = np.asarray(y, dtype=float)
+    """Capped-linear shift response at a scalar y; exact at the knots."""
     e2 = eps * eps
-    out = np.where(y <= -e2, 1.0 / e2, np.where(y >= e2, -1.0 / e2, -y / (e2 * e2)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(1.0 / e2 if y <= -e2 else -1.0 / e2 if y >= e2 else -y / (e2 * e2))
 
 
 def shift_rhs(Y, B, eps):

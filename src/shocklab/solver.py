@@ -248,8 +248,7 @@ def steady_state(gas, sigma, grid, v0, h0):
     for _ in range(40):
         nrm = float(np.max(np.abs(F)))
         if nrm <= 1e-13:
-            h = (gas.pressure(v) + C) / sigma
-            return v, h
+            return v, (gas.pressure(v) + C) / sigma
         pv = gas.dpressure(v)
         c1 = 1.0 / (2.0 * dx)
         c2 = 1.0 / (dx * dx)
@@ -296,11 +295,23 @@ def conservation_balance(gas, sigma, grid, state):
 # ---------------------------------------------------------------------------
 
 
+def _check_state(t, shift, v, h):
+    if not (np.isfinite(t) and np.isfinite(shift)):
+        raise ValueError(f"corrupt checkpoint header: t = {t!r}, shift = {shift!r}")
+    for name, a in (("v", v), ("h", h)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"checkpoint body has a non-finite {name}")
+    if not np.all(v > 0.0):
+        raise ValueError("checkpoint body has v <= 0")
+
+
 def write_checkpoint(path, t, shift, v, h):
+    """Write (t, shift, v, h); refuses a state that read_checkpoint rejects."""
     v = np.asarray(v, dtype="<f8")
     h = np.asarray(h, dtype="<f8")
-    if v.shape != h.shape or v.ndim != 1:
-        raise ValueError("v and h must be 1-d arrays of equal length")
+    if v.shape != h.shape or v.ndim != 1 or v.size < 1:
+        raise ValueError("v and h must be nonempty 1-d arrays of equal length")
+    _check_state(t, shift, v, h)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         np.array([v.size], dtype="<i8").tofile(f)
@@ -314,8 +325,8 @@ def read_checkpoint(path):
 
     Raises ValueError on a bad magic, a header with n < 1 points, a file size
     other than the 32 + 16*n bytes the header promises (truncated, or with
-    trailing bytes), or a non-finite t or shift.  The size is checked before
-    any array is read, so a corrupt n never asks for more than the file holds.
+    trailing bytes), a non-finite t, shift, v or h, or a v <= 0.  The size is
+    checked first, so a corrupt n never asks for more than the file holds.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -331,10 +342,9 @@ def read_checkpoint(path):
         if size != expected:
             kind = "truncated checkpoint" if size < expected else "trailing bytes in checkpoint"
             raise ValueError(f"{kind}: {size} bytes, the header's n = {n} needs {expected}")
-        if not (np.isfinite(t) and np.isfinite(shift)):
-            raise ValueError(f"corrupt checkpoint header: t = {t!r}, shift = {shift!r}")
         v = np.fromfile(f, dtype="<f8", count=n)
         h = np.fromfile(f, dtype="<f8", count=n)
+    _check_state(t, shift, v, h)
     return t, shift, v, h
 
 

@@ -207,7 +207,10 @@ def test_cli_run_failure_is_one_line(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: run failed: positivity guard") and err.count("\n") == 1
     monkeypatch.setattr(sl.solver, "MAX_STEPS", 3)
-    assert main(["simulate", "--set", "span_over_eps=10", "--set", "width=5"]) == 3
+    # t_end_sigma = 0.03 passes validate()'s lower bound of 3 steps (the
+    # record cadence), but the parabolic limit needs more
+    assert main(["simulate", "--set", "span_over_eps=10", "--set", "width=5",
+                 "--set", "t_end_sigma=0.03"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: run failed: step-count limit: 3 steps")
     assert err.count("\n") == 1

@@ -1,13 +1,16 @@
 """Weighted relative-entropy functionals and their decompositions."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import shocklab as sl
-from shocklab.functionals import FrameCache, _trapz, _yb_kernel, weighted_q_probe
+from shocklab.functionals import FrameCache, _yb_kernel, weighted_q_probe
 from shocklab.solver import _d1
 
 
@@ -183,20 +186,40 @@ def test_kernel_relative_quantities_match_gas_closures_bitwise(profile01, weight
     a = pf["a"]
     out = _yb_kernel(v, h, gas.pressure(v), gas, sig, dx, pf)
     assert np.array_equal(out[5], gas.q_relative(v, pf["v"]))
-    assert out[1] == sig * _trapz(a * pf["dv"] * gas.p_relative(v, pf["v"]), dx)
+    g = pf["dv"] * gas.p_relative(v, pf["v"])
+    assert out[1] == sig * quad(a, g, dx)
+    assert abs(quad(a, g, dx) - np.trapezoid(a * g, dx=dx)) <= trapezoid_gap_bound(a, g, dx)
     assert np.array_equal(out[3], gas.pressure(v) - pf["p"])
 
 
+def quad(f, g, dx):
+    """The trapezoid rule for int f*g on a uniform grid, written out: one
+    dot product less half the end terms."""
+    return float(dx * (np.einsum("i,i", f, g) - 0.5 * (f[0] * g[0] + f[-1] * g[-1])))
+
+
+def trapezoid_gap_bound(f, g, dx):
+    """How far quad and np.trapezoid(f*g, dx=dx) may lie apart in floating
+    point: each is within gamma_{n+4} dx sum|f_i g_i| of the exact trapezoid
+    sum (one product, at most n + 1 additions, the end terms and the dx
+    scaling), gamma_k = k u / (1 - k u)."""
+    k, u = f.size + 4, np.finfo(float).eps / 2
+    return 2.0 * k * u / (1.0 - k * u) * dx * float(np.sum(np.abs(f * g)))
+
+
 def reference_breakdown(x, v, h, weight, shift):
-    """The functional breakdown with one np.trapezoid call per integral,
-    each integrand written out from the frame's own fields."""
+    """The functional breakdown with each integral written out as quad(f, g)
+    from the frame's own fields.  Also returns the (f, g) pair of every
+    integral."""
     dx = x[1] - x[0]
     gas, sig = weight.profile.gas, weight.profile.sigma
     pf = weight.frame(x - shift)
     a, da, d2a = pf["a"], pf["da"], pf["d2a"]
+    pairs = []
 
-    def T(f):
-        return float(np.trapezoid(f, dx=dx))
+    def T(f, g):
+        pairs.append((f, g))
+        return quad(f, g, dx)
 
     dv = v - pf["v"]
     w = gas.pressure(v) - pf["p"]
@@ -204,22 +227,22 @@ def reference_breakdown(x, v, h, weight, shift):
     q_rel = gas.q_relative(v, pf["v"])
     eta = 0.5 * dh ** 2 + q_rel
     b = dh - w / sig
-    B1 = sig * T(a * pf["dv"] * gas.p_relative(v, pf["v"]))
-    B2 = T(da * w ** 2) / (2.0 * sig) + 0.5 * T(d2a * w ** 2)
-    G1 = 0.5 * sig * T(da * b ** 2)
-    G2 = sig * T(da * q_rel)
-    D = T(a * _d1(w, dx) ** 2)
+    B1 = sig * T(a, pf["dv"] * gas.p_relative(v, pf["v"]))
+    B2 = T(da, w ** 2) / (2.0 * sig) + 0.5 * T(d2a, w ** 2)
+    G1 = 0.5 * sig * T(da, b ** 2)
+    G2 = sig * T(da, q_rel)
+    D = T(a, _d1(w, dx) ** 2)
     return {
-        "weighted_entropy": T(a * eta),
-        "Y": -T(da * eta) + T(a * (-pf["dp"] * dv + pf["dh"] * dh)),
-        "Y_g": (-T(da * w ** 2) / (2.0 * sig * sig) - T(da * q_rel)
-                - T(a * pf["dp"] * dv) + T(a * pf["dh"] * w) / sig),
-        "Y_b": -0.5 * T(da * b ** 2) - T(da * w * b) / sig,
-        "Y_l": T(a * pf["dh"] * b),
+        "weighted_entropy": T(a, eta),
+        "Y": -T(da, eta) + T(a, -pf["dp"] * dv + pf["dh"] * dh),
+        "Y_g": (-T(da, w ** 2) / (2.0 * sig * sig) - T(da, q_rel)
+                - T(a, pf["dp"] * dv) + T(a, pf["dh"] * w) / sig),
+        "Y_b": -0.5 * T(da, b ** 2) - T(da, w * b) / sig,
+        "Y_l": T(a, pf["dh"] * b),
         "B1": B1, "B2": B2, "B": B1 + B2,
         "G1": G1, "G2": G2, "D": D, "G": G1 + G2 + D,
         "sup_w": float(np.max(np.abs(w))),
-    }
+    }, pairs
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.37, -1.2])
@@ -227,10 +250,15 @@ def test_kernel_and_breakdown_match_the_integrals_written_out(profile01, weight0
                                                               shift):
     # the kernel takes p(v) from its caller and the closures at v_tilde from
     # the frame; every number must keep the bits of the formulas written
-    # out from the GasModel closures, one np.trapezoid call per integral
+    # out from the GasModel closures, one quad(f, g) per integral, and each
+    # integral must be np.trapezoid's up to the rounding of the two orders
+    dx = wide_x[1] - wide_x[0]
     for seed in (5, 6):
         v, h = perturbed_state(profile01, wide_x, amp=0.02, seed=seed)
-        ref = reference_breakdown(wide_x, v, h, weight01, shift)
+        ref, pairs = reference_breakdown(wide_x, v, h, weight01, shift)
+        assert len(pairs) == 16
+        for f, g in pairs:
+            assert abs(quad(f, g, dx) - np.trapezoid(f * g, dx=dx)) <= trapezoid_gap_bound(f, g, dx)
         gas = profile01.gas
         Y, B1, B2 = _yb_kernel(v, h, gas.pressure(v), gas, profile01.sigma,
                                wide_x[1] - wide_x[0], weight01.frame(wide_x - shift))[:3]
@@ -239,3 +267,45 @@ def test_kernel_and_breakdown_match_the_integrals_written_out(profile01, weight0
         for f in dataclasses.fields(bd):
             value = getattr(bd, f.name)
             assert type(value) is float and value == ref[f.name], f.name
+
+
+def test_the_march_does_not_read_the_shift_functionals(monkeypatch):
+    # (v, h) is marched in the fixed frame: Y and B reach only X, so a
+    # perturbation of Y far below its roundoff moves X and leaves v and h
+    # bit for bit
+    setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, width=5.0,
+                                               t_end_sigma=0.2))
+    _, (state, X), _ = sl.run_experiment(setup)
+    quick_yb = sl.experiment.quick_yb
+
+    def perturbed(*args, **kwargs):
+        Y, B = quick_yb(*args, **kwargs)
+        return Y + 1e-20, B
+
+    monkeypatch.setattr(sl.experiment, "quick_yb", perturbed)
+    _, (state2, X2), _ = sl.run_experiment(setup)
+    assert np.array_equal(state2.v, state.v) and np.array_equal(state2.h, state.h)
+    assert X2 != X
+
+
+QUICK_YB_BITS = """
+import shocklab as sl
+setup = sl.build_setup(sl.ExperimentConfig(cells_per_layer=500))
+assert setup.grid.x.size == 40001
+state = sl.experiment.initial_state(setup)
+p = setup.gas.pressure(state.v)
+Y, B = sl.quick_yb(setup.grid.x, state.v, state.h, p, setup.weight, 0.37)
+print(Y.hex(), B.hex())
+"""
+
+
+def test_quick_yb_bits_do_not_depend_on_the_blas_thread_count():
+    # BLAS ddot (np.dot, @) may sum in a thread-count dependent order; the
+    # functionals' quadrature must not
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out.append(subprocess.run([sys.executable, "-c", QUICK_YB_BITS], env=env,
+                                  capture_output=True, text=True, check=True).stdout)
+    assert out[0] == out[1] and len(out[0].split()) == 2

@@ -1,4 +1,5 @@
-"""Property tests: checkpoint headers, config text round trip, Bregman gaps.
+"""Property tests: checkpoint headers and bodies, config text round trip,
+Bregman gaps, the functionals' quadrature.
 
 Examples are drawn deterministically (derandomize) and no example database
 is written, so a run is reproducible and leaves no files behind.
@@ -9,11 +10,13 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shocklab as sl
 from shocklab.config import config_to_text
+from shocklab.functionals import _quad
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -63,7 +66,7 @@ def test_checkpoint_roundtrip_and_truncation(n, t, shift, data):
 def test_checkpoint_header_fuzz(count, t, shift, n):
     # a header is accepted only if its n matches the file and t, shift are
     # finite; any other header is a ValueError, never an allocation of n
-    body = np.arange(2 * n, dtype="<f8").tobytes()
+    body = np.arange(1, 2 * n + 1, dtype="<f8").tobytes()  # a valid body: v > 0
     raw = (b"SHCKPT01" + np.array([count], "<i8").tobytes()
            + np.array([t, shift], "<f8").tobytes() + body)
     valid = count == n and np.isfinite(t) and np.isfinite(shift)
@@ -73,6 +76,31 @@ def test_checkpoint_header_fuzz(count, t, shift, n):
         assert not valid
     else:
         assert valid and (t2, shift2) == (t, shift) and v.size == h.size == n
+
+
+non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@PROPERTY
+@given(n=st.integers(1, 40), which=st.sampled_from(["v", "h"]), data=st.data())
+def test_checkpoint_rejects_a_body_no_march_can_start_from(n, which, data):
+    # a non-finite v or h, or a v <= 0, is refused on write and rejected on
+    # read, with the array named
+    rng = np.random.default_rng(n)
+    state = {"v": rng.uniform(0.5, 2.0, n), "h": rng.standard_normal(n)}
+    bad = data.draw(non_finite if which == "h" else
+                    st.one_of(non_finite, st.floats(max_value=0.0)), label="bad")
+    state[which][data.draw(st.integers(0, n - 1), label="index")] = bad
+    message = f"non-finite {which}" if not np.isfinite(bad) else "v <= 0"
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "state.chk")
+        with pytest.raises(ValueError, match=message):
+            sl.write_checkpoint(path, 0.0, 0.0, state["v"], state["h"])
+        assert not os.path.exists(path)
+    raw = (b"SHCKPT01" + np.array([n], "<i8").tobytes() + np.zeros(2, "<f8").tobytes()
+           + state["v"].astype("<f8").tobytes() + state["h"].astype("<f8").tobytes())
+    with pytest.raises(ValueError, match=message):
+        read_bytes(raw)
 
 
 def _value_strategy(f):
@@ -128,3 +156,21 @@ def test_bregman_gaps_are_nonnegative_and_vanish_on_the_diagonal(gamma, v, w):
     assert p_rel >= -4.0 * ulp * p_terms
     assert gas.q_relative(w, w) == 0.0
     assert gas.p_relative(w, w) == 0.0
+
+
+# normal magnitudes or zero, so that no product or partial sum is subnormal
+entry = st.floats(-1e3, 1e3).map(lambda z: z if abs(z) >= 1e-100 else 0.0)
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(2, 300), dx=st.floats(1e-3, 1.0))
+def test_quad_is_the_trapezoid_rule_to_rounding(data, n, dx):
+    # _quad and np.trapezoid sum the same terms in different orders; each is
+    # within gamma_{n+4} dx sum|f_i g_i| of the exact trapezoid sum (one
+    # product, at most n + 1 additions, the end terms, the dx scaling), with
+    # gamma_k = k u / (1 - k u)
+    f = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="f"))
+    g = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="g"))
+    k, u = n + 4, np.finfo(float).eps / 2
+    bound = 2.0 * k * u / (1.0 - k * u) * dx * float(np.sum(np.abs(f * g)))
+    assert abs(_quad(f, g, dx) - np.trapezoid(f * g, dx=dx)) <= bound

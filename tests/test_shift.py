@@ -24,16 +24,21 @@ def test_phi_knot_values_exact():
     assert sl.phi_eps(0.0, EPS) == 0.0
 
 
+def phis(y):
+    # phi_eps takes one scalar, as the shift ODE gives it
+    return np.array([phi_eps(yi, EPS) for yi in y])
+
+
 def test_phi_is_odd_and_monotone():
     y = np.linspace(-0.05, 0.05, 1001)
-    vals = phi_eps(y, EPS)
-    npt.assert_allclose(vals + phi_eps(-y, EPS), 0.0, atol=1e-12)
+    vals = phis(y)
+    npt.assert_allclose(vals + phis(-y), 0.0, atol=1e-12)
     assert np.all(np.diff(vals) <= 1e-12)
 
 
 def test_phi_linear_branch_slope():
     y = np.linspace(-0.009, 0.009, 101)
-    npt.assert_allclose(phi_eps(y, EPS), -y / EPS**4, rtol=1e-13)
+    npt.assert_allclose(phis(y), -y / EPS**4, rtol=1e-13)
 
 
 def test_shift_rhs_zero_at_equilibrium():

@@ -171,7 +171,9 @@ def _cap_simulate(gas2, profile01):
 
 
 def _cap_run_experiment(gas2, profile01):
-    setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.5,
+    # t_end_sigma = 0.03 passes validate()'s lower bound of 3 steps (the
+    # record cadence), but the parabolic limit needs more
+    setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.03,
                                                width=5.0))
     return lambda: sl.run_experiment(setup)
 
@@ -386,6 +388,18 @@ def test_checkpoint_rejects_corruption(profile01):
             Path(path).write_bytes(corrupt)
             with pytest.raises(ValueError, match=message):
                 sl.read_checkpoint(path)
+
+
+def test_write_checkpoint_refuses_a_state_read_would_reject(tmp_path):
+    path = tmp_path / "state.chk"
+    v, h = np.ones(4), np.zeros(4)
+    for args, message in (((float("nan"), 0.0, v, h), "t = nan"),
+                          ((0.0, float("inf"), v, h), "shift = inf"),
+                          ((0.0, 0.0, v[:0], h[:0]), "nonempty"),
+                          ((0.0, 0.0, -v, h), "v <= 0")):
+        with pytest.raises(ValueError, match=message):
+            sl.write_checkpoint(path, *args)
+        assert not path.exists()
 
 
 def test_snapshot_csv(profile01):
