@@ -89,6 +89,13 @@ def cmd_profile(args):
     return 0 if ok else 1
 
 
+def _run_ok(summary, tol):
+    """The verdict on one run: the weighted entropy did not grow by more than
+    tol, and the shift rate stayed inside its bound."""
+    return (summary["entropy_final"] <= summary["entropy_initial"] + tol
+            and summary["max_shift_bound_ratio"] <= 1.0 + 1e-12)
+
+
 def cmd_simulate(args):
     cfg = _config_from_args(args)
     setup = build_setup(cfg)
@@ -107,8 +114,7 @@ def cmd_simulate(args):
     print(f"max record-to-record increment: {summary['max_record_increment']:.3e}")
     print(f"max |X|: {summary['max_abs_X']:.3e}  "
           f"shift-bound ratio: {summary['max_shift_bound_ratio']:.6f}")
-    ok = (summary["entropy_final"] <= summary["entropy_initial"] + args.tol
-          and summary["max_shift_bound_ratio"] <= 1.0 + 1e-12)
+    ok = _run_ok(summary, args.tol)
     print("simulate check:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -181,7 +187,7 @@ def cmd_sweep(args):
             print(f"{args.key} = {ov[args.key]}: run failed: {result['error']}")
             continue
         rows.append({"overrides": ov, "summary": result})
-        ok &= result["entropy_final"] <= result["entropy_initial"] + args.tol
+        ok &= _run_ok(result, args.tol)
         print(f"{args.key} = {ov[args.key]}: entropy "
               f"{result['entropy_initial']:.6g} -> {result['entropy_final']:.6g}")
     if args.out:

@@ -16,7 +16,6 @@ import time
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import solver
 from .functionals import FrameCache, compute_breakdown, quick_yb
@@ -93,9 +92,14 @@ class ExperimentConfig:
             raise ValueError("profile_margin_over_eps must be nonnegative, got "
                              f"{self.profile_margin_over_eps!r}")
         # the ranges of gamma, v_minus and eps are the gas's and the profile's
-        end_states_from_amplitude(
-            GasModel(gamma=self.gamma, v_minus=self.v_minus, u_minus=self.u_minus), self.eps)
+        gas = GasModel(gamma=self.gamma, v_minus=self.v_minus, u_minus=self.u_minus)
+        sigma = end_states_from_amplitude(gas, self.eps).sigma
         check_lam(self.lam)
+        if self.steady_relax and self.perturb_kind == "large-amplitude":
+            # the stretched layer replaces the relaxed wave, which would be
+            # computed only to be thrown away
+            raise ConfigError("steady_relax = true does not apply to "
+                              "perturb_kind = 'large-amplitude'")
         if not 0.0 < self.v_floor_frac < 1.0:
             # the guard floor frac * v_plus must stay below v_plus, the
             # lowest value of the profile
@@ -106,9 +110,14 @@ class ExperimentConfig:
         L = self.span_over_eps / self.eps
         if abs(self.center) + self.width > 0.8 * L:
             raise ValueError("perturbation support must stay within 80% of the domain")
-        # a step has dt < cfl_safety*dx/|sigma| and dt <= record_dt (+1: end tolerance)
+        # a step has dt < cfl_safety*dx/|sigma|, dt <= record_dt and, since min v
+        # never exceeds the pinned right end (at most v_minus), the parabolic
+        # dt <= cfl_safety*dx^2/(2|p'(v_minus)|)  (+1: end tolerance)
+        dx = 1.0 / (self.eps * self.cells_per_layer)
+        dt_parabolic = self.cfl_safety * dx * dx / (2.0 * -float(gas.dpressure(self.v_minus)))
         min_steps = self.t_end_sigma * max(self.eps * self.cells_per_layer / self.cfl_safety,
-                                           1.0 / self.record_sigma)
+                                           1.0 / self.record_sigma,
+                                           1.0 / (abs(sigma) * dt_parabolic))
         if min_steps > solver.MAX_STEPS + 1:
             raise ConfigError(f"t_end_sigma = {self.t_end_sigma!r} needs at least {min_steps:.4g} "
                               f"steps, over the step-count limit of {solver.MAX_STEPS}")
@@ -183,42 +192,38 @@ def phase_aligned_steady(setup):
     The Dirichlet pin values select the phase of the discrete steady state;
     at fixed pins that phase sits O(dx^2) off the continuum profile, and the
     controller (gain 1/eps^4) would faithfully walk X to that offset.  Sliding
-    the pins along the profile tails by beta slides the phase, so a 1-D
-    root-find on beta -> Y(steady(beta)) produces a state that is both
-    machine-steady (it never moves) and functionally aligned (Y = 0), which
-    is the discrete analogue of "the wave itself never drifts".
+    the pins along the profile tails by beta slides the phase, so a root of
+    beta -> Y(steady(beta)) gives a state that is both machine-steady (it
+    never moves) and functionally aligned (Y = 0), which is the discrete
+    analogue of "the wave itself never drifts".
+
+    Y is linear in beta to about three digits, so chord steps on the slope
+    of one probe reach the root in one or two steps.  There Y stops being a
+    function of beta and becomes the roundoff of the Newton solve (about
+    1e-14 on the defaults): the steady state is only that well conditioned.
+    So the iteration stops at the first step that does not lower |Y|, and
+    returns the best state seen, with no tolerance to choose.
     """
     gas, pr, grid = setup.gas, setup.profile, setup.grid
     x = grid.x
     C = setup.sigma * gas.u_minus - gas.p_minus
 
-    def solve(beta):
-        v0 = pr.v_profile(x + beta)
-        h0 = (gas.pressure(v0) + C) / setup.sigma
-        return steady_state(gas, setup.sigma, grid, v0, h0)
-
     def ymis(beta):
-        v_s, h_s = solve(beta)
+        v0 = pr.v_profile(x + beta)
+        v_s, h_s = steady_state(gas, setup.sigma, grid, v0,
+                                (gas.pressure(v0) + C) / setup.sigma)
         Y, _ = quick_yb(x, v_s, h_s, gas.pressure(v_s), setup.weight, 0.0)
         return Y, v_s, h_s
 
     y0, v_s, h_s = ymis(0.0)
-    if abs(y0) <= 1e-15:
-        return FieldState(t=0.0, v=v_s, h=h_s)
-    # expand a bracket along the direction that reduces |Y|
-    db = 1e-4
-    y1, _, _ = ymis(db)
-    slope = (y1 - y0) / db
-    beta = -y0 / slope if slope != 0.0 else db
-    lo, hi = (0.0, beta) if beta > 0.0 else (beta, 0.0)
-    for _ in range(9):
-        if not ymis(lo)[0] * ymis(hi)[0] > 0.0:
+    slope = (ymis(1e-4)[0] - y0) / 1e-4
+    beta = 0.0
+    for _ in range(60):
+        step = beta - y0 / slope
+        y1, v1, h1 = ymis(step)
+        if not abs(y1) < abs(y0):  # Y's noise band
             break
-        lo, hi = lo - abs(beta), hi + abs(beta)
-    else:
-        raise RuntimeError("could not bracket the phase-aligned steady state")
-    beta_star = brentq(lambda b: ymis(b)[0], lo, hi, xtol=1e-13, maxiter=60)
-    _, v_s, h_s = ymis(beta_star)
+        beta, y0, v_s, h_s = step, y1, v1, h1
     return FieldState(t=0.0, v=v_s, h=h_s)
 
 
@@ -227,25 +232,25 @@ def initial_state(setup):
     cfg = setup.config
     x = setup.grid.x
     pr = setup.profile
-    fr = pr.frame(x)
+    # large-amplitude stretches the layer (an O(1) bump); one frame serves v,
+    # h and, in from-velocity mode, the reference's u
+    s = cfg.stretch if cfg.perturb_kind == "large-amplitude" else 1.0
+    fr = pr.frame(s * x)
     v, h = fr["v"], fr["h"]
     if cfg.steady_relax:
         state = phase_aligned_steady(setup)
         v, h = state.v, state.h
 
-    s = (x - cfg.center) / cfg.width
+    z = (x - cfg.center) / cfg.width
     if cfg.perturb_kind == "none":
         dv = dh = np.zeros_like(x)
     elif cfg.perturb_kind == "random-fourier":
         rng = np.random.default_rng(cfg.seed)
         dv = cfg.amplitude * _fourier_noise(x, cfg.center, cfg.width, cfg.modes, rng)
         dh = cfg.amplitude_h * _fourier_noise(x, cfg.center, cfg.width, cfg.modes, rng)
-    else:  # a bump; large-amplitude first stretches the layer (O(1) bump)
-        if cfg.perturb_kind == "large-amplitude":
-            stretched = pr.frame(cfg.stretch * x)
-            v, h = stretched["v"], stretched["h"]
-        dv = cfg.amplitude * c2_bump(s)
-        dh = cfg.amplitude_h * c2_bump(s)
+    else:  # bump and large-amplitude
+        dv = cfg.amplitude * c2_bump(z)
+        dh = cfg.amplitude_h * c2_bump(z)
 
     v = v + dv
     if np.min(v) < 0.5 * pr.states.v_plus:
@@ -256,7 +261,7 @@ def initial_state(setup):
         h = h + dh
     else:
         # prescribe velocity u = u_tilde + dh, then h = u + d_xi p(v)
-        u_tilde = h - fr["dp"]  # u of the (possibly stretched) reference
+        u_tilde = h - s * fr["dp"]  # u of the reference; d/dxi p(s*xi) = s*p'
         h = effective_velocity(setup.gas, setup.grid, v, u_tilde + dh)
 
     # pin the ends exactly to the initial reference values (Dirichlet data)

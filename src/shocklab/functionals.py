@@ -61,11 +61,6 @@ class FunctionalBreakdown:
     G: float
     sup_w: float  # max |w| = max |p(v) - p_tilde| on the grid
 
-    @property
-    def rate(self):
-        """B - G: the unshifted part of d/dt int a*eta."""
-        return self.B - self.G
-
 
 class FrameCache:
     """Reuse the weight frame while the shift barely moves.

@@ -39,7 +39,6 @@ __all__ = [
     "conservation_balance",
     "write_checkpoint",
     "read_checkpoint",
-    "write_snapshot_csv",
 ]
 
 CHECKPOINT_MAGIC = b"SHCKPT01"
@@ -77,9 +76,6 @@ class FieldState:
     t: float
     v: np.ndarray
     h: np.ndarray
-
-    def copy(self):
-        return FieldState(self.t, self.v.copy(), self.h.copy())
 
 
 def _d1(f, dx):
@@ -346,8 +342,3 @@ def read_checkpoint(path):
         h = np.fromfile(f, dtype="<f8", count=n)
     _check_state(t, shift, v, h)
     return t, shift, v, h
-
-
-def write_snapshot_csv(path, x, v, h):
-    np.savetxt(path, np.column_stack([x, v, h]), delimiter=",",
-               header="xi,v,h", comments="")

@@ -200,6 +200,51 @@ def test_cli_config_error_from_file_and_sweep(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "amplitude" in err
 
 
+def test_steady_relax_with_a_stretched_layer_is_a_config_error(capsys):
+    # the stretched layer would replace the relaxed wave, so no run uses it
+    with pytest.raises(sl.experiment.ConfigError, match="steady_relax.*large-amplitude"):
+        sl.ExperimentConfig(steady_relax=True, perturb_kind="large-amplitude").validate()
+    assert main(["simulate", "--set", "steady_relax=true",
+                 "--set", "perturb_kind=large-amplitude"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "steady_relax" in err and "large-amplitude" in err
+
+
+def test_step_bound_counts_the_parabolic_limit(capsys):
+    # at the defaults the parabolic limit binds: about 170.5 steps per unit
+    # of t_end_sigma, so 1000 cannot end inside MAX_STEPS at any cadence
+    assert main(["simulate", "--set", "t_end_sigma=1000", "--set", "record_sigma=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end_sigma = 1000") and err.count("\n") == 1
+    sl.ExperimentConfig(t_end_sigma=586.0).validate()
+    with pytest.raises(ValueError, match="t_end_sigma"):
+        sl.ExperimentConfig(t_end_sigma=587.0).validate()
+
+
+@pytest.mark.parametrize("overrides", [{}, {"gamma": 1.4, "eps": 0.05},
+                                       {"cells_per_layer": 100, "cfl_safety": 0.9}])
+def test_step_bound_refuses_no_run_that_could_finish(overrides, monkeypatch):
+    # with the cap set to the steps a run takes, validate() must let it start
+    steps = []
+    step = sl.experiment.coupled_rk4_step
+    monkeypatch.setattr(sl.experiment, "coupled_rk4_step",
+                        lambda *a: steps.append(1) or step(*a))
+    cfg = sl.ExperimentConfig(span_over_eps=10.0, width=5.0, t_end_sigma=0.1,
+                              record_sigma=0.1, **overrides)
+    sl.run_experiment(sl.build_setup(cfg))
+    monkeypatch.setattr(sl.solver, "MAX_STEPS", len(steps))
+    cfg.validate()
+
+
+def test_sweep_verdict_is_the_simulate_verdict(capsys, monkeypatch):
+    # a point whose shift rate leaves its bound fails the sweep, as in simulate
+    summary = {"entropy_initial": 1.0, "entropy_final": 0.5, "max_shift_bound_ratio": 2.0}
+    monkeypatch.setattr(sl.cli, "sweep", lambda cfg, overrides: [summary for _ in overrides])
+    assert main(["sweep", "amplitude", "0.01"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "sweep check: FAIL"
+
+
 def test_cli_run_failure_is_one_line(capsys, monkeypatch):
     # a run that fails in the march is one "error: run failed: ..." line and
     # exit 3, apart from config errors (2) and failed checks (1)
@@ -207,10 +252,10 @@ def test_cli_run_failure_is_one_line(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: run failed: positivity guard") and err.count("\n") == 1
     monkeypatch.setattr(sl.solver, "MAX_STEPS", 3)
-    # t_end_sigma = 0.03 passes validate()'s lower bound of 3 steps (the
-    # record cadence), but the parabolic limit needs more
+    # t_end_sigma = 0.02 passes validate()'s lower bound of 3.4 steps (the
+    # parabolic limit at v_minus), but the march needs 4
     assert main(["simulate", "--set", "span_over_eps=10", "--set", "width=5",
-                 "--set", "t_end_sigma=0.03"]) == 3
+                 "--set", "t_end_sigma=0.02"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: run failed: step-count limit: 3 steps")
     assert err.count("\n") == 1

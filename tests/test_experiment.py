@@ -68,11 +68,12 @@ def test_positivity_precondition():
 
 def test_from_velocity_mode_consistency():
     # prescribing velocity instead of h reproduces h up to the discrete
-    # pressure-gradient error O(dx^2)
-    st_d = sl.initial_state(sl.build_setup(short_config(perturb_kind="none")))
-    st_v = sl.initial_state(sl.build_setup(short_config(perturb_kind="none",
-                                                        h_mode="from-velocity")))
-    assert np.abs(st_v.h - st_d.h).max() < 1e-6
+    # pressure-gradient error O(dx^2), also on the stretched reference
+    for kind in ("none", "large-amplitude"):
+        zero = dict(perturb_kind=kind, amplitude=0.0, amplitude_h=0.0)
+        st_d = sl.initial_state(sl.build_setup(short_config(**zero)))
+        st_v = sl.initial_state(sl.build_setup(short_config(**zero, h_mode="from-velocity")))
+        assert np.abs(st_v.h - st_d.h).max() < 1e-6, kind
 
 
 def test_large_amplitude_kind_runs():
@@ -146,6 +147,28 @@ def test_phase_aligned_steady_is_steady():
     assert max(np.abs(dv).max(), np.abs(dh).max()) < 1e-10
     Y, B = sl.quick_yb(setup.grid.x, state.v, state.h, p, setup.weight)
     assert abs(Y) < 1e-12
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"gamma": 1.4}, {"eps": 0.05}, {"cells_per_layer": 100}, {"lam": 0.05},
+    {"gamma": 1.4, "eps": 0.05, "lam": 0.2}])
+def test_phase_alignment_takes_a_few_chord_steps(overrides, monkeypatch):
+    # Y is close to linear in the pin shift, so the solve at 0, the slope
+    # probe and two or three chord steps reach Y's roundoff band
+    solves = []
+
+    def counted(*args):
+        solves.append(1)
+        return sl.steady_state(*args)
+
+    monkeypatch.setattr(sl.experiment, "steady_state", counted)
+    setup = sl.build_setup(sl.ExperimentConfig(steady_relax=True, perturb_kind="none",
+                                               span_over_eps=20.0, **overrides))
+    state = phase_aligned_steady(setup)
+    Y, _ = sl.quick_yb(setup.grid.x, state.v, state.h, setup.gas.pressure(state.v),
+                       setup.weight)
+    assert len(solves) <= 8
+    assert abs(Y) <= 1e-12
 
 
 def test_steady_run_holds_fixed_point():

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shocklab as sl
@@ -135,6 +135,7 @@ def test_config_text_roundtrip_of_any_typed_values(values):
        h_mode=st.sampled_from(["direct", "from-velocity"]))
 def test_config_text_roundtrip_through_validation(eps, lam, amplitude, modes, seed, relax,
                                                   kind, h_mode):
+    assume(not (relax and kind == "large-amplitude"))  # a config error
     cfg = sl.ExperimentConfig(eps=eps, lam=lam, amplitude=amplitude, modes=modes, seed=seed,
                               steady_relax=relax, perturb_kind=kind, h_mode=h_mode).validate()
     again = sl.apply_overrides(sl.ExperimentConfig(), sl.parse_config_text(config_to_text(cfg)))
