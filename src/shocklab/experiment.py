@@ -5,6 +5,11 @@ then advances (v, h, X) together — the shift ODE right-hand side is evaluated
 inside every RK4 stage from the current stage values, not lagged.  At a fixed
 cadence the full functional breakdown is recorded into a ContractionTrace.
 
+The state is marched at xi = x - X(t), in the frame of the shifted profile
+where int a(xi) eta(U | Utilde(xi)) dxi lives.  As d/dt|_xi = d/dt|_x +
+Xdot d/dxi, the PDE drift is sigma + Xdot and the weight frame is fixed: a
+run evaluates it once.  Snapshots, the final state and the checkpoint are at xi.
+
 The identity audit re-runs a configuration on a resolution ladder and checks
 that the centered time-difference of the recorded weighted entropy matches
 Xdot*Y + B - G at the recorded instants, at a relative error that shrinks
@@ -18,11 +23,11 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import solver
-from .functionals import FrameCache, compute_breakdown, quick_yb
+from .functionals import compute_breakdown, quick_yb
 from .gas import GasModel
 from .profile import end_states_from_amplitude, solve_profile
 from .shift import overshoot, r_residual, saturated, shift_rhs
-from .solver import (FieldState, Grid, effective_velocity, march, rk4,
+from .solver import (FieldState, Grid, _d1, effective_velocity, march, rk4,
                      semi_discrete_rhs, stable_dt, steady_state)
 from .weight import build_weight, check_lam
 
@@ -232,14 +237,15 @@ def initial_state(setup):
     cfg = setup.config
     x = setup.grid.x
     pr = setup.profile
-    # large-amplitude stretches the layer (an O(1) bump); one frame serves v,
-    # h and, in from-velocity mode, the reference's u
-    s = cfg.stretch if cfg.perturb_kind == "large-amplitude" else 1.0
-    fr = pr.frame(s * x)
-    v, h = fr["v"], fr["h"]
     if cfg.steady_relax:
-        state = phase_aligned_steady(setup)
-        v, h = state.v, state.h
+        ref = phase_aligned_steady(setup)
+        v0, h0 = ref.v, ref.h
+    else:
+        # large-amplitude stretches the layer (an O(1) bump); one frame
+        # serves v, h and, in from-velocity mode, the reference's u
+        s = cfg.stretch if cfg.perturb_kind == "large-amplitude" else 1.0
+        fr = pr.frame(s * x)
+        v0, h0 = fr["v"], fr["h"]
 
     z = (x - cfg.center) / cfg.width
     if cfg.perturb_kind == "none":
@@ -252,19 +258,21 @@ def initial_state(setup):
         dv = cfg.amplitude * c2_bump(z)
         dh = cfg.amplitude_h * c2_bump(z)
 
-    v = v + dv
+    v = v0 + dv
     if np.min(v) < 0.5 * pr.states.v_plus:
         raise ConfigError(f"amplitude = {cfg.amplitude!r} drives v below v_plus/2; "
                           "reduce |amplitude|")
 
     if cfg.h_mode == "direct":
-        h = h + dh
+        h = h0 + dh
     else:
-        # prescribe velocity u = u_tilde + dh, then h = u + d_xi p(v)
-        u_tilde = h - s * fr["dp"]  # u of the reference; d/dxi p(s*xi) = s*p'
-        h = effective_velocity(setup.gas, setup.grid, v, u_tilde + dh)
+        # prescribe velocity u = u0 + dh, then h = u + d_xi p(v); the reference's
+        # u0 = h0 - d_xi p(v0) takes the solver's difference on the relaxed state
+        # and d/dxi p(s*xi) = s*p' on the profile
+        dp0 = (_d1(setup.gas.pressure(v0), setup.grid.dx) if cfg.steady_relax
+               else s * fr["dp"])
+        h = effective_velocity(setup.gas, setup.grid, v, h0 - dp0 + dh)
 
-    # pin the ends exactly to the initial reference values (Dirichlet data)
     return FieldState(t=0.0, v=v, h=h)
 
 
@@ -299,14 +307,19 @@ class ContractionTrace:
         return np.column_stack([getattr(self, f.name) for f in fields(self)])
 
 
-def coupled_rk4_step(setup, v, h, X, dt, cache):
-    """One RK4 step of (v, h, X); the shift rate is evaluated at every stage."""
+def coupled_rk4_step(setup, v, h, X, dt, frame, xdot):
+    """One RK4 step of (v, h, X) at xi = x - X.
+
+    Each stage computes p(v), (Y, B) on the weight frame `frame`, Xdot =
+    shift_rhs(Y, B, eps) into the one-element list `xdot`, and the PDE at
+    drift sigma + Xdot."""
     def rhs(y):
         v, h, X = y
         p = setup.gas.pressure(v)  # one p(v) per stage, for both consumers
-        dv, dh = semi_discrete_rhs(setup.sigma, setup.grid, v, h, p)
-        Y, B = quick_yb(setup.grid.x, v, h, p, setup.weight, X, cache=cache)
-        return dv, dh, shift_rhs(Y, B, setup.eps)
+        Y, B = quick_yb(setup.grid.x, v, h, p, setup.weight, frame=frame)
+        rate = xdot[0] = shift_rhs(Y, B, setup.eps)
+        dv, dh = semi_discrete_rhs(setup.sigma + rate, setup.grid, v, h, p)
+        return dv, dh, rate
 
     return rk4(rhs, (v, h, X), dt)
 
@@ -315,7 +328,8 @@ def run_experiment(setup, snapshots=None):
     """March the coupled system to t_end, recording the breakdown at the cadence.
 
     Returns (trace, final FieldState with shift, summary dict).  `snapshots`,
-    if given, is a list that receives (t, v, h) copies at each record.
+    if given, is a list that receives (t, v, h) copies at each record.  All
+    states are at xi = x - X (module docstring).
     """
     cfg, sig, eps = setup.config, setup.sigma, setup.eps
     t_end = cfg.t_end_sigma / abs(sig)
@@ -325,27 +339,31 @@ def run_experiment(setup, snapshots=None):
     state = initial_state(setup)
     rows = {f.name: [] for f in fields(ContractionTrace)}
     t_wall = time.perf_counter()
+    frame = setup.weight.frame(setup.grid.x)
+    xdot = [0.0]  # the latest Xdot, from a stage or a record
 
     def record(t, y):
         v, h, X = y
-        bd = compute_breakdown(setup.grid.x, v, h, setup.weight, X)
-        xdot = shift_rhs(bd.Y, bd.B, eps)
+        bd = compute_breakdown(setup.grid.x, v, h, setup.weight, frame=frame)
+        rate = xdot[0] = shift_rhs(bd.Y, bd.B, eps)
         for f in fields(bd):
             rows[f.name].append(getattr(bd, f.name))
         rows["t"].append(t)
         rows["X"].append(X)
-        rows["Xdot"].append(xdot)
+        rows["Xdot"].append(rate)
         rows["R"].append(r_residual(bd, eps, cfg.lam, cfg.margin_coeff))
         rows["branch_saturated"].append(1.0 if saturated(bd.Y, eps) else 0.0)
-        rows["overshoot"].append(overshoot(xdot, eps))
+        rows["overshoot"].append(overshoot(rate, eps))
         if snapshots is not None:
             snapshots.append((t, v.copy(), h.copy()))
 
-    cache = FrameCache()
+    # drift bound 2|Xdot|: the advective limit holds while |Xdot| at most
+    # doubles within a step
     t, (v, h, X) = march(
-        lambda y, dt: coupled_rk4_step(setup, *y, dt, cache),
+        lambda y, dt: coupled_rk4_step(setup, *y, dt, frame, xdot),
         (state.v, state.h, 0.0), 0.0, t_end,
-        lambda y: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety),
+        lambda y: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety,
+                            drift=2.0 * abs(xdot[0])),
         v_floor, rec_dt, record)
 
     trace = ContractionTrace(**{name: np.array(col) for name, col in rows.items()})
@@ -364,6 +382,7 @@ def summarize_trace(trace, setup, wall_time):
         "config": asdict(cfg),
         "sigma": setup.sigma,
         "dx": setup.grid.dx,
+        "frame": "co-moving, xi = x - X",
         "records": int(trace.t.size),
         "entropy_initial": float(E[0]),
         "entropy_final": float(E[-1]),

@@ -62,30 +62,6 @@ class FunctionalBreakdown:
     sup_w: float  # max |w| = max |p(v) - p_tilde| on the grid
 
 
-class FrameCache:
-    """Reuse the weight frame while the shift barely moves.
-
-    A fresh shifted frame costs more than the rest of a coupled RK stage:
-    at n = 8001 points about 260 us against 150 us for p(v), the
-    right-hand side and the (Y, B) kernel together.  The spline pass is
-    about 120 us of it, the four gas powers and the profile formulas the
-    rest.  Within |X - X_cached| <= tol the frame is reused, which perturbs
-    Y by at most tol * sup|dY/dX| -- with tol = 1e-6 that is orders below
-    every tolerance in the controller (deadband eps^2) and in the recorded
-    diagnostics, which are evaluated exactly anyway.
-    """
-
-    def __init__(self):
-        self._shift = None
-        self._frame = None
-
-    def get(self, x, weight, shift):
-        if self._frame is None or abs(shift - self._shift) > 1e-6:
-            self._frame = weight.frame(x - shift)
-            self._shift = shift
-        return self._frame
-
-
 def _quad(f, g, dx):
     """Trapezoid rule for int f*g with no product array (module docstring)."""
     return float(dx * (np.einsum("i,i", f, g) - 0.5 * (f[0] * g[0] + f[-1] * g[-1])))
@@ -114,17 +90,18 @@ def _yb_kernel(v, h, p, gas, sig, dx, pf):
     return Y, B1, B2, w, dh_field, q_rel, eta
 
 
-def compute_breakdown(x, v, h, weight, shift=0.0):
+def compute_breakdown(x, v, h, weight, shift=0.0, frame=None):
     """Full functional breakdown of the state (v, h) on grid x at shift X.
 
-    Grid must be uniform.  Returns a FunctionalBreakdown; see the module
-    docstring for the formulas.  The Y decomposition satisfies
-    Y = Y_g + Y_b + Y_l identically (same discrete arrays on both sides).
+    Grid must be uniform; `frame`, if given, is weight.frame(x - shift).
+    Returns a FunctionalBreakdown; see the module docstring for the
+    formulas.  The Y decomposition satisfies Y = Y_g + Y_b + Y_l
+    identically (same discrete arrays on both sides).
     """
     x = np.asarray(x, dtype=float)
     dx = x[1] - x[0]
     gas, sig = weight.profile.gas, weight.profile.sigma
-    pf = weight.frame(x - shift)
+    pf = weight.frame(x - shift) if frame is None else frame
     a, da = pf["a"], pf["da"]
     Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas.pressure(v), gas, sig, dx, pf)
     b = dh_field - w / sig
@@ -151,10 +128,11 @@ def compute_breakdown(x, v, h, weight, shift=0.0):
     )
 
 
-def quick_yb(x, v, h, p, weight, shift=0.0, cache=None):
-    """(Y, B) only — the pair the shift ODE needs at every RK stage; p = p(v)."""
+def quick_yb(x, v, h, p, weight, shift=0.0, frame=None):
+    """(Y, B) only, for the shift ODE at every RK stage; p = p(v), frame as in
+    compute_breakdown."""
     x = np.asarray(x, dtype=float)
-    pf = weight.frame(x - shift) if cache is None else cache.get(x, weight, shift)
+    pf = weight.frame(x - shift) if frame is None else frame
     pr = weight.profile
     Y, B1, B2 = _yb_kernel(v, h, p, pr.gas, pr.sigma, x[1] - x[0], pf)[:3]
     return Y, B1 + B2

@@ -11,7 +11,8 @@ differences on a uniform grid, Dirichlet-pinned end values, classic RK4 in
 time with dt = safety*min(dx/c_max, dx^2/(2*max|p'(v)|)).
 
 `rk4` and `march` are the package's one RK4 step and one guarded time loop:
-`simulate` marches (v, h) with them, the coupled experiment (v, h, X).
+`simulate` marches (v, h) with them, the coupled experiment (v, h, X) in the
+frame of the shifted profile, where sigma becomes sigma + Xdot.
 
 Also here: a damped-Newton solver for the *discrete* steady state (a run
 started from it stays put to machine precision, which the shift-coupled
@@ -111,13 +112,13 @@ def semi_discrete_rhs(sigma, grid, v, h, p):
     return dv, dh
 
 
-def stable_dt(gas, sigma, grid, v, safety=0.4):
-    """safety * min(advective, parabolic) step for the current state."""
+def stable_dt(gas, sigma, grid, v, safety=0.4, drift=0.0):
+    """safety * min(advective, parabolic) step; drift bounds |Xdot| of a moving frame."""
     vmin = float(np.min(v))
     if vmin <= 0.0:
         raise ValueError("non-positive v in stable_dt")
     dp_max = float(-gas.dpressure(vmin))  # |p'| is largest at min v
-    c_max = abs(sigma) + float(np.sqrt(dp_max))
+    c_max = abs(sigma) + drift + float(np.sqrt(dp_max))
     return safety * min(grid.dx / c_max, grid.dx ** 2 / (2.0 * dp_max))
 
 
