@@ -7,12 +7,17 @@ In the frame moving with speed sigma the unknowns (v, h) obey
 
 (the diffusion acts exactly on p(v); since p' < 0 the v-equation is
 parabolic with diffusivity |p'(v)|).  Discretization: second-order central
-differences on a uniform grid, Dirichlet-pinned end values, classic RK4 in
-time with dt = safety*min(dx/c_max, dx^2/(2*max|p'(v)|)).
+differences on a uniform grid, Dirichlet-pinned end values, and in time the
+second-order Runge-Kutta-Chebyshev step (RKC2; Verwer, Hundsdorfer and
+Sommeijer, Numer. Math. 57, 1990; Sommeijer, Shampine and Verwer, JCAM 88,
+1998).  dt = safety*dx/c_max is the advective limit only: instead of
+shrinking dt to the explicit parabolic limit dx^2/(2*max|p'(v)|), each step
+takes as many stages as its stability interval along the negative real axis
+needs to cover dt times the diffusion operator's spectral radius.
 
-`rk4` and `march` are the package's one RK4 step and one guarded time loop:
-`simulate` marches (v, h) with them, the coupled experiment (v, h, X) in the
-frame of the shifted profile, where sigma becomes sigma + Xdot.
+`rkc2` and `march` are the package's one time step and one guarded time
+loop: `simulate` marches (v, h) with them, the coupled experiment (v, h, X)
+in the frame of the shifted profile, where sigma becomes sigma + Xdot.
 
 Also here: a damped-Newton solver for the *discrete* steady state (a run
 started from it stays put to machine precision, which the shift-coupled
@@ -21,7 +26,7 @@ steady tests need), a conservation diagnostic, and binary checkpoint IO.
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.sparse import csc_matrix, diags
@@ -32,7 +37,9 @@ __all__ = [
     "FieldState",
     "semi_discrete_rhs",
     "stable_dt",
-    "rk4",
+    "diffusion_radius",
+    "rkc2_stages",
+    "rkc2",
     "march",
     "simulate",
     "steady_state",
@@ -46,6 +53,18 @@ CHECKPOINT_MAGIC = b"SHCKPT01"
 
 #: 33 times the longest march of any test, demo or benchmark workload (3,000 steps)
 MAX_STEPS = 100_000
+
+#: RKC2 damping: it costs about 2% of the undamped stability interval and
+#: widens the stability region into a strip about the real axis, room for the
+#: imaginary part that the central-difference advection adds (Verwer,
+#: Hundsdorfer and Sommeijer 1990)
+RKC_DAMPING = 2.0 / 13.0
+#: a step takes the fewest stages s with RKC_MARGIN*beta_s >= dt*rho, so a
+#: step stays clear of the edge of its stability interval [-beta_s, 0]
+RKC_MARGIN = 0.8
+#: beyond this the step count, not the stage count, should grow; dt*rho
+#: reaches it only near v = 0 (beta_200 is about 2.6e4)
+MAX_STAGES = 200
 
 
 @dataclass(frozen=True)
@@ -113,23 +132,85 @@ def semi_discrete_rhs(sigma, grid, v, h, p):
 
 
 def stable_dt(gas, sigma, grid, v, safety=0.4, drift=0.0):
-    """safety * min(advective, parabolic) step; drift bounds |Xdot| of a moving frame."""
+    """safety * advective step dx/c_max; drift bounds |Xdot| of a moving frame.
+
+    The parabolic limit is the stage count's job (`rkc2`), not dt's.
+    """
     vmin = float(np.min(v))
     if vmin <= 0.0:
         raise ValueError("non-positive v in stable_dt")
-    dp_max = float(-gas.dpressure(vmin))  # |p'| is largest at min v
-    c_max = abs(sigma) + drift + float(np.sqrt(dp_max))
-    return safety * min(grid.dx / c_max, grid.dx ** 2 / (2.0 * dp_max))
+    # |p'| is largest at min v
+    c_max = abs(sigma) + drift + float(np.sqrt(-gas.dpressure(vmin)))
+    return safety * grid.dx / c_max
 
 
-def rk4(rhs, y, dt):
-    """One classic RK4 step of y' = rhs(y) for a tuple y of arrays or floats."""
-    k1 = rhs(y)
-    k2 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k1)))
-    k3 = rhs(tuple(a + 0.5 * dt * k for a, k in zip(y, k2)))
-    k4 = rhs(tuple(a + dt * k for a, k in zip(y, k3)))
-    return tuple(a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+def diffusion_radius(gas, grid, v):
+    """4*|p'(min v)|/dx^2: the Gershgorin bound on the spectral radius of the
+    linearized diffusion dv -> -D2(p'(v)*dv), whose absolute row sums are
+    (|p'_(i-1)| + 2|p'_i| + |p'_(i+1)|)/dx^2."""
+    return 4.0 * float(-gas.dpressure(np.min(v))) / (grid.dx * grid.dx)
+
+
+@cache
+def _rkc2_scheme(s):
+    """(beta_s, stage-1 coefficient, stages 2..s) of the s-stage RKC2 method.
+
+    With w0 = 1 + RKC_DAMPING/s^2, w1 = T_s'(w0)/T_s''(w0), b_j =
+    T_j''(w0)/T_j'(w0)^2 (b_0 = b_1 = b_2) and a_j = 1 - b_j*T_j(w0), the
+    step's stability polynomial is R_s(z) = a_s + b_s*T_s(w0 + w1*z) =
+    1 + z + z^2/2 + O(z^3), with |R_s| <= 1 on [-beta_s, 0], beta_s =
+    (w0 + 1)/w1.  Stage j >= 2 carries (mu_j, nu_j, mu~_j, gamma~_j) =
+    (2 b_j w0/b_(j-1), -b_j/b_(j-2), 2 b_j w1/b_(j-1), -a_(j-1) mu~_j).
+    """
+    w0 = 1.0 + RKC_DAMPING / (s * s)
+    T, dT, d2T = [1.0, w0], [0.0, 1.0], [0.0, 0.0]  # T_j, T_j', T_j'' at w0
+    for j in range(2, s + 1):
+        T.append(2.0 * w0 * T[j - 1] - T[j - 2])
+        dT.append(2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2])
+        d2T.append(4.0 * dT[j - 1] + 2.0 * w0 * d2T[j - 1] - d2T[j - 2])
+    w1 = dT[s] / d2T[s]
+    b = [d2T[2] / dT[2] ** 2] * 2 + [d2T[j] / dT[j] ** 2 for j in range(2, s + 1)]
+    stages = []
+    for j in range(2, s + 1):
+        mut = 2.0 * b[j] * w1 / b[j - 1]
+        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2], mut,
+                       -(1.0 - b[j - 1] * T[j - 1]) * mut))
+    return (w0 + 1.0) / w1, b[1] * w1, tuple(stages)
+
+
+def rkc2_stages(dt_rho):
+    """The fewest stages s >= 2 with RKC_MARGIN*beta_s >= dt*rho."""
+    s = 2
+    while RKC_MARGIN * _rkc2_scheme(s)[0] < dt_rho:
+        if s == MAX_STAGES:
+            raise RuntimeError(f"stage-count limit: dt*rho = {dt_rho:.6g} needs more "
+                               f"than {MAX_STAGES} RKC2 stages")
+        s += 1
+    return s
+
+
+def rkc2(rhs, y, dt, rho):
+    """One RKC2 step of y' = rhs(y) for a tuple y of arrays or floats.
+
+    rho bounds the spectral radius of rhs's Jacobian along the negative real
+    axis (for the march, `diffusion_radius`); the step takes rkc2_stages(dt*rho)
+    stages, one rhs evaluation each:
+
+        Y_0 = y,  Y_1 = Y_0 + mu~_1 dt F_0,
+        Y_j = (1 - mu_j - nu_j) Y_0 + mu_j Y_(j-1) + nu_j Y_(j-2)
+              + mu~_j dt F_(j-1) + gamma~_j dt F_0,
+
+    with F_j = rhs(Y_j), and returns Y_s.
+    """
+    _, mut1, stages = _rkc2_scheme(rkc2_stages(dt * rho))
+    f0 = rhs(y)
+    prev, cur = y, tuple(a + (mut1 * dt) * f for a, f in zip(y, f0))
+    for mu, nu, mut, gamt in stages:
+        f = rhs(cur)
+        prev, cur = cur, tuple(
+            (1.0 - mu - nu) * a0 + mu * a1 + nu * a2 + (mut * dt) * f1 + (gamt * dt) * g0
+            for a0, a1, a2, f1, g0 in zip(y, cur, prev, f, f0))
+    return cur
 
 
 def _finite(y):
@@ -147,11 +228,12 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None):
     non-finite entry, or min(v) not above v_floor, the step is retried with
     halved dt, up to 5 times; persistent failure raises and says which of
     the two tripped.  This guard is the march's only state check: the gas
-    closures inside a step do not validate.  A stage that goes non-positive
-    gives NaN at non-integral gamma, but finite values at integral gamma
-    (v**-2 is finite for v < 0); it is then caught only if the step result
-    falls to the floor.  A march that would take more than MAX_STEPS steps
-    raises instead of running on.  Returns (t, y).
+    closures inside a step do not validate.  An internal stage of the step
+    (one of `rkc2`'s s stages) that goes non-positive gives NaN at
+    non-integral gamma, but finite values at integral gamma (v**-2 is finite
+    for v < 0); it is then caught only if the step result falls to the
+    floor.  A march that would take more than MAX_STEPS steps raises instead
+    of running on.  Returns (t, y).
     """
     if record_dt is not None and not record_dt > 0.0:
         raise ValueError(f"record_dt must be positive, got {record_dt}")
@@ -203,8 +285,8 @@ def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None
     if not safety > 0.0:
         raise ValueError(f"safety must be positive, got {safety}")
     t, (v, h) = march(
-        lambda y, dt: rk4(lambda z: semi_discrete_rhs(sigma, grid, *z, gas.pressure(z[0])),
-                          y, dt),
+        lambda y, dt: rkc2(lambda z: semi_discrete_rhs(sigma, grid, *z, gas.pressure(z[0])),
+                           y, dt, diffusion_radius(gas, grid, y[0])),
         (state.v.copy(), state.h.copy()), state.t, t_end,
         lambda y: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
         None if on_record is None else lambda t, y: on_record(FieldState(t, *y)))

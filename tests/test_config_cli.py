@@ -211,15 +211,16 @@ def test_steady_relax_with_a_stretched_layer_is_a_config_error(capsys):
     assert "steady_relax" in err and "large-amplitude" in err
 
 
-def test_step_bound_counts_the_parabolic_limit(capsys):
-    # at the defaults the parabolic limit binds: about 170.5 steps per unit
-    # of t_end_sigma, so 1000 cannot end inside MAX_STEPS at any cadence
-    assert main(["simulate", "--set", "t_end_sigma=1000", "--set", "record_sigma=1"]) == 2
+def test_step_bound_counts_the_advective_limit(capsys):
+    # at record_sigma = 1 the advective limit binds the bound: dt <
+    # cfl_safety*dx/|sigma| is 12.5 steps per unit of t_end_sigma at the
+    # defaults, so 10000 cannot end inside MAX_STEPS
+    assert main(["simulate", "--set", "t_end_sigma=10000", "--set", "record_sigma=1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: t_end_sigma = 1000") and err.count("\n") == 1
-    sl.ExperimentConfig(t_end_sigma=586.0).validate()
+    assert err.startswith("error: t_end_sigma = 10000") and err.count("\n") == 1
+    sl.ExperimentConfig(t_end_sigma=8000.0, record_sigma=1.0).validate()
     with pytest.raises(ValueError, match="t_end_sigma"):
-        sl.ExperimentConfig(t_end_sigma=587.0).validate()
+        sl.ExperimentConfig(t_end_sigma=8001.0, record_sigma=1.0).validate()
 
 
 @pytest.mark.parametrize("overrides", [{}, {"gamma": 1.4, "eps": 0.05},
@@ -230,7 +231,7 @@ def test_step_bound_refuses_no_run_that_could_finish(overrides, monkeypatch):
     step = sl.experiment.coupled_rk4_step
     monkeypatch.setattr(sl.experiment, "coupled_rk4_step",
                         lambda *a: steps.append(1) or step(*a))
-    cfg = sl.ExperimentConfig(span_over_eps=10.0, width=5.0, t_end_sigma=0.1,
+    cfg = sl.ExperimentConfig(span_over_eps=10.0, width=5.0, t_end_sigma=1.0,
                               record_sigma=0.1, **overrides)
     sl.run_experiment(sl.build_setup(cfg))
     monkeypatch.setattr(sl.solver, "MAX_STEPS", len(steps))
@@ -252,10 +253,10 @@ def test_cli_run_failure_is_one_line(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: run failed: positivity guard") and err.count("\n") == 1
     monkeypatch.setattr(sl.solver, "MAX_STEPS", 3)
-    # t_end_sigma = 0.02 passes validate()'s lower bound of 3.4 steps (the
-    # parabolic limit at v_minus), but the march needs 4
+    # t_end_sigma = 0.3 at record_sigma = 1 passes validate()'s lower bound of
+    # 3.75 steps (dt < cfl_safety*dx/|sigma|), but the march takes 11
     assert main(["simulate", "--set", "span_over_eps=10", "--set", "width=5",
-                 "--set", "t_end_sigma=0.02"]) == 3
+                 "--set", "t_end_sigma=0.3", "--set", "record_sigma=1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: run failed: step-count limit: 3 steps")
     assert err.count("\n") == 1

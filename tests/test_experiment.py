@@ -181,7 +181,7 @@ def test_the_march_with_the_shift_frozen_is_the_lab_frame_march(monkeypatch):
 def test_step_size_counts_the_shift_drift(monkeypatch):
     # on a coarse grid the advective limit binds; in the co-moving frame the
     # advection speed is |sigma + Xdot|, so every step must satisfy the
-    # advective limit with the largest |Xdot| of its own four stages
+    # advective limit with the largest |Xdot| of its own stages
     cfg = sl.ExperimentConfig(cells_per_layer=4, t_end_sigma=4.0, record_sigma=4.0)
     setup = sl.build_setup(cfg)
     gas, sig, dx = setup.gas, setup.sigma, setup.grid.dx
@@ -365,3 +365,27 @@ def test_trace_csv_and_summary_json_roundtrip():
     assert data.shape == (len(trace.t), len(header))
     npt.assert_allclose(data[:, header.index("Y")], trace.Y, rtol=1e-12)
     assert loaded["records"] == summary["records"]
+
+
+def test_audit_error_is_space_error_not_time_error(monkeypatch):
+    # at fixed dx, capping dt at half the record cadence (which binds on
+    # every step) moves the audit's max relative error by under 10% at both
+    # refinements: the O(dx^2) space error dominates the RKC2 time error
+    cfg = sl.ExperimentConfig(span_over_eps=20.0)
+    steps = []
+    step = sl.experiment.coupled_rk4_step
+    monkeypatch.setattr(sl.experiment, "coupled_rk4_step",
+                        lambda *a: steps.append(1) or step(*a))
+    base = sl.identity_audit(cfg)
+    n_base = len(steps)
+    march = sl.experiment.march
+
+    def half_cadence(step, y, t, t_end, dt_limit, v_floor, record_dt, on_record):
+        return march(step, y, t, t_end, lambda y: min(dt_limit(y), 0.5 * record_dt),
+                     v_floor, record_dt, on_record)
+
+    monkeypatch.setattr(sl.experiment, "march", half_cadence)
+    halved = sl.identity_audit(cfg)
+    assert len(steps) == 3 * n_base  # twice the steps in the halved-dt audit
+    for a, b in zip(base["levels"], halved["levels"]):
+        assert abs(b["max_rel"] / a["max_rel"] - 1.0) < 0.1, (a, b)

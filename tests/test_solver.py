@@ -10,10 +10,14 @@ import pytest
 
 import shocklab as sl
 from shocklab.solver import (
+    RKC_DAMPING,
+    RKC_MARGIN,
     conservation_balance,
+    diffusion_radius,
     effective_velocity,
     march,
-    rk4,
+    rkc2,
+    rkc2_stages,
 )
 
 
@@ -85,19 +89,20 @@ def test_rhs_small_on_sampled_profile(gas2, profile01):
 
 
 def test_stable_dt_formula(gas2):
+    # the advective limit alone: the parabolic limit sets rkc2's stage count
     grid = make_grid(dx=0.2)
     v = np.full(grid.n + 1, 0.9)
     sigma = -1.5
     dt = sl.stable_dt(gas2, sigma, grid, v, safety=0.4)
     c = abs(sigma) + np.sqrt(-gas2.dpressure(0.9))
-    hyp = grid.dx / c
-    par = grid.dx**2 / (2.0 * abs(gas2.dpressure(0.9)))
-    assert abs(dt - 0.4 * min(hyp, par)) < 1e-14
+    assert abs(dt - 0.4 * grid.dx / c) < 1e-14
+    assert diffusion_radius(gas2, grid, v) == 4.0 * -gas2.dpressure(0.9) / (grid.dx * grid.dx)
 
 
-def test_rk4_matches_reference_integrator(gas2, profile01):
+def test_rkc2_is_second_order_against_a_reference_integrator(gas2, profile01):
     # march the same semi-discrete system with scipy's adaptive RK45 at tight
-    # tolerance and check the fixed-step RK4 path lands on it
+    # tolerance; halving dt cuts the RKC2 march's error 4x.  Both runs take 2
+    # stages a step: the error constant depends on the stage count.
     from scipy.integrate import solve_ivp
 
     grid = make_grid(lo=-20.0, hi=20.0, dx=0.2)
@@ -106,9 +111,6 @@ def test_rk4_matches_reference_integrator(gas2, profile01):
     sigma = profile01.states.sigma
     state = sl.FieldState(0.0, v, h)
     t_end = 0.2
-
-    out = sl.simulate(gas2, sigma, grid, state, t_end, v_floor=0.1)
-
     m = grid.n + 1
 
     def rhs(_t, yv):
@@ -117,9 +119,15 @@ def test_rk4_matches_reference_integrator(gas2, profile01):
 
     ref = solve_ivp(rhs, (0.0, t_end), np.concatenate([v, h]),
                     rtol=1e-11, atol=1e-12, dense_output=False)
-    sup = max(np.abs(out.v - ref.y[:m, -1]).max(),
-              np.abs(out.h - ref.y[m:, -1]).max())
-    assert sup < 1e-8, f"stepper vs reference sup {sup:.3e}"
+    errors = []
+    for safety in (0.1, 0.05):
+        dt_rho = sl.stable_dt(gas2, sigma, grid, v, safety) * diffusion_radius(gas2, grid, v)
+        assert rkc2_stages(dt_rho) == 2
+        out = sl.simulate(gas2, sigma, grid, state, t_end, v_floor=0.1, safety=safety)
+        errors.append(max(np.abs(out.v - ref.y[:m, -1]).max(),
+                          np.abs(out.h - ref.y[m:, -1]).max()))
+    ratio = errors[0] / errors[1]
+    assert 3.5 <= ratio <= 4.5, f"errors {errors[0]:.3e} -> {errors[1]:.3e}, ratio {ratio:.2f}"
 
 
 def test_simulate_records_and_positivity(gas2, profile01):
@@ -170,10 +178,10 @@ def _cap_simulate(gas2, profile01):
 
 
 def _cap_run_experiment(gas2, profile01):
-    # t_end_sigma = 0.02 passes validate()'s lower bound of 3.4 steps (the
-    # parabolic limit at v_minus), but the march needs 4
-    setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.02,
-                                               width=5.0))
+    # t_end_sigma = 0.3 at record_sigma = 1 passes validate()'s lower bound of
+    # 3.75 steps (dt < cfl_safety*dx/|sigma|), but the march takes 11
+    setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.3,
+                                               record_sigma=1.0, width=5.0))
     return lambda: sl.run_experiment(setup)
 
 
@@ -187,13 +195,59 @@ def test_step_count_limit_raises(entry, gas2, profile01, monkeypatch):
         run()
 
 
-def test_rk4_is_the_classic_fourth_order_step():
-    # on y' = -2y one step multiplies y by the degree-4 Taylor factor of e^z
-    z = -2.0 * 0.1
-    factor = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-    v, X = rk4(lambda y: tuple(-2.0 * a for a in y), (np.array([1.0, 3.0]), 0.5), 0.1)
-    npt.assert_allclose(v, [factor, 3.0 * factor], rtol=1e-15)
-    assert abs(X - 0.5 * factor) < 1e-15
+def chebyshev_rkc2(s):
+    """T_s, w0, w1, a_s, b_s and beta_s of the s-stage RKC2 method, from
+    numpy's Chebyshev series (independent of the solver's recurrences)."""
+    T = np.polynomial.Chebyshev.basis(s)
+    w0 = 1.0 + RKC_DAMPING / s ** 2
+    w1 = T.deriv()(w0) / T.deriv(2)(w0)
+    b = T.deriv(2)(w0) / T.deriv()(w0) ** 2
+    return T, w0, w1, 1.0 - b * T(w0), b, (w0 + 1.0) / w1
+
+
+def linear_step(z, s):
+    """One rkc2 step of y' = z*y (z an array) from y = 1 at dt = 1, with rho
+    just inside s stages' reach; returns (amplification, rhs evaluations)."""
+    calls = []
+    rho = RKC_MARGIN * chebyshev_rkc2(s)[-1] * (1.0 - 1e-9)
+    (amp,) = rkc2(lambda y: calls.append(1) or (z * y[0],), (np.ones_like(z),), 1.0, rho)
+    return amp, len(calls)
+
+
+@pytest.mark.parametrize("s", range(2, 11))
+def test_rkc2_step_is_stable_on_its_real_interval(s):
+    # on y' = z*y one step multiplies y by R_s(z) = a_s + b_s*T_s(w0 + w1*z),
+    # one rhs evaluation a stage, and |R_s| <= 1 on [-beta_s, 0]
+    T, w0, w1, a, b, beta = chebyshev_rkc2(s)
+    z = np.linspace(-beta, 0.0, 4001)
+    amp, calls = linear_step(z, s)
+    assert calls == s
+    npt.assert_allclose(amp, a + b * T(w0 + w1 * z), rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(amp)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("s", [2, 3, 5, 10])
+def test_rkc2_step_is_second_order(s):
+    # R_s(z) = 1 + z + z^2/2 + O(z^3): the remainder shrinks 8x as z halves
+    # (R_2, of degree 2, is the quadratic itself)
+    z = -0.04 / 2.0 ** np.arange(4)
+    amp, _ = linear_step(z, s)
+    rem = amp - (1.0 + z + z * z / 2.0)
+    if s == 2:
+        assert np.max(np.abs(rem)) < 1e-15
+    else:
+        npt.assert_allclose(rem[:-1] / rem[1:], 8.0, rtol=0.05)
+
+
+def test_rkc2_takes_the_fewest_stages_that_cover_dt_rho():
+    # s is the smallest value >= 2 with RKC_MARGIN*beta_s >= dt*rho
+    assert rkc2_stages(0.0) == 2
+    for s in range(2, 11):
+        reach = RKC_MARGIN * chebyshev_rkc2(s)[-1]
+        assert rkc2_stages(reach * (1.0 - 1e-9)) == s
+        assert rkc2_stages(reach * (1.0 + 1e-9)) == s + 1
+    with pytest.raises(RuntimeError, match="^stage-count limit: dt[*]rho = inf"):
+        rkc2_stages(np.inf)
 
 
 def test_march_halves_dt_until_the_guard_clears():
@@ -230,19 +284,23 @@ def test_march_names_a_non_finite_state(bad):
 def test_march_judges_a_negative_stage_only_by_the_step_result():
     # at integral gamma the closures are finite for v < 0, so a stage that
     # goes negative is no error by itself: the guard sees only the step
-    # result.  v' = p'(v) with gamma = 2 and dt = 1.5 puts stage 2 at
-    # v = -0.5, yet the result (about 8) clears the floor and is accepted.
+    # result.  v' = p'(v) with gamma = 2 and dt = 1.5 under the explicit
+    # midpoint step puts stage 2 at v = -0.5, yet the result 1 + 1.5*16 = 25
+    # clears the floor and is accepted.
     gas = sl.GasModel(gamma=2.0, v_minus=1.0)
     stages, tried = [], []
 
     def step(y, dt):
         tried.append(dt)
-        return rk4(lambda s: stages.append(s[0][0]) or (gas.dpressure(s[0]),), y, dt)
+        (v,) = y
+        mid = v + 0.5 * dt * gas.dpressure(v)
+        stages.extend([v[0], mid[0]])
+        return (v + dt * gas.dpressure(mid),)
 
     t, (v,) = march(step, (np.ones(1),), 0.0, 1.5, lambda y: 1.5, 0.1)
     assert stages[1] == -0.5
     assert tried == [1.5] and t == 1.5
-    assert 7.9 < v[0] < 8.1
+    assert v[0] == 25.0
 
 
 def test_simulate_rejects_a_bad_starting_state(gas2, profile01):
