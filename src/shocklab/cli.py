@@ -59,6 +59,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_config_args(p):
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -239,7 +246,7 @@ def build_parser():
                         help="certify the standalone inequalities")
     sp.add_argument("--fast", action="store_true",
                     help="coarser grids / fewer starts for a quick look")
-    sp.add_argument("--seed", type=int, default=20240817)
+    sp.add_argument("--seed", type=_nonnegative_int, default=20240817)
     sp.add_argument("--poincare-trials", type=_positive_int, default=200)
     sp.set_defaults(func=cmd_verify_inequalities)
 
@@ -253,7 +260,7 @@ def build_parser():
 
     sp = sub.add_parser("audit", help="entropy-rate identity audit")
     _add_config_args(sp)
-    sp.add_argument("--refine", type=int, default=2,
+    sp.add_argument("--refine", type=_positive_int, default=2,
                     help="grid refinement factor for the fine level")
     sp.add_argument("--tol", type=float, default=0.01,
                     help="max allowed relative mismatch at the coarse level")

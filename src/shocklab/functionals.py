@@ -30,8 +30,6 @@ by the truncation arguments.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .solver import _d1
 
@@ -180,6 +178,8 @@ def weighted_q_probe(weight):
     amplitude — an admissible state for the |Y| <= eps^2 branch — the report
     returns int |a'| q, whose predicted size is eps^2/lam.
     """
+    from scipy.optimize import brentq  # a report helper: the march needs no scipy
+
     profile, lam = weight.profile, weight.lam
     gas, eps = profile.gas, profile.eps
     alpha = gas.layer_constant
@@ -223,6 +223,8 @@ def normalized_layer_variables(x, v, weight, shift=0.0):
     W = (lam/eps) * (p(v) - p_tilde) the normalized perturbation, both read
     along the weight's shifted profile.
     """
+    from scipy.interpolate import CubicSpline  # a report helper: the march needs no scipy
+
     x = np.asarray(x, dtype=float)
     profile = weight.profile
     gas = profile.gas

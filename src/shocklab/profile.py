@@ -13,16 +13,22 @@ integrated here in p_tilde = p(v_tilde) (monotone increasing in xi), outward
 from the normalization v_tilde(0) = (v_minus + v_plus)/2.  The effective
 velocity component is slaved pointwise: h_tilde = u_minus + (p_tilde - p_minus)/sigma.
 
-Integration stops when p_tilde is within 1e-12*eps of its limit (or at the
-window edge); beyond the stored window the profile continues by exponential
-tails with rates fitted from the last stored decade.
+The equation is scalar and autonomous, so xi(p_tilde) is a quadrature.  In
+the logit s = log(y/(1-y)) of the layer variable y = (p_tilde - p_minus)/eps
+its integrand dxi/ds = eps*y*(1-y)/f(p_tilde) is smooth and bounded (it tends
+to 1/rate at each end): solve_profile integrates it on Chebyshev panels and
+finds p_tilde at the uniform knots by a vectorized Newton solve on xi(s).
+The window ends where p_tilde is within 1e-12*eps of its limit (or at
+|xi| = L); between the knots the profile is the cubic Hermite interpolant of
+(p_tilde, f(p_tilde)), and beyond the window it continues by exponential tails
+with rates fitted from the last stored decade.  numpy alone does all of it.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from numpy.polynomial import chebyshev
 
 from .gas import GasModel
 
@@ -106,19 +112,19 @@ class ShockProfile:
     """Sampled profile plus dense interpolant and exponential tail splices.
 
     The samples xi, p cover the stored window [xi[0], xi[-1]] in the two
-    uniform pieces that solve_profile builds.  :meth:`frame` evaluates every
-    profile field at any xi (tails handled by the splice);
+    uniform pieces that solve_profile builds; the interpolant is the cubic
+    Hermite form with the slopes f(p) at the knots.  :meth:`frame` evaluates
+    every profile field at any xi (tails handled by the splice);
     the named methods (v_profile, dpressure_profile, ...) are views of one
     field of it.  Derivatives come from the ODE right-hand side, so stored
     samples satisfy the profile equation identically; the independent
     accuracy check is :meth:`ode_residual_sup`, which differentiates the
-    interpolant instead.
+    interpolant between the knots instead.
     """
 
     states: ShockEndStates
     xi: np.ndarray
     p: np.ndarray
-    _spline: CubicSpline = field(repr=False)
     tail_rate_minus: float
     tail_rate_plus: float
     tail_amp_minus: float
@@ -135,7 +141,14 @@ class ShockProfile:
         self._n_lo = n_lo
         self._inv_h_lo = n_lo / -self.xi[0]
         self._inv_h_hi = (self.xi.size - 1 - n_lo) / self.xi[-1]
-        self._coef = np.ascontiguousarray(self._spline.c.T)  # one row per cell
+        # the cubic Hermite form on each cell, one row (c0, c1, c2, c3) per
+        # cell in scipy's PPoly layout, computed in CubicHermiteSpline's order
+        p = self.p
+        dp = _profile_rhs(self.states)(p, self.gas.pressure_inverse(p))
+        dx = np.diff(self.xi)
+        slope = np.diff(p) / dx
+        t = (dp[:-1] + dp[1:] - 2 * slope) / dx
+        self._coef = np.stack([t / dx, (slope - dp[:-1]) / dx - t, dp[:-1], p[:-1]], axis=1)
 
     # -- core evaluation --------------------------------------------------
 
@@ -154,9 +167,9 @@ class ShockProfile:
     def pressure_profile(self, x):
         """p_tilde(xi) for any xi, exponential splice beyond the stored window.
 
-        Inside the window this is the stored cubic spline, with the values of
-        CubicSpline.__call__ bit for bit, at about half its cost: the cell
-        comes from the uniform knot spacing instead of a search.  The result
+        Inside the window this is the stored cubic, evaluated as scipy's
+        PPoly.__call__ evaluates it, bit for bit, at about half its cost: the
+        cell comes from the uniform knot spacing instead of a search.  The result
         has x's shape (0-d for a scalar), and a NaN point gives NaN.
         """
         x = np.asarray(x, dtype=float)
@@ -267,29 +280,93 @@ class ShockProfile:
     # -- diagnostics -------------------------------------------------------
 
     def ode_residual_sup(self):
-        """sup over stored grid of |sigma*p' - sigma^2*(v-v_plus) - (p-p_plus)|.
+        """sup over the cell midpoints of |sigma*p' - sigma^2*(v-v_plus) - (p-p_plus)|.
 
-        p' here comes from differentiating the interpolant — an independent
-        path from the stored ODE right-hand side.
+        p and p' here come from the interpolant, p' by differentiating it.  At
+        the knots the Hermite form takes its slopes from the ODE, so the
+        residual vanishes there by construction; at the midpoints a wrong
+        knot value shows.
         """
-        dps = self._spline.derivative()(self.xi)
-        f = self._fields(self.p)["dp"]
+        c0, c1, c2, c3 = self._coef.T
+        s = 0.5 * np.diff(self.xi)
+        p = ((c0 * s + c1) * s + c2) * s + c3
+        dps = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        f = _profile_rhs(self.states)(p, self.gas.pressure_inverse(p))
         return float(np.max(np.abs(self.sigma * (dps - f))))
 
     def monotone(self):
         return bool(np.all(np.diff(self.p) > 0.0))
 
 
+#: the quadrature xi(s): Chebyshev panels of this width in s and this degree
+#: (half the width at degree 20 moves no knot value by more than 5e-15*eps)
+PANEL_WIDTH = 0.25
+PANEL_DEGREE = 14
+
+
+@cache
+def _panel_rule():
+    """The quadrature on one panel, mapped to [-1, 1].
+
+    Returns the Chebyshev nodes t, the matrix from the integrand's values at
+    t to the Chebyshev coefficients of its antiderivative that vanishes at -1,
+    and the matrix from those values to that antiderivative at t.
+    """
+    n = PANEL_DEGREE + 1
+    t = np.cos(np.pi * (np.arange(n) + 0.5) / n)[::-1]
+    to_coef = (2.0 / n) * chebyshev.chebvander(t, n - 1).T  # discrete orthogonality
+    to_coef[0] *= 0.5
+    to_int = chebyshev.chebint(to_coef, lbnd=-1)
+    return t, to_int, chebyshev.chebvander(t, n) @ to_int
+
+
+def _dxi_dlogit(states):
+    """dxi/ds = eps*y*(1-y)/f(p_tilde) at s = log(y/(1-y)), y = (p_tilde - p_minus)/eps.
+
+    f is written from the nearer end state, sigma*f = sigma^2*(v - v_end) +
+    (p - p_end) (at the left end by sigma^2*(v_minus - v_plus) = eps), with
+    v - v_end from expm1 and log1p, so it keeps its relative accuracy where
+    p_tilde - p_end is far below eps.  Returns the function and the map s -> p_tilde.
+    """
+    gas, eps, sig = states.gas, states.eps, states.sigma
+    p_minus, p_plus = states.p_minus, states.p_plus
+    k = -1.0 / gas.gamma
+
+    def nearer_end(s):
+        """min(y, 1 - y), p_tilde - p_end and the side, from the nearer end state."""
+        a = np.exp(-np.abs(s))
+        near = a / (1.0 + a)
+        left = s < 0.0
+        return near, np.where(left, eps, -eps) * near, left
+
+    def p_of(s):
+        _, gap, left = nearer_end(s)
+        return np.where(left, p_minus, p_plus) + gap
+
+    def dxi_ds(s):
+        near, gap, left = nearer_end(s)
+        p_end = np.where(left, p_minus, p_plus)
+        v_end = np.where(left, gas.v_minus, states.v_plus)
+        sig_f = sig * sig * v_end * np.expm1(k * np.log1p(gap / p_end)) + gap
+        return sig * eps * near * (1.0 - near) / sig_f
+
+    return dxi_ds, p_of
+
+
 def solve_profile(gas, eps, span_over_eps=40.0):
-    """Integrate the profile ODE outward from xi = 0 and build a ShockProfile.
+    """Solve the profile ODE, normalized at xi = 0, and build a ShockProfile.
 
     span_over_eps sets the window half-width L = span_over_eps/eps.  Each side
-    stops early when |p_tilde - p_limit| < 1e-12*eps.  The sample step is
+    stops early where |p_tilde - p_limit| = 1e-12*eps.  The sample step is
     chosen so the cubic interpolant's derivative error stays below
     1e-11 (the rate estimate eps/(2*alpha_gamma) sets the scale).
+
+    xi(s) = int_{s0}^{s} dxi/ds is the antiderivative of the Chebyshev
+    interpolant of dxi/ds on panels of PANEL_WIDTH in s, s0 the logit at
+    xi = 0; each knot's s comes from Newton's method on xi(s) = xi_k, started
+    from linear interpolation in the panel nodes, all knots at once.
     """
     states = end_states_from_amplitude(gas, eps)
-    f = _profile_rhs(states)
     sig = states.sigma
     p_minus, p_plus = states.p_minus, states.p_plus
     v_mid = 0.5 * (gas.v_minus + states.v_plus)
@@ -297,39 +374,54 @@ def solve_profile(gas, eps, span_over_eps=40.0):
     L = span_over_eps / eps
 
     rate_hat = eps / (2.0 * gas.layer_constant)
-    # cubic-spline derivative error ~ (h^3/24)*max|p''''| with |p''''| ~ eps*rate^4
+    # cubic interpolant's derivative error ~ (h^3/24)*max|p''''| with |p''''| ~ eps*rate^4
     h = (24.0 * 1e-11 / (10.0 * max(abs(sig), 1.0) * eps * rate_hat ** 4)) ** (1.0 / 3.0)
     h = min(h, 0.2 / rate_hat, L / 50.0)
     h = max(h, 2.0 * L / 500_000.0)
 
-    def rhs(_x, y):
-        p = y[0]
-        return [f(p, max(p, 1e-300) ** (-1.0 / gas.gamma))]
+    # panels of xi(s) from s0 outward past y = 1e-12 and 1 - 1e-12
+    dxi_ds, p_of = _dxi_dlogit(states)
+    y0 = (p0 - p_minus) / eps
+    s0 = float(np.log(y0 / (1.0 - y0)))
+    s_end = float(np.log1p(-1e-12) - np.log(1e-12))
+    n_left = int(np.ceil((s_end + s0) / PANEL_WIDTH))
+    left = s0 + PANEL_WIDTH * np.arange(-n_left, int(np.ceil((s_end - s0) / PANEL_WIDTH)))
+    t_nodes, to_int, to_nodes = _panel_rule()
+    nodes = left[:, None] + (0.5 * PANEL_WIDTH) * (t_nodes + 1.0)
+    g = (0.5 * PANEL_WIDTH) * dxi_ds(nodes)
+    coef = np.ascontiguousarray((g @ to_int.T).T)  # one column per panel
+    xi_left = np.concatenate([[0.0], np.cumsum(coef.sum(axis=0))])  # T_k(1) = 1
+    xi_left -= xi_left[n_left]
 
-    ev_plus = lambda _x, y: y[0] - (p_plus - 1e-12 * eps)
-    ev_plus.terminal = True
-    ev_minus = lambda _x, y: y[0] - (p_minus + 1e-12 * eps)
-    ev_minus.terminal = True
+    def xi_of(s):
+        j = np.clip(((s - left[0]) / PANEL_WIDTH).astype(np.intp), 0, left.size - 1)
+        t = (s - left.take(j)) * (2.0 / PANEL_WIDTH) - 1.0
+        c = coef.take(j, axis=1)
+        # Clenshaw's recurrence for sum_k c_k T_k(t)
+        t2 = 2.0 * t
+        b1 = b2 = 0.0
+        for ck in c[:0:-1]:
+            b1, b2 = ck + t2 * b1 - b2, b1
+        return xi_left.take(j) + (c[0] + t * b1 - b2)
 
-    kw = dict(method="DOP853", rtol=1e-13, atol=1e-16, dense_output=True)
-    sol_fwd = solve_ivp(rhs, (0.0, L), [p0], events=ev_plus, **kw)
-    sol_bwd = solve_ivp(rhs, (0.0, -L), [p0], events=ev_minus, **kw)
-    if not (sol_fwd.success and sol_bwd.success):
-        raise RuntimeError("profile ODE integration failed")
-
-    xi_hi = float(sol_fwd.t[-1])
-    xi_lo = float(sol_bwd.t[-1])
+    xi_hi = min(float(xi_of(s_end)), L)
+    xi_lo = max(float(xi_of(-s_end)), -L)
     n_fwd = max(int(np.ceil(xi_hi / h)), 8)
     n_bwd = max(int(np.ceil(-xi_lo / h)), 8)
-    x_fwd = np.linspace(0.0, xi_hi, n_fwd + 1)
-    x_bwd = np.linspace(xi_lo, 0.0, n_bwd + 1)
-    p_fwd = sol_fwd.sol(x_fwd)[0]
-    p_bwd = sol_bwd.sol(x_bwd)[0]
-    xi = np.concatenate([x_bwd[:-1], x_fwd])
-    p = np.concatenate([p_bwd[:-1], p_fwd])
-    p = np.clip(p, p_minus, p_plus)
+    xi = np.concatenate([np.linspace(xi_lo, 0.0, n_bwd + 1)[:-1],
+                         np.linspace(0.0, xi_hi, n_fwd + 1)])
 
-    spline = CubicSpline(xi, p)
+    # Newton from linear interpolation in the panel nodes; a step of at most
+    # 1e-7 leaves an error of the order of its square
+    s = np.interp(xi, (xi_left[:-1, None] + g @ to_nodes.T).ravel(), nodes.ravel())
+    for _ in range(8):
+        ds = (xi_of(s) - xi) / dxi_ds(s)
+        s -= ds
+        if np.max(np.abs(ds)) <= 1e-7:
+            break
+    else:
+        raise RuntimeError("profile knots: Newton on xi(s) did not converge")
+    p = np.clip(p_of(s), p_minus, p_plus)
 
     # tail rates fitted on the last stored decade of each side
     rate_minus, amp_minus = _fit_tail(xi, p - p_minus, side="left")
@@ -339,7 +431,6 @@ def solve_profile(gas, eps, span_over_eps=40.0):
         states=states,
         xi=xi,
         p=p,
-        _spline=spline,
         tail_rate_minus=rate_minus,
         tail_rate_plus=rate_plus,
         tail_amp_minus=amp_minus,

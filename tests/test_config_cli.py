@@ -293,3 +293,19 @@ def test_cli_verify_inequalities_rejects_zero_trials(capsys):
         main(["verify-inequalities", "--poincare-trials", "0"])
     assert exc.value.code == 2
     assert "--poincare-trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["audit", "--refine", "0"], "--refine"),  # a division by zero in identity_audit
+    (["audit", "--refine", "-1"], "--refine"),
+    (["verify-inequalities", "--seed", "-1"], "--seed"),  # numpy's ValueError
+])
+def test_cli_rejects_a_bad_count_at_parse_time(argv, flag, capsys):
+    # refused by the parser, before any run: exit 2 and one error line
+    # (after argparse's usage line) that names the flag
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and flag in errors[0] and "Traceback" not in err

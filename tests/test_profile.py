@@ -1,5 +1,6 @@
 """Viscous shock profile: end states, ODE residual, monotonicity, tails."""
 
+import dataclasses
 import os
 import tempfile
 import warnings
@@ -188,12 +189,15 @@ def test_pressure_profile_values_do_not_depend_on_the_other_points(profile01):
     assert alone.shape == () and np.isnan(alone)
 
 
-def spline_pressure_profile(profile, x):
-    """p_tilde through scipy's CubicSpline.__call__ and the tail splice."""
+def hermite_pressure_profile(profile, x):
+    """p_tilde through scipy's CubicHermiteSpline on (xi, p, f(p)) and the tail splice."""
+    from scipy.interpolate import CubicHermiteSpline
+
     x = np.asarray(x, dtype=float)
     lo, hi = profile.xi[0], profile.xi[-1]
     st = profile.states
-    out = profile._spline(x)
+    spline = CubicHermiteSpline(profile.xi, profile.p, profile._fields(profile.p)["dp"])
+    out = spline(x)
     left, right = x < lo, x > hi
     out[left] = st.p_minus + profile.tail_amp_minus * np.exp(
         profile.tail_rate_minus * (x[left] - lo))
@@ -206,7 +210,8 @@ def spline_pressure_profile(profile, x):
 @pytest.mark.parametrize("gamma, eps", [(2.0, 0.1), (2.0, 0.05), (1.4, 0.1), (1.4, 0.05)])
 def test_pressure_profile_is_scipys_spline_bit_for_bit(gamma, eps):
     # the cell index comes from the two uniform knot pieces and the cubic is
-    # evaluated in scipy's order; every value must be CubicSpline's
+    # evaluated in scipy's order; every value must be CubicHermiteSpline's
+    # on the knot values and the ODE slopes there
     profile = sl.solve_profile(sl.GasModel(gamma, 1.0), eps)
     xi = profile.xi
     lo, hi = xi[0], xi[-1]
@@ -223,8 +228,60 @@ def test_pressure_profile_is_scipys_spline_bit_for_bit(gamma, eps):
     }
     for name, x in cases.items():
         got = profile.pressure_profile(x)
-        assert got.shape == x.shape and np.array_equal(got, spline_pressure_profile(profile, x)), name
+        want = hermite_pressure_profile(profile, x)
+        assert got.shape == x.shape and np.array_equal(got, want), name
     for x in (0.0, np.float64(0.3), np.float64(hi), np.float64(lo - 1.0)):
         got = profile.pressure_profile(x)
         assert type(got) is np.ndarray and got.shape == ()
-        assert got == spline_pressure_profile(profile, x)
+        assert got == hermite_pressure_profile(profile, x)
+
+
+@pytest.mark.parametrize("gamma, eps", [(2.0, 0.1), (2.0, 0.05), (1.4, 0.1), (1.4, 0.05)])
+def test_ode_residual_sees_one_wrong_knot(gamma, eps):
+    # the residual is read between the knots, where the Hermite form does not
+    # take its slope from the ODE: one knot raised by 1e-9*eps must push it
+    # above criterion 06's bound of 1e-10
+    profile = sl.solve_profile(sl.GasModel(gamma, 1.0), eps)
+    assert profile.ode_residual_sup() < 1e-12
+    for i in (profile.xi.size // 3, int(np.searchsorted(profile.xi, 0.0)), profile.xi.size - 5):
+        p = profile.p.copy()
+        p[i] += 1e-9 * eps
+        assert dataclasses.replace(profile, p=p).ode_residual_sup() > 1e-10, i
+
+
+@pytest.mark.parametrize("gamma, eps, ends", [
+    # the window ends where p_tilde is 1e-12*eps from its limit, from a
+    # 40-digit quadrature of the same ODE (mpmath), where that comes before L
+    (1.4, 0.1, (-398.845508709, 435.457172522)),
+    (1.4, 0.05, (-780.476113456, 816.363925868)),
+])
+def test_window_ends_where_the_gap_is_1e12_eps(gamma, eps, ends):
+    profile = sl.solve_profile(sl.GasModel(gamma, 1.0), eps, span_over_eps=50.0)
+    npt.assert_allclose([profile.xi[0], profile.xi[-1]], ends, rtol=1e-9)
+    st = profile.states
+    npt.assert_allclose([profile.p[0] - st.p_minus, st.p_plus - profile.p[-1]],
+                        1e-12 * eps, rtol=5e-3)  # p itself rounds to 1e-16
+
+
+# p_tilde at nine knots of the gamma = 2, eps = 0.1 profile (window +-400,
+# 29,139 knots) from a 40-digit quadrature of the same ODE (mpmath: xi(p) =
+# int dp/f(p) from p_tilde(0) = p(v_mid), solved for p at each knot's xi)
+KNOTS = {  # index: (xi, p_tilde)
+    0: (-400.0, 1.0000000001496838),
+    3642: (-300.00686388907957, 1.0000000239547744),
+    7284: (-200.0137277781591, 1.0000038334629682),
+    10926: (-100.02059166723865, 1.000609468199547),
+    14569: (0.0, 1.0482136102666386),
+    18211: (99.99313611092045, 1.0990725949031053),
+    21853: (199.9862722218409, 1.0999913888690958),
+    25495: (299.97940833276135, 1.0999999207168287),
+    29138: (400.0, 1.0999999992710312),
+}
+
+
+def test_knot_values_solve_the_ode_to_roundoff(profile01):
+    assert profile01.xi.size == 29_139
+    idx = list(KNOTS)
+    xi_ref, p_ref = np.array(list(KNOTS.values())).T
+    npt.assert_allclose(profile01.xi[idx], xi_ref, rtol=0, atol=1e-12)
+    npt.assert_allclose(profile01.p[idx], p_ref, rtol=0, atol=1e-14 * 0.1)

@@ -9,9 +9,11 @@ import numpy.testing as npt
 import pytest
 
 import shocklab as sl
+from shocklab import solver
 from shocklab.solver import (
     RKC_DAMPING,
     RKC_MARGIN,
+    _thomas,
     conservation_balance,
     diffusion_radius,
     effective_velocity,
@@ -356,6 +358,42 @@ def test_steady_state_residual_and_consistency(gas2, profile01):
     assert max(np.abs(dv).max(), np.abs(dh).max()) < 1e-12
     # the steady solution stays close to the sampled profile (O(dx^2))
     assert np.abs(v - v0).max() < 1e-3
+
+
+def splu_solve(lo, di, up, rhs):
+    """The tridiagonal solve through scipy's sparse LU with partial pivoting."""
+    from scipy.sparse import csc_matrix, diags
+    from scipy.sparse.linalg import splu
+
+    m = di.size
+    return splu(csc_matrix(diags([lo[1:], di, up[:-1]], [-1, 0, 1], shape=(m, m)))).solve(rhs)
+
+
+def test_thomas_solve_is_a_tridiagonal_solve():
+    rng = np.random.default_rng(3)
+    m = 50
+    lo, up = rng.uniform(0.5, 1.0, m), rng.uniform(0.5, 1.0, m)
+    di = -(lo + up) - rng.uniform(0.0, 0.1, m)
+    rhs = rng.standard_normal(m)
+    x = _thomas(lo, di, up, rhs)
+    dense = np.diag(di) + np.diag(lo[1:], -1) + np.diag(up[:-1], 1)
+    npt.assert_allclose(dense @ x, rhs, rtol=0, atol=1e-13)
+    npt.assert_allclose(x, splu_solve(lo, di, up, rhs), rtol=0, atol=1e-13)
+
+
+def test_steady_state_thomas_reaches_the_splu_state(monkeypatch):
+    # the steady-hold benchmark's grid (span 20: 2,000 cells at dx = 0.2),
+    # Newton from the sampled profile with each tridiagonal solve
+    setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=20.0))
+    gas, sigma, grid = setup.gas, setup.sigma, setup.grid
+    v0, h0 = profile_arrays(setup.profile, grid)
+    h0 = (gas.pressure(v0) + sigma * h0[0] - gas.pressure(v0[0])) / sigma
+    v, h = sl.steady_state(gas, sigma, grid, v0, h0)
+    monkeypatch.setattr(solver, "_thomas", splu_solve)
+    v_lu, h_lu = sl.steady_state(gas, sigma, grid, v0, h0)
+    assert np.abs(v - v0).max() > 1e-8  # Newton moved the state
+    npt.assert_allclose(v, v_lu, rtol=0, atol=1e-13)
+    npt.assert_allclose(h, h_lu, rtol=0, atol=1e-13)
 
 
 def test_steady_state_rejects_inconsistent_ends(gas2, profile01):
