@@ -25,7 +25,7 @@ print("phase-aligned steady state on dx = %.3f:" % setup.grid.dx)
 print("  sup |dv/dt| = %.3e   sup |dh/dt| = %.3e" %
       (np.abs(rhs_v).max(), np.abs(rhs_h).max()))
 
-bd = sl.compute_breakdown(setup.grid.x, v0, h0, setup.weight)
+bd = sl.compute_breakdown(v0, h0, setup.frame)
 print("  functionals at start: Y = %.3e, B = %.3e, G = %.3e" %
       (bd.Y, bd.B, bd.G))
 

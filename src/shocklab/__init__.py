@@ -20,8 +20,8 @@ from .weight import WeightFn, build_weight, weight_report
 from .solver import (FieldState, Grid, read_checkpoint, semi_discrete_rhs,
                      simulate, stable_dt, steady_state, write_checkpoint)
 from .functionals import (FunctionalBreakdown, bd_relative_functional,
-                          compute_breakdown, normalized_layer_variables,
-                          quick_yb, truncate_state)
+                          compute_breakdown, functional_frame,
+                          normalized_layer_variables, quick_yb, truncate_state)
 from .shift import phi_eps, r_residual, shift_rhs
 from .experiment import (ContractionTrace, ExperimentConfig, LabSetup,
                          audit_trace, build_setup, identity_audit,

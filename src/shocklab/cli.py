@@ -28,8 +28,7 @@ import time
 import numpy as np
 
 from . import inequalities as ineq
-from .config import (_parse_scalar, apply_overrides, load_config,
-                     parse_config_text)
+from .config import _parse_scalar, apply_overrides, parse_config_text
 from .experiment import (ConfigError, ExperimentConfig, build_setup,
                          identity_audit, run_experiment, sweep,
                          write_summary_json, write_trace_csv)
@@ -39,15 +38,16 @@ from .solver import write_checkpoint
 from .weight import build_weight
 
 
-def _config_from_args(args, extra=None):
+def _config_from_args(args, extra=None, check=ExperimentConfig.validate):
+    """The config file, the --set items and `extra` over the defaults, checked once."""
     try:
-        cfg = ExperimentConfig()
+        updates = {}
         if getattr(args, "config", None):
-            cfg = load_config(args.config, base=cfg)
-        overrides = {}
+            with open(args.config, "r", encoding="utf-8") as fh:
+                updates = parse_config_text(fh.read())
         for item in getattr(args, "set", None) or []:
-            overrides.update(parse_config_text(item))
-        return apply_overrides(cfg, {**overrides, **(extra or {})})
+            updates.update(parse_config_text(item))
+        return apply_overrides(ExperimentConfig(), {**updates, **(extra or {})}, check)
     except (KeyError, ValueError, OSError) as exc:
         raise ConfigError(exc.args[0] if isinstance(exc, KeyError) else exc) from exc
 
@@ -73,7 +73,7 @@ def _add_config_args(p):
 
 
 def cmd_profile(args):
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, check=ExperimentConfig.validate_profile)
     gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus, u_minus=cfg.u_minus)
     profile = solve_profile(gas, cfg.eps, span_over_eps=cfg.span_over_eps)
     states = profile.states

@@ -77,10 +77,10 @@ def _coerce(updates):
     return clean
 
 
-def apply_overrides(config, updates):
-    """Return a new ExperimentConfig with updates applied and validated."""
+def apply_overrides(config, updates, check=ExperimentConfig.validate):
+    """Return a new ExperimentConfig with updates applied and checked by `check`."""
     cfg = replace(config, **_coerce(updates))
-    cfg.validate()
+    check(cfg)
     return cfg
 
 

@@ -7,8 +7,9 @@ cadence the full functional breakdown is recorded into a ContractionTrace.
 
 The state is marched at xi = x - X(t), in the frame of the shifted profile
 where int a(xi) eta(U | Utilde(xi)) dxi lives.  As d/dt|_xi = d/dt|_x +
-Xdot d/dxi, the PDE drift is sigma + Xdot and the weight frame is fixed: a
-run evaluates it once.  Snapshots, the final state and the checkpoint are at xi.
+Xdot d/dxi, the PDE drift is sigma + Xdot and the weight frame is fixed:
+build_setup folds it into one functional frame for every stage and record.
+Snapshots, the final state and the checkpoint are at xi.
 
 The identity audit re-runs a configuration on a resolution ladder and checks
 that the centered time-difference of the recorded weighted entropy matches
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import solver
-from .functionals import compute_breakdown, quick_yb
+from .functionals import compute_breakdown, functional_frame, quick_yb
 from .gas import GasModel
 from .profile import end_states_from_amplitude, solve_profile
 from .shift import overshoot, r_residual, saturated, shift_rhs
@@ -79,27 +80,34 @@ class ExperimentConfig:
     seed: int = 1234
     h_mode: str = "direct"       # direct | from-velocity
 
+    def _check_numbers(self, keys):
+        for key in keys:
+            value = getattr(self, key)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            if key in ("eps", "span_over_eps", "cells_per_layer", "t_end_sigma",
+                       "record_sigma", "cfl_safety", "width") and not value > 0.0:
+                raise ValueError(f"{key} must be positive, got {value!r}")
+
+    def validate_profile(self):
+        """Check the keys a profile and its weight read (`shocklab profile` reads no other)."""
+        self._check_numbers(("gamma", "v_minus", "u_minus", "eps", "span_over_eps", "lam"))
+        # the ranges of gamma, v_minus and eps are the gas's and the profile's
+        end_states_from_amplitude(GasModel(gamma=self.gamma, v_minus=self.v_minus,
+                                           u_minus=self.u_minus), self.eps)
+        check_lam(self.lam)
+        return self
+
     def validate(self):
         if self.perturb_kind not in ("none", "bump", "random-fourier", "large-amplitude"):
             raise ValueError(f"unknown perturbation kind {self.perturb_kind!r}")
         if self.h_mode not in ("direct", "from-velocity"):
             raise ValueError(f"unknown h_mode {self.h_mode!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for key in ("eps", "span_over_eps", "cells_per_layer", "t_end_sigma",
-                    "record_sigma", "cfl_safety", "width"):
-            value = getattr(self, key)
-            if not value > 0.0:
-                raise ValueError(f"{key} must be positive, got {value!r}")
+        self.validate_profile()
+        self._check_numbers([f.name for f in fields(self)])
         if not self.profile_margin_over_eps >= 0.0:  # solve the profile over the whole grid
             raise ValueError("profile_margin_over_eps must be nonnegative, got "
                              f"{self.profile_margin_over_eps!r}")
-        # the ranges of gamma, v_minus and eps are the gas's and the profile's
-        end_states_from_amplitude(GasModel(gamma=self.gamma, v_minus=self.v_minus,
-                                           u_minus=self.u_minus), self.eps)
-        check_lam(self.lam)
         if self.steady_relax and self.perturb_kind == "large-amplitude":
             # the stretched layer replaces the relaxed wave, which would be
             # computed only to be thrown away
@@ -127,12 +135,13 @@ class ExperimentConfig:
 
 @dataclass
 class LabSetup:
-    """Everything a run needs, built once from a config."""
+    """Everything a run needs, built once from a config (`frame`: functional_frame)."""
 
     config: ExperimentConfig
     profile: object
     weight: object
     grid: Grid
+    frame: dict
 
     @property
     def gas(self):
@@ -159,7 +168,8 @@ def build_setup(config):
     dx = 1.0 / (config.eps * config.cells_per_layer)
     n = int(np.ceil(2.0 * L / dx))
     grid = Grid(lo=-L, hi=L, n=n)
-    return LabSetup(config=config, profile=profile, weight=weight, grid=grid)
+    return LabSetup(config=config, profile=profile, weight=weight, grid=grid,
+                    frame=functional_frame(weight, grid.x))
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +216,13 @@ def phase_aligned_steady(setup):
     returns the best state seen, with no tolerance to choose.
     """
     gas, pr, grid = setup.gas, setup.profile, setup.grid
-    x = grid.x
     C = setup.sigma * gas.u_minus - gas.p_minus
 
     def ymis(beta):
-        v0 = pr.v_profile(x + beta)
+        v0 = pr.v_profile(grid.x + beta)
         v_s, h_s = steady_state(gas, setup.sigma, grid, v0,
                                 (gas.pressure(v0) + C) / setup.sigma)
-        Y, _ = quick_yb(x, v_s, h_s, gas.pressure(v_s), setup.weight, 0.0)
+        Y, _ = quick_yb(v_s, h_s, gas.pressure(v_s), setup.frame)
         return Y, v_s, h_s
 
     y0, v_s, h_s = ymis(0.0)
@@ -303,18 +312,18 @@ class ContractionTrace:
         return np.column_stack([getattr(self, f.name) for f in fields(self)])
 
 
-def coupled_rk4_step(setup, v, h, X, dt, frame, xdot):
+def coupled_rk4_step(setup, v, h, X, dt, xdot):
     """One time step of (v, h, X) at xi = x - X: an RKC2 step (`solver.rkc2`),
     its stage count set by the diffusion radius at the step's start.
 
-    Each stage computes p(v), (Y, B) on the weight frame `frame`, Xdot =
+    Each stage computes p(v), (Y, B) on the set-up's functional frame, Xdot =
     shift_rhs(Y, B, eps) into the one-element list `xdot`, and the PDE at
     drift sigma + Xdot.  (The name predates the RKC2 step; the benchmark
     tracer observes the step by this name.)"""
     def rhs(y):
         v, h, X = y
         p = setup.gas.pressure(v)  # one p(v) per stage, for both consumers
-        Y, B = quick_yb(setup.grid.x, v, h, p, setup.weight, frame=frame)
+        Y, B = quick_yb(v, h, p, setup.frame)
         rate = xdot[0] = shift_rhs(Y, B, setup.eps)
         dv, dh = semi_discrete_rhs(setup.sigma + rate, setup.grid, v, h, p)
         return dv, dh, rate
@@ -337,12 +346,11 @@ def run_experiment(setup, snapshots=None):
     state = initial_state(setup)
     rows = {f.name: [] for f in fields(ContractionTrace)}
     t_wall = time.perf_counter()
-    frame = setup.weight.frame(setup.grid.x)
     xdot = [0.0]  # the latest Xdot, from a stage or a record
 
     def record(t, y):
         v, h, X = y
-        bd = compute_breakdown(setup.grid.x, v, h, setup.weight, frame=frame)
+        bd = compute_breakdown(v, h, setup.frame)
         rate = xdot[0] = shift_rhs(bd.Y, bd.B, eps)
         for f in fields(bd):
             rows[f.name].append(getattr(bd, f.name))
@@ -358,7 +366,7 @@ def run_experiment(setup, snapshots=None):
     # drift bound 2|Xdot|: the advective limit holds while |Xdot| at most
     # doubles within a step
     t, (v, h, X) = march(
-        lambda y, dt: coupled_rk4_step(setup, *y, dt, frame, xdot),
+        lambda y, dt: coupled_rk4_step(setup, *y, dt, xdot),
         (state.v, state.h, 0.0), 0.0, t_end,
         lambda y: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety,
                             drift=2.0 * abs(xdot[0])),

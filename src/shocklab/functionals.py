@@ -1,15 +1,15 @@
 """Weighted relative-entropy functionals along the shifted profile.
 
-Each integral int f*g is the trapezoid rule on the uniform grid as one dot
-product, dx*(sum f_i g_i - (f_0 g_0 + f_n g_n)/2), in np.einsum's loop (BLAS
-ddot may change its last bits with the thread count).  A shift X moves the
-*profile and weight*, never the field: by change of variables
+A shift X moves the *profile and weight*, never the field: by change of
+variables
 
     int a(xi) eta(U(xi+X) | Utilde(xi)) dxi
   = int a(xi-X) eta(U(xi) | Utilde(xi-X)) dxi,
 
-so every reference quantity is evaluated at xi - X through the profile
-interpolant.  Working variables:
+so a state is scored against functional_frame(weight, x - X), which folds
+each frame-side factor of the integrals with the trapezoid weights into one
+constant vector: every integral is one dot product in np.einsum's loop (BLAS
+ddot may change its last bits with the thread count).  Working variables:
 
     w = p(v) - p_tilde          (pressure perturbation)
     b = (h - h_tilde) - w/sigma (outgoing component)
@@ -35,6 +35,7 @@ from .solver import _d1
 
 __all__ = [
     "FunctionalBreakdown",
+    "functional_frame",
     "compute_breakdown",
     "quick_yb",
     "truncate_state",
@@ -60,65 +61,79 @@ class FunctionalBreakdown:
     sup_w: float  # max |w| = max |p(v) - p_tilde| on the grid
 
 
-def _quad(f, g, dx):
-    """Trapezoid rule for int f*g with no product array (module docstring)."""
-    return float(dx * (np.einsum("i,i", f, g) - 0.5 * (f[0] * g[0] + f[-1] * g[-1])))
+def _dot(c, g):
+    """<c, g> in np.einsum's loop (module docstring)."""
+    return float(np.einsum("i,i", c, g))
 
 
-def _yb_kernel(v, h, p, gas, sig, dx, pf):
+def _trapezoid_weights(x):
+    """tw on the uniform points x: dx, with half weight at the two ends."""
+    tw = np.full(x.size, x[1] - x[0])
+    tw[[0, -1]] *= 0.5
+    return tw
+
+
+def functional_frame(weight, x):
+    """The weight frame at the uniform points x folded for the functionals:
+    dx, sigma, the gas, the fields v, p, h, pv, qv, dpv of ShockProfile._fields
+    and, with tw the trapezoid weights, ta = tw a, tda = tw a', ta_dp = tw a
+    p_tilde', ta_dh = tw a h_tilde', tb1 = sigma tw a v_tilde' and tb2 =
+    tw (a'/(2 sigma) + a''/2)."""
+    pf = weight.frame(x)
+    sig = weight.profile.sigma
+    tw = _trapezoid_weights(x)
+    ta = tw * pf["a"]
+    return {
+        "dx": x[1] - x[0], "sigma": sig, "gas": weight.profile.gas,
+        **{k: pf[k] for k in ("v", "p", "h", "pv", "qv", "dpv")},
+        "ta": ta, "tda": tw * pf["da"], "ta_dp": ta * pf["dp"], "ta_dh": ta * pf["dh"],
+        "tb1": sig * ta * pf["dv"],
+        "tb2": tw * (pf["da"] / (2.0 * sig) + 0.5 * pf["d2a"]),
+    }
+
+
+def _yb_kernel(v, h, p, fr):
     """Y, B1, B2 and the pointwise arrays (w, h - h_tilde, q(v|v_tilde), eta).
 
-    p is p(v), which every caller already has; pf is a weight frame
-    (WeightFn.frame at the shifted points), which brings the closures at
-    v_tilde.  q(v) is evaluated once.  q(v|v_tilde) and p(v|v_tilde) keep
-    the operation order of GasModel.q_relative and p_relative, so they match
+    p is p(v), which every caller already has; fr is a functional frame.
+    q(v) is evaluated once.  q(v|v_tilde) and p(v|v_tilde) keep the
+    operation order of GasModel.q_relative and p_relative, so they match
     those bit for bit.
     """
-    a, da, d2a = pf["a"], pf["da"], pf["d2a"]
-    dv = v - pf["v"]
-    w = p - pf["p"]
-    dh_field = h - pf["h"]
-    q_rel = gas.entropy(v) - pf["qv"] + pf["pv"] * dv
-    p_rel = p - pf["pv"] - pf["dpv"] * dv
+    dv = v - fr["v"]
+    w = p - fr["p"]
+    dh_field = h - fr["h"]
+    q_rel = fr["gas"].entropy(v) - fr["qv"] + fr["pv"] * dv
+    p_rel = p - fr["pv"] - fr["dpv"] * dv
     eta = 0.5 * dh_field ** 2 + q_rel
-    Y = -_quad(da, eta, dx) + _quad(a, -pf["dp"] * dv + pf["dh"] * dh_field, dx)
-    B1 = sig * _quad(a, pf["dv"] * p_rel, dx)
-    w2 = w ** 2
-    B2 = _quad(da, w2, dx) / (2.0 * sig) + 0.5 * _quad(d2a, w2, dx)
+    Y = _dot(fr["ta_dh"], dh_field) - _dot(fr["tda"], eta) - _dot(fr["ta_dp"], dv)
+    B1 = _dot(fr["tb1"], p_rel)
+    B2 = _dot(fr["tb2"], w ** 2)
     return Y, B1, B2, w, dh_field, q_rel, eta
 
 
-def compute_breakdown(x, v, h, weight, shift=0.0, frame=None):
-    """Full functional breakdown of the state (v, h) on grid x at shift X.
+def compute_breakdown(v, h, frame):
+    """Full functional breakdown of the state (v, h) against a functional frame.
 
-    Grid must be uniform; `frame`, if given, is weight.frame(x - shift).
     Returns a FunctionalBreakdown; see the module docstring for the
     formulas.  The Y decomposition satisfies Y = Y_g + Y_b + Y_l
     identically (same discrete arrays on both sides).
     """
-    x = np.asarray(x, dtype=float)
-    dx = x[1] - x[0]
-    gas, sig = weight.profile.gas, weight.profile.sigma
-    pf = weight.frame(x - shift) if frame is None else frame
-    a, da = pf["a"], pf["da"]
-    Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, gas.pressure(v), gas, sig, dx, pf)
+    sig, ta, tda = frame["sigma"], frame["ta"], frame["tda"]
+    Y, B1, B2, w, dh_field, q_rel, eta = _yb_kernel(v, h, frame["gas"].pressure(v), frame)
     b = dh_field - w / sig
-
-    def T(f, g):
-        return _quad(f, g, dx)
-
-    i_da_q = T(da, q_rel)
-    i_da_b2 = T(da, b ** 2)
-    Y_g = (-T(da, w ** 2) / (2.0 * sig * sig) - i_da_q
-           - T(a, pf["dp"] * (v - pf["v"])) + T(a, pf["dh"] * w) / sig)
-    Y_b = -0.5 * i_da_b2 - T(da, w * b) / sig
-    Y_l = T(a, pf["dh"] * b)
+    i_da_q = _dot(tda, q_rel)
+    i_da_b2 = _dot(tda, b ** 2)
+    Y_g = (-_dot(tda, w ** 2) / (2.0 * sig * sig) - i_da_q
+           - _dot(frame["ta_dp"], v - frame["v"]) + _dot(frame["ta_dh"], w) / sig)
+    Y_b = -0.5 * i_da_b2 - _dot(tda, w * b) / sig
+    Y_l = _dot(frame["ta_dh"], b)
     G1 = 0.5 * sig * i_da_b2
     G2 = sig * i_da_q
-    D = T(a, _d1(w, dx) ** 2)
+    D = _dot(ta, _d1(w, frame["dx"]) ** 2)
 
     return FunctionalBreakdown(
-        weighted_entropy=T(a, eta),
+        weighted_entropy=_dot(ta, eta),
         Y=Y, Y_g=Y_g, Y_b=Y_b, Y_l=Y_l,
         B1=B1, B2=B2, B=B1 + B2,
         G1=G1, G2=G2, D=D, G=G1 + G2 + D,
@@ -126,29 +141,24 @@ def compute_breakdown(x, v, h, weight, shift=0.0, frame=None):
     )
 
 
-def quick_yb(x, v, h, p, weight, shift=0.0, frame=None):
+def quick_yb(v, h, p, frame):
     """(Y, B) only, for the shift ODE at every RK stage; p = p(v), frame as in
     compute_breakdown."""
-    x = np.asarray(x, dtype=float)
-    pf = weight.frame(x - shift) if frame is None else frame
-    pr = weight.profile
-    Y, B1, B2 = _yb_kernel(v, h, p, pr.gas, pr.sigma, x[1] - x[0], pf)[:3]
+    Y, B1, B2 = _yb_kernel(v, h, p, frame)[:3]
     return Y, B1 + B2
 
 
-def truncate_state(x, v, profile, shift, level):
+def truncate_state(v, frame, level):
     """Pressure-truncated volume field: p(v_bar) = p_tilde + clip(w, -level, level).
 
-    level > 0.  Truncation keeps the relative entropy ordering
-    q(v|v_tilde) >= q(v_bar|v_tilde) pointwise and drops the dissipation by
-    exactly int a |d_xi (p(v)-p(v_bar))|^2 in the continuum.
+    level > 0; frame is a functional frame.  Truncation keeps the relative
+    entropy ordering q(v|v_tilde) >= q(v_bar|v_tilde) pointwise and drops the
+    dissipation by exactly int a |d_xi (p(v)-p(v_bar))|^2 in the continuum.
     """
     if not (level > 0.0):
         raise ValueError("truncation level must be positive")
-    gas = profile.gas
-    p_t = profile.pressure_profile(np.asarray(x, dtype=float) - shift)
-    w = gas.pressure(v) - p_t
-    return gas.pressure_inverse(p_t + np.clip(w, -level, level))
+    gas, p_t = frame["gas"], frame["p"]
+    return gas.pressure_inverse(p_t + np.clip(gas.pressure(v) - p_t, -level, level))
 
 
 def bd_relative_functional(x, v, u, profile):
@@ -159,12 +169,11 @@ def bd_relative_functional(x, v, u, profile):
     finite for finite-energy data and controls the weighted entropy at t=0.
     """
     x = np.asarray(x, dtype=float)
-    dx = x[1] - x[0]
     gas = profile.gas
     pf = profile.frame(x)
-    h_eff = u + _d1(gas.pressure(v), dx)
+    h_eff = u + _d1(gas.pressure(v), x[1] - x[0])
     integrand = 0.5 * (h_eff - pf["h"]) ** 2 + gas.q_relative(v, pf["v"])
-    return _quad(np.ones_like(x), integrand, dx)  # the weight a = 1
+    return _dot(_trapezoid_weights(x), integrand)  # the weight a = 1
 
 
 def weighted_q_probe(weight):
@@ -185,27 +194,25 @@ def weighted_q_probe(weight):
     alpha = gas.layer_constant
     L = 40.0 / eps
     x = np.linspace(-L, L, 4001)
-    dx = x[1] - x[0]
-    pf = weight.frame(x)
+    fr = functional_frame(weight, x)
     width = 4.0 * alpha / eps  # ~ two layer widths
     S = np.clip(1.0 - (x / width) ** 2, 0.0, None) ** 3
 
     def Y_of(t):  # h untouched
-        v = pf["v"] + t * S
-        return _yb_kernel(v, pf["h"], gas.pressure(v), gas, profile.sigma, dx, pf)[0]
+        v = fr["v"] + t * S
+        return _yb_kernel(v, fr["h"], gas.pressure(v), fr)[0]
 
     # bracket the nontrivial zero: Y < 0 for small t, > 0 past t* ~ eps/lam
-    t_lo = 1e-3 * eps / lam
-    t_hi = eps / lam
-    it = 0
-    while Y_of(t_hi) < 0.0:
+    t_lo, t_hi = 1e-3 * eps / lam, eps / lam
+    for _ in range(13):
+        if Y_of(t_hi) >= 0.0:
+            break
         t_hi *= 2.0
-        it += 1
-        if it > 12:
-            raise RuntimeError("no sign change for the layer probe amplitude")
+    else:
+        raise RuntimeError("no sign change for the layer probe amplitude")
     t_star = brentq(Y_of, t_lo, t_hi, xtol=1e-14)
-    v = pf["v"] + t_star * S
-    iq = _quad(np.abs(pf["da"]), gas.q_relative(v, pf["v"]), dx)
+    v = fr["v"] + t_star * S
+    iq = _dot(np.abs(fr["tda"]), gas.q_relative(v, fr["v"]))
     return {
         "t_star": float(t_star),
         "t_star_over_eps_by_lam": float(t_star * lam / eps),
@@ -215,23 +222,23 @@ def weighted_q_probe(weight):
     }
 
 
-def normalized_layer_variables(x, v, weight, shift=0.0):
+def normalized_layer_variables(x, v, weight):
     """Resample the pressure perturbation to the layer coordinate.
 
     Returns (y, W) on a uniform 257-point y-grid in [1e-3, 1 - 1e-3], where
     y = (p_tilde - p_minus)/eps is the layer progress variable and
     W = (lam/eps) * (p(v) - p_tilde) the normalized perturbation, both read
-    along the weight's shifted profile.
+    along the weight's profile.
     """
     from scipy.interpolate import CubicSpline  # a report helper: the march needs no scipy
 
     x = np.asarray(x, dtype=float)
     profile = weight.profile
     gas = profile.gas
-    w_spline = CubicSpline(x, gas.pressure(v) - profile.pressure_profile(x - shift))
+    w_spline = CubicSpline(x, gas.pressure(v) - profile.pressure_profile(x))
     y = np.linspace(1e-3, 1.0 - 1e-3, 257)
-    xi_y = profile.xi_of_y(y) + shift
+    xi_y = profile.xi_of_y(y)
     if np.any(xi_y < x[0]) or np.any(xi_y > x[-1]):
-        raise ValueError("layer window (after shift) exceeds the field grid")
+        raise ValueError("layer window exceeds the field grid")
     W = (weight.lam / profile.eps) * w_spline(xi_y)
     return y, W

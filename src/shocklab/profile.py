@@ -295,7 +295,8 @@ class ShockProfile:
         return float(np.max(np.abs(self.sigma * (dps - f))))
 
     def monotone(self):
-        return bool(np.all(np.diff(self.p) > 0.0))
+        """Knots never fall (far-tail neighbours may round to one double), p rises."""
+        return bool(np.all(np.diff(self.p) >= 0.0) and self.p[-1] > self.p[0])
 
 
 #: the quadrature xi(s): Chebyshev panels of this width in s and this degree

@@ -21,8 +21,8 @@ in the frame of the shifted profile, where sigma becomes sigma + Xdot.
 
 Also here: a damped-Newton solver for the *discrete* steady state (a run
 started from it stays put to machine precision, which the shift-coupled
-steady tests need), with a Thomas solve of its tridiagonal Jacobian, a
-conservation diagnostic, and binary checkpoint IO.
+steady tests need), with a Thomas solve of its tridiagonal Jacobian, and
+binary checkpoint IO.
 """
 
 import os
@@ -43,7 +43,6 @@ __all__ = [
     "simulate",
     "steady_state",
     "effective_velocity",
-    "conservation_balance",
     "write_checkpoint",
     "read_checkpoint",
 ]
@@ -367,19 +366,6 @@ def _thomas(lo, di, up, rhs):
     for i in range(len(x) - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
     return np.array(x)
-
-
-def conservation_balance(gas, sigma, grid, state):
-    """(d/dt trapz(v), boundary flux difference) for the v-equation.
-
-    The continuum law is d/dt int v = [sigma*v + h - (p(v))_xi] at the ends;
-    both numbers are returned so callers can compare at their own tolerance.
-    """
-    p = gas.pressure(state.v)
-    dv, _ = semi_discrete_rhs(sigma, grid, state.v, state.h, p)
-    growth = float(np.trapezoid(dv, dx=grid.dx))
-    flux = sigma * state.v + state.h - _d1(p, grid.dx)
-    return growth, float(flux[-1] - flux[0])
 
 
 # ---------------------------------------------------------------------------

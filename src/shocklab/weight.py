@@ -18,10 +18,6 @@ class WeightFn:
     profile: object
     lam: float
 
-    @property
-    def eps(self):
-        return self.profile.eps
-
     def frame(self, x):
         """The profile frame at xi plus a, da, d2a, from one profile-frame pass."""
         fr = self.profile.frame(x)

@@ -111,6 +111,24 @@ def test_cli_profile_exit_zero_and_csv():
     assert "a" in header and "v" in header
 
 
+def test_cli_profile_passes_at_gamma_1_4(capsys):
+    assert main(["profile", "--set", "gamma=1.4"]) == 0
+    assert "profile check: PASS" in capsys.readouterr().out
+
+
+def test_cli_profile_checks_only_the_keys_it_reads(capsys):
+    # eps = 2 with the default width puts the perturbation outside the
+    # domain, which a run refuses and a profile never reads
+    assert main(["profile", "--set", "eps=2"]) == 0
+    assert "profile check: PASS" in capsys.readouterr().out
+    assert main(["simulate", "--set", "eps=2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: perturbation support must stay within 80% of the domain\n"
+    # a bad value of a key the profile reads is still a config error
+    assert main(["profile", "--set", "eps=-1"]) == 2
+    assert capsys.readouterr().err == "error: eps must be positive, got -1.0\n"
+
+
 def test_cli_simulate_artifacts():
     with tempfile.TemporaryDirectory() as d:
         trace = os.path.join(d, "trace.csv")

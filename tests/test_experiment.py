@@ -149,10 +149,12 @@ def test_mass_conserved_until_boundary_contact():
     assert abs(m1 - m0 - X * (st0.v[-1] - st0.v[0])) < 1e-8
 
 
-@pytest.mark.parametrize("overrides", [{}, {"t_end_sigma": 1.0, "record_sigma": 0.05}])
+@pytest.mark.parametrize("overrides", [{}, {"t_end_sigma": 1.0, "record_sigma": 0.05},
+                                       {"steady_relax": True, "perturb_kind": "none"}])
 def test_one_weight_frame_per_run(overrides, monkeypatch):
-    # the co-moving march reads one weight frame for every stage and record,
-    # however many steps and records the run takes
+    # set-up folds one weight frame into the functional frame, which every
+    # stage and record of the co-moving march and every phase-alignment
+    # probe of a steady_relax start reads, however many there are
     calls = []
     frame = sl.WeightFn.frame
     monkeypatch.setattr(sl.WeightFn, "frame", lambda self, x: calls.append(1) or frame(self, x))
@@ -217,7 +219,7 @@ def test_phase_aligned_steady_is_steady():
     dv, dh = sl.semi_discrete_rhs(setup.profile.states.sigma, setup.grid,
                                   state.v, state.h, p)
     assert max(np.abs(dv).max(), np.abs(dh).max()) < 1e-10
-    Y, B = sl.quick_yb(setup.grid.x, state.v, state.h, p, setup.weight)
+    Y, B = sl.quick_yb(state.v, state.h, p, setup.frame)
     assert abs(Y) < 1e-12
 
 
@@ -237,8 +239,7 @@ def test_phase_alignment_takes_a_few_chord_steps(overrides, monkeypatch):
     setup = sl.build_setup(sl.ExperimentConfig(steady_relax=True, perturb_kind="none",
                                                span_over_eps=20.0, **overrides))
     state = phase_aligned_steady(setup)
-    Y, _ = sl.quick_yb(setup.grid.x, state.v, state.h, setup.gas.pressure(state.v),
-                       setup.weight)
+    Y, _ = sl.quick_yb(state.v, state.h, setup.gas.pressure(state.v), setup.frame)
     assert len(solves) <= 8
     assert abs(Y) <= 1e-12
 
@@ -315,11 +316,11 @@ def test_unweighted_pinned_identity():
                        t_end_sigma=1.0)
     setup = sl.build_setup(cfg)
     state = sl.initial_state(setup)
-    pr, wt, grid = setup.profile, setup.weight, setup.grid
+    pr, grid = setup.profile, setup.grid
     recs = []
 
     def on_record(s):
-        bd = sl.compute_breakdown(grid.x, s.v, s.h, wt)
+        bd = sl.compute_breakdown(s.v, s.h, setup.frame)
         recs.append((s.t, bd.weighted_entropy, bd.B, bd.G))
 
     sl.simulate(setup.gas, pr.states.sigma, grid, state,

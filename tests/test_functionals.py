@@ -10,13 +10,18 @@ import numpy.testing as npt
 import pytest
 
 import shocklab as sl
-from shocklab.functionals import _yb_kernel, weighted_q_probe
+from shocklab.functionals import _dot, _yb_kernel, weighted_q_probe
 from shocklab.solver import _d1
 
 
 @pytest.fixture(scope="module")
 def wide_x(setup_default):
     return setup_default.grid.x
+
+
+@pytest.fixture(scope="module")
+def frame01(weight01, wide_x):
+    return sl.functional_frame(weight01, wide_x)
 
 
 def perturbed_state(profile, x, amp=0.01, seed=5):
@@ -28,38 +33,37 @@ def perturbed_state(profile, x, amp=0.01, seed=5):
     return v, h
 
 
-def test_all_functionals_vanish_at_profile(profile01, weight01, wide_x):
+def test_all_functionals_vanish_at_profile(profile01, frame01, wide_x):
     x = wide_x
-    bd = sl.compute_breakdown(x, profile01.v_profile(x), profile01.h_profile(x),
-                              weight01)
+    bd = sl.compute_breakdown(profile01.v_profile(x), profile01.h_profile(x), frame01)
     for name in ("Y", "Y_g", "Y_b", "Y_l", "B1", "B2", "B", "G1", "G2", "D", "G"):
         assert abs(getattr(bd, name)) < 1e-13, name
     assert abs(bd.weighted_entropy) < 1e-13
 
 
-def test_decomposition_identities(profile01, weight01, wide_x):
+def test_decomposition_identities(profile01, frame01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
-    bd = sl.compute_breakdown(wide_x, v, h, weight01)
+    bd = sl.compute_breakdown(v, h, frame01)
     assert abs(bd.Y - (bd.Y_g + bd.Y_b + bd.Y_l)) < 1e-14
     assert abs(bd.B - (bd.B1 + bd.B2)) < 1e-14
     assert abs(bd.G - (bd.G1 + bd.G2 + bd.D)) < 1e-14
 
 
-def test_sign_structure(profile01, weight01, wide_x):
+def test_sign_structure(profile01, frame01, wide_x):
     # good terms are nonnegative by construction, for any admissible state
     for seed in range(5):
         v, h = perturbed_state(profile01, wide_x, amp=0.02, seed=seed)
-        bd = sl.compute_breakdown(wide_x, v, h, weight01)
+        bd = sl.compute_breakdown(v, h, frame01)
         assert bd.G1 >= 0 and bd.G2 >= 0 and bd.D >= 0
         assert bd.B1 >= 0  # sigma * v_tilde' > 0 and p(v|v_tilde) >= 0
         assert bd.weighted_entropy > 0
 
 
-def test_entropy_weight_sandwich(profile01, weight01, wide_x):
+def test_entropy_weight_sandwich(profile01, frame01, wide_x):
     # a in [1/2, 1] pinches the weighted entropy between half and one times
     # the unweighted relative entropy
     v, h = perturbed_state(profile01, wide_x)
-    bd = sl.compute_breakdown(wide_x, v, h, weight01)
+    bd = sl.compute_breakdown(v, h, frame01)
     gas = profile01.states.gas
     eta = sl.eta_relative(gas, v, h, profile01.v_profile(wide_x),
                           profile01.h_profile(wide_x))
@@ -71,35 +75,32 @@ def test_quick_yb_agrees_with_breakdown(profile01, weight01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
     p = profile01.gas.pressure(v)
     for shift in (0.0, 0.37, -1.2):
-        bd = sl.compute_breakdown(wide_x, v, h, weight01, shift=shift)
-        Y, B = sl.quick_yb(wide_x, v, h, p, weight01, shift=shift)
+        frame = sl.functional_frame(weight01, wide_x - shift)
+        bd = sl.compute_breakdown(v, h, frame)
+        Y, B = sl.quick_yb(v, h, p, frame)
         # one kernel computes both, so they agree to the last bit
         assert Y == bd.Y
         assert B == bd.B
-        # and a frame built by the caller is the frame they would build
-        frame = weight01.frame(wide_x - shift)
-        assert sl.quick_yb(wide_x, v, h, p, weight01, frame=frame) == (Y, B)
-        assert sl.compute_breakdown(wide_x, v, h, weight01, frame=frame) == bd
 
 
 def test_shift_moves_frame(profile01, weight01, wide_x):
     # a state equal to a translated profile scores zero at the matching
-    # shift (frames evaluate the profile at x - shift)
+    # shift (a shifted frame is built at the points x - shift)
     x = wide_x
     v = profile01.v_profile(x + 0.8)
     h = profile01.h_profile(x + 0.8)
-    bd0 = sl.compute_breakdown(x, v, h, weight01, shift=0.0)
-    bd1 = sl.compute_breakdown(x, v, h, weight01, shift=-0.8)
+    bd0 = sl.compute_breakdown(v, h, sl.functional_frame(weight01, x))
+    bd1 = sl.compute_breakdown(v, h, sl.functional_frame(weight01, x + 0.8))
     assert bd1.weighted_entropy < 1e-13
     assert bd0.weighted_entropy > 1e-5
     assert abs(bd1.Y) < 1e-13
 
 
-def test_truncation_clips_toward_profile(profile01, wide_x):
+def test_truncation_clips_toward_profile(profile01, frame01, wide_x):
     x = wide_x
     v = profile01.v_profile(x) - 0.05 * np.exp(-(x / 10.0) ** 2)
     level = 0.02
-    vt = sl.truncate_state(x, v, profile01, 0.0, level)
+    vt = sl.truncate_state(v, frame01, level)
     p = profile01.states.gas.pressure
     w_before = p(v) - profile01.pressure_profile(x)
     w_after = p(vt) - profile01.pressure_profile(x)
@@ -109,10 +110,10 @@ def test_truncation_clips_toward_profile(profile01, wide_x):
     assert np.all(w_after * w_before >= -1e-16)
 
 
-def test_truncation_identity_below_level(profile01, wide_x):
+def test_truncation_identity_below_level(profile01, frame01, wide_x):
     x = wide_x
     v = profile01.v_profile(x) - 1e-4 * np.exp(-(x / 10.0) ** 2)
-    vt = sl.truncate_state(x, v, profile01, 0.0, 0.02)
+    vt = sl.truncate_state(v, frame01, 0.02)
     npt.assert_allclose(vt, v, rtol=0, atol=1e-14)
 
 
@@ -130,11 +131,11 @@ def test_bd_relative_functional_properties(profile01, wide_x):
 def test_normalized_layer_variables(profile01, weight01, wide_x):
     x = wide_x
     v = profile01.v_profile(x) + 1e-3 * np.exp(-(x / 5.0) ** 2)
-    y, W = sl.normalized_layer_variables(x, v, weight01, 0.0)
+    y, W = sl.normalized_layer_variables(x, v, weight01)
     assert np.all(np.diff(y) > 0)
     assert y[0] >= 1e-3 - 1e-12 and y[-1] <= 1.0 - 1e-3 + 1e-12
     # at the exact profile W vanishes identically
-    y0, W0 = sl.normalized_layer_variables(x, profile01.v_profile(x), weight01, 0.0)
+    y0, W0 = sl.normalized_layer_variables(x, profile01.v_profile(x), weight01)
     assert np.abs(W0).max() < 1e-12
 
 
@@ -142,7 +143,7 @@ def test_normalized_layer_variables_window_check(profile01, weight01):
     x = np.linspace(-40.0, 40.0, 401)  # far narrower than the layer window
     v = profile01.v_profile(x)
     with pytest.raises(ValueError):
-        sl.normalized_layer_variables(x, v, weight01, 0.0)
+        sl.normalized_layer_variables(x, v, weight01)
 
 
 def test_weighted_q_probe_smoke(profile01, weight01):
@@ -159,17 +160,18 @@ def test_kernel_relative_quantities_match_gas_closures_bitwise(profile01, weight
     # the kernel takes p(v) from its caller, evaluates q(v) once and takes
     # the closures at v_tilde from the frame; the results must be the
     # GasModel ones, bit for bit.  p(v|v_tilde) enters only B1, so it is
-    # checked through B1.
+    # checked through B1: bit for bit against the same folded dot product,
+    # and within the rounding bound of the integral written out.
     v, h = perturbed_state(profile01, wide_x)
-    gas = profile01.gas
-    sig, dx = profile01.sigma, wide_x[1] - wide_x[0]
-    pf = weight01.frame(wide_x - 0.37)
-    a = pf["a"]
-    out = _yb_kernel(v, h, gas.pressure(v), gas, sig, dx, pf)
-    assert np.array_equal(out[5], gas.q_relative(v, pf["v"]))
-    g = pf["dv"] * gas.p_relative(v, pf["v"])
-    assert out[1] == sig * quad(a, g, dx)
-    assert abs(quad(a, g, dx) - np.trapezoid(a * g, dx=dx)) <= trapezoid_gap_bound(a, g, dx)
+    gas, sig = profile01.gas, profile01.sigma
+    xi = wide_x - 0.37
+    fr = sl.functional_frame(weight01, xi)
+    out = _yb_kernel(v, h, gas.pressure(v), fr)
+    assert np.array_equal(out[5], gas.q_relative(v, fr["v"]))
+    assert out[1] == _dot(fr["tb1"], gas.p_relative(v, fr["v"]))
+    pf = weight01.frame(xi)
+    terms = [(sig, pf["a"], pf["dv"] * gas.p_relative(v, pf["v"]))]
+    assert abs(out[1] - sig * quad(pf["a"], terms[0][2], fr["dx"])) <= folded_gap_bound(terms, fr["dx"])
     assert np.array_equal(out[3], gas.pressure(v) - pf["p"])
 
 
@@ -179,75 +181,115 @@ def quad(f, g, dx):
     return float(dx * (np.einsum("i,i", f, g) - 0.5 * (f[0] * g[0] + f[-1] * g[-1])))
 
 
-def trapezoid_gap_bound(f, g, dx):
-    """How far quad and np.trapezoid(f*g, dx=dx) may lie apart in floating
-    point: each is within gamma_{n+4} dx sum|f_i g_i| of the exact trapezoid
-    sum (one product, at most n + 1 additions, the end terms and the dx
-    scaling), gamma_k = k u / (1 - k u)."""
-    k, u = f.size + 4, np.finfo(float).eps / 2
-    return 2.0 * k * u / (1.0 - k * u) * dx * float(np.sum(np.abs(f * g)))
+def folded_gap_bound(terms, dx):
+    """How far a value sum c*quad(f, g) over `terms` [(c, f, g)] and the same
+    value from a functional frame may lie apart in floating point.
+
+    Both are sums of the same exact terms c dx_i f_i g_i (dx_i the trapezoid
+    weight).  Each term picks up at most n + 10 roundings on either side:
+    n - 1 additions in the dot product, and at most 11 operations besides
+    (the frame's constant vector or the pointwise product f*g, the product in
+    the dot, the end terms and dx of quad, the coefficient c, and up to three
+    additions that join the integrals of one value).  So each side lies
+    within gamma_{n+10} M of the exact value, M = sum |c| dx sum |f_i g_i|,
+    with gamma_k = k u / (1 - k u), and the two within twice that.
+    """
+    k, u = terms[0][1].size + 10, np.finfo(float).eps / 2
+    M = sum(abs(c) * dx * float(np.sum(np.abs(f * g))) for c, f, g in terms)
+    return 2.0 * k * u / (1.0 - k * u) * M
 
 
-def reference_breakdown(x, v, h, weight, shift):
-    """The functional breakdown with each integral written out as quad(f, g)
-    from the frame's own fields.  Also returns the (f, g) pair of every
-    integral."""
-    dx = x[1] - x[0]
+def reference_terms(xi, v, h, weight):
+    """Every value of the breakdown at the frame points xi with its integrals
+    written out from the weight frame's own fields and the GasModel
+    closures: name -> [(c, f, g)], the value being sum c*quad(f, g)."""
+    dx = xi[1] - xi[0]
     gas, sig = weight.profile.gas, weight.profile.sigma
-    pf = weight.frame(x - shift)
+    pf = weight.frame(xi)
     a, da, d2a = pf["a"], pf["da"], pf["d2a"]
-    pairs = []
-
-    def T(f, g):
-        pairs.append((f, g))
-        return quad(f, g, dx)
-
     dv = v - pf["v"]
     w = gas.pressure(v) - pf["p"]
     dh = h - pf["h"]
     q_rel = gas.q_relative(v, pf["v"])
     eta = 0.5 * dh ** 2 + q_rel
     b = dh - w / sig
-    B1 = sig * T(a, pf["dv"] * gas.p_relative(v, pf["v"]))
-    B2 = T(da, w ** 2) / (2.0 * sig) + 0.5 * T(d2a, w ** 2)
-    G1 = 0.5 * sig * T(da, b ** 2)
-    G2 = sig * T(da, q_rel)
-    D = T(a, _d1(w, dx) ** 2)
-    return {
-        "weighted_entropy": T(a, eta),
-        "Y": -T(da, eta) + T(a, -pf["dp"] * dv + pf["dh"] * dh),
-        "Y_g": (-T(da, w ** 2) / (2.0 * sig * sig) - T(da, q_rel)
-                - T(a, pf["dp"] * dv) + T(a, pf["dh"] * w) / sig),
-        "Y_b": -0.5 * T(da, b ** 2) - T(da, w * b) / sig,
-        "Y_l": T(a, pf["dh"] * b),
-        "B1": B1, "B2": B2, "B": B1 + B2,
-        "G1": G1, "G2": G2, "D": D, "G": G1 + G2 + D,
-        "sup_w": float(np.max(np.abs(w))),
-    }, pairs
+    terms = {
+        "weighted_entropy": [(1.0, a, eta)],
+        "Y": [(-1.0, da, eta), (1.0, a, -pf["dp"] * dv + pf["dh"] * dh)],
+        "Y_g": [(-1.0 / (2.0 * sig * sig), da, w ** 2), (-1.0, da, q_rel),
+                (-1.0, a, pf["dp"] * dv), (1.0 / sig, a, pf["dh"] * w)],
+        "Y_b": [(-0.5, da, b ** 2), (-1.0 / sig, da, w * b)],
+        "Y_l": [(1.0, a, pf["dh"] * b)],
+        "B1": [(sig, a, pf["dv"] * gas.p_relative(v, pf["v"]))],
+        "B2": [(1.0 / (2.0 * sig), da, w ** 2), (0.5, d2a, w ** 2)],
+        "G1": [(0.5 * sig, da, b ** 2)],
+        "G2": [(sig, da, q_rel)],
+        "D": [(1.0, a, _d1(w, dx) ** 2)],
+    }
+    terms["B"] = terms["B1"] + terms["B2"]
+    terms["G"] = terms["G1"] + terms["G2"] + terms["D"]
+    return terms, float(np.max(np.abs(w)))
+
+
+def reference_breakdown(xi, v, h, weight):
+    """The functional breakdown from reference_terms, one quad(f, g) per
+    integral; returns the values and the terms."""
+    terms, sup_w = reference_terms(xi, v, h, weight)
+    dx = xi[1] - xi[0]
+    ref = {name: sum(c * quad(f, g, dx) for c, f, g in t) for name, t in terms.items()}
+    return {**ref, "sup_w": sup_w}, terms
+
+
+def breakdown_gaps(bd, ref, terms, dx):
+    """name -> (|value - reference|, folded_gap_bound) for every integral of bd."""
+    return {name: (abs(getattr(bd, name) - ref[name]), folded_gap_bound(t, dx))
+            for name, t in terms.items()}
+
+
+def end_weighted_state(profile, x, seed):
+    """A perturbed state whose h is off the profile by a constant, so that
+    the integrands do not vanish at the two ends and the end weights count."""
+    v, h = perturbed_state(profile, x, amp=0.02, seed=seed)
+    return v, h + 0.01
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.37, -1.2])
 def test_kernel_and_breakdown_match_the_integrals_written_out(profile01, weight01, wide_x,
                                                               shift):
-    # the kernel takes p(v) from its caller and the closures at v_tilde from
-    # the frame; every number must keep the bits of the formulas written
-    # out from the GasModel closures, one quad(f, g) per integral, and each
-    # integral must be np.trapezoid's up to the rounding of the two orders
-    dx = wide_x[1] - wide_x[0]
+    # the kernel and the breakdown read a functional frame; every value must
+    # be the one written out from the weight frame and the GasModel
+    # closures, one quad(f, g) per integral, up to the rounding of the two
+    # forms (folded_gap_bound); sup_w is the same max, bit for bit
+    xi = wide_x - shift
+    fr = sl.functional_frame(weight01, xi)
     for seed in (5, 6):
-        v, h = perturbed_state(profile01, wide_x, amp=0.02, seed=seed)
-        ref, pairs = reference_breakdown(wide_x, v, h, weight01, shift)
-        assert len(pairs) == 16
-        for f, g in pairs:
-            assert abs(quad(f, g, dx) - np.trapezoid(f * g, dx=dx)) <= trapezoid_gap_bound(f, g, dx)
+        v, h = end_weighted_state(profile01, wide_x, seed)
+        ref, terms = reference_breakdown(xi, v, h, weight01)
+        assert sum(len(terms[name]) for name in terms if name not in ("B", "G")) == 16
         gas = profile01.gas
-        Y, B1, B2 = _yb_kernel(v, h, gas.pressure(v), gas, profile01.sigma,
-                               wide_x[1] - wide_x[0], weight01.frame(wide_x - shift))[:3]
-        assert (Y, B1, B2) == (ref["Y"], ref["B1"], ref["B2"])
-        bd = sl.compute_breakdown(wide_x, v, h, weight01, shift=shift)
+        bd = sl.compute_breakdown(v, h, fr)
+        assert (bd.Y, bd.B1, bd.B2) == _yb_kernel(v, h, gas.pressure(v), fr)[:3]
+        for name, (gap, bound) in breakdown_gaps(bd, ref, terms, fr["dx"]).items():
+            assert gap <= bound, (name, gap, bound)
+        assert bd.sup_w == ref["sup_w"]
         for f in dataclasses.fields(bd):
-            value = getattr(bd, f.name)
-            assert type(value) is float and value == ref[f.name], f.name
+            assert type(getattr(bd, f.name)) is float, f.name
+
+
+def test_a_frame_without_the_half_end_weights_fails_the_gap_bound(profile01, weight01,
+                                                                  wide_x):
+    # negative control: the same frame with full weight dx at the two ends
+    # (the rectangle rule) reads the state's end terms at twice their weight
+    fr = sl.functional_frame(weight01, wide_x)
+    bad = dict(fr)
+    for key in ("ta", "tda", "ta_dp", "ta_dh", "tb1", "tb2"):
+        bad[key] = fr[key].copy()
+        bad[key][[0, -1]] *= 2.0
+    v, h = end_weighted_state(profile01, wide_x, 5)
+    ref, terms = reference_breakdown(wide_x, v, h, weight01)
+    gaps = breakdown_gaps(sl.compute_breakdown(v, h, bad), ref, terms, fr["dx"])
+    gap, bound = gaps["weighted_entropy"]
+    assert gap > 1e3 * bound
 
 
 QUICK_YB_BITS = """
@@ -256,7 +298,7 @@ setup = sl.build_setup(sl.ExperimentConfig(cells_per_layer=500))
 assert setup.grid.x.size == 40001
 state = sl.experiment.initial_state(setup)
 p = setup.gas.pressure(state.v)
-Y, B = sl.quick_yb(setup.grid.x, state.v, state.h, p, setup.weight, 0.37)
+Y, B = sl.quick_yb(state.v, state.h, p, sl.functional_frame(setup.weight, setup.grid.x - 0.37))
 print(Y.hex(), B.hex())
 """
 

@@ -59,6 +59,22 @@ def test_profile_monotone(profile01):
     assert profile01.monotone()
 
 
+def test_profile_monotone_where_tail_knots_round_to_one_double():
+    # at gamma = 1.4 far-tail neighbours round to the same double: the knot
+    # differences hold exact zeros and no negative, and the profile is monotone
+    profile = sl.solve_profile(sl.GasModel(1.4, 1.0), 0.1)
+    assert np.any(np.diff(profile.p) == 0.0)
+    assert profile.monotone()
+
+
+def test_profile_with_one_swapped_knot_pair_is_not_monotone(profile01):
+    # negative control: swapping two neighbouring knots breaks monotonicity
+    p = profile01.p.copy()
+    i = p.size // 2
+    p[i], p[i + 1] = p[i + 1], p[i]
+    assert not dataclasses.replace(profile01, p=p).monotone()
+
+
 def test_profile_centering(profile01):
     # v at xi = 0 sits at the midpoint of the end volumes
     st = profile01.states

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import shocklab as sl
 from shocklab.config import config_to_text
-from shocklab.functionals import _quad
+from shocklab.functionals import _dot, _trapezoid_weights
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -166,12 +166,14 @@ entry = st.floats(-1e3, 1e3).map(lambda z: z if abs(z) >= 1e-100 else 0.0)
 @PROPERTY
 @given(data=st.data(), n=st.integers(2, 300), dx=st.floats(1e-3, 1.0))
 def test_quad_is_the_trapezoid_rule_to_rounding(data, n, dx):
-    # _quad and np.trapezoid sum the same terms in different orders; each is
-    # within gamma_{n+4} dx sum|f_i g_i| of the exact trapezoid sum (one
-    # product, at most n + 1 additions, the end terms, the dx scaling), with
-    # gamma_k = k u / (1 - k u)
+    # the functionals' quadrature <tw f, g> with the folded trapezoid weights
+    # tw and np.trapezoid sum the same terms in different orders; each is
+    # within gamma_{n+4} dx sum|f_i g_i| of the exact trapezoid sum (the
+    # products, at most n + 1 additions, the end terms, the dx scaling),
+    # with gamma_k = k u / (1 - k u)
     f = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="f"))
     g = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="g"))
     k, u = n + 4, np.finfo(float).eps / 2
     bound = 2.0 * k * u / (1.0 - k * u) * dx * float(np.sum(np.abs(f * g)))
-    assert abs(_quad(f, g, dx) - np.trapezoid(f * g, dx=dx)) <= bound
+    tw = _trapezoid_weights(dx * np.arange(n))
+    assert abs(_dot(tw * f, g) - np.trapezoid(f * g, dx=dx)) <= bound

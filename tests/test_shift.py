@@ -83,7 +83,7 @@ def test_r_residual_formula(profile01, weight01):
     x = np.linspace(-60.0, 60.0, 601)
     v = profile01.v_profile(x) * (1.0 + 0.01 * np.exp(-(x / 5.0) ** 2))
     h = profile01.h_profile(x) + 0.01 * np.exp(-(x / 7.0) ** 2)
-    bd = sl.compute_breakdown(x, v, h, weight01)
+    bd = sl.compute_breakdown(v, h, sl.functional_frame(weight01, x))
     lam, eps = 0.5, EPS
     expected = (-bd.Y**2 / eps**4 + (1.0 + 0.1 * eps / lam) * abs(bd.B) - bd.G)
     assert abs(r_residual(bd, eps, lam) - expected) < 1e-12
