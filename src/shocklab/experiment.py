@@ -52,6 +52,11 @@ class ConfigError(ValueError):
     """A config or override that no run can start from."""
 
 
+#: 25 times the largest grid of any test, demo or benchmark workload (40,000
+#: cells); a run holds about 0.25 kB per cell, so about 0.3 GB at the limit
+MAX_CELLS = 1_000_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat, file-mappable configuration of a contraction run."""
@@ -62,21 +67,17 @@ class ExperimentConfig:
     eps: float = 0.1
     lam: float = 0.5            # weight slope; desk-scale default 5*eps
     span_over_eps: float = 40.0  # grid half-width L = span_over_eps/eps
-    profile_margin_over_eps: float = 10.0
     cells_per_layer: int = 50    # dx = (1/eps)/cells_per_layer
     t_end_sigma: float = 2.0     # t_end = t_end_sigma/|sigma|
     record_sigma: float = 0.01   # record_dt = record_sigma/|sigma|
     cfl_safety: float = 0.4
     v_floor_frac: float = 0.1    # guard floor = frac * v_plus
-    margin_coeff: float = 0.1    # margin in R = -Y^2/eps^4 + (1+margin)|B| - G
     steady_relax: bool = False   # Newton-relax to the discrete steady state first
     perturb_kind: str = "bump"   # none | bump | random-fourier | large-amplitude
     amplitude: float = 0.01      # v-amplitude
     amplitude_h: float = 0.01    # h (or u) amplitude
-    center: float = 0.0
-    width: float = 20.0
+    width: float = 20.0          # perturbation support half-width, centred at 0
     modes: int = 6               # random-fourier mode count
-    stretch: float = 1.6         # large-amplitude profile stretch factor
     seed: int = 1234
     h_mode: str = "direct"       # direct | from-velocity
 
@@ -105,9 +106,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown h_mode {self.h_mode!r}")
         self.validate_profile()
         self._check_numbers([f.name for f in fields(self)])
-        if not self.profile_margin_over_eps >= 0.0:  # solve the profile over the whole grid
-            raise ValueError("profile_margin_over_eps must be nonnegative, got "
-                             f"{self.profile_margin_over_eps!r}")
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        if self.modes < 1:  # no mode is no perturbation
+            raise ValueError(f"modes must be at least 1, got {self.modes!r}")
+        cells = 2.0 * self.span_over_eps * self.cells_per_layer
+        if cells > MAX_CELLS:
+            raise ConfigError(f"span_over_eps = {self.span_over_eps!r} and cells_per_layer = "
+                              f"{self.cells_per_layer!r} make {cells:.4g} cells, over the "
+                              f"limit of {MAX_CELLS}")
         if self.steady_relax and self.perturb_kind == "large-amplitude":
             # the stretched layer replaces the relaxed wave, which would be
             # computed only to be thrown away
@@ -121,7 +128,7 @@ class ExperimentConfig:
             # at 1 dt already sits at the advective limit
             raise ValueError(f"cfl_safety must be at most 1, got {self.cfl_safety!r}")
         L = self.span_over_eps / self.eps
-        if abs(self.center) + self.width > 0.8 * L:
+        if self.width > 0.8 * L:
             raise ValueError("perturbation support must stay within 80% of the domain")
         # a step has dt < cfl_safety*dx/|sigma| and dt <= record_dt  (+1: end
         # tolerance); the parabolic limit sets the stage count, not dt
@@ -159,10 +166,8 @@ class LabSetup:
 def build_setup(config):
     config.validate()
     gas = GasModel(gamma=config.gamma, v_minus=config.v_minus, u_minus=config.u_minus)
-    profile = solve_profile(
-        gas, config.eps,
-        span_over_eps=config.span_over_eps + config.profile_margin_over_eps,
-    )
+    # the profile window reaches 10/eps past each end of the grid
+    profile = solve_profile(gas, config.eps, span_over_eps=config.span_over_eps + 10.0)
     weight = build_weight(profile, config.lam)
     L = config.span_over_eps / config.eps
     dx = 1.0 / (config.eps * config.cells_per_layer)
@@ -184,9 +189,9 @@ def c2_bump(s):
     return core ** 3
 
 
-def _fourier_noise(x, center, width, modes, rng):
+def _fourier_noise(x, width, modes, rng):
     """Seeded random Fourier sum under a C^2 window, sup-normalized to 1."""
-    s = (x - center) / width
+    s = x / width
     mask = c2_bump(s)
     out = np.zeros_like(x)
     for k in range(1, modes + 1):
@@ -248,17 +253,17 @@ def initial_state(setup):
     else:
         # large-amplitude stretches the layer (an O(1) bump); one frame
         # serves v, h and, in from-velocity mode, the reference's u
-        s = cfg.stretch if cfg.perturb_kind == "large-amplitude" else 1.0
+        s = 1.6 if cfg.perturb_kind == "large-amplitude" else 1.0
         fr = pr.frame(s * x)
         v0, h0 = fr["v"], fr["h"]
 
-    z = (x - cfg.center) / cfg.width
+    z = x / cfg.width
     if cfg.perturb_kind == "none":
         dv = dh = np.zeros_like(x)
     elif cfg.perturb_kind == "random-fourier":
         rng = np.random.default_rng(cfg.seed)
-        dv = cfg.amplitude * _fourier_noise(x, cfg.center, cfg.width, cfg.modes, rng)
-        dh = cfg.amplitude_h * _fourier_noise(x, cfg.center, cfg.width, cfg.modes, rng)
+        dv = cfg.amplitude * _fourier_noise(x, cfg.width, cfg.modes, rng)
+        dh = cfg.amplitude_h * _fourier_noise(x, cfg.width, cfg.modes, rng)
     else:  # bump and large-amplitude
         dv = cfg.amplitude * c2_bump(z)
         dh = cfg.amplitude_h * c2_bump(z)
@@ -357,7 +362,7 @@ def run_experiment(setup, snapshots=None):
         rows["t"].append(t)
         rows["X"].append(X)
         rows["Xdot"].append(rate)
-        rows["R"].append(r_residual(bd, eps, cfg.lam, cfg.margin_coeff))
+        rows["R"].append(r_residual(bd, eps, cfg.lam))
         rows["branch_saturated"].append(1.0 if saturated(bd.Y, eps) else 0.0)
         rows["overshoot"].append(overshoot(rate, eps))
         if snapshots is not None:

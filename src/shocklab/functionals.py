@@ -75,17 +75,19 @@ def _trapezoid_weights(x):
 
 def functional_frame(weight, x):
     """The weight frame at the uniform points x folded for the functionals:
-    dx, sigma, the gas, the fields v, p, h, pv, qv, dpv of ShockProfile._fields
-    and, with tw the trapezoid weights, ta = tw a, tda = tw a', ta_dp = tw a
-    p_tilde', ta_dh = tw a h_tilde', tb1 = sigma tw a v_tilde' and tb2 =
-    tw (a'/(2 sigma) + a''/2)."""
+    dx, sigma, the gas, the fields v, p, h, dpv of ShockProfile._fields, the
+    gas closures pv = p(v_tilde) and qv = q(v_tilde) (pv differs from p by
+    roundoff), which q(v|v_tilde) and p(v|v_tilde) read, and, with tw the
+    trapezoid weights, ta = tw a, tda = tw a', ta_dp = tw a p_tilde', ta_dh =
+    tw a h_tilde', tb1 = sigma tw a v_tilde' and tb2 = tw (a'/(2 sigma) + a''/2)."""
     pf = weight.frame(x)
-    sig = weight.profile.sigma
+    sig, gas = weight.profile.sigma, weight.profile.gas
     tw = _trapezoid_weights(x)
     ta = tw * pf["a"]
     return {
-        "dx": x[1] - x[0], "sigma": sig, "gas": weight.profile.gas,
-        **{k: pf[k] for k in ("v", "p", "h", "pv", "qv", "dpv")},
+        "dx": x[1] - x[0], "sigma": sig, "gas": gas,
+        **{k: pf[k] for k in ("v", "p", "h", "dpv")},
+        "pv": gas.pressure(pf["v"]), "qv": gas.entropy(pf["v"]),
         "ta": ta, "tda": tw * pf["da"], "ta_dp": ta * pf["dp"], "ta_dh": ta * pf["dh"],
         "tb1": sig * ta * pf["dv"],
         "tb2": tw * (pf["da"] / (2.0 * sig) + 0.5 * pf["d2a"]),

@@ -129,18 +129,9 @@ class ShockProfile:
     tail_rate_plus: float
     tail_amp_minus: float
     tail_amp_plus: float
-    _n_lo: int = field(init=False, repr=False)
-    _inv_h_lo: float = field(init=False, repr=False)
-    _inv_h_hi: float = field(init=False, repr=False)
     _coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # solve_profile samples two uniform pieces that meet at xi = 0:
-        # n_lo cells on [xi[0], 0] and the rest on [0, xi[-1]]
-        n_lo = int(np.searchsorted(self.xi, 0.0))
-        self._n_lo = n_lo
-        self._inv_h_lo = n_lo / -self.xi[0]
-        self._inv_h_hi = (self.xi.size - 1 - n_lo) / self.xi[-1]
         # the cubic Hermite form on each cell, one row (c0, c1, c2, c3) per
         # cell in scipy's PPoly layout, computed in CubicHermiteSpline's order
         p = self.p
@@ -168,27 +159,17 @@ class ShockProfile:
         """p_tilde(xi) for any xi, exponential splice beyond the stored window.
 
         Inside the window this is the stored cubic, evaluated as scipy's
-        PPoly.__call__ evaluates it, bit for bit, at about half its cost: the
-        cell comes from the uniform knot spacing instead of a search.  The result
-        has x's shape (0-d for a scalar), and a NaN point gives NaN.
+        PPoly.__call__ evaluates it, bit for bit.  The result has x's shape
+        (0-d for a scalar), and a NaN point gives NaN.
         """
         x = np.asarray(x, dtype=float)
         xk = self.xi
         lo, hi = xk[0], xk[-1]
-        last = xk.size - 2
         # each point is evaluated on its own; points beyond the window are
         # clipped to it here and overwritten by the tails below
         xc = np.clip(x.ravel(), lo, hi)  # a NaN point stays NaN
-        # the cell index from the uniform piece the point lies in, which
-        # can be one off next to a knot; the comparisons put it right
-        t = xc * np.where(xc < 0.0, self._inv_h_lo, self._inv_h_hi)
-        t += self._n_lo
-        np.fmax(t, 0.0, out=t)  # and a NaN point reads cell 0
-        i = t.astype(np.intp)
-        np.minimum(i, last, out=i)
-        i -= xc < xk.take(i)
-        i += xc >= xk.take(i + 1)
-        np.minimum(i, last, out=i)  # the last cell is closed at xi[-1]
+        # the last cell is closed at xi[-1]
+        i = np.clip(np.searchsorted(xk, xc, side="right") - 1, 0, xk.size - 2)
         s = xc - xk.take(i)
         c0, c1, c2, c3 = self._coef.take(i, axis=0).T
         # scipy's order: ((c3 + c2*s) + c1*s**2) + c0*(s**2*s)
@@ -217,10 +198,8 @@ class ShockProfile:
         """Every profile field at the pressure values p = p_tilde(xi).
 
         p, dp, d2p, v, dv, h, dh: everything downstream derives from p_tilde
-        and the ODE relation.  Also the gas closures at v_tilde, pv = p(v_tilde),
-        qv = q(v_tilde) and dpv = p'(v_tilde) (pv differs from p by roundoff),
-        which the relative quantities q(v|v_tilde) and p(v|v_tilde) need at
-        every use of the frame.
+        and the ODE relation.  Also dpv = p'(v_tilde), from which d2p and dv
+        derive.
         """
         gas = self.gas
         sig = self.sigma
@@ -235,8 +214,6 @@ class ShockProfile:
             "dv": dp / dpv,
             "h": self.states.u_minus + (p - self.states.p_minus) / sig,
             "dh": dp / sig,
-            "pv": gas.pressure(v),
-            "qv": gas.entropy(v),
             "dpv": dpv,
         }
 

@@ -12,7 +12,7 @@ asserted, not simulated: |Xdot|*eps^2 <= 1 + 2|B| always, and on the
 saturated branch Xdot*Y <= -(2|B|+1)|Y|/eps^2 <= -2|B|.  On the linear branch
 the useful object is the residual
 
-    R = -Y^2/eps^4 + (1 + margin)|B| - G,
+    R = -Y^2/eps^4 + (1 + margin)|B| - G,   margin = 0.1*eps/lam,
 
 whose nonpositivity is what makes the entropy rate negative there.
 """
@@ -36,9 +36,9 @@ def saturated(Y, eps):
     return bool(abs(Y) >= eps * eps)
 
 
-def r_residual(breakdown, eps, lam, margin_coeff=0.1):
-    """R = -Y^2/eps^4 + (1 + margin_coeff*eps/lam)|B| - G for a breakdown."""
-    margin = margin_coeff * eps / lam
+def r_residual(breakdown, eps, lam):
+    """R = -Y^2/eps^4 + (1 + 0.1*eps/lam)|B| - G of a breakdown."""
+    margin = 0.1 * eps / lam
     return (-breakdown.Y ** 2 / eps ** 4
             + (1.0 + margin) * abs(breakdown.B) - breakdown.G)
 

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,13 @@ def test_config_text_roundtrip():
     again = sl.apply_overrides(sl.ExperimentConfig(),
                                sl.parse_config_text(config_to_text(cfg)))
     assert again == cfg
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    # the ini block under "Configuration" in the README is the list of keys
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Configuration\n.*?```ini\n(.*?)```", text, re.S).group(1)
+    assert sl.parse_config_text(block) == asdict(sl.ExperimentConfig())
 
 
 def test_load_config_with_base():
@@ -182,7 +190,12 @@ def test_cli_audit_exit_zero():
     ("v_minus=-1", "v_minus"),
     ("eps=12", "eps"),
     ("span_over_eps=-40", "span_over_eps"),
-    ("profile_margin_over_eps=-45", "profile_margin_over_eps"),
+    ("profile_margin_over_eps=10", "unknown config key 'profile_margin_over_eps'"),
+    ("margin_coeff=0.1", "unknown config key 'margin_coeff'"),
+    ("center=0", "unknown config key 'center'"),
+    ("stretch=1.6", "unknown config key 'stretch'"),
+    ("seed=-1", "seed"),
+    ("modes=0", "modes"),
     ("cells_per_layer=0", "cells_per_layer"),
     ("width=0", "width"),
     ("width=-5", "width"),
@@ -197,6 +210,19 @@ def test_cli_config_error_is_one_line(capsys, item, key):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
+
+
+def test_grid_size_is_capped(capsys):
+    # a grid has 2*span_over_eps*cells_per_layer cells: 1e11 at span_over_eps
+    # = 1e9, which Grid.x cannot allocate; validate() refuses it by name
+    assert main(["simulate", "--set", "span_over_eps=1e9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "span_over_eps" in err and "cells_per_layer" in err
+    limit = sl.experiment.MAX_CELLS
+    sl.ExperimentConfig(span_over_eps=limit / 100, cells_per_layer=50).validate()
+    with pytest.raises(sl.experiment.ConfigError, match="span_over_eps.*cells_per_layer"):
+        sl.ExperimentConfig(span_over_eps=limit / 100, cells_per_layer=51).validate()
 
 
 def test_cli_config_error_from_file_and_sweep(capsys):

@@ -176,17 +176,21 @@ def test_profile_csv_export(profile01, weight01):
         npt.assert_array_equal(data[:, j], wf[key])
 
 
-def test_frame_carries_gas_closures_at_v_tilde(profile01, setup_default):
-    # p(v_tilde), q(v_tilde) and p'(v_tilde) ride in the frame, equal to the
-    # GasModel closures at pf["v"]; dp derived from v_tilde equals the ODE
-    # right-hand side evaluated the long way
+def test_frame_carries_gas_closures_at_v_tilde(profile01, weight01, setup_default):
+    # p'(v_tilde) rides in the profile frame and p(v_tilde), q(v_tilde) in the
+    # functional frame, the kernel's only reader of them, each equal to the
+    # GasModel closure at the frame's v; dp derived from v_tilde equals the
+    # ODE right-hand side evaluated the long way
     gas = profile01.gas
     x = setup_default.grid.x - 0.37
     pf = profile01.frame(x)
-    assert np.array_equal(pf["pv"], gas.pressure(pf["v"]))
-    assert np.array_equal(pf["qv"], gas.entropy(pf["v"]))
     assert np.array_equal(pf["dpv"], gas.dpressure(pf["v"]))
     assert np.array_equal(pf["dp"], profile01.dpressure_profile(x))
+    assert "pv" not in pf and "qv" not in pf
+    ff = sl.functional_frame(weight01, x)
+    assert np.array_equal(ff["v"], pf["v"])
+    assert np.array_equal(ff["pv"], gas.pressure(ff["v"]))
+    assert np.array_equal(ff["qv"], gas.entropy(ff["v"]))
 
 
 def test_pressure_profile_values_do_not_depend_on_the_other_points(profile01):
@@ -225,7 +229,7 @@ def hermite_pressure_profile(profile, x):
 
 @pytest.mark.parametrize("gamma, eps", [(2.0, 0.1), (2.0, 0.05), (1.4, 0.1), (1.4, 0.05)])
 def test_pressure_profile_is_scipys_spline_bit_for_bit(gamma, eps):
-    # the cell index comes from the two uniform knot pieces and the cubic is
+    # the cell index comes from a search of the knots and the cubic is
     # evaluated in scipy's order; every value must be CubicHermiteSpline's
     # on the knot values and the ODE slopes there
     profile = sl.solve_profile(sl.GasModel(gamma, 1.0), eps)
