@@ -279,6 +279,19 @@ def test_maximize_r_delta_reports_work_and_repeats():
     assert a.details["nit"] > 0
 
 
+@pytest.mark.parametrize("delta, expected", [(0.15, 0.4896589), (0.3, 2.277619)])
+def test_maximize_r_delta_finds_the_positive_supremum(delta, expected):
+    # R_delta(0) = 0, so at small delta a single start would certify; where
+    # the supremum is positive the seeded search must reach it
+    rep = sl.maximize_r_delta(delta=delta)
+    npt.assert_allclose(rep.worst_value, expected, rtol=1e-6)
+    assert not rep.certified
+
+
+def test_maximize_r_delta_stays_nonpositive_at_delta_one_tenth():
+    assert sl.maximize_r_delta(delta=0.1).worst_value <= 1e-8
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n_starts": 0}, {"n_grid": 2}, {"degree": -1},
     {"delta": 0.0}, {"c1": -1.0},
