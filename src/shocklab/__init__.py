@@ -7,8 +7,8 @@ its sign decomposition together with the stabilizing shift, and certifies
 the standalone scalar/functional inequalities the contraction estimate rests
 on.
 
-`import shocklab` and the march need numpy alone.  The inequality module
-needs scipy's optimizers, so its names load on first use (PEP 562).
+`import shocklab`, the march and the inequality certifications need numpy
+alone.
 """
 
 from .gas import (GasBoundConstants, GasModel, check_global_bounds,
@@ -27,22 +27,10 @@ from .experiment import (ContractionTrace, ExperimentConfig, LabSetup,
                          audit_trace, build_setup, identity_audit,
                          initial_state, run_experiment, summarize_trace,
                          sweep, write_summary_json, write_trace_csv)
+from .inequalities import (CertificationReport, DiscretizedW,
+                           certify_g_negative, certify_prop_algebra, g_poly,
+                           maximize_r_delta, poincare_slack_from_poly, r_delta,
+                           theta_constant, theta_squared_quadrature)
 from .config import apply_overrides, load_config, parse_config_text
 
 __version__ = "0.1.0"
-
-_INEQUALITIES = ("CertificationReport", "DiscretizedW", "certify_g_negative",
-                 "certify_prop_algebra", "g_poly", "maximize_r_delta",
-                 "poincare_slack_from_poly", "r_delta", "theta_constant",
-                 "theta_squared_quadrature")
-
-
-def __getattr__(name):
-    if name in _INEQUALITIES:
-        from . import inequalities
-        return getattr(inequalities, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted([*globals(), *_INEQUALITIES])

@@ -56,6 +56,12 @@ class ConfigError(ValueError):
 #: cells); a run holds about 0.25 kB per cell, so about 0.3 GB at the limit
 MAX_CELLS = 1_000_000
 
+#: bound on |amplitude| and |amplitude_h|: about 800 times the largest value
+#: of any test, demo or benchmark workload (1.2).  On the default grid a run
+#: with |amplitude_h| >= 100 already stops at the positivity guard; values
+#: near 1e300 overflow the march and the functionals before any guard speaks.
+MAX_AMPLITUDE = 1e3
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -110,6 +116,17 @@ class ExperimentConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
         if self.modes < 1:  # no mode is no perturbation
             raise ValueError(f"modes must be at least 1, got {self.modes!r}")
+        # mode k has wavelength 2 width / k, and the grid (dx = 1/(eps
+        # cells_per_layer)) resolves none shorter than 2 dx
+        nyquist = self.width * self.eps * self.cells_per_layer
+        if self.perturb_kind == "random-fourier" and self.modes > nyquist:
+            raise ValueError(f"modes = {self.modes!r} is over the {nyquist:.4g} modes the grid "
+                             f"resolves on the support (width / dx = width * eps * "
+                             f"cells_per_layer)")
+        for key in ("amplitude", "amplitude_h"):
+            if abs(getattr(self, key)) > MAX_AMPLITUDE:
+                raise ValueError(f"{key} must lie within [-{MAX_AMPLITUDE:g}, "
+                                 f"{MAX_AMPLITUDE:g}], got {getattr(self, key)!r}")
         cells = 2.0 * self.span_over_eps * self.cells_per_layer
         if cells > MAX_CELLS:
             raise ConfigError(f"span_over_eps = {self.span_over_eps!r} and cells_per_layer = "
@@ -129,7 +146,9 @@ class ExperimentConfig:
             raise ValueError(f"cfl_safety must be at most 1, got {self.cfl_safety!r}")
         L = self.span_over_eps / self.eps
         if self.width > 0.8 * L:
-            raise ValueError("perturbation support must stay within 80% of the domain")
+            raise ValueError(f"width = {self.width!r} is over 0.8 L = {0.8 * L:.6g}, with "
+                             f"L = span_over_eps / eps = {self.span_over_eps!r} / {self.eps!r}: "
+                             "the perturbation support must stay within 80% of the domain")
         # a step has dt < cfl_safety*dx/|sigma| and dt <= record_dt  (+1: end
         # tolerance); the parabolic limit sets the stage count, not dt
         min_steps = self.t_end_sigma * max(self.eps * self.cells_per_layer / self.cfl_safety,

@@ -14,7 +14,12 @@ Contents:
   * the one-variable cubic-radical function g on [-2, 0] and its negativity,
   * the two-variable polynomial P_delta with constraint band |E| <= delta_1,
   * the constrained functional R_delta(W) on (0,1) and its multistart
-    maximization (L-BFGS-B on the exact gradient of R_delta).
+    maximization: one batched L-BFGS ascent of all starts at once on the
+    exact gradient of R_delta (``minimize``).
+
+The module needs numpy alone: the quadrature is Gauss-Legendre on graded
+panels, the roots of g' come from a vectorized bisection, and the ascent is
+the batched L-BFGS defined here.
 """
 
 import time
@@ -23,8 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from numpy.polynomial import polynomial as nppoly
-from scipy.integrate import quad
-from scipy.optimize import brentq, minimize
 
 __all__ = [
     "CertificationReport",
@@ -43,6 +46,7 @@ __all__ = [
     "certify_prop_algebra",
     "DiscretizedW",
     "r_delta",
+    "minimize",
     "maximize_r_delta",
     "cubic_mean_decomposition",
     "centered_cubic_bound_slack",
@@ -80,35 +84,50 @@ def theta_constant():
     return float(np.sqrt(5.0 - np.pi ** 2 / 3.0))
 
 
+def _graded_gauss(lo, hi, order=20, levels=50):
+    """Gauss-Legendre nodes and weights on [lo, hi], panels halving toward lo.
+
+    The panel edges are lo + (hi - lo) 2^-j, j = 0..levels, so each panel but
+    the first is at least its own length away from lo: an integrand analytic
+    except at or left of lo converges geometrically on every panel, and the
+    first panel is too short (2^-50 of the span) to matter.
+    """
+    t, wt = npleg.leggauss(order)
+    edges = lo + (hi - lo) * np.concatenate(
+        [[0.0], 2.0 ** -np.arange(levels, -1, -1.0)])
+    a, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return (a + half * (t + 1.0)).ravel(), (half * wt).ravel()
+
+
 def _tail_piece(eta):
     """int_0^eta (1 + log(1-y) + log y)^2 dy with the log y parts done exactly.
 
     Expansion: (A + log y)^2 = A^2 + 2A log y + log^2 y with A = 1 + log(1-y).
-    The log y and log^2 y moments have closed forms; the cross term
-    2 log(1-y) log y and the smooth A^2 go to adaptive quadrature (bounded
-    integrands).
+    The log y and log^2 y moments have closed forms; the smooth A^2 and the
+    cross term 2 log(1-y) log y (which behaves like -2 y log y at 0) go to
+    Gauss-Legendre panels graded toward 0.
     """
     # exact: int_0^eta log y dy, int_0^eta log^2 y dy
     i_log = eta * (np.log(eta) - 1.0)
     i_log2 = eta * (np.log(eta) ** 2 - 2.0 * np.log(eta) + 2.0)
-    i_a2 = quad(lambda y: (1.0 + np.log1p(-y)) ** 2, 0.0, eta,
-                epsabs=1e-14, epsrel=1e-13)[0]
-    i_cross = quad(lambda y: np.log1p(-y) * np.log(y), 0.0, eta,
-                   epsabs=1e-14, epsrel=1e-13)[0]
-    return i_a2 + 2.0 * (i_log + i_cross) + i_log2
+    y, wt = _graded_gauss(0.0, eta)
+    l1 = np.log1p(-y)
+    i_rest = wt @ ((1.0 + l1) ** 2 + 2.0 * l1 * np.log(y))
+    return i_rest + 2.0 * i_log + i_log2
 
 
 def theta_squared_quadrature(eta=0.05):
     """int_0^1 (L(y) + L(1-y))^2 dy by split quadrature.
 
-    The integrand equals (1 + log(y(1-y)))^2; both endpoints get the analytic
-    tail treatment of _tail_piece (the integrand is symmetric), the middle is
-    a regular adaptive quadrature.
+    The integrand equals (1 + log(y(1-y)))^2 and is symmetric about 1/2.
+    Both ends get the analytic tail treatment of _tail_piece; the middle,
+    twice the integral over [eta, 1/2], goes to Gauss-Legendre panels graded
+    toward eta, where the log singularity at 0 is nearest.
     """
     if not (0.0 < eta < 0.5):
         raise ValueError("eta must lie in (0, 1/2)")
-    middle = quad(lambda y: (1.0 + np.log(y * (1.0 - y))) ** 2, eta, 1.0 - eta,
-                  epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    y, wt = _graded_gauss(eta, 0.5)
+    middle = 2.0 * (wt @ (1.0 + np.log(y * (1.0 - y))) ** 2)
     return middle + 2.0 * _tail_piece(eta)
 
 
@@ -259,13 +278,18 @@ def locate_g_critical_points(lo=-1.0, hi=0.0):
     """
     x = np.linspace(lo + 1e-9, hi - 1e-9, 200001)
     d = g_deriv(x)
-    roots = []
-    sign_change = np.where(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-    for i in sign_change:
-        r = brentq(g_deriv, x[i], x[i + 1], xtol=1e-14)
-        kind = "max" if d[i] > 0 else "min"
-        roots.append({"x": float(r), "kind": kind})
-    return roots
+    i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
+    if i.size == 0:
+        return []
+    # bisect every bracket at once, down to a width of 1e-14
+    a, b, sign_a = x[i], x[i + 1], np.sign(d[i])
+    for _ in range(int(np.ceil(np.log2(abs(x[1] - x[0]) / 1e-14)))):
+        mid = 0.5 * (a + b)
+        right = np.sign(g_deriv(mid)) == sign_a
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    return [{"x": float(r), "kind": "max" if sa > 0 else "min"}
+            for r, sa in zip(0.5 * (a + b), sign_a)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,37 +418,138 @@ def _legendre_maps(y, degree):
 
 
 def _r_delta_kernel(p, A, D, q, qd, delta, c1):
-    """R_delta and its exact gradient for W = A p, W' = D p.
+    """R_delta and its exact gradient for W = A p, W' = D p, row by row.
 
-    q and qd = q y(1-y) are the trapezoid weight vectors of the y-grid
-    (q @ f is np.trapezoid(f, y)).  W is
-    first projected radially onto {int W^2 <= c1}: with s = sqrt(c1/int W^2)
-    the map w -> s w has Jacobian s (I - w (q w)^T / int W^2), applied to
-    both W and W'.  |W|^3 is C^1 with derivative 3|W|W.
+    p is one coefficient vector or an (m, k) array with one vector per row;
+    the result has the same leading shape.  q and qd = q y(1-y) are the
+    trapezoid weight vectors of the y-grid (q @ f is np.trapezoid(f, y)).
+    Each W is first projected radially onto {int W^2 <= c1}: with
+    s = sqrt(c1/int W^2) the map w -> s w has Jacobian
+    s (I - w (q w)^T / int W^2), applied to both W and W'.  |W|^3 is C^1 with
+    derivative 3|W|W.
     """
-    w = A @ p
-    wp = D @ p
+    p = np.asarray(p, dtype=float)
+    rows = np.atleast_2d(p)
+    w = rows @ A.T
+    wp = rows @ D.T
     qw = q * w
-    i2w = qw @ w
-    if i2w > c1:
-        s, i2 = np.sqrt(c1 / i2w), c1
-    else:
-        s, i2 = 1.0, i2w
+    i2w = np.einsum("ij,ij->i", qw, w)
+    proj = i2w > c1
+    s = np.sqrt(c1 / np.where(proj, i2w, c1))[:, None]
+    i2 = np.where(proj, c1, i2w)
     u = s * w
     v = s * wp
-    i1 = q @ u
+    i1 = u @ q
     u2 = u * u
     au = np.abs(u)
     a = i2 + 2.0 * i1
-    val = (-a * a / delta + (1.0 + delta) * i2 + (2.0 / 3.0) * (q @ (u2 * u))
-           + delta * (q @ (u2 * au)) - (1.0 - delta) * (qd @ (v * v)))
-    g_u = q * (-(4.0 * a / delta) * (u + 1.0) + 2.0 * (1.0 + delta) * u
+    val = (-a * a / delta + (1.0 + delta) * i2 + (2.0 / 3.0) * ((u2 * u) @ q)
+           + delta * ((u2 * au) @ q) - (1.0 - delta) * ((v * v) @ qd))
+    g_u = q * (-(4.0 * a[:, None] / delta) * (u + 1.0) + 2.0 * (1.0 + delta) * u
                + 2.0 * u2 + 3.0 * delta * au * u)
     g_v = -2.0 * (1.0 - delta) * qd * v
-    grad = A.T @ g_u + D.T @ g_v
-    if s != 1.0:
-        grad = s * (grad - (A.T @ qw) * ((g_u @ w + g_v @ wp) / i2w))
+    grad = g_u @ A + g_v @ D
+    if proj.any():
+        r = np.flatnonzero(proj)
+        dot = np.einsum("ij,ij->i", g_u[r], w[r]) + np.einsum("ij,ij->i", g_v[r], wp[r])
+        grad[r] = s[r] * (grad[r] - (qw[r] @ A) * (dot / i2w[r])[:, None])
+    if p.ndim == 1:
+        return val[0], grad[0]
     return val, grad
+
+
+@dataclass
+class BatchMinimum:
+    """What ``minimize`` returns: the minimizer and value of each row, the
+    number of batched objective calls (nfev) and of batched iterations (nit)."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    nit: int
+
+
+#: curvature pairs each row keeps, the Armijo sufficient-decrease constant and
+#: the most step halvings in one iteration
+LBFGS_MEMORY = 10
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 40
+
+
+def minimize(fun, x0, *, maxiter, ftol, gtol):
+    """Minimize from every row of x0 at once with one batched L-BFGS.
+
+    fun takes an (m, k) array and returns the m values and the (m, k)
+    gradients.  Each row keeps its own limited-memory inverse Hessian (the
+    two-loop recursion, Nocedal & Wright 2006, Alg. 7.4) and its own Armijo
+    backtracking by halving from the full step.  A row stops when its
+    decrease falls to ftol * max(|f_old|, |f_new|, 1), when its largest
+    gradient entry falls to gtol, when its line search finds no decrease or
+    after maxiter iterations; from then on it is left out of the calls of
+    fun.  A curvature pair with s.y <= 0 is kept as a no-op (rho = 0), so
+    every row's inverse Hessian stays positive definite.
+    """
+    x = np.array(x0, dtype=float, ndmin=2)
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    x_out, f_out = x.copy(), f.copy()
+    m, k = x.shape
+    act = np.arange(m)
+    S = np.zeros((LBFGS_MEMORY, m, k))
+    Y = np.zeros((LBFGS_MEMORY, m, k))
+    rho = np.zeros((LBFGS_MEMORY, m))
+    # the first step has unit length, as in L-BFGS-B
+    gamma = 1.0 / np.maximum(np.sqrt(np.einsum("ij,ij->i", g, g)), np.finfo(float).tiny)
+    keep = np.abs(g).max(axis=1) > gtol
+    for it in range(maxiter):
+        if not keep.all():
+            act, x, f, g, gamma = act[keep], x[keep], f[keep], g[keep], gamma[keep]
+            S, Y, rho = S[:, keep], Y[:, keep], rho[:, keep]
+        if act.size == 0:
+            break
+        nit += 1
+        # two-loop recursion over the stored pairs, newest first
+        order = [(it - 1 - j) % LBFGS_MEMORY for j in range(min(it, LBFGS_MEMORY))]
+        d = -g
+        alpha = np.empty((LBFGS_MEMORY, act.size))
+        for j in order:
+            alpha[j] = rho[j] * np.einsum("ij,ij->i", S[j], d)
+            d -= alpha[j][:, None] * Y[j]
+        d *= gamma[:, None]
+        for j in reversed(order):
+            beta = rho[j] * np.einsum("ij,ij->i", Y[j], d)
+            d += (alpha[j] - beta)[:, None] * S[j]
+        slope = np.einsum("ij,ij->i", g, d)
+        # Armijo backtracking, each row on its own step t
+        t = np.ones(act.size)
+        x_new = x + d
+        f_new, g_new = fun(x_new)
+        nfev += 1
+        need = ~(f_new <= f + ARMIJO_C * slope)
+        for _ in range(MAX_HALVINGS):
+            if not need.any():
+                break
+            r = np.flatnonzero(need)
+            t[r] *= 0.5
+            x_new[r] = x[r] + t[r, None] * d[r]
+            f_new[r], g_new[r] = fun(x_new[r])
+            nfev += 1
+            need[r] = ~(f_new[r] <= f[r] + ARMIJO_C * t[r] * slope[r])
+        # a row whose line search failed keeps its last point and stops
+        moved = ~need
+        x_out[act[moved]], f_out[act[moved]] = x_new[moved], f_new[moved]
+        flat = f - f_new <= ftol * np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
+        keep = moved & ~flat & (np.abs(g_new).max(axis=1) > gtol)
+        s_vec, y_vec = x_new - x, g_new - g
+        sy = np.einsum("ij,ij->i", s_vec, y_vec)
+        curved = sy > 0.0
+        slot = it % LBFGS_MEMORY
+        S[slot], Y[slot] = s_vec, y_vec
+        rho[slot] = curved / np.where(curved, sy, 1.0)
+        yy = np.einsum("ij,ij->i", y_vec, y_vec)
+        gamma = np.where(curved, sy / np.where(curved, yy, 1.0), gamma)
+        x, f, g = x_new, f_new, g_new
+    return BatchMinimum(x=x_out, fun=f_out, nfev=nfev, nit=nit)
 
 
 def _neg_r_delta(p, *args):
@@ -437,13 +562,14 @@ def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
     """Seeded multistart maximization of R_delta under int W^2 <= c1.
 
     Starts are random Legendre coefficient vectors (decaying spectrum, random
-    radius), ascended with L-BFGS-B on the exact gradient; the best candidate
-    is then re-optimized over its raw grid values, again with the exact
-    gradient (W' is the matrix form of np.gradient, as in
-    DiscretizedW.moments).  Returns a CertificationReport whose worst_value
-    is the largest R_delta found (the claim is that it stays <= 0 up to
-    discretization noise); details carry nfev and nit summed over every
-    L-BFGS-B run.
+    radius), all ascended together by one batched L-BFGS (``minimize``) on the
+    exact gradient; the best candidate is then re-optimized over its raw grid
+    values by the same routine on one row (W' is the matrix form of
+    np.gradient, as in DiscretizedW.moments).  Returns a CertificationReport
+    whose worst_value is the largest R_delta found (the claim is that it
+    stays <= 0 up to discretization noise); details carry nfev and nit
+    summed over both ascents.  They count batched kernel calls and batched
+    iterations, each covering every start still active.
     """
     if n_starts < 1 or n_grid < 3 or degree < 0:
         raise ValueError("need n_starts >= 1, n_grid >= 3 and degree >= 0")
@@ -456,32 +582,24 @@ def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
     q = np.trapezoid(eye, y, axis=0)
     qd = q * y * (1.0 - y)
     leg, leg_d = _legendre_maps(y, degree)
-    nfev = nit = 0
 
-    def ascend(x0, A, D, options):
-        nonlocal nfev, nit
-        res = minimize(_neg_r_delta, x0, args=(A, D, q, qd, delta, c1),
-                       jac=True, method="L-BFGS-B", options=options)
-        nfev += int(res.nfev)
-        nit += int(res.nit)
-        return res
+    def ascend(x0, A, D, **options):
+        return minimize(lambda p: _neg_r_delta(p, A, D, q, qd, delta, c1), x0, **options)
 
-    best_val = -np.inf
-    best_W = None
-    for _ in range(n_starts):
-        c0 = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1)) ** 2
-        c0 *= rng.uniform(0.05, np.sqrt(c1))
-        res = ascend(c0, leg, leg_d,
-                     {"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12})
-        if -res.fun > best_val:
-            best_val = -res.fun
-            w = leg @ res.x
-            i2 = q @ (w * w)
-            best_W = w * np.sqrt(c1 / i2) if i2 > c1 else w
+    starts = np.empty((n_starts, degree + 1))
+    for row in starts:
+        row[:] = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1)) ** 2
+        row *= rng.uniform(0.05, np.sqrt(c1))
+    res = ascend(starts, leg, leg_d, maxiter=200, ftol=1e-14, gtol=1e-12)
+    i = int(np.argmin(res.fun))
+    best_val = -res.fun[i]
+    w = leg @ res.x[i]
+    i2 = q @ (w * w)
+    best_W = w * np.sqrt(c1 / i2) if i2 > c1 else w
 
-    res = ascend(best_W, eye, np.gradient(eye, y, axis=0),
-                 {"maxiter": 300, "ftol": 1e-15, "gtol": 1e-13})
-    best_val = max(best_val, -res.fun)
+    polish = ascend(best_W, eye, np.gradient(eye, y, axis=0),
+                    maxiter=300, ftol=1e-15, gtol=1e-13)
+    best_val = max(best_val, -polish.fun[0])
 
     return CertificationReport(
         target="R_delta(W) <= 0 under int W^2 <= C1",
@@ -492,7 +610,7 @@ def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
         certified=bool(best_val <= 1e-8),
         method="multistart",
         details={"delta": delta, "c1": c1, "n_starts": n_starts, "seed": seed,
-                 "nfev": nfev, "nit": nit},
+                 "nfev": res.nfev + polish.nfev, "nit": res.nit + polish.nit},
         runtime_s=time.perf_counter() - t0,
     )
 

@@ -131,7 +131,8 @@ def test_cli_profile_checks_only_the_keys_it_reads(capsys):
     assert "profile check: PASS" in capsys.readouterr().out
     assert main(["simulate", "--set", "eps=2"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: perturbation support must stay within 80% of the domain\n"
+    assert err == ("error: width = 20.0 is over 0.8 L = 16, with L = span_over_eps / eps = "
+                   "40.0 / 2.0: the perturbation support must stay within 80% of the domain\n")
     # a bad value of a key the profile reads is still a config error
     assert main(["profile", "--set", "eps=-1"]) == 2
     assert capsys.readouterr().err == "error: eps must be positive, got -1.0\n"
@@ -201,6 +202,9 @@ def test_cli_audit_exit_zero():
     ("width=-5", "width"),
     ("v_floor_frac=2", "v_floor_frac"),
     ("amplitude=-0.6", "amplitude"),
+    ("amplitude=1e300", "amplitude"),
+    ("amplitude_h=1e300", "amplitude_h"),
+    ("amplitude_h=-inf", "amplitude_h"),
     ("no_such_knob=1", "no_such_knob"),
     ("eps", "key = value"),
 ])
@@ -223,6 +227,44 @@ def test_grid_size_is_capped(capsys):
     sl.ExperimentConfig(span_over_eps=limit / 100, cells_per_layer=50).validate()
     with pytest.raises(sl.experiment.ConfigError, match="span_over_eps.*cells_per_layer"):
         sl.ExperimentConfig(span_over_eps=limit / 100, cells_per_layer=51).validate()
+
+
+def test_fourier_mode_count_is_capped_at_the_grid_resolution(capsys):
+    # mode k has wavelength 2 width / k and the grid resolves none shorter
+    # than 2 dx: width / dx = 20 * 0.1 * 50 = 100 modes at the defaults
+    sl.ExperimentConfig(perturb_kind="random-fourier", modes=100).validate()
+    with pytest.raises(ValueError, match="modes = 101"):
+        sl.ExperimentConfig(perturb_kind="random-fourier", modes=101).validate()
+    with pytest.raises(ValueError, match="modes = 21"):
+        sl.ExperimentConfig(perturb_kind="random-fourier", modes=21, width=4.0).validate()
+    # the other kinds draw no modes
+    sl.ExperimentConfig(perturb_kind="bump", modes=101).validate()
+    # one loop pass per mode over the grid: without the cap this runs for days
+    assert main(["simulate", "--set", "perturb_kind=random-fourier",
+                 "--set", "modes=1000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: modes = 1000000000") and err.count("\n") == 1
+
+
+def test_amplitudes_are_bounded(capsys):
+    # at 1e300 the march and the functionals overflow before any guard
+    # speaks; the bound is stated in the one error line
+    bound = sl.experiment.MAX_AMPLITUDE
+    for key in ("amplitude", "amplitude_h"):
+        sl.ExperimentConfig(**{key: bound}).validate()
+        with pytest.raises(ValueError, match=f"{key} must lie within \\[-1000, 1000\\]"):
+            sl.ExperimentConfig(**{key: -1.001 * bound}).validate()
+    assert main(["simulate", "--set", "amplitude_h=1e300"]) == 2
+    assert capsys.readouterr().err == ("error: amplitude_h must lie within [-1000, 1000], "
+                                       "got 1e+300\n")
+
+
+def test_support_error_names_its_keys(capsys):
+    assert main(["simulate", "--set", "width=400"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert all(key in err for key in ("width", "span_over_eps", "eps"))
+    sl.ExperimentConfig(width=32.0).validate()  # 0.8 L = 0.8 * 40 / 0.1
 
 
 def test_cli_config_error_from_file_and_sweep(capsys):

@@ -17,6 +17,7 @@ from shocklab.inequalities import (
     cubic_mean_decomposition,
     g_deriv,
     locate_g_critical_points,
+    minimize,
     log_remainder,
     poincare_slack_from_samples,
     sup_deviation_slack,
@@ -355,3 +356,41 @@ def test_r_delta_kernel_value_matches_r_delta(scale):
     W = DiscretizedW(y=Y64, w=w * min(1.0, np.sqrt(C1 / i2)))
     val, _ = kernel(w, grid_maps())
     npt.assert_allclose(val, sl.r_delta(W, DELTA), rtol=1e-12)
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_r_delta_kernel_is_rowwise(raw):
+    A, D = _legendre_maps(Y64, 8)
+    coeffs = np.array([legendre_point(s) for s in (0.3, 4.0, -1.5, 0.0, 9.0)])
+    maps, batch = ((grid_maps(), coeffs @ A.T) if raw else ((A, D), coeffs))
+    i2 = (batch @ maps[0].T) ** 2 @ Q64
+    # points inside the c1 ball and outside it
+    assert (i2 < C1).sum() >= 2 and (i2 > C1).sum() >= 2
+    vals, grads = kernel(batch, maps)
+    assert vals.shape == (len(batch),) and grads.shape == batch.shape
+    for p, val, grad in zip(batch, vals, grads):
+        v1, g1 = kernel(p, maps)
+        npt.assert_allclose(val, v1, rtol=1e-13, atol=1e-13)
+        npt.assert_allclose(grad, g1, rtol=1e-13, atol=1e-13 * np.abs(g1).max())
+
+
+def test_minimize_runs_each_row_and_drops_converged_rows():
+    # the Rosenbrock function, one start per row; (1, 1) is the minimum
+    rows_seen = []
+
+    def rosen(x):
+        rows_seen.append(len(x))
+        a, b = x[:, 0], x[:, 1]
+        f = (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        g = np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                      200.0 * (b - a * a)], axis=1)
+        return f, g
+
+    x0 = np.array([[-1.2, 1.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.5]])
+    res = minimize(rosen, x0, maxiter=500, ftol=1e-15, gtol=1e-10)
+    npt.assert_allclose(res.x, 1.0, atol=1e-6)
+    assert np.all(res.fun < 1e-12)
+    assert res.nfev == len(rows_seen) and 0 < res.nit < 500
+    # the start at the minimum leaves before the first step
+    assert rows_seen[0] == 4 and max(rows_seen[1:]) == 3
+    npt.assert_array_equal(x0[2], [1.0, 1.0])  # x0 is not written to

@@ -136,6 +136,8 @@ def test_config_text_roundtrip_of_any_typed_values(values):
 def test_config_text_roundtrip_through_validation(eps, lam, amplitude, modes, seed, relax,
                                                   kind, h_mode):
     assume(not (relax and kind == "large-amplitude"))  # a config error
+    # so are more modes than the grid resolves on the support: width / dx
+    assume(kind != "random-fourier" or modes <= 20.0 * eps * 50)
     cfg = sl.ExperimentConfig(eps=eps, lam=lam, amplitude=amplitude, modes=modes, seed=seed,
                               steady_relax=relax, perturb_kind=kind, h_mode=h_mode).validate()
     again = sl.apply_overrides(sl.ExperimentConfig(), sl.parse_config_text(config_to_text(cfg)))
