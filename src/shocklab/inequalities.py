@@ -24,6 +24,7 @@ the batched L-BFGS defined here.
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -458,17 +459,6 @@ def _r_delta_kernel(p, A, D, q, qd, delta, c1):
     return val, grad
 
 
-@dataclass
-class BatchMinimum:
-    """What ``minimize`` returns: the minimizer and value of each row, the
-    number of batched objective calls (nfev) and of batched iterations (nit)."""
-
-    x: np.ndarray
-    fun: np.ndarray
-    nfev: int
-    nit: int
-
-
 #: curvature pairs each row keeps, the Armijo sufficient-decrease constant and
 #: the most step halvings in one iteration
 LBFGS_MEMORY = 10
@@ -488,6 +478,10 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
     after maxiter iterations; from then on it is left out of the calls of
     fun.  A curvature pair with s.y <= 0 is kept as a no-op (rho = 0), so
     every row's inverse Hessian stays positive definite.
+
+    Returns a namespace with x and fun, the best point and value of each row,
+    nfev, the number of calls of fun, and nit, the number of iterations of
+    the batch.
     """
     x = np.array(x0, dtype=float, ndmin=2)
     f, g = fun(x)
@@ -549,7 +543,7 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
         yy = np.einsum("ij,ij->i", y_vec, y_vec)
         gamma = np.where(curved, sy / np.where(curved, yy, 1.0), gamma)
         x, f, g = x_new, f_new, g_new
-    return BatchMinimum(x=x_out, fun=f_out, nfev=nfev, nit=nit)
+    return SimpleNamespace(x=x_out, fun=f_out, nfev=nfev, nit=nit)
 
 
 def _neg_r_delta(p, *args):
