@@ -85,17 +85,17 @@ def theta_constant():
     return float(np.sqrt(5.0 - np.pi ** 2 / 3.0))
 
 
-def _graded_gauss(lo, hi, order=20, levels=50):
-    """Gauss-Legendre nodes and weights on [lo, hi], panels halving toward lo.
+def _graded_gauss(lo, hi):
+    """20-point Gauss-Legendre nodes and weights on [lo, hi], panels halving toward lo.
 
-    The panel edges are lo + (hi - lo) 2^-j, j = 0..levels, so each panel but
+    The panel edges are lo + (hi - lo) 2^-j, j = 0..50, so each panel but
     the first is at least its own length away from lo: an integrand analytic
     except at or left of lo converges geometrically on every panel, and the
     first panel is too short (2^-50 of the span) to matter.
     """
-    t, wt = npleg.leggauss(order)
+    t, wt = npleg.leggauss(20)
     edges = lo + (hi - lo) * np.concatenate(
-        [[0.0], 2.0 ** -np.arange(levels, -1, -1.0)])
+        [[0.0], 2.0 ** -np.arange(50, -1, -1.0)])
     a, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
     return (a + half * (t + 1.0)).ravel(), (half * wt).ravel()
 
