@@ -7,8 +7,7 @@ its sign decomposition together with the stabilizing shift, and certifies
 the standalone scalar/functional inequalities the contraction estimate rests
 on.
 
-`import shocklab`, the march and the inequality certifications need numpy
-alone.
+numpy is the only runtime dependency.
 """
 
 from .gas import (GasBoundConstants, GasModel, check_global_bounds,

@@ -62,6 +62,12 @@ MAX_CELLS = 1_000_000
 #: near 1e300 overflow the march and the functionals before any guard speaks.
 MAX_AMPLITUDE = 1e3
 
+#: bound on modes times the cells of the perturbation support for
+#: `random-fourier`: at 35-43 ns per mode and cell (measured on 2e4 to 2e5
+#: cells), about 0.4 s of set-up; about 8,000 times the largest product that
+#: any test, demo or benchmark workload runs (6 modes on 200 cells)
+MAX_MODE_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -123,6 +129,11 @@ class ExperimentConfig:
             raise ValueError(f"modes = {self.modes!r} is over the {nyquist:.4g} modes the grid "
                              f"resolves on the support (width / dx = width * eps * "
                              f"cells_per_layer)")
+        mode_cells = self.modes * 2.0 * nyquist  # the support has 2 width / dx cells
+        if self.perturb_kind == "random-fourier" and mode_cells > MAX_MODE_CELLS:
+            raise ValueError(f"modes = {self.modes!r} on the {2.0 * nyquist:.4g} cells of the "
+                             f"support make {mode_cells:.4g} mode-cells, over the limit of "
+                             f"{MAX_MODE_CELLS}")
         for key in ("amplitude", "amplitude_h"):
             if abs(getattr(self, key)) > MAX_AMPLITUDE:
                 raise ValueError(f"{key} must lie within [-{MAX_AMPLITUDE:g}, "
@@ -211,12 +222,14 @@ def c2_bump(s):
 def _fourier_noise(x, width, modes, rng):
     """Seeded random Fourier sum under a C^2 window, sup-normalized to 1."""
     s = x / width
-    mask = c2_bump(s)
-    out = np.zeros_like(x)
+    on = np.abs(s) < 1.0  # the window's support; the sum is zero elsewhere
+    s = s[on]
+    acc = np.zeros_like(s)
     for k in range(1, modes + 1):
         a_k, b_k = rng.standard_normal(2) / k
-        out += a_k * np.cos(np.pi * k * s) + b_k * np.sin(np.pi * k * s)
-    out *= mask
+        acc += a_k * np.cos(np.pi * k * s) + b_k * np.sin(np.pi * k * s)
+    out = np.zeros_like(x)
+    out[on] = acc * c2_bump(s)
     sup = np.max(np.abs(out))
     return out / sup if sup > 0 else out
 

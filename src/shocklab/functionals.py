@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inequalities import _bisect
+from .profile import _hermite_coef, _hermite_eval
 from .solver import _d1
 
 __all__ = [
@@ -187,10 +189,9 @@ def weighted_q_probe(weight):
     opposite sign, so Y has a nontrivial zero t* (the amplitude where the
     linear and quadratic parts of Y cancel, t* ~ eps/lam).  At that
     amplitude — an admissible state for the |Y| <= eps^2 branch — the report
-    returns int |a'| q, whose predicted size is eps^2/lam.
+    returns int |a'| q, whose predicted size is eps^2/lam.  t* comes from
+    bisection to a width of 1e-14 on a doubling bracket.
     """
-    from scipy.optimize import brentq  # a report helper: the march needs no scipy
-
     profile, lam = weight.profile, weight.lam
     gas, eps = profile.gas, profile.eps
     alpha = gas.layer_constant
@@ -212,7 +213,7 @@ def weighted_q_probe(weight):
         t_hi *= 2.0
     else:
         raise RuntimeError("no sign change for the layer probe amplitude")
-    t_star = brentq(Y_of, t_lo, t_hi, xtol=1e-14)
+    t_star = _bisect(Y_of, t_lo, t_hi, -1.0)
     v = fr["v"] + t_star * S
     iq = _dot(np.abs(fr["tda"]), gas.q_relative(v, fr["v"]))
     return {
@@ -230,17 +231,20 @@ def normalized_layer_variables(x, v, weight):
     Returns (y, W) on a uniform 257-point y-grid in [1e-3, 1 - 1e-3], where
     y = (p_tilde - p_minus)/eps is the layer progress variable and
     W = (lam/eps) * (p(v) - p_tilde) the normalized perturbation, both read
-    along the weight's profile.
+    along the weight's profile.  Between the points of the uniform grid x,
+    w = p(v) - p_tilde is the cubic Hermite interpolant with central-difference
+    slopes (_d1), third order in dx.
     """
-    from scipy.interpolate import CubicSpline  # a report helper: the march needs no scipy
-
     x = np.asarray(x, dtype=float)
     profile = weight.profile
-    gas = profile.gas
-    w_spline = CubicSpline(x, gas.pressure(v) - profile.pressure_profile(x))
+    w = profile.gas.pressure(v) - profile.pressure_profile(x)
     y = np.linspace(1e-3, 1.0 - 1e-3, 257)
     xi_y = profile.xi_of_y(y)
     if np.any(xi_y < x[0]) or np.any(xi_y > x[-1]):
         raise ValueError("layer window exceeds the field grid")
-    W = (weight.lam / profile.eps) * w_spline(xi_y)
+    dx = x[1] - x[0]
+    if not np.allclose(np.diff(x), dx, rtol=1e-9, atol=0.0):  # _d1 takes one spacing
+        raise ValueError("the field grid x must be uniform")
+    coef = _hermite_coef(x, w, _d1(w, dx))
+    W = (weight.lam / profile.eps) * _hermite_eval(x, coef, xi_y)
     return y, W

@@ -267,6 +267,20 @@ def certify_g_negative(step=1e-5, eta=0.15):
     )
 
 
+def _bisect(f, a, b, sign_a):
+    """Roots of f in the brackets [a, b] (arrays or scalars), all at once.
+
+    sign_a is the sign of f at a.  Each bracket is halved down to a width of
+    1e-14, and its midpoint is returned.
+    """
+    for _ in range(int(np.ceil(np.log2(np.max(np.abs(b - a)) / 1e-14)))):
+        mid = 0.5 * (a + b)
+        right = np.sign(f(mid)) == sign_a
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    return 0.5 * (a + b)
+
+
 def locate_g_critical_points(lo=-1.0, hi=0.0):
     """Roots of g' on (lo, hi) by a 200001-point sign-change scan + bisection.
 
@@ -282,15 +296,9 @@ def locate_g_critical_points(lo=-1.0, hi=0.0):
     i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)
     if i.size == 0:
         return []
-    # bisect every bracket at once, down to a width of 1e-14
-    a, b, sign_a = x[i], x[i + 1], np.sign(d[i])
-    for _ in range(int(np.ceil(np.log2(abs(x[1] - x[0]) / 1e-14)))):
-        mid = 0.5 * (a + b)
-        right = np.sign(g_deriv(mid)) == sign_a
-        a = np.where(right, mid, a)
-        b = np.where(right, b, mid)
+    sign_a = np.sign(d[i])
     return [{"x": float(r), "kind": "max" if sa > 0 else "min"}
-            for r, sa in zip(0.5 * (a + b), sign_a)]
+            for r, sa in zip(_bisect(g_deriv, x[i], x[i + 1], sign_a), sign_a)]
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,16 @@ def test_cli_config_error_is_one_line(capsys, item, key):
     assert key in err
 
 
+@pytest.mark.parametrize("command", ["profile", "simulate"])
+def test_cli_tiny_eps_is_one_line(capsys, command):
+    # 1e-17 was a ZeroDivisionError (p_plus rounds to p_minus), 1e-9 a failed
+    # Newton solve for the knots
+    for eps in ("1e-17", "1e-9"):
+        assert main([command, "--set", f"eps={eps}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps out of supported range") and err.count("\n") == 1
+
+
 def test_grid_size_is_capped(capsys):
     # a grid has 2*span_over_eps*cells_per_layer cells: 1e11 at span_over_eps
     # = 1e9, which Grid.x cannot allocate; validate() refuses it by name
@@ -244,6 +254,22 @@ def test_fourier_mode_count_is_capped_at_the_grid_resolution(capsys):
                  "--set", "modes=1000000000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: modes = 1000000000") and err.count("\n") == 1
+
+
+def test_fourier_modes_times_support_cells_is_capped():
+    # the widest support and finest grid validate() admits: width = 0.8 L on
+    # 1e6 cells puts 800,000 cells on the support, whose Nyquist count of
+    # 400,000 modes would take hours of set-up; validate() alone, no run
+    limit = sl.experiment.MAX_MODE_CELLS
+    extreme = sl.ExperimentConfig(perturb_kind="random-fourier", span_over_eps=1e4,
+                                  cells_per_layer=50, width=8e4, modes=400_000)
+    with pytest.raises(ValueError, match="^modes = 400000 .* over the limit of 10000000$"):
+        extreme.validate()
+    # 20,000 support cells at the defaults with width = 2000 (span 1e4)
+    edge = dict(perturb_kind="random-fourier", span_over_eps=1e4, width=2000.0)
+    sl.ExperimentConfig(**edge, modes=limit // 20_000).validate()
+    with pytest.raises(ValueError, match="modes"):
+        sl.ExperimentConfig(**edge, modes=limit // 20_000 + 1).validate()
 
 
 def test_amplitudes_are_bounded(capsys):

@@ -139,11 +139,39 @@ def test_normalized_layer_variables(profile01, weight01, wide_x):
     assert np.abs(W0).max() < 1e-12
 
 
+def test_normalized_layer_variables_against_scipys_cubic_spline(profile01, weight01, wide_x):
+    # the cubic Hermite form with central-difference slopes is third order in
+    # dx: 3.8e-6 of max|W| off scipy's spline on the bump state, and about 8
+    # times closer at half the spacing
+    from scipy.interpolate import CubicSpline
+
+    gas = profile01.gas
+
+    def error(x):
+        v = profile01.v_profile(x) + 1e-3 * np.exp(-(x / 5.0) ** 2)
+        y, W = sl.normalized_layer_variables(x, v, weight01)
+        w_ref = CubicSpline(x, gas.pressure(v) - profile01.pressure_profile(x))
+        W_ref = (weight01.lam / profile01.eps) * w_ref(profile01.xi_of_y(y))
+        return np.max(np.abs(W - W_ref)) / np.max(np.abs(W_ref))
+
+    coarse = error(wide_x)
+    fine = error(np.linspace(wide_x[0], wide_x[-1], 2 * wide_x.size - 1))
+    assert coarse < 5e-6
+    assert coarse / fine > 6.0
+
+
 def test_normalized_layer_variables_window_check(profile01, weight01):
     x = np.linspace(-40.0, 40.0, 401)  # far narrower than the layer window
     v = profile01.v_profile(x)
     with pytest.raises(ValueError):
         sl.normalized_layer_variables(x, v, weight01)
+
+
+def test_normalized_layer_variables_needs_a_uniform_grid(profile01, weight01, wide_x):
+    x = wide_x.copy()
+    x[2000] += 0.05  # one point moved by a quarter of dx
+    with pytest.raises(ValueError, match="uniform"):
+        sl.normalized_layer_variables(x, profile01.v_profile(x), weight01)
 
 
 def test_weighted_q_probe_smoke(profile01, weight01):

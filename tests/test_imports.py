@@ -1,5 +1,5 @@
 """shocklab runs on numpy alone: scipy stays off the import path of the
-package, the march and the whole CLI."""
+package, the march, the whole CLI and the report helpers."""
 
 import os
 import subprocess
@@ -42,6 +42,19 @@ for argv in (["profile"], ["verify-inequalities", "--fast"],
     assert code == 0, (argv, code)
 """ + LOADED_SCIPY
 
+REPORTS = NO_SCIPY + """
+import numpy as np
+import shocklab as sl
+from shocklab.functionals import weighted_q_probe
+profile = sl.solve_profile(sl.GasModel(2.0, 1.0), 0.1)
+weight = sl.build_weight(profile, 0.5)
+assert 0.5 < weighted_q_probe(weight)["t_star_over_eps_by_lam"] < 2.5
+x = np.linspace(-400.0, 400.0, 4001)
+y, W = sl.normalized_layer_variables(x, profile.v_profile(x) + 1e-3 * np.exp(-(x / 5.0) ** 2),
+                                     weight)
+assert np.all(np.isfinite(W)) and np.abs(W).max() > 0
+""" + LOADED_SCIPY
+
 # scipy importable, but importing the CLI loads none of it
 CLI_IMPORT = """
 import sys
@@ -65,6 +78,10 @@ def test_the_march_path_imports_no_scipy():
 
 def test_the_cli_runs_without_scipy():
     run_python(CLI)
+
+
+def test_the_report_helpers_run_without_scipy():
+    run_python(REPORTS)
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -51,6 +51,22 @@ def test_end_states_validation(gas2):
         sl.end_states_from_amplitude(gas2, -0.1)
 
 
+@pytest.mark.parametrize("eps", [1e-17, 1e-9, 9.99e-4])
+def test_end_states_reject_an_eps_the_window_cannot_hold(gas2, eps):
+    # at 1e-17 p_plus rounds to p_minus; at 1e-9 the knot Newton fails; below
+    # 2.2e-4*p(v_minus) the window's 1e-12*eps gap rounds away
+    with pytest.raises(ValueError, match="eps out of supported range"):
+        sl.end_states_from_amplitude(gas2, eps)
+    sl.end_states_from_amplitude(gas2, 1e-3)
+
+
+def test_knot_spacing_follows_the_window_not_the_half_width():
+    # the window ends at |xi| ~ 570 long before L = 1e10, so a knot spacing
+    # floored by 2L/500000 would leave 17 knots
+    profile = sl.solve_profile(sl.GasModel(2.0, 1.0), 0.1, span_over_eps=1e9)
+    assert profile.ode_residual_sup() < 1e-10  # criterion 06
+
+
 def test_profile_ode_residual(profile01):
     assert profile01.ode_residual_sup() < 1e-10
 
