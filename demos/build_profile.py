@@ -35,9 +35,8 @@ print("             linear  -side %.6f  +side %.6f" %
 # the layer-coordinate closure: y' ~ (eps/2 alpha) y(1-y)
 x = np.linspace(-120.0, 120.0, 9)
 print("sample points:")
-for xi in x:
-    print("  xi = %7.1f   v = %.8f   y = %.5f"
-          % (xi, profile.v_profile(xi), profile.y_of(xi)))
+for xi, v in zip(x, profile.frame(x)["v"]):
+    print("  xi = %7.1f   v = %.8f   y = %.5f" % (xi, v, profile.y_of(xi)))
 
 weight = sl.build_weight(profile, lam=0.5)
 sl.write_profile_csv(profile, "profile_eps0.1.csv", weight=weight)

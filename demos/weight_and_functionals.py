@@ -22,8 +22,9 @@ for k, v in rep.items():
 
 # a state near the wave: smooth bumps in v and h
 x = np.linspace(-400.0, 400.0, 4001)
-v = profile.v_profile(x) + 0.01 * np.exp(-((x - 2.0) / 6.0) ** 2)
-h = profile.h_profile(x) + 0.01 * np.exp(-((x + 4.0) / 8.0) ** 2)
+wave = profile.frame(x)  # every profile field at x, from one evaluation
+v = wave["v"] + 0.01 * np.exp(-((x - 2.0) / 6.0) ** 2)
+h = wave["h"] + 0.01 * np.exp(-((x + 4.0) / 8.0) ** 2)
 
 frame = sl.functional_frame(weight, x)  # the weight folded for the integrals
 bd = sl.compute_breakdown(v, h, frame)
@@ -34,15 +35,15 @@ print("  B  = %.6e   (B1 %.2e + B2 %.2e)" % (bd.B, bd.B1, bd.B2))
 print("  G  = %.6e   (G1 %.2e + G2 %.2e + D %.2e)" % (bd.G, bd.G1, bd.G2, bd.D))
 
 # the same numbers vanish identically at the unperturbed wave
-bd0 = sl.compute_breakdown(profile.v_profile(x), profile.h_profile(x), frame)
+bd0 = sl.compute_breakdown(wave["v"], wave["h"], frame)
 print("\nat the exact wave: entropy %.1e, Y %.1e, B %.1e, G %.1e"
       % (bd0.weighted_entropy, bd0.Y, bd0.B, bd0.G))
 
 # scoring against a translated frame (built at the points x - shift): the
 # minimum over shifts sits at the translation that matches the state
 shifts = np.linspace(-2.0, 2.0, 9)
-v_moved = profile.v_profile(x + 0.8)
-h_moved = profile.h_profile(x + 0.8)
+moved = profile.frame(x + 0.8)
+v_moved, h_moved = moved["v"], moved["h"]
 print("\nentropy of a translated wave vs scoring shift:")
 for s in shifts:
     e = sl.compute_breakdown(v_moved, h_moved, sl.functional_frame(weight, x - s))

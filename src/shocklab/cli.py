@@ -66,6 +66,13 @@ def _nonnegative_int(text):
     return value
 
 
+def _nonnegative_float(text):
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 def _add_config_args(p):
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -238,7 +245,7 @@ def build_parser():
     sp.add_argument("--trace", help="trace CSV output path")
     sp.add_argument("--summary", help="summary JSON output path")
     sp.add_argument("--checkpoint", help="binary checkpoint output path")
-    sp.add_argument("--tol", type=float, default=1e-8,
+    sp.add_argument("--tol", type=_nonnegative_float, default=1e-8,
                     help="entropy-increase tolerance for the pass/fail check")
     sp.set_defaults(func=cmd_simulate)
 
@@ -255,14 +262,14 @@ def build_parser():
     sp.add_argument("key", help="config key to vary")
     sp.add_argument("values", help="comma-separated values")
     sp.add_argument("--out", help="JSON output path")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_nonnegative_float, default=1e-8)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("audit", help="entropy-rate identity audit")
     _add_config_args(sp)
     sp.add_argument("--refine", type=_positive_int, default=2,
                     help="grid refinement factor for the fine level")
-    sp.add_argument("--tol", type=float, default=0.01,
+    sp.add_argument("--tol", type=_nonnegative_float, default=0.01,
                     help="max allowed relative mismatch at the coarse level")
     sp.set_defaults(func=cmd_audit)
     return p

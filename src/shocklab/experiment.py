@@ -28,8 +28,8 @@ from .functionals import compute_breakdown, functional_frame, quick_yb
 from .gas import GasModel
 from .profile import end_states_from_amplitude, solve_profile
 from .shift import overshoot, r_residual, saturated, shift_rhs
-from .solver import (FieldState, Grid, _d1, diffusion_radius, effective_velocity,
-                     march, rkc2, semi_discrete_rhs, stable_dt, steady_state)
+from .solver import (FieldState, Grid, diffusion_radius, effective_velocity, march,
+                     rkc2, semi_discrete_rhs, stable_dt, steady_state)
 from .weight import build_weight, check_lam
 
 __all__ = [
@@ -68,6 +68,14 @@ MAX_AMPLITUDE = 1e3
 #: any test, demo or benchmark workload runs (6 modes on 200 cells)
 MAX_MODE_CELLS = 10_000_000
 
+#: the profile's knot spacing is at most L/50, and its ODE residual grows
+#: about like 1/span_over_eps once the knots crowd.  With gamma <= 1e6 and eps
+#: over the whole supported range, `shocklab profile` passes down to 0.3
+#: (worst residual 9.4e-9 at gamma 1e6, eps 9.99*p(v_minus)) and fails at 0.1
+#: (2.9e-8, over the check's 1e-8); at 1 the worst is 3.7e-9.  Near 1e-300
+#: the tail fit's polyfit fails
+MIN_SPAN_OVER_EPS = 1.0
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -98,13 +106,16 @@ class ExperimentConfig:
             value = getattr(self, key)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
-            if key in ("eps", "span_over_eps", "cells_per_layer", "t_end_sigma",
-                       "record_sigma", "cfl_safety", "width") and not value > 0.0:
+            if key in ("eps", "cells_per_layer", "t_end_sigma", "record_sigma",
+                       "cfl_safety", "width") and not value > 0.0:
                 raise ValueError(f"{key} must be positive, got {value!r}")
 
     def validate_profile(self):
         """Check the keys a profile and its weight read (`shocklab profile` reads no other)."""
         self._check_numbers(("gamma", "v_minus", "u_minus", "eps", "span_over_eps", "lam"))
+        if self.span_over_eps < MIN_SPAN_OVER_EPS:
+            raise ValueError(f"span_over_eps must be at least {MIN_SPAN_OVER_EPS:g}, "
+                             f"got {self.span_over_eps!r}")
         # the ranges of gamma, v_minus and eps are the gas's and the profile's
         end_states_from_amplitude(GasModel(gamma=self.gamma, v_minus=self.v_minus,
                                            u_minus=self.u_minus), self.eps)
@@ -139,10 +150,10 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must lie within [-{MAX_AMPLITUDE:g}, "
                                  f"{MAX_AMPLITUDE:g}], got {getattr(self, key)!r}")
         cells = 2.0 * self.span_over_eps * self.cells_per_layer
-        if cells > MAX_CELLS:
+        if not solver.MIN_CELLS <= cells <= MAX_CELLS:
             raise ConfigError(f"span_over_eps = {self.span_over_eps!r} and cells_per_layer = "
-                              f"{self.cells_per_layer!r} make {cells:.4g} cells, over the "
-                              f"limit of {MAX_CELLS}")
+                              f"{self.cells_per_layer!r} make {cells:.4g} cells, outside "
+                              f"[{solver.MIN_CELLS}, {MAX_CELLS}]")
         if self.steady_relax and self.perturb_kind == "large-amplitude":
             # the stretched layer replaces the relaxed wave, which would be
             # computed only to be thrown away
@@ -256,7 +267,7 @@ def phase_aligned_steady(setup):
     C = setup.sigma * gas.u_minus - gas.p_minus
 
     def ymis(beta):
-        v0 = pr.v_profile(grid.x + beta)
+        v0 = pr.frame(grid.x + beta)["v"]
         v_s, h_s = steady_state(gas, setup.sigma, grid, v0,
                                 (gas.pressure(v0) + C) / setup.sigma)
         Y, _ = quick_yb(v_s, h_s, gas.pressure(v_s), setup.frame)
@@ -311,7 +322,7 @@ def initial_state(setup):
         # prescribe velocity u = u0 + dh, then h = u + d_xi p(v); the reference's
         # u0 = h0 - d_xi p(v0) takes the solver's difference on the relaxed state
         # and d/dxi p(s*xi) = s*p' on the profile
-        dp0 = (_d1(setup.gas.pressure(v0), setup.grid.dx) if cfg.steady_relax
+        dp0 = (np.gradient(setup.gas.pressure(v0), setup.grid.dx) if cfg.steady_relax
                else s * fr["dp"])
         h = effective_velocity(setup.gas, setup.grid, v, h0 - dp0 + dh)
 

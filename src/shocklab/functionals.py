@@ -33,7 +33,6 @@ import numpy as np
 
 from .inequalities import _bisect
 from .profile import _hermite_coef, _hermite_eval
-from .solver import _d1
 
 __all__ = [
     "FunctionalBreakdown",
@@ -134,7 +133,7 @@ def compute_breakdown(v, h, frame):
     Y_l = _dot(frame["ta_dh"], b)
     G1 = 0.5 * sig * i_da_b2
     G2 = sig * i_da_q
-    D = _dot(ta, _d1(w, frame["dx"]) ** 2)
+    D = _dot(ta, np.gradient(w, frame["dx"]) ** 2)
 
     return FunctionalBreakdown(
         weighted_entropy=_dot(ta, eta),
@@ -175,7 +174,7 @@ def bd_relative_functional(x, v, u, profile):
     x = np.asarray(x, dtype=float)
     gas = profile.gas
     pf = profile.frame(x)
-    h_eff = u + _d1(gas.pressure(v), x[1] - x[0])
+    h_eff = u + np.gradient(gas.pressure(v), x[1] - x[0])
     integrand = 0.5 * (h_eff - pf["h"]) ** 2 + gas.q_relative(v, pf["v"])
     return _dot(_trapezoid_weights(x), integrand)  # the weight a = 1
 
@@ -233,7 +232,7 @@ def normalized_layer_variables(x, v, weight):
     W = (lam/eps) * (p(v) - p_tilde) the normalized perturbation, both read
     along the weight's profile.  Between the points of the uniform grid x,
     w = p(v) - p_tilde is the cubic Hermite interpolant with central-difference
-    slopes (_d1), third order in dx.
+    slopes (np.gradient), third order in dx.
     """
     x = np.asarray(x, dtype=float)
     profile = weight.profile
@@ -243,8 +242,8 @@ def normalized_layer_variables(x, v, weight):
     if np.any(xi_y < x[0]) or np.any(xi_y > x[-1]):
         raise ValueError("layer window exceeds the field grid")
     dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx, rtol=1e-9, atol=0.0):  # _d1 takes one spacing
+    if not np.allclose(np.diff(x), dx, rtol=1e-9, atol=0.0):  # np.gradient gets one spacing
         raise ValueError("the field grid x must be uniform")
-    coef = _hermite_coef(x, w, _d1(w, dx))
+    coef = _hermite_coef(x, w, np.gradient(w, dx))
     W = (weight.lam / profile.eps) * _hermite_eval(x, coef, xi_y)
     return y, W

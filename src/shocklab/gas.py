@@ -27,15 +27,25 @@ __all__ = [
     "inverse_combination_sweep",
 ]
 
+#: v_minus - v_plus is about v_minus*log(1 + eps/p(v_minus))/gamma, so the
+#: profile's ODE residual grows about linearly in gamma.  At the default
+#: window `shocklab profile` passes up to gamma 1e7 for every eps of the
+#: supported range (worst residual 3.7e-9 at eps = 9.99*p(v_minus)) and fails
+#: from 3e7 (1.1e-8 there, over the check's 1e-8); at 1e6 the worst is
+#: 5.3e-10.  From 1e15 p(v) at the layer's middle rounds onto p(v_minus) and
+#: the profile quadrature's panel count overflows; from 1e17 v_plus rounds
+#: onto v_minus
+MAX_GAMMA = 1e6
+
 
 @dataclass(frozen=True)
 class GasModel:
     """Pressure law p(v) = v**(-gamma) with reference left state (v_minus, u_minus).
 
-    gamma > 1 is required; v_minus > 0 is the specific volume far to the left,
-    u_minus the velocity there.  The viscosity built into the transformed
-    system is mu(v) = gamma*v**(-gamma), which is what makes the v-equation
-    diffuse exactly p(v).
+    1 < gamma <= MAX_GAMMA is required; v_minus > 0 is the specific volume
+    far to the left, u_minus the velocity there.  The viscosity built into
+    the transformed system is mu(v) = gamma*v**(-gamma), which is what makes
+    the v-equation diffuse exactly p(v).
     """
 
     gamma: float
@@ -43,8 +53,8 @@ class GasModel:
     u_minus: float = 0.0
 
     def __post_init__(self):
-        if not (self.gamma > 1.0):
-            raise ValueError(f"gamma must be > 1, got {self.gamma!r}")
+        if not (1.0 < self.gamma <= MAX_GAMMA):
+            raise ValueError(f"gamma must lie in (1, {MAX_GAMMA:g}], got {self.gamma!r}")
         if not (self.v_minus > 0.0):
             raise ValueError(f"v_minus must be > 0, got {self.v_minus!r}")
 

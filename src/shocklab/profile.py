@@ -120,9 +120,9 @@ class ShockProfile:
     The samples xi, p cover the stored window [xi[0], xi[-1]] in the two
     uniform pieces that solve_profile builds; the interpolant is the cubic
     Hermite form with the slopes f(p) at the knots.  :meth:`frame` evaluates
-    every profile field at any xi (tails handled by the splice);
-    the named methods (v_profile, dpressure_profile, ...) are views of one
-    field of it.  Derivatives come from the ODE right-hand side, so stored
+    every profile field at any xi (tails handled by the splice) and is the
+    one reader of them; :meth:`pressure_profile` gives p_tilde alone.
+    Derivatives come from the ODE right-hand side, so stored
     samples satisfy the profile equation identically; the independent
     accuracy check is :meth:`ode_residual_sup`, which differentiates the
     interpolant between the knots instead.
@@ -206,25 +206,6 @@ class ShockProfile:
     def frame(self, x):
         """All profile fields at xi (see _fields) from one interpolant pass."""
         return self._fields(self.pressure_profile(x))
-
-    # views of one field of the frame
-
-    def dpressure_profile(self, x):
-        """(p_tilde)'(xi) through the profile equation (smooth across the splice)."""
-        return self.frame(x)["dp"]
-
-    def v_profile(self, x):
-        return self.frame(x)["v"]
-
-    def dv_profile(self, x):
-        """(v_tilde)' = (p_tilde)'/p'(v_tilde)  (negative: v decreases)."""
-        return self.frame(x)["dv"]
-
-    def h_profile(self, x):
-        return self.frame(x)["h"]
-
-    def dh_profile(self, x):
-        return self.frame(x)["dh"]
 
     # -- normalized layer coordinate --------------------------------------
 
@@ -481,7 +462,7 @@ def tail_decay_report(profile):
     eps = states.eps
     an_minus, an_plus = analytic_tail_rates(states)
     # the core grid plus xi = 0 in one pass; each point is evaluated on its own
-    dv = profile.dv_profile(np.append(np.linspace(-1.0 / eps, 1.0 / eps, 2001), 0.0))
+    dv = profile.frame(np.append(np.linspace(-1.0 / eps, 1.0 / eps, 2001), 0.0))["dv"]
     floor = float(np.min(np.abs(dv[:-1]))) / eps ** 2
     dv0 = float(dv[-1])
     amp = states.v_minus - states.v_plus

@@ -64,6 +64,9 @@ RKC_MARGIN = 0.8
 #: reaches it only near v = 0 (beta_200 is about 2.6e4)
 MAX_STAGES = 200
 
+#: the fewest cells a Grid takes
+MIN_CELLS = 8
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -74,8 +77,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not (self.hi > self.lo and self.n >= 8):
-            raise ValueError("need hi > lo and at least 8 cells")
+        if not (self.hi > self.lo and self.n >= MIN_CELLS):
+            raise ValueError(f"need hi > lo and at least {MIN_CELLS} cells")
 
     @property
     def dx(self):
@@ -96,19 +99,10 @@ class FieldState:
     h: np.ndarray
 
 
-def _d1(f, dx):
-    """Central first derivative, one-sided at the ends: the package's one copy
-    (h = u + p(v)_xi and diagnostics; the march uses semi_discrete_rhs)."""
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    out[0] = (f[1] - f[0]) / dx
-    out[-1] = (f[-1] - f[-2]) / dx
-    return out
-
-
 def effective_velocity(gas, grid, v, u):
-    """h = u + (p(v))_xi with the solver's central first derivative."""
-    return u + _d1(gas.pressure(v), grid.dx)
+    """h = u + (p(v))_xi, the derivative by np.gradient: central inside,
+    one-sided at the ends (the march uses semi_discrete_rhs)."""
+    return u + np.gradient(gas.pressure(v), grid.dx)
 
 
 def semi_discrete_rhs(sigma, grid, v, h, p):

@@ -27,17 +27,6 @@ class WeightFn:
         fr["d2a"] = s * fr["d2p"]
         return fr
 
-    # views of one field of the frame
-
-    def a(self, x):
-        return self.frame(x)["a"]
-
-    def da(self, x):
-        return self.frame(x)["da"]
-
-    def d2a(self, x):
-        return self.frame(x)["d2a"]
-
 
 def check_lam(lam):
     """Raise ValueError unless the slope lam lies in (0, 1/2] (1/2 for lam = 5*eps runs)."""

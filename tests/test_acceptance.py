@@ -131,9 +131,9 @@ def test_criterion_06_profile_construction(profiles):
     for dx in (0.2, 0.1):
         n = int(round(80.0 / dx))
         grid = sl.Grid(-40.0, 40.0, n)
-        v = pr.v_profile(grid.x)
-        dv, dh = sl.semi_discrete_rhs(pr.states.sigma, grid, v, pr.h_profile(grid.x),
-                                      gas.pressure(v))
+        fr = pr.frame(grid.x)
+        dv, dh = sl.semi_discrete_rhs(pr.states.sigma, grid, fr["v"], fr["h"],
+                                      gas.pressure(fr["v"]))
         sups.append(max(np.abs(dv).max(), np.abs(dh).max()))
     ratio = sups[0] / sups[1]
     ok &= 3.5 < ratio < 4.5

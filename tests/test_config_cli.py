@@ -97,6 +97,17 @@ def test_readme_config_block_lists_every_key_with_its_default():
     assert sl.parse_config_text(block) == asdict(sl.ExperimentConfig())
 
 
+def test_readme_python_api_block_runs(capsys):
+    # the code block under "Python API" in the README, run as written
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Python API\n.*?```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert float(lines[0].split()[0]) > 0.0  # the bumped state's weighted entropy
+    assert 0.0 < float(lines[1]) < 1.0  # the entropy ratio of the run
+
+
 def test_load_config_with_base():
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "run.cfg")
@@ -188,6 +199,7 @@ def test_cli_audit_exit_zero():
     ("cfl_safety=5", "cfl_safety"),
     ("amplitude=nan", "amplitude"),
     ("gamma=1", "gamma"),
+    ("gamma=1e17", "gamma"),  # was a ZeroDivisionError: v_plus rounds onto v_minus
     ("v_minus=-1", "v_minus"),
     ("eps=12", "eps"),
     ("span_over_eps=-40", "span_over_eps"),
@@ -224,6 +236,35 @@ def test_cli_tiny_eps_is_one_line(capsys, command):
         assert main([command, "--set", f"eps={eps}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: eps out of supported range") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("item", ["gamma=1e8", "gamma=1e15", "span_over_eps=1e-8",
+                                  "span_over_eps=1e-300"])
+def test_cli_profile_refuses_gamma_and_span_it_cannot_solve(capsys, item):
+    # these printed FAIL (1e8, 1e-8) or ended in an OverflowError (gamma 1e15)
+    # or a LinAlgError from the tail fit (1e-300)
+    assert main(["profile", "--set", item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + item.split("=")[0]) and err.count("\n") == 1
+
+
+def test_cli_profile_passes_at_the_gamma_and_span_bounds(capsys):
+    # the worst corner of the sweep behind the bounds: largest gamma and eps
+    # on the narrowest window
+    assert main(["profile", "--set", f"gamma={sl.gas.MAX_GAMMA!r}", "--set", "eps=9.99",
+                 "--set", f"span_over_eps={sl.experiment.MIN_SPAN_OVER_EPS!r}"]) == 0
+    assert capsys.readouterr().out.endswith("profile check: PASS\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_grid_needs_the_cells_a_grid_takes(capsys, command):
+    # 2 * span_over_eps * cells_per_layer = 6 cells was Grid's raw ValueError
+    assert main([command, "--set", "span_over_eps=1", "--set", "cells_per_layer=3",
+                 "--set", "width=0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "span_over_eps" in err and "cells_per_layer" in err
+    sl.ExperimentConfig(span_over_eps=1.0, cells_per_layer=4, width=0.5).validate()
 
 
 def test_grid_size_is_capped(capsys):
@@ -411,6 +452,11 @@ def test_cli_verify_inequalities_rejects_zero_trials(capsys):
     (["audit", "--refine", "0"], "--refine"),  # a division by zero in identity_audit
     (["audit", "--refine", "-1"], "--refine"),
     (["verify-inequalities", "--seed", "-1"], "--seed"),  # numpy's ValueError
+    # a tolerance of nan or -1 failed every run, inf passed every run
+    (["simulate", "--tol", "nan"], "--tol"),
+    (["simulate", "--tol", "inf"], "--tol"),
+    (["sweep", "amplitude", "0.01", "--tol", "-1"], "--tol"),
+    (["audit", "--tol", "nan"], "--tol"),
 ])
 def test_cli_rejects_a_bad_count_at_parse_time(argv, flag, capsys):
     # refused by the parser, before any run: exit 2 and one error line

@@ -138,7 +138,7 @@ def test_mass_conserved_until_boundary_contact():
     setup = sl.build_setup(cfg)
     st0 = sl.initial_state(setup)
     x = setup.grid.x
-    v_tilde = setup.profile.v_profile(x)
+    v_tilde = setup.profile.frame(x)["v"]
     m0 = np.trapezoid(st0.v - v_tilde, x)
     trace, (state, X), _ = sl.run_experiment(setup)
     m1 = np.trapezoid(state.v - v_tilde, x)

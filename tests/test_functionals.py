@@ -11,7 +11,6 @@ import pytest
 
 import shocklab as sl
 from shocklab.functionals import _dot, _yb_kernel, weighted_q_probe
-from shocklab.solver import _d1
 
 
 @pytest.fixture(scope="module")
@@ -28,14 +27,15 @@ def perturbed_state(profile, x, amp=0.01, seed=5):
     rng = np.random.default_rng(seed)
     base = np.exp(-((x - 2.0) / 6.0) ** 2)
     wob = np.exp(-(x / 15.0) ** 2) * np.cos(0.7 * x)
-    v = profile.v_profile(x) + amp * base + 0.3 * amp * wob
-    h = profile.h_profile(x) + amp * np.exp(-((x + 4.0) / 8.0) ** 2)
+    fr = profile.frame(x)
+    v = fr["v"] + amp * base + 0.3 * amp * wob
+    h = fr["h"] + amp * np.exp(-((x + 4.0) / 8.0) ** 2)
     return v, h
 
 
 def test_all_functionals_vanish_at_profile(profile01, frame01, wide_x):
-    x = wide_x
-    bd = sl.compute_breakdown(profile01.v_profile(x), profile01.h_profile(x), frame01)
+    fr = profile01.frame(wide_x)
+    bd = sl.compute_breakdown(fr["v"], fr["h"], frame01)
     for name in ("Y", "Y_g", "Y_b", "Y_l", "B1", "B2", "B", "G1", "G2", "D", "G"):
         assert abs(getattr(bd, name)) < 1e-13, name
     assert abs(bd.weighted_entropy) < 1e-13
@@ -65,8 +65,8 @@ def test_entropy_weight_sandwich(profile01, frame01, wide_x):
     v, h = perturbed_state(profile01, wide_x)
     bd = sl.compute_breakdown(v, h, frame01)
     gas = profile01.states.gas
-    eta = sl.eta_relative(gas, v, h, profile01.v_profile(wide_x),
-                          profile01.h_profile(wide_x))
+    fr = profile01.frame(wide_x)
+    eta = sl.eta_relative(gas, v, h, fr["v"], fr["h"])
     unweighted = np.trapezoid(eta, wide_x)
     assert 0.5 * unweighted - 1e-12 <= bd.weighted_entropy <= unweighted + 1e-12
 
@@ -87,8 +87,8 @@ def test_shift_moves_frame(profile01, weight01, wide_x):
     # a state equal to a translated profile scores zero at the matching
     # shift (a shifted frame is built at the points x - shift)
     x = wide_x
-    v = profile01.v_profile(x + 0.8)
-    h = profile01.h_profile(x + 0.8)
+    fr = profile01.frame(x + 0.8)
+    v, h = fr["v"], fr["h"]
     bd0 = sl.compute_breakdown(v, h, sl.functional_frame(weight01, x))
     bd1 = sl.compute_breakdown(v, h, sl.functional_frame(weight01, x + 0.8))
     assert bd1.weighted_entropy < 1e-13
@@ -98,7 +98,7 @@ def test_shift_moves_frame(profile01, weight01, wide_x):
 
 def test_truncation_clips_toward_profile(profile01, frame01, wide_x):
     x = wide_x
-    v = profile01.v_profile(x) - 0.05 * np.exp(-(x / 10.0) ** 2)
+    v = profile01.frame(x)["v"] - 0.05 * np.exp(-(x / 10.0) ** 2)
     level = 0.02
     vt = sl.truncate_state(v, frame01, level)
     p = profile01.states.gas.pressure
@@ -112,7 +112,7 @@ def test_truncation_clips_toward_profile(profile01, frame01, wide_x):
 
 def test_truncation_identity_below_level(profile01, frame01, wide_x):
     x = wide_x
-    v = profile01.v_profile(x) - 1e-4 * np.exp(-(x / 10.0) ** 2)
+    v = profile01.frame(x)["v"] - 1e-4 * np.exp(-(x / 10.0) ** 2)
     vt = sl.truncate_state(v, frame01, 0.02)
     npt.assert_allclose(vt, v, rtol=0, atol=1e-14)
 
@@ -120,8 +120,9 @@ def test_truncation_identity_below_level(profile01, frame01, wide_x):
 def test_bd_relative_functional_properties(profile01, wide_x):
     x = wide_x
     st = profile01.states
-    v_tilde = profile01.v_profile(x)
-    u_tilde = profile01.h_profile(x) - profile01.dpressure_profile(x)
+    fr = profile01.frame(x)
+    v_tilde = fr["v"]
+    u_tilde = fr["h"] - fr["dp"]
     assert sl.bd_relative_functional(x, v_tilde, u_tilde, profile01) < 1e-12
     v = v_tilde + 0.02 * np.exp(-(x / 8.0) ** 2)
     val = sl.bd_relative_functional(x, v, u_tilde, profile01)
@@ -130,12 +131,13 @@ def test_bd_relative_functional_properties(profile01, wide_x):
 
 def test_normalized_layer_variables(profile01, weight01, wide_x):
     x = wide_x
-    v = profile01.v_profile(x) + 1e-3 * np.exp(-(x / 5.0) ** 2)
+    v_tilde = profile01.frame(x)["v"]
+    v = v_tilde + 1e-3 * np.exp(-(x / 5.0) ** 2)
     y, W = sl.normalized_layer_variables(x, v, weight01)
     assert np.all(np.diff(y) > 0)
     assert y[0] >= 1e-3 - 1e-12 and y[-1] <= 1.0 - 1e-3 + 1e-12
     # at the exact profile W vanishes identically
-    y0, W0 = sl.normalized_layer_variables(x, profile01.v_profile(x), weight01)
+    y0, W0 = sl.normalized_layer_variables(x, v_tilde, weight01)
     assert np.abs(W0).max() < 1e-12
 
 
@@ -148,7 +150,7 @@ def test_normalized_layer_variables_against_scipys_cubic_spline(profile01, weigh
     gas = profile01.gas
 
     def error(x):
-        v = profile01.v_profile(x) + 1e-3 * np.exp(-(x / 5.0) ** 2)
+        v = profile01.frame(x)["v"] + 1e-3 * np.exp(-(x / 5.0) ** 2)
         y, W = sl.normalized_layer_variables(x, v, weight01)
         w_ref = CubicSpline(x, gas.pressure(v) - profile01.pressure_profile(x))
         W_ref = (weight01.lam / profile01.eps) * w_ref(profile01.xi_of_y(y))
@@ -162,7 +164,7 @@ def test_normalized_layer_variables_against_scipys_cubic_spline(profile01, weigh
 
 def test_normalized_layer_variables_window_check(profile01, weight01):
     x = np.linspace(-40.0, 40.0, 401)  # far narrower than the layer window
-    v = profile01.v_profile(x)
+    v = profile01.frame(x)["v"]
     with pytest.raises(ValueError):
         sl.normalized_layer_variables(x, v, weight01)
 
@@ -171,7 +173,7 @@ def test_normalized_layer_variables_needs_a_uniform_grid(profile01, weight01, wi
     x = wide_x.copy()
     x[2000] += 0.05  # one point moved by a quarter of dx
     with pytest.raises(ValueError, match="uniform"):
-        sl.normalized_layer_variables(x, profile01.v_profile(x), weight01)
+        sl.normalized_layer_variables(x, profile01.frame(x)["v"], weight01)
 
 
 def test_weighted_q_probe_smoke(profile01, weight01):
@@ -252,7 +254,7 @@ def reference_terms(xi, v, h, weight):
         "B2": [(1.0 / (2.0 * sig), da, w ** 2), (0.5, d2a, w ** 2)],
         "G1": [(0.5 * sig, da, b ** 2)],
         "G2": [(sig, da, q_rel)],
-        "D": [(1.0, a, _d1(w, dx) ** 2)],
+        "D": [(1.0, a, np.gradient(w, dx) ** 2)],
     }
     terms["B"] = terms["B1"] + terms["B2"]
     terms["G"] = terms["G1"] + terms["G2"] + terms["D"]

@@ -50,7 +50,7 @@ profile = sl.solve_profile(sl.GasModel(2.0, 1.0), 0.1)
 weight = sl.build_weight(profile, 0.5)
 assert 0.5 < weighted_q_probe(weight)["t_star_over_eps_by_lam"] < 2.5
 x = np.linspace(-400.0, 400.0, 4001)
-y, W = sl.normalized_layer_variables(x, profile.v_profile(x) + 1e-3 * np.exp(-(x / 5.0) ** 2),
+y, W = sl.normalized_layer_variables(x, profile.frame(x)["v"] + 1e-3 * np.exp(-(x / 5.0) ** 2),
                                      weight)
 assert np.all(np.isfinite(W)) and np.abs(W).max() > 0
 """ + LOADED_SCIPY

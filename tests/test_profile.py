@@ -95,21 +95,22 @@ def test_profile_centering(profile01):
     # v at xi = 0 sits at the midpoint of the end volumes
     st = profile01.states
     mid = 0.5 * (st.gas.v_minus + st.v_plus)
-    assert abs(profile01.v_profile(0.0) - mid) < 1e-10
+    assert abs(profile01.frame(0.0)["v"] - mid) < 1e-10
 
 
 def test_profile_end_limits(profile01):
     st = profile01.states
-    xi = profile01.xi
-    assert abs(profile01.v_profile(xi[0]) - st.gas.v_minus) < 1e-9
-    assert abs(profile01.v_profile(xi[-1]) - st.v_plus) < 1e-9
+    v = profile01.frame(profile01.xi[[0, -1]])["v"]
+    assert abs(v[0] - st.gas.v_minus) < 1e-9
+    assert abs(v[1] - st.v_plus) < 1e-9
 
 
 def test_h_slaved_to_pressure(profile01):
     # steady relation: sigma*h - p is constant, equal to sigma*u_minus - p_minus
     st = profile01.states
     x = np.linspace(profile01.xi[0], profile01.xi[-1], 4001)
-    c = st.sigma * profile01.h_profile(x) - profile01.pressure_profile(x)
+    fr = profile01.frame(x)
+    c = st.sigma * fr["h"] - fr["p"]
     c_ref = st.sigma * st.gas.u_minus - st.gas.p_minus
     assert np.max(np.abs(c - c_ref)) < 1e-11
 
@@ -119,20 +120,14 @@ def test_frame_consistency(profile01):
     x = np.linspace(profile01.xi[0] - 30.0, profile01.xi[-1] + 30.0, 501)
     fr = profile01.frame(x)
     npt.assert_array_equal(fr["p"], profile01.pressure_profile(x))
-    npt.assert_array_equal(fr["dp"], profile01.dpressure_profile(x))
-    npt.assert_array_equal(fr["v"], profile01.v_profile(x))
-    npt.assert_array_equal(fr["dv"], profile01.dv_profile(x))
-    npt.assert_array_equal(fr["h"], profile01.h_profile(x))
-    npt.assert_array_equal(fr["dh"], profile01.dh_profile(x))
 
 
 def test_derivative_profiles_match_fd(profile01):
     x = np.linspace(-20.0, 20.0, 101)
     d = 1e-5
-    fd = (profile01.v_profile(x + d) - profile01.v_profile(x - d)) / (2 * d)
-    npt.assert_allclose(profile01.dv_profile(x), fd, atol=1e-8)
-    fd_h = (profile01.h_profile(x + d) - profile01.h_profile(x - d)) / (2 * d)
-    npt.assert_allclose(profile01.dh_profile(x), fd_h, atol=1e-8)
+    fr, up, down = (profile01.frame(x + s) for s in (0.0, d, -d))
+    npt.assert_allclose(fr["dv"], (up["v"] - down["v"]) / (2 * d), atol=1e-8)
+    npt.assert_allclose(fr["dh"], (up["h"] - down["h"]) / (2 * d), atol=1e-8)
 
 
 def test_layer_coordinate_roundtrip(profile01):
@@ -195,13 +190,11 @@ def test_profile_csv_export(profile01, weight01):
 def test_frame_carries_gas_closures_at_v_tilde(profile01, weight01, setup_default):
     # p'(v_tilde) rides in the profile frame and p(v_tilde), q(v_tilde) in the
     # functional frame, the kernel's only reader of them, each equal to the
-    # GasModel closure at the frame's v; dp derived from v_tilde equals the
-    # ODE right-hand side evaluated the long way
+    # GasModel closure at the frame's v
     gas = profile01.gas
     x = setup_default.grid.x - 0.37
     pf = profile01.frame(x)
     assert np.array_equal(pf["dpv"], gas.dpressure(pf["v"]))
-    assert np.array_equal(pf["dp"], profile01.dpressure_profile(x))
     assert "pv" not in pf and "qv" not in pf
     ff = sl.functional_frame(weight01, x)
     assert np.array_equal(ff["v"], pf["v"])

@@ -81,8 +81,9 @@ def test_overshoot_values():
 def test_r_residual_formula(profile01, weight01):
     # hand-evaluate the linear-branch contraction residual on one breakdown
     x = np.linspace(-60.0, 60.0, 601)
-    v = profile01.v_profile(x) * (1.0 + 0.01 * np.exp(-(x / 5.0) ** 2))
-    h = profile01.h_profile(x) + 0.01 * np.exp(-(x / 7.0) ** 2)
+    fr = profile01.frame(x)
+    v = fr["v"] * (1.0 + 0.01 * np.exp(-(x / 5.0) ** 2))
+    h = fr["h"] + 0.01 * np.exp(-(x / 7.0) ** 2)
     bd = sl.compute_breakdown(v, h, sl.functional_frame(weight01, x))
     lam, eps = 0.5, EPS
     expected = (-bd.Y**2 / eps**4 + (1.0 + 0.1 * eps / lam) * abs(bd.B) - bd.G)

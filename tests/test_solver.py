@@ -13,7 +13,6 @@ from shocklab import solver
 from shocklab.solver import (
     RKC_DAMPING,
     RKC_MARGIN,
-    _d1,
     _thomas,
     diffusion_radius,
     effective_velocity,
@@ -29,7 +28,8 @@ def make_grid(lo=-40.0, hi=40.0, dx=0.2):
 
 
 def profile_arrays(profile, grid):
-    return profile.v_profile(grid.x), profile.h_profile(grid.x)
+    fr = profile.frame(grid.x)
+    return fr["v"], fr["h"]
 
 
 def test_grid_basics():
@@ -404,6 +404,21 @@ def test_steady_state_rejects_inconsistent_ends(gas2, profile01):
         sl.steady_state(gas2, profile01.states.sigma, grid, v0, h0)
 
 
+def test_np_gradient_is_the_central_difference_the_outputs_rest_on():
+    # effective_velocity, the D term and the other derivatives of sampled
+    # fields take np.gradient(f, dx): central inside and one-sided at the
+    # ends, bit for bit; a change to numpy's formula fails here by name
+    rng = np.random.default_rng(20240817)
+    for n in [3, 4, *rng.integers(5, 100_001, size=8)]:
+        f = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        dx = 10.0 ** rng.uniform(-4, 2)
+        ref = np.empty(n)
+        ref[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+        ref[0] = (f[1] - f[0]) / dx
+        ref[-1] = (f[-1] - f[-2]) / dx
+        assert np.gradient(f, dx).tobytes() == ref.tobytes(), n
+
+
 def test_effective_velocity_recovers_h(gas2, profile01):
     # u = h_tilde - (p_tilde)' is the fluid velocity; adding the discrete
     # pressure-gradient back must reproduce h_tilde to O(dx^2)
@@ -411,10 +426,9 @@ def test_effective_velocity_recovers_h(gas2, profile01):
     sups = []
     for dx in (0.2, 0.1):
         grid = make_grid(lo=-40.0, hi=40.0, dx=dx)
-        v = profile01.v_profile(grid.x)
-        u = profile01.h_profile(grid.x) - profile01.dpressure_profile(grid.x)
-        h = effective_velocity(gas2, grid, v, u)
-        sups.append(np.abs(h - profile01.h_profile(grid.x))[1:-1].max())
+        fr = profile01.frame(grid.x)
+        h = effective_velocity(gas2, grid, fr["v"], fr["h"] - fr["dp"])
+        sups.append(np.abs(h - fr["h"])[1:-1].max())
     assert sups[0] < 1e-5
     assert 3.0 < sups[0] / sups[1] < 5.0
 
@@ -426,7 +440,7 @@ def conservation_balance(gas, sigma, grid, state):
     """
     p = gas.pressure(state.v)
     dv, _ = sl.semi_discrete_rhs(sigma, grid, state.v, state.h, p)
-    flux = sigma * state.v + state.h - _d1(p, grid.dx)
+    flux = sigma * state.v + state.h - np.gradient(p, grid.dx)
     return float(np.trapezoid(dv, dx=grid.dx)), float(flux[-1] - flux[0])
 
 
@@ -435,8 +449,9 @@ def test_conservation_balance_matches_flux(gas2, profile01):
     # recorded volume rate must track it to discretization accuracy
     grid = make_grid(lo=-40.0, hi=40.0, dx=0.2)
     x = grid.x
-    v = profile01.v_profile(x) + 0.1 / (1.0 + np.exp(-(x - 25.0) / 2.0))
-    h = profile01.h_profile(x) + 0.05 * np.tanh((x + 25.0) / 3.0)
+    fr = profile01.frame(x)
+    v = fr["v"] + 0.1 / (1.0 + np.exp(-(x - 25.0) / 2.0))
+    h = fr["h"] + 0.05 * np.tanh((x + 25.0) / 3.0)
     state = sl.FieldState(0.0, v, h)
     ddt, flux = conservation_balance(gas2, profile01.states.sigma, grid, state)
     assert abs(flux) > 1e-3
