@@ -2,7 +2,7 @@
 
 Four independent checks, each returning a report with the worst value found
 and the certified margin:
-  1. the interpolation constant theta^2 = 5 - pi^2/3 via adaptive quadrature,
+  1. the interpolation constant theta^2 = 5 - pi^2/3 via graded quadrature,
   2. g < 0 on (-2, 0) by grid + Lipschitz slack plus an analytic cusp bound,
   3. the quartic-vs-square comparison on a box band |E| <= delta1,
   4. seeded multistart maximization of the cubic profile functional R_delta

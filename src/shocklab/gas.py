@@ -37,15 +37,25 @@ __all__ = [
 #: onto v_minus
 MAX_GAMMA = 1e6
 
+#: log10 range of p(v_minus) = v_minus**-gamma, checked in logs so that no
+#: power overflows.  The profile's ODE residual grows with p(v_minus): some
+#: eps of the supported range passes `shocklab profile` up to p(v_minus) =
+#: 10**3.5 for gamma 1.01 to 1e3 (none from 1e4) and up to 10**1.5 at gamma
+#: 1e6 (none from 1e2); the upper bound is 3.2x inside 10**1.5.  Near gamma 1
+#: the profile solve's step estimate overflows from p(v_minus) = 1e-78 (gamma
+#: 1.0001, eps = 9.99*p(v_minus)); the lower bound is 8 decades above that
+P_MINUS_LOG10_RANGE = (-70.0, 1.0)
+
 
 @dataclass(frozen=True)
 class GasModel:
     """Pressure law p(v) = v**(-gamma) with reference left state (v_minus, u_minus).
 
-    1 < gamma <= MAX_GAMMA is required; v_minus > 0 is the specific volume
-    far to the left, u_minus the velocity there.  The viscosity built into
-    the transformed system is mu(v) = gamma*v**(-gamma), which is what makes
-    the v-equation diffuse exactly p(v).
+    1 < gamma <= MAX_GAMMA and log10 p(v_minus) in P_MINUS_LOG10_RANGE are
+    required; v_minus > 0 is the specific volume far to the left, u_minus
+    the velocity there.  The viscosity built into the transformed system is
+    mu(v) = gamma*v**(-gamma), which is what makes the v-equation diffuse
+    exactly p(v).
     """
 
     gamma: float
@@ -57,6 +67,11 @@ class GasModel:
             raise ValueError(f"gamma must lie in (1, {MAX_GAMMA:g}], got {self.gamma!r}")
         if not (self.v_minus > 0.0):
             raise ValueError(f"v_minus must be > 0, got {self.v_minus!r}")
+        lo, hi = P_MINUS_LOG10_RANGE
+        log_p = -self.gamma * np.log10(self.v_minus)
+        if not lo <= log_p <= hi:
+            raise ValueError(f"gamma = {self.gamma!r} and v_minus = {self.v_minus!r} give "
+                             f"p(v_minus) = 10**{log_p:.6g}, outside [1e{lo:g}, 1e{hi:g}]")
 
     # -- bare closures ----------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Standalone functional inequalities behind the contraction argument.
 
 Certified numerically, not proved: every negativity claim is checked by a
-grid + Lipschitz slack, a quadrature with analytic endpoint handling, or a
-seeded multistart maximization, and each check returns a CertificationReport
+grid + Lipschitz slack, a graded Gauss-Legendre quadrature, or a seeded
+multistart maximization, and each check returns a CertificationReport
 with the worst value found and the margin.
 
 Contents:
@@ -100,36 +100,15 @@ def _graded_gauss(lo, hi):
     return (a + half * (t + 1.0)).ravel(), (half * wt).ravel()
 
 
-def _tail_piece(eta):
-    """int_0^eta (1 + log(1-y) + log y)^2 dy with the log y parts done exactly.
+def theta_squared_quadrature():
+    """int_0^1 (L(y) + L(1-y))^2 dy on Gauss-Legendre panels graded toward 0.
 
-    Expansion: (A + log y)^2 = A^2 + 2A log y + log^2 y with A = 1 + log(1-y).
-    The log y and log^2 y moments have closed forms; the smooth A^2 and the
-    cross term 2 log(1-y) log y (which behaves like -2 y log y at 0) go to
-    Gauss-Legendre panels graded toward 0.
+    The integrand equals (1 + log(y(1-y)))^2 and is symmetric about 1/2, so
+    the integral is twice the one over (0, 1/2]; the panels of _graded_gauss
+    resolve the log singularity at 0.
     """
-    # exact: int_0^eta log y dy, int_0^eta log^2 y dy
-    i_log = eta * (np.log(eta) - 1.0)
-    i_log2 = eta * (np.log(eta) ** 2 - 2.0 * np.log(eta) + 2.0)
-    y, wt = _graded_gauss(0.0, eta)
-    l1 = np.log1p(-y)
-    i_rest = wt @ ((1.0 + l1) ** 2 + 2.0 * l1 * np.log(y))
-    return i_rest + 2.0 * i_log + i_log2
-
-
-def theta_squared_quadrature(eta=0.05):
-    """int_0^1 (L(y) + L(1-y))^2 dy by split quadrature.
-
-    The integrand equals (1 + log(y(1-y)))^2 and is symmetric about 1/2.
-    Both ends get the analytic tail treatment of _tail_piece; the middle,
-    twice the integral over [eta, 1/2], goes to Gauss-Legendre panels graded
-    toward eta, where the log singularity at 0 is nearest.
-    """
-    if not (0.0 < eta < 0.5):
-        raise ValueError("eta must lie in (0, 1/2)")
-    y, wt = _graded_gauss(eta, 0.5)
-    middle = 2.0 * (wt @ (1.0 + np.log(y * (1.0 - y))) ** 2)
-    return middle + 2.0 * _tail_piece(eta)
+    y, wt = _graded_gauss(0.0, 0.5)
+    return 2.0 * (wt @ (1.0 + np.log(y * (1.0 - y))) ** 2)
 
 
 def sup_deviation_slack(y, f):
@@ -330,10 +309,10 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
                          step=1e-3):
     """Grid-certify  P_delta - E^2 <= 1e-10  on the band {|E| <= delta1}.
 
-    The box is (z1_lo, z1_hi, z2_lo, z2_hi); evaluation is chunked over 64
-    z1 rows at a time to bound memory.  Reports the worst admissible value
-    and where it occurs.  A box whose grid has no point in the band certifies
-    nothing and is reported as not certified.
+    The box is (z1_lo, z1_hi, z2_lo, z2_hi).  E is evaluated 64 z1 rows at a
+    time to bound memory, P_delta only at the band's points.  Reports the
+    worst admissible value and where it first occurs in row-major order.  A
+    box whose grid has no point in the band certifies nothing.
     """
     t0 = time.perf_counter()
     tol = 1e-10
@@ -344,19 +323,17 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
     arg = (np.nan, np.nan)
     n_admissible = 0
     for i0 in range(0, z1.size, 64):
-        zz1 = z1[i0:i0 + 64][:, None]
-        zz2 = z2[None, :]
-        E = E_poly(zz1, zz2)
-        mask = np.abs(E) <= delta1
-        if not np.any(mask):
+        E = E_poly(z1[i0:i0 + 64, None], z2[None, :])
+        r, c = np.nonzero(np.abs(E) <= delta1)
+        if r.size == 0:
             continue
-        n_admissible += int(mask.sum())
-        val = P_delta_poly(zz1, zz2, delta) - E * E
-        val = np.where(mask, val, -np.inf)
-        j = np.unravel_index(np.argmax(val), val.shape)
+        n_admissible += r.size
+        e = E[r, c]
+        val = P_delta_poly(z1[i0 + r], z2[c], delta) - e * e
+        j = int(np.argmax(val))
         if val[j] > worst:
             worst = float(val[j])
-            arg = (float(zz1[j[0], 0]), float(zz2[0, j[1]]))
+            arg = (float(z1[i0 + r[j]]), float(z2[c[j]]))
     certified = n_admissible > 0 and worst <= tol
     return CertificationReport(
         target="P_delta - E^2 <= 0 on |E| <= delta1",
@@ -554,24 +531,17 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
     return SimpleNamespace(x=x_out, fun=f_out, nfev=nfev, nit=nit)
 
 
-def _neg_r_delta(p, *args):
-    val, grad = _r_delta_kernel(p, *args)
-    return -val, -grad
-
-
 def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
                      seed=20240817):
     """Seeded multistart maximization of R_delta under int W^2 <= c1.
 
     Starts are random Legendre coefficient vectors (decaying spectrum, random
     radius), all ascended together by one batched L-BFGS (``minimize``) on the
-    exact gradient; the best candidate is then re-optimized over its raw grid
-    values by the same routine on one row (W' is the matrix form of
-    np.gradient, as in DiscretizedW.moments).  Returns a CertificationReport
-    whose worst_value is the largest R_delta found (the claim is that it
-    stays <= 0 up to discretization noise); details carry nfev and nit
-    summed over both ascents.  They count batched kernel calls and batched
-    iterations, each covering every start still active.
+    exact gradient.  Returns a CertificationReport whose worst_value is the
+    largest R_delta found (the claim is that it stays <= 0 up to
+    discretization noise); details carry the ascent's nfev and nit.  They
+    count batched kernel calls and batched iterations, each covering every
+    start still active.
     """
     if n_starts < 1 or n_grid < 3 or degree < 0:
         raise ValueError("need n_starts >= 1, n_grid >= 3 and degree >= 0")
@@ -580,39 +550,30 @@ def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     y = np.linspace(0.0, 1.0, n_grid)
-    eye = np.eye(n_grid)
-    q = np.trapezoid(eye, y, axis=0)
+    q = np.trapezoid(np.eye(n_grid), y, axis=0)
     qd = q * y * (1.0 - y)
     leg, leg_d = _legendre_maps(y, degree)
-
-    def ascend(x0, A, D, **options):
-        return minimize(lambda p: _neg_r_delta(p, A, D, q, qd, delta, c1), x0, **options)
-
     starts = np.empty((n_starts, degree + 1))
     for row in starts:
         row[:] = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1)) ** 2
         row *= rng.uniform(0.05, np.sqrt(c1))
-    res = ascend(starts, leg, leg_d, maxiter=200, ftol=1e-14, gtol=1e-12)
-    i = int(np.argmin(res.fun))
-    best_val = -res.fun[i]
-    w = leg @ res.x[i]
-    i2 = q @ (w * w)
-    best_W = w * np.sqrt(c1 / i2) if i2 > c1 else w
 
-    polish = ascend(best_W, eye, np.gradient(eye, y, axis=0),
-                    maxiter=300, ftol=1e-15, gtol=1e-13)
-    best_val = max(best_val, -polish.fun[0])
+    def neg_r_delta(p):
+        val, grad = _r_delta_kernel(p, leg, leg_d, q, qd, delta, c1)
+        return -val, -grad
 
+    res = minimize(neg_r_delta, starts, maxiter=200, ftol=1e-14, gtol=1e-12)
+    best_val = -float(np.min(res.fun))
     return CertificationReport(
         target="R_delta(W) <= 0 under int W^2 <= C1",
-        domain=f"Legendre deg<={degree} + raw grid, n={n_grid}",
+        domain=f"Legendre deg<={degree}, n={n_grid}",
         resolution=1.0 / (n_grid - 1),
-        worst_value=float(best_val),
-        margin=-float(best_val),
+        worst_value=best_val,
+        margin=-best_val,
         certified=bool(best_val <= 1e-8),
         method="multistart",
         details={"delta": delta, "c1": c1, "n_starts": n_starts, "seed": seed,
-                 "nfev": res.nfev + polish.nfev, "nit": res.nit + polish.nit},
+                 "nfev": res.nfev, "nit": res.nit},
         runtime_s=time.perf_counter() - t0,
     )
 

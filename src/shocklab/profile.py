@@ -25,7 +25,6 @@ with rates fitted from the last stored decade.  numpy alone does all of it.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -283,7 +282,6 @@ PANEL_WIDTH = 0.25
 PANEL_DEGREE = 14
 
 
-@cache
 def _panel_rule():
     """The quadrature on one panel, mapped to [-1, 1].
 

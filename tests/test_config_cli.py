@@ -256,6 +256,34 @@ def test_cli_profile_passes_at_the_gamma_and_span_bounds(capsys):
     assert capsys.readouterr().out.endswith("profile check: PASS\n")
 
 
+@pytest.mark.parametrize("command, items", [
+    ("profile", ["v_minus=1e-300"]),                # p(v_minus) overflowed
+    ("simulate", ["v_minus=1e-200"]),
+    ("profile", ["v_minus=1e-150", "gamma=2.5"]),
+    ("profile", ["v_minus=3", "gamma=1000"]),       # blamed eps, p(v_minus) = 0
+    ("profile", ["v_minus=0.5", "gamma=1000"]),     # blamed eps, p(v_minus) = 1e301
+    ("audit", ["v_minus=0.01"]),                    # p(v_minus) = 1e4: no eps passes
+])
+def test_cli_refuses_p_of_v_minus_out_of_range(capsys, command, items):
+    argv = [command]
+    for item in items:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: gamma = ") and err.count("\n") == 1
+    assert "v_minus = " in err and "p(v_minus)" in err
+
+
+@pytest.mark.parametrize("gamma, v_minus, eps_over_p", [(1.01, 1e69, 9.99),
+                                                        (1e6, 0.999998, 1.0)])
+def test_cli_profile_passes_inside_the_p_of_v_minus_bounds(capsys, gamma, v_minus, eps_over_p):
+    # near each end of P_MINUS_LOG10_RANGE, at the gamma where it is tightest
+    eps = eps_over_p * v_minus ** -gamma
+    assert main(["profile", "--set", f"gamma={gamma!r}", "--set", f"v_minus={v_minus!r}",
+                 "--set", f"eps={eps!r}"]) == 0
+    assert capsys.readouterr().out.endswith("profile check: PASS\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "audit"])
 def test_grid_needs_the_cells_a_grid_takes(capsys, command):
     # 2 * span_over_eps * cells_per_layer = 6 cells was Grid's raw ValueError

@@ -35,20 +35,7 @@ def test_theta_squared_identity():
 
 def test_theta_quadrature_error():
     val = sl.theta_squared_quadrature()
-    assert abs(val - THETA**2) < 1e-12
-
-
-def test_theta_quadrature_eta_independence():
-    v1 = sl.theta_squared_quadrature(eta=0.05)
-    v2 = sl.theta_squared_quadrature(eta=0.1)
-    assert abs(v1 - v2) < 1e-12
-
-
-def test_theta_quadrature_validation():
-    with pytest.raises(ValueError):
-        sl.theta_squared_quadrature(eta=0.0)
-    with pytest.raises(ValueError):
-        sl.theta_squared_quadrature(eta=0.5)
+    assert abs(val - THETA**2) <= 1e-15
 
 
 def test_log_remainder_values():
@@ -197,6 +184,37 @@ def test_certify_prop_algebra_small_box():
     assert rep.details["admissible_points"] > 1000
 
 
+def full_grid_prop_reference(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
+                             step=1e-3):
+    """P_delta - E^2 on the whole box grid, -inf off the band: worst value,
+    argmax (first in row-major order) and band point count."""
+    z1_lo, z1_hi, z2_lo, z2_hi = box
+    z1 = np.arange(0, round((z1_hi - z1_lo) / step) + 1) * step + z1_lo
+    z2 = np.arange(0, round((z2_hi - z2_lo) / step) + 1) * step + z2_lo
+    zz1, zz2 = z1[:, None], z2[None, :]
+    E = E_poly(zz1, zz2)
+    mask = np.abs(E) <= delta1
+    val = np.where(mask, P_delta_poly(zz1, zz2, delta) - E * E, -np.inf)
+    if not mask.any():
+        return -np.inf, (np.nan, np.nan), 0
+    i, j = np.unravel_index(np.argmax(val), val.shape)
+    return float(val[i, j]), (float(z1[i]), float(z2[j])), int(mask.sum())
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": 5e-3},
+    {"delta": 0.05, "delta1": 0.05, "step": 5e-3},  # worst 1.2686, off the origin
+    {"box": (-2.5, 0.5, -1.0, 1.0), "step": 4e-3},
+    {"box": (5.0, 6.0, 5.0, 6.0), "step": 1e-2},
+], ids=["default-box", "delta1-0.05", "z2-below-zero", "empty-band"])
+def test_certify_prop_algebra_matches_full_grid(kwargs):
+    worst, arg, count = full_grid_prop_reference(**kwargs)
+    rep = sl.certify_prop_algebra(**kwargs)
+    assert rep.worst_value == worst
+    npt.assert_array_equal(rep.details["argmax"], arg)
+    assert rep.details["admissible_points"] == count
+
+
 def test_certify_prop_algebra_empty_band_is_not_certified():
     # |E| >= 59 on this box: no grid point is admissible, nothing is checked
     rep = sl.certify_prop_algebra(box=(5.0, 6.0, 5.0, 6.0), step=1e-2)
@@ -280,7 +298,8 @@ def test_maximize_r_delta_reports_work_and_repeats():
     assert a.details["nit"] > 0
 
 
-@pytest.mark.parametrize("delta, expected", [(0.15, 0.4896589), (0.3, 2.277619)])
+@pytest.mark.parametrize("delta, expected", [
+    (0.12, 0.1380436), (0.15, 0.4896589), (0.3, 2.277619)])
 def test_maximize_r_delta_finds_the_positive_supremum(delta, expected):
     # R_delta(0) = 0, so at small delta a single start would certify; where
     # the supremum is positive the seeded search must reach it
