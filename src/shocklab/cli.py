@@ -14,7 +14,9 @@ Every subcommand exits 0 only if all checks it enables pass, and 1 if one
 fails.  A config file or --set value that cannot be loaded (unknown key,
 wrong type, value out of range, unreadable file), or whose perturbation
 drives v below v_plus/2, is reported as one "error: ..." line on stderr
-with exit code 2.  A run that fails on the way (the march's positivity
+with exit code 2; an output path that names a directory, or whose
+directory does not exist, is refused by the argument parser with exit code 2 before
+any set-up.  A run that fails on the way (the march's positivity
 guard, a non-finite state, the step-count limit) is reported as one
 "error: run failed: ..." line on stderr with exit code 3; sweep reports
 such a point on its own line, runs the remaining points, and then exits 3.
@@ -22,6 +24,7 @@ such a point on its own line, runs the remaining points, and then exits 3.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -66,11 +69,14 @@ def _nonnegative_int(text):
     return value
 
 
-def _nonnegative_float(text):
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
+def _output_path(text):
+    """A path the run can write to: no directory, in a directory that exists."""
+    path = os.path.abspath(text)
+    if text.endswith(os.sep) or os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{text!r} names a directory")
+    if not os.path.isdir(os.path.dirname(path)):
+        raise argparse.ArgumentTypeError(f"no directory to write {text!r} in")
+    return text
 
 
 def _add_config_args(p):
@@ -103,10 +109,18 @@ def cmd_profile(args):
     return 0 if ok else 1
 
 
-def _run_ok(summary, tol):
+#: the verdicts: the most the weighted entropy of a run may grow, the largest
+#: relative mismatch of the coarse audit level, and the random polynomials
+#: of the Poincare slack check
+ENTROPY_GROWTH_TOL = 1e-8
+AUDIT_MISMATCH_TOL = 0.01
+POINCARE_TRIALS = 200
+
+
+def _run_ok(summary):
     """The verdict on one run: the weighted entropy did not grow by more than
-    tol, and the shift rate stayed inside its bound."""
-    return (summary["entropy_final"] <= summary["entropy_initial"] + tol
+    ENTROPY_GROWTH_TOL, and the shift rate stayed inside its bound."""
+    return (summary["entropy_final"] <= summary["entropy_initial"] + ENTROPY_GROWTH_TOL
             and summary["max_shift_bound_ratio"] <= 1.0 + 1e-12)
 
 
@@ -128,7 +142,7 @@ def cmd_simulate(args):
     print(f"max record-to-record increment: {summary['max_record_increment']:.3e}")
     print(f"max |X|: {summary['max_abs_X']:.3e}  "
           f"shift-bound ratio: {summary['max_shift_bound_ratio']:.6f}")
-    ok = _run_ok(summary, args.tol)
+    ok = _run_ok(summary)
     print("simulate check:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -145,13 +159,13 @@ def cmd_verify_inequalities(args):
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     worst_poly = np.inf
-    for _ in range(args.poincare_trials):
+    for _ in range(POINCARE_TRIALS):
         deg = rng.integers(1, 9)
         c = rng.standard_normal(deg + 1)
         worst_poly = min(worst_poly, ineq.poincare_slack_from_poly(c))
     checks.append(("Poincare slack over random polynomials",
                    worst_poly >= -1e-12, f"min slack = {worst_poly:.3e}",
-                   f"{args.poincare_trials} polynomials",
+                   f"{POINCARE_TRIALS} polynomials",
                    time.perf_counter() - t0))
 
     step = 1e-4 if args.fast else 1e-5
@@ -201,7 +215,7 @@ def cmd_sweep(args):
             print(f"{args.key} = {ov[args.key]}: run failed: {result['error']}")
             continue
         rows.append({"overrides": ov, "summary": result})
-        ok &= _run_ok(result, args.tol)
+        ok &= _run_ok(result)
         print(f"{args.key} = {ov[args.key]}: entropy "
               f"{result['entropy_initial']:.6g} -> {result['entropy_final']:.6g}")
     if args.out:
@@ -223,7 +237,7 @@ def cmd_audit(args):
           f"(median {fine['median_rel']:.3e})")
     print(f"refinement ratio: max {report['ratio_max']:.2f}, "
           f"median {report['ratio_median']:.2f}")
-    ok = base["max_rel"] <= args.tol
+    ok = base["max_rel"] <= AUDIT_MISMATCH_TOL
     print("audit check:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -235,18 +249,17 @@ def build_parser():
 
     sp = sub.add_parser("profile", help="build and check a wave profile")
     _add_config_args(sp)
-    sp.add_argument("--out", help="CSV output path")
+    sp.add_argument("--out", type=_output_path, help="CSV output path")
     sp.add_argument("--with-weight", action="store_true",
                     help="append weight columns to the CSV")
     sp.set_defaults(func=cmd_profile)
 
     sp = sub.add_parser("simulate", help="run a perturbed evolution")
     _add_config_args(sp)
-    sp.add_argument("--trace", help="trace CSV output path")
-    sp.add_argument("--summary", help="summary JSON output path")
-    sp.add_argument("--checkpoint", help="binary checkpoint output path")
-    sp.add_argument("--tol", type=_nonnegative_float, default=1e-8,
-                    help="entropy-increase tolerance for the pass/fail check")
+    sp.add_argument("--trace", type=_output_path, help="trace CSV output path")
+    sp.add_argument("--summary", type=_output_path, help="summary JSON output path")
+    sp.add_argument("--checkpoint", type=_output_path,
+                    help="binary checkpoint output path")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("verify-inequalities",
@@ -254,23 +267,19 @@ def build_parser():
     sp.add_argument("--fast", action="store_true",
                     help="coarser grids / fewer starts for a quick look")
     sp.add_argument("--seed", type=_nonnegative_int, default=20240817)
-    sp.add_argument("--poincare-trials", type=_positive_int, default=200)
     sp.set_defaults(func=cmd_verify_inequalities)
 
     sp = sub.add_parser("sweep", help="batch of runs over one config key")
     _add_config_args(sp)
     sp.add_argument("key", help="config key to vary")
     sp.add_argument("values", help="comma-separated values")
-    sp.add_argument("--out", help="JSON output path")
-    sp.add_argument("--tol", type=_nonnegative_float, default=1e-8)
+    sp.add_argument("--out", type=_output_path, help="JSON output path")
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("audit", help="entropy-rate identity audit")
     _add_config_args(sp)
     sp.add_argument("--refine", type=_positive_int, default=2,
                     help="grid refinement factor for the fine level")
-    sp.add_argument("--tol", type=_nonnegative_float, default=0.01,
-                    help="max allowed relative mismatch at the coarse level")
     sp.set_defaults(func=cmd_audit)
     return p
 

@@ -8,10 +8,10 @@ Format, one assignment per line:
     perturb_kind = bump
 
 Keys are ExperimentConfig field names; values are parsed as bool
-("true"/"false"), int, float, or bare string, in that order, and must then
-fit the field's type (an int is taken for a float, an integral float for an
-int).  Unknown keys and mistyped values are errors that name the key, so
-typos fail loudly.
+("true"/"false", in any case), int, float, or bare string, in that order,
+and must then fit the field's type (an int is taken for a float, an
+integral float for an int).  Unknown keys and mistyped values are errors
+that name the key, so typos fail loudly.
 """
 
 from dataclasses import fields, replace
@@ -23,11 +23,8 @@ __all__ = ["parse_config_text", "load_config", "config_to_text", "apply_override
 
 def _parse_scalar(text):
     t = text.strip()
-    low = t.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
+    if t.lower() in ("true", "false"):
+        return t.lower() == "true"
     try:
         return int(t)
     except ValueError:

@@ -207,21 +207,22 @@ G_LIPSCHITZ_BOUND = 6.0 + 2.0 * theta_constant()
 #: is strictly negative for |x| < (6 / (4 theta 2^(3/2)))^2
 G_ANALYTIC_THRESHOLD = (6.0 / (4.0 * theta_constant() * 2.0 ** 1.5)) ** 2
 
+#: the cusp (-G_CUSP, 0) that the analytic bound covers, below the threshold
+G_CUSP = 0.15
 
-def certify_g_negative(step=1e-5, eta=0.15):
-    """Certify g < 0 on (-2, 0): grid + Lipschitz slack on [-2, -eta],
-    analytic cusp bound on (-eta, 0).
+
+def certify_g_negative(step=1e-5):
+    """Certify g < 0 on (-2, 0): grid + Lipschitz slack on [-2, -G_CUSP],
+    analytic cusp bound on (-G_CUSP, 0).
 
     The grid margin is -(max g + L*step/2) with the global derivative bound
-    L; the cusp side needs eta below the analytic threshold ~0.164 (there the
-    bound 2x + (4 theta/3)(2|x|)^(3/2) is strictly negative away from 0, with
-    margin -> 0 as x -> 0 since g(0) = 0).
+    L; on the cusp, G_CUSP = 0.15 lies below the analytic threshold ~0.164,
+    where the bound 2x + (4 theta/3)(2|x|)^(3/2) is strictly negative away
+    from 0 (with margin -> 0 as x -> 0 since g(0) = 0).
     """
     t0 = time.perf_counter()
-    if not (0.0 < eta < G_ANALYTIC_THRESHOLD):
-        raise ValueError(f"eta must lie in (0, {G_ANALYTIC_THRESHOLD:.6f})")
-    x = np.arange(-2.0, -eta + 0.5 * step, step)
-    x[-1] = -eta
+    x = np.arange(-2.0, -G_CUSP + 0.5 * step, step)
+    x[-1] = -G_CUSP
     vals = g_poly(x)
     i = int(np.argmax(vals))
     worst = float(vals[i])
@@ -230,7 +231,7 @@ def certify_g_negative(step=1e-5, eta=0.15):
     certified = margin > 0.0
     return CertificationReport(
         target="g < 0 on (-2, 0)",
-        domain=f"grid [-2, {-eta}] + analytic ({-eta}, 0)",
+        domain=f"grid [-2, {-G_CUSP}] + analytic ({-G_CUSP}, 0)",
         resolution=step,
         worst_value=worst,
         margin=margin,
@@ -355,6 +356,12 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
 # ---------------------------------------------------------------------------
 
 
+#: the bound C1 on int W^2, and the points of the uniform y-grid on [0, 1]
+#: that samples W, in the R_delta search
+R_DELTA_C1 = 10.0
+R_DELTA_N_GRID = 64
+
+
 @dataclass
 class DiscretizedW:
     """W sampled on a uniform y-grid over [0,1] (endpoints included)."""
@@ -368,8 +375,9 @@ class DiscretizedW:
         return cls(y=np.linspace(0.0, 1.0, w.size), w=w)
 
     @classmethod
-    def from_legendre(cls, coeffs, n=64):
-        y = np.linspace(0.0, 1.0, n)
+    def from_legendre(cls, coeffs):
+        """W = sum_k coeffs[k] P_k(2y - 1) on R_DELTA_N_GRID points."""
+        y = np.linspace(0.0, 1.0, R_DELTA_N_GRID)
         w = npleg.legval(2.0 * y - 1.0, np.asarray(coeffs, dtype=float))
         return cls(y=y, w=w)
 
@@ -403,14 +411,14 @@ def _legendre_maps(y, degree):
             2.0 * npleg.legval(t, npleg.legder(np.eye(degree + 1))).T)
 
 
-def _r_delta_kernel(p, A, D, q, qd, delta, c1):
+def _r_delta_kernel(p, A, D, q, qd, delta):
     """R_delta and its exact gradient for W = A p, W' = D p, row by row.
 
     p is one coefficient vector or an (m, k) array with one vector per row;
     the result has the same leading shape.  q and qd = q y(1-y) are the
     trapezoid weight vectors of the y-grid (q @ f is np.trapezoid(f, y)).
-    Each W is first projected radially onto {int W^2 <= c1}: with
-    s = sqrt(c1/int W^2) the map w -> s w has Jacobian
+    Each W is first projected radially onto {int W^2 <= C1}: with
+    s = sqrt(C1/int W^2) the map w -> s w has Jacobian
     s (I - w (q w)^T / int W^2), applied to both W and W'.  |W|^3 is C^1 with
     derivative 3|W|W.
     """
@@ -420,9 +428,9 @@ def _r_delta_kernel(p, A, D, q, qd, delta, c1):
     wp = rows @ D.T
     qw = q * w
     i2w = np.einsum("ij,ij->i", qw, w)
-    proj = i2w > c1
-    s = np.sqrt(c1 / np.where(proj, i2w, c1))[:, None]
-    i2 = np.where(proj, c1, i2w)
+    proj = i2w > R_DELTA_C1
+    s = np.sqrt(R_DELTA_C1 / np.where(proj, i2w, R_DELTA_C1))[:, None]
+    i2 = np.where(proj, R_DELTA_C1, i2w)
     u = s * w
     v = s * wp
     i1 = u @ q
@@ -531,9 +539,9 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
     return SimpleNamespace(x=x_out, fun=f_out, nfev=nfev, nit=nit)
 
 
-def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
-                     seed=20240817):
-    """Seeded multistart maximization of R_delta under int W^2 <= c1.
+def maximize_r_delta(delta=0.01, n_starts=200, degree=12, seed=20240817):
+    """Seeded multistart maximization of R_delta under int W^2 <= C1 = R_DELTA_C1,
+    W sampled on R_DELTA_N_GRID uniform points of [0, 1].
 
     Starts are random Legendre coefficient vectors (decaying spectrum, random
     radius), all ascended together by one batched L-BFGS (``minimize``) on the
@@ -543,36 +551,34 @@ def maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200, degree=12,
     count batched kernel calls and batched iterations, each covering every
     start still active.
     """
-    if n_starts < 1 or n_grid < 3 or degree < 0:
-        raise ValueError("need n_starts >= 1, n_grid >= 3 and degree >= 0")
-    if not (delta > 0.0 and c1 > 0.0):
-        raise ValueError("need delta > 0 and c1 > 0")
+    if n_starts < 1 or degree < 0 or not delta > 0.0:
+        raise ValueError("need n_starts >= 1, degree >= 0 and delta > 0")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    y = np.linspace(0.0, 1.0, n_grid)
-    q = np.trapezoid(np.eye(n_grid), y, axis=0)
+    y = np.linspace(0.0, 1.0, R_DELTA_N_GRID)
+    q = np.trapezoid(np.eye(y.size), y, axis=0)
     qd = q * y * (1.0 - y)
     leg, leg_d = _legendre_maps(y, degree)
     starts = np.empty((n_starts, degree + 1))
     for row in starts:
         row[:] = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1)) ** 2
-        row *= rng.uniform(0.05, np.sqrt(c1))
+        row *= rng.uniform(0.05, np.sqrt(R_DELTA_C1))
 
     def neg_r_delta(p):
-        val, grad = _r_delta_kernel(p, leg, leg_d, q, qd, delta, c1)
+        val, grad = _r_delta_kernel(p, leg, leg_d, q, qd, delta)
         return -val, -grad
 
     res = minimize(neg_r_delta, starts, maxiter=200, ftol=1e-14, gtol=1e-12)
     best_val = -float(np.min(res.fun))
     return CertificationReport(
         target="R_delta(W) <= 0 under int W^2 <= C1",
-        domain=f"Legendre deg<={degree}, n={n_grid}",
-        resolution=1.0 / (n_grid - 1),
+        domain=f"Legendre deg<={degree}, n={y.size}",
+        resolution=1.0 / (y.size - 1),
         worst_value=best_val,
         margin=-best_val,
         certified=bool(best_val <= 1e-8),
         method="multistart",
-        details={"delta": delta, "c1": c1, "n_starts": n_starts, "seed": seed,
+        details={"delta": delta, "c1": R_DELTA_C1, "n_starts": n_starts, "seed": seed,
                  "nfev": res.nfev, "nit": res.nit},
         runtime_s=time.perf_counter() - t0,
     )

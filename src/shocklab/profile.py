@@ -118,28 +118,30 @@ class ShockProfile:
 
     The samples xi, p cover the stored window [xi[0], xi[-1]] in the two
     uniform pieces that solve_profile builds; the interpolant is the cubic
-    Hermite form with the slopes f(p) at the knots.  :meth:`frame` evaluates
-    every profile field at any xi (tails handled by the splice) and is the
-    one reader of them; :meth:`pressure_profile` gives p_tilde alone.
-    Derivatives come from the ODE right-hand side, so stored
-    samples satisfy the profile equation identically; the independent
-    accuracy check is :meth:`ode_residual_sup`, which differentiates the
-    interpolant between the knots instead.
+    Hermite form with the slopes f(p) at the knots.  Beyond the window the
+    edge gap p[0] - p_minus (p_plus - p[-1]) decays at tail_rate_minus
+    (tail_rate_plus), which __post_init__ fits on the outer knots of that
+    side.  :meth:`frame` evaluates every profile field at any xi (tails
+    handled by the splice) and is the one reader of them;
+    :meth:`pressure_profile` gives p_tilde alone.  Derivatives come from the
+    ODE right-hand side, so stored samples satisfy the profile equation
+    identically; the independent accuracy check is :meth:`ode_residual_sup`,
+    which differentiates the interpolant between the knots instead.
     """
 
     states: ShockEndStates
     xi: np.ndarray
     p: np.ndarray
-    tail_rate_minus: float
-    tail_rate_plus: float
-    tail_amp_minus: float
-    tail_amp_plus: float
+    tail_rate_minus: float = field(init=False)
+    tail_rate_plus: float = field(init=False)
     _coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.p
         self._coef = _hermite_coef(
             self.xi, p, _profile_rhs(self.states)(p, self.gas.pressure_inverse(p)))
+        self.tail_rate_minus = _fit_tail(self.xi, p - self.states.p_minus, side="left")
+        self.tail_rate_plus = _fit_tail(self.xi, self.states.p_plus - p, side="right")
 
     # -- core evaluation --------------------------------------------------
 
@@ -163,20 +165,19 @@ class ShockProfile:
         (0-d for a scalar), and a NaN point gives NaN.
         """
         x = np.asarray(x, dtype=float)
+        st = self.states
         lo, hi = self.xi[0], self.xi[-1]
         # points beyond the window are overwritten by the tails below
         out = _hermite_eval(self.xi, self._coef, x.ravel()).reshape(x.shape)
         left = x < lo
         if np.any(left):
-            out[left] = self.states.p_minus + self.tail_amp_minus * np.exp(
-                self.tail_rate_minus * (x[left] - lo)
-            )
+            out[left] = st.p_minus + (self.p[0] - st.p_minus) * np.exp(
+                self.tail_rate_minus * (x[left] - lo))
         right = x > hi
         if np.any(right):
-            out[right] = self.states.p_plus - self.tail_amp_plus * np.exp(
-                -self.tail_rate_plus * (x[right] - hi)
-            )
-        np.clip(out, self.states.p_minus, self.states.p_plus, out=out)
+            out[right] = st.p_plus - (st.p_plus - self.p[-1]) * np.exp(
+                -self.tail_rate_plus * (x[right] - hi))
+        np.clip(out, st.p_minus, st.p_plus, out=out)
         return out
 
     def _fields(self, p):
@@ -398,38 +399,15 @@ def solve_profile(gas, eps, span_over_eps=40.0):
             break
     else:
         raise RuntimeError("profile knots: Newton on xi(s) did not converge")
-    p = np.clip(p_of(s), p_minus, p_plus)
-
-    # tail rates fitted on the last stored decade of each side
-    rate_minus, amp_minus = _fit_tail(xi, p - p_minus, side="left")
-    rate_plus, amp_plus = _fit_tail(xi, p_plus - p, side="right")
-
-    return ShockProfile(
-        states=states,
-        xi=xi,
-        p=p,
-        tail_rate_minus=rate_minus,
-        tail_rate_plus=rate_plus,
-        tail_amp_minus=amp_minus,
-        tail_amp_plus=amp_plus,
-    )
+    return ShockProfile(states, xi, np.clip(p_of(s), p_minus, p_plus))
 
 
 def _fit_tail(xi, gap, side):
-    """Fit gap ~ A*exp(±rate*xi) on the outer 15% of one side; returns (rate, edge gap)."""
-    n = len(xi)
-    m = max(int(0.15 * n), 8)
-    if side == "left":
-        sl = slice(0, m)
-        edge = gap[0]
-    else:
-        sl = slice(n - m, n)
-        edge = gap[-1]
-    x = xi[sl]
-    g = np.maximum(gap[sl], 1e-300)
-    slope = np.polyfit(x, np.log(g), 1)[0]
-    rate = abs(float(slope))
-    return rate, float(max(edge, 0.0))
+    """The rate of gap ~ A*exp(±rate*xi), fitted on the outer 15% of one side."""
+    m = max(int(0.15 * len(xi)), 8)
+    sl = slice(0, m) if side == "left" else slice(len(xi) - m, None)
+    slope = np.polyfit(xi[sl], np.log(np.maximum(gap[sl], 1e-300)), 1)[0]
+    return abs(float(slope))
 
 
 def analytic_tail_rates(states):

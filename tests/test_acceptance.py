@@ -108,7 +108,7 @@ def test_criterion_04_two_variable_certificate():
 
 
 def test_criterion_05_constrained_cubic_maximization():
-    rep = sl.maximize_r_delta(delta=0.01, c1=10.0, n_grid=64, n_starts=200)
+    rep = sl.maximize_r_delta(delta=0.01, n_starts=200)
     ok = rep.worst_value <= 1e-8
     check("05", ok,
           f"multistart max {rep.worst_value:.2e} (tol 1e-8, 200 starts) "

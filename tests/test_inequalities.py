@@ -7,7 +7,9 @@ import pytest
 import shocklab as sl
 from shocklab.inequalities import (
     G_ANALYTIC_THRESHOLD,
+    G_CUSP,
     G_LIPSCHITZ_BOUND,
+    R_DELTA_C1,
     DiscretizedW,
     E_poly,
     P_delta_poly,
@@ -119,11 +121,8 @@ def test_g_certificate_constants_follow_theta():
     # both constants are derived from the sharp theta, not from a copy of it
     assert G_LIPSCHITZ_BOUND == 6.0 + 2.0 * THETA
     assert G_ANALYTIC_THRESHOLD == (6.0 / (4.0 * THETA * 2.0 ** 1.5)) ** 2
-
-
-def test_certify_g_eta_validation():
-    with pytest.raises(ValueError):
-        sl.certify_g_negative(step=1e-4, eta=0.0)
+    # the analytic bound covers the cusp only below its threshold
+    assert 0.0 < G_CUSP < G_ANALYTIC_THRESHOLD
 
 
 def test_g_has_interior_minimum_on_left_half():
@@ -251,7 +250,8 @@ def test_r_delta_negative_on_random_smooth(profile01):
 
 def test_discretized_w_legendre_matches_direct():
     coeffs = [0.1, -0.3, 0.2]
-    W = DiscretizedW.from_legendre(coeffs, n=64)
+    W = DiscretizedW.from_legendre(coeffs)
+    assert W.y.size == 64
     direct = np.polynomial.legendre.legval(2.0 * W.y - 1.0, coeffs)
     npt.assert_allclose(W.w, direct, atol=1e-13)
 
@@ -313,8 +313,7 @@ def test_maximize_r_delta_stays_nonpositive_at_delta_one_tenth():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"n_starts": 0}, {"n_grid": 2}, {"degree": -1},
-    {"delta": 0.0}, {"c1": -1.0},
+    {"n_starts": 0}, {"degree": -1}, {"delta": 0.0},
 ], ids=lambda kw: next(iter(kw)))
 def test_maximize_r_delta_rejects_vacuous_input(kwargs):
     with pytest.raises(ValueError):
@@ -323,7 +322,7 @@ def test_maximize_r_delta_rejects_vacuous_input(kwargs):
 
 # -- the R_delta kernel behind the multistart --------------------------------
 
-DELTA, C1 = 0.01, 10.0
+DELTA, C1 = 0.01, R_DELTA_C1
 Y64 = np.linspace(0.0, 1.0, 64)
 Q64 = np.trapezoid(np.eye(Y64.size), Y64, axis=0)
 QD64 = Q64 * Y64 * (1.0 - Y64)
@@ -339,7 +338,7 @@ def grid_maps():
 
 
 def kernel(p, maps):
-    return _r_delta_kernel(p, *maps, Q64, QD64, DELTA, C1)
+    return _r_delta_kernel(p, *maps, Q64, QD64, DELTA)
 
 
 def test_legendre_maps_are_exact():

@@ -228,9 +228,10 @@ def hermite_pressure_profile(profile, x):
     spline = CubicHermiteSpline(profile.xi, profile.p, profile._fields(profile.p)["dp"])
     out = spline(x)
     left, right = x < lo, x > hi
-    out[left] = st.p_minus + profile.tail_amp_minus * np.exp(
+    # the tails start from the edge gaps of the knots
+    out[left] = st.p_minus + (profile.p[0] - st.p_minus) * np.exp(
         profile.tail_rate_minus * (x[left] - lo))
-    out[right] = st.p_plus - profile.tail_amp_plus * np.exp(
+    out[right] = st.p_plus - (st.p_plus - profile.p[-1]) * np.exp(
         -profile.tail_rate_plus * (x[right] - hi))
     np.clip(out, st.p_minus, st.p_plus, out=out)
     return out
