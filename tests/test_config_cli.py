@@ -486,6 +486,10 @@ def refused_by_the_parser(argv, capsys):
     (["audit", "--refine", "0"], "--refine"),  # a division by zero in identity_audit
     (["audit", "--refine", "-1"], "--refine"),
     (["verify-inequalities", "--seed", "-1"], "--seed"),  # numpy's ValueError
+    # a tolerance of nan failed every run and inf passed every run; the
+    # entropy growth threshold is now a constant, so the flag itself is refused
+    (["simulate", "--tol", "nan"], "--tol"),
+    (["simulate", "--tol", "inf"], "--tol"),
 ])
 def test_cli_rejects_a_bad_count_at_parse_time(argv, flag, capsys):
     # refused by the parser, before any run: exit 2 and one error line
@@ -494,11 +498,10 @@ def test_cli_rejects_a_bad_count_at_parse_time(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--tol", "1e-8"],
     ["sweep", "amplitude", "0.01", "--tol", "1e-8"],
     ["audit", "--tol", "0.01"],
     ["verify-inequalities", "--poincare-trials", "200"],
-], ids=["simulate-tol", "sweep-tol", "audit-tol", "verify-inequalities-poincare-trials"])
+], ids=["sweep-tol", "audit-tol", "verify-inequalities-poincare-trials"])
 def test_cli_refuses_a_retired_flag(argv, capsys):
     # the entropy growth and audit mismatch thresholds and the polynomial
     # count are constants of the CLI; the flags that set them are unknown
