@@ -32,7 +32,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from .config import _parse_scalar, apply_overrides, parse_config_text
-from .experiment import (ConfigError, ExperimentConfig, build_setup,
+from .experiment import (ConfigError, ExperimentConfig, _audit_level, build_setup,
                          identity_audit, run_experiment, sweep,
                          write_summary_json, write_trace_csv)
 from .gas import GasModel
@@ -228,6 +228,13 @@ def cmd_sweep(args):
 
 def cmd_audit(args):
     cfg = _config_from_args(args)
+    refined = _audit_level(cfg, args.refine)
+    try:
+        refined.validate()
+    except ValueError as exc:
+        raise ConfigError(f"--refine {args.refine} takes cells_per_layer to "
+                          f"{refined.cells_per_layer} and record_sigma to "
+                          f"{refined.record_sigma:.6g}: {exc}") from exc
     report = identity_audit(cfg, refinements=(1, args.refine))
     base = report["levels"][0]
     fine = report["levels"][1]

@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 
 from .experiment import ExperimentConfig
 
-__all__ = ["parse_config_text", "load_config", "config_to_text", "apply_overrides"]
+__all__ = ["parse_config_text", "apply_overrides"]
 
 
 def _parse_scalar(text):
@@ -79,18 +79,3 @@ def apply_overrides(config, updates, check=ExperimentConfig.validate):
     cfg = replace(config, **_coerce(updates))
     check(cfg)
     return cfg
-
-
-def load_config(path, base=None):
-    """Read a config file on top of `base` (default ExperimentConfig())."""
-    with open(path, "r", encoding="utf-8") as fh:
-        updates = parse_config_text(fh.read())
-    return apply_overrides(base if base is not None else ExperimentConfig(), updates)
-
-
-def config_to_text(config):
-    """Serialize an ExperimentConfig in the same key = value format."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        lines.append(f"{f.name} = {getattr(config, f.name)}")
-    return "\n".join(lines) + "\n"

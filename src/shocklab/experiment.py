@@ -464,18 +464,24 @@ def audit_trace(trace):
     return np.abs(dEdt - rhs) / scale
 
 
+def _audit_level(config, r):
+    """Refinement r of the audit ladder: cells_per_layer times r, the record
+    cadence over r."""
+    return replace(config, cells_per_layer=config.cells_per_layer * r,
+                   record_sigma=config.record_sigma / r)
+
+
 def identity_audit(config, refinements=(1, 2)):
     """Run the config on a resolution ladder and audit the entropy identity.
 
     Each refinement r multiplies cells_per_layer by r and divides the record
-    cadence by r, so the audit error should scale ~ dx^2.  Returns a dict with
-    per-level max/median relative errors and the coarse/fine ratios.
+    cadence by r, so the audit error should scale ~ dx^2.  Every level is
+    validated before the first one runs.  Returns a dict with per-level
+    max/median relative errors and the coarse/fine ratios.
     """
+    configs = [_audit_level(config, r).validate() for r in refinements]
     levels = []
-    for r in refinements:
-        cfg = replace(config,
-                      cells_per_layer=config.cells_per_layer * r,
-                      record_sigma=config.record_sigma / r)
+    for r, cfg in zip(refinements, configs):
         setup = build_setup(cfg)
         trace, _, _ = run_experiment(setup)
         rel = audit_trace(trace)

@@ -32,16 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import _bisect
-from .profile import _hermite_coef, _hermite_eval
 
 __all__ = [
     "FunctionalBreakdown",
     "functional_frame",
     "compute_breakdown",
     "quick_yb",
-    "truncate_state",
-    "bd_relative_functional",
-    "normalized_layer_variables",
 ]
 
 
@@ -151,34 +147,6 @@ def quick_yb(v, h, p, frame):
     return Y, B1 + B2
 
 
-def truncate_state(v, frame, level):
-    """Pressure-truncated volume field: p(v_bar) = p_tilde + clip(w, -level, level).
-
-    level > 0; frame is a functional frame.  Truncation keeps the relative
-    entropy ordering q(v|v_tilde) >= q(v_bar|v_tilde) pointwise and drops the
-    dissipation by exactly int a |d_xi (p(v)-p(v_bar))|^2 in the continuum.
-    """
-    if not (level > 0.0):
-        raise ValueError("truncation level must be positive")
-    gas, p_t = frame["gas"], frame["p"]
-    return gas.pressure_inverse(p_t + np.clip(gas.pressure(v) - p_t, -level, level))
-
-
-def bd_relative_functional(x, v, u, profile):
-    """Unweighted relative functional of (v, u) data against the profile.
-
-    int [ 1/2 (u + d_xi p(v) - h_tilde)^2 + q(v|v_tilde) ] dxi  with the
-    solver's central difference for d_xi p(v); this is the quantity that is
-    finite for finite-energy data and controls the weighted entropy at t=0.
-    """
-    x = np.asarray(x, dtype=float)
-    gas = profile.gas
-    pf = profile.frame(x)
-    h_eff = u + np.gradient(gas.pressure(v), x[1] - x[0])
-    integrand = 0.5 * (h_eff - pf["h"]) ** 2 + gas.q_relative(v, pf["v"])
-    return _dot(_trapezoid_weights(x), integrand)  # the weight a = 1
-
-
 def weighted_q_probe(weight):
     """Size of int |a'| q(v|v_tilde) for the largest layer-aligned
     perturbation the shift functional tolerates.
@@ -222,28 +190,3 @@ def weighted_q_probe(weight):
         "eps2_over_lam": eps ** 2 / lam,
         "ratio": iq / (eps ** 2 / lam),
     }
-
-
-def normalized_layer_variables(x, v, weight):
-    """Resample the pressure perturbation to the layer coordinate.
-
-    Returns (y, W) on a uniform 257-point y-grid in [1e-3, 1 - 1e-3], where
-    y = (p_tilde - p_minus)/eps is the layer progress variable and
-    W = (lam/eps) * (p(v) - p_tilde) the normalized perturbation, both read
-    along the weight's profile.  Between the points of the uniform grid x,
-    w = p(v) - p_tilde is the cubic Hermite interpolant with central-difference
-    slopes (np.gradient), third order in dx.
-    """
-    x = np.asarray(x, dtype=float)
-    profile = weight.profile
-    w = profile.gas.pressure(v) - profile.pressure_profile(x)
-    y = np.linspace(1e-3, 1.0 - 1e-3, 257)
-    xi_y = profile.xi_of_y(y)
-    if np.any(xi_y < x[0]) or np.any(xi_y > x[-1]):
-        raise ValueError("layer window exceeds the field grid")
-    dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx, rtol=1e-9, atol=0.0):  # np.gradient gets one spacing
-        raise ValueError("the field grid x must be uniform")
-    coef = _hermite_coef(x, w, np.gradient(w, dx))
-    W = (weight.lam / profile.eps) * _hermite_eval(x, coef, xi_y)
-    return y, W

@@ -8,9 +8,8 @@ with the worst value found and the margin.
 Contents:
   * the sharp-sup constant  theta = sqrt(5 - pi^2/3)  and the singular
     quadrature that produces it,
-  * the sup-deviation estimate  |f(x) - mean(f)| <= sqrt(L(x)+L(1-x)) * sqrt(D),
   * the weighted Poincare inequality  int (f-mean)^2 <= 1/2 int y(1-y) f'^2
-    (exact polynomial route and sampled route),
+    on polynomials, in exact coefficient arithmetic,
   * the one-variable cubic-radical function g on [-2, 0] and its negativity,
   * the two-variable polynomial P_delta with constraint band |E| <= delta_1,
   * the constrained functional R_delta(W) on (0,1) and its multistart
@@ -32,12 +31,9 @@ from numpy.polynomial import polynomial as nppoly
 
 __all__ = [
     "CertificationReport",
-    "log_remainder",
     "theta_constant",
     "theta_squared_quadrature",
-    "sup_deviation_slack",
     "poincare_slack_from_poly",
-    "poincare_slack_from_samples",
     "g_poly",
     "g_deriv",
     "certify_g_negative",
@@ -49,8 +45,6 @@ __all__ = [
     "r_delta",
     "minimize",
     "maximize_r_delta",
-    "cubic_mean_decomposition",
-    "centered_cubic_bound_slack",
 ]
 
 
@@ -68,16 +62,8 @@ class CertificationReport:
 
 
 # ---------------------------------------------------------------------------
-# theta and the sup estimate
+# theta
 # ---------------------------------------------------------------------------
-
-
-def log_remainder(x):
-    """L(x) = -x - log(1-x), the remainder of the log series; L >= 0 on [0,1)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x >= 1.0):
-        raise ValueError("log_remainder needs x < 1")
-    return -x - np.log1p(-x)
 
 
 def theta_constant():
@@ -101,7 +87,8 @@ def _graded_gauss(lo, hi):
 
 
 def theta_squared_quadrature():
-    """int_0^1 (L(y) + L(1-y))^2 dy on Gauss-Legendre panels graded toward 0.
+    """int_0^1 (L(y) + L(1-y))^2 dy, L(x) = -x - log(1-x), on Gauss-Legendre
+    panels graded toward 0.
 
     The integrand equals (1 + log(y(1-y)))^2 and is symmetric about 1/2, so
     the integral is twice the one over (0, 1/2]; the panels of _graded_gauss
@@ -109,25 +96,6 @@ def theta_squared_quadrature():
     """
     y, wt = _graded_gauss(0.0, 0.5)
     return 2.0 * (wt @ (1.0 + np.log(y * (1.0 - y))) ** 2)
-
-
-def sup_deviation_slack(y, f):
-    """Min over interior samples of  sqrt(L(x)+L(1-x))*sqrt(D) - |f(x)-mean|.
-
-    D = int y(1-y)|f'|^2 (trapezoid, central differences).  Nonnegative slack
-    is the sup-deviation estimate; returns (min slack, argmin location).
-    """
-    y = np.asarray(y, dtype=float)
-    f = np.asarray(f, dtype=float)
-    mean = np.trapezoid(f, y)
-    fp = np.gradient(f, y)
-    D = np.trapezoid(y * (1.0 - y) * fp ** 2, y)
-    interior = (y > 0.0) & (y < 1.0)
-    lsum = log_remainder(y[interior]) + log_remainder(1.0 - y[interior])
-    rhs = np.sqrt(lsum) * np.sqrt(max(D, 0.0))
-    slack = rhs - np.abs(f[interior] - mean)
-    i = int(np.argmin(slack))
-    return float(slack[i]), float(y[interior][i])
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +125,6 @@ def poincare_slack_from_poly(coeffs):
     wd2 = nppoly.polymul([0.0, 1.0, -1.0], nppoly.polymul(d, d))
     rhs = 0.5 * _poly_integral_01(wd2)
     return rhs - lhs
-
-
-def poincare_slack_from_samples(y, f):
-    """Trapezoid version of the Poincare slack for sampled f."""
-    y = np.asarray(y, dtype=float)
-    f = np.asarray(f, dtype=float)
-    mean = np.trapezoid(f, y)
-    lhs = np.trapezoid((f - mean) ** 2, y)
-    fp = np.gradient(f, y)
-    rhs = 0.5 * np.trapezoid(y * (1.0 - y) * fp ** 2, y)
-    return float(rhs - lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -582,29 +539,3 @@ def maximize_r_delta(delta=0.01, n_starts=200, degree=12, seed=20240817):
                  "nfev": res.nfev, "nit": res.nit},
         runtime_s=time.perf_counter() - t0,
     )
-
-
-# ---------------------------------------------------------------------------
-# property-check helpers
-# ---------------------------------------------------------------------------
-
-
-def cubic_mean_decomposition(W):
-    """(int W^3, recomposition int (W-m)^3 + 2m int (W-m)^2 + m int W^2)."""
-    y, w = W.y, W.w
-    m = np.trapezoid(w, y)
-    lhs = np.trapezoid(w ** 3, y)
-    c = w - m
-    rhs = np.trapezoid(c ** 3, y) + 2.0 * m * np.trapezoid(c * c, y) + m * np.trapezoid(w * w, y)
-    return float(lhs), float(rhs)
-
-
-def centered_cubic_bound_slack(W):
-    """Slack of  int |W - mean|^3 <= theta * Z2 * int y(1-y)|W'|^2."""
-    y, w = W.y, W.w
-    m = np.trapezoid(w, y)
-    c = w - m
-    z2 = np.sqrt(max(np.trapezoid(c * c, y), 0.0))
-    wp = np.gradient(w, y)
-    dir_term = np.trapezoid(y * (1.0 - y) * wp * wp, y)
-    return float(theta_constant() * z2 * dir_term - np.trapezoid(np.abs(c) ** 3, y))

@@ -4,7 +4,7 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,11 @@ import pytest
 
 import shocklab as sl
 from shocklab.cli import main
-from shocklab.config import config_to_text
+
+
+def config_to_text(config):
+    """The config in the key = value form that parse_config_text reads."""
+    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(config))
 
 
 def test_parse_config_text_basics():
@@ -110,15 +114,6 @@ def test_readme_python_api_block_runs(capsys):
     assert 0.0 < float(lines[1]) < 1.0  # the entropy ratio of the run
 
 
-def test_load_config_with_base():
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "run.cfg")
-        with open(path, "w") as f:
-            f.write("eps = 0.05\namplitude = 0.002\n")
-        cfg = sl.load_config(path, base=sl.ExperimentConfig(gamma=1.4))
-    assert cfg.gamma == 1.4 and cfg.eps == 0.05 and cfg.amplitude == 0.002
-
-
 # -- CLI ----------------------------------------------------------------------
 
 def test_cli_profile_exit_zero_and_csv():
@@ -187,6 +182,42 @@ def test_cli_audit_exit_zero():
                "--set", "t_end_sigma=0.5", "--set", "width=5",
                "--refine", "2"])
     assert rc == 0
+
+
+def test_cli_config_file_beats_the_defaults_and_set_beats_the_file(tmp_path, capsys,
+                                                                    monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text("eps = 0.05\namplitude = 0.002\n")
+    built = []
+
+    def stop(cfg):
+        built.append(cfg)
+        raise RuntimeError("stopped before the run")
+
+    monkeypatch.setattr(sl.cli, "build_setup", stop)
+    assert main(["simulate", "--config", str(path), "--set", "amplitude=0.003"]) == 3
+    assert "stopped before the run" in capsys.readouterr().err
+    assert built == [sl.ExperimentConfig(eps=0.05, amplitude=0.003)]
+
+
+def test_cli_audit_refuses_a_refinement_it_cannot_run_before_running_any(capsys,
+                                                                         monkeypatch):
+    # the fine level has 3.2e6 cells; the coarse one is fine on its own
+    runs = []
+
+    def run(setup):
+        runs.append(setup)
+        raise RuntimeError("a level ran")
+
+    monkeypatch.setattr(sl.experiment, "run_experiment", run)
+    assert main(["audit", "--set", "cells_per_layer=400", "--refine", "100"]) == 2
+    err = capsys.readouterr().err
+    assert runs == []
+    assert err.count("\n") == 1 and "--refine 100" in err and "40000" in err
+    # a library caller is refused before any level runs as well
+    with pytest.raises(sl.experiment.ConfigError, match="cells"):
+        sl.identity_audit(sl.ExperimentConfig(cells_per_layer=400), refinements=(1, 100))
+    assert runs == []
 
 
 @pytest.mark.parametrize("item, key", [

@@ -6,7 +6,6 @@ import subprocess
 import sys
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 import shocklab as sl
@@ -66,7 +65,7 @@ def test_entropy_weight_sandwich(profile01, frame01, wide_x):
     bd = sl.compute_breakdown(v, h, frame01)
     gas = profile01.states.gas
     fr = profile01.frame(wide_x)
-    eta = sl.eta_relative(gas, v, h, fr["v"], fr["h"])
+    eta = 0.5 * (h - fr["h"]) ** 2 + gas.q_relative(v, fr["v"])
     unweighted = np.trapezoid(eta, wide_x)
     assert 0.5 * unweighted - 1e-12 <= bd.weighted_entropy <= unweighted + 1e-12
 
@@ -94,86 +93,6 @@ def test_shift_moves_frame(profile01, weight01, wide_x):
     assert bd1.weighted_entropy < 1e-13
     assert bd0.weighted_entropy > 1e-5
     assert abs(bd1.Y) < 1e-13
-
-
-def test_truncation_clips_toward_profile(profile01, frame01, wide_x):
-    x = wide_x
-    v = profile01.frame(x)["v"] - 0.05 * np.exp(-(x / 10.0) ** 2)
-    level = 0.02
-    vt = sl.truncate_state(v, frame01, level)
-    p = profile01.states.gas.pressure
-    w_before = p(v) - profile01.pressure_profile(x)
-    w_after = p(vt) - profile01.pressure_profile(x)
-    assert np.max(np.abs(w_after)) <= level + 1e-12
-    # clipping never increases the pressure deviation and keeps its sign
-    assert np.all(np.abs(w_after) <= np.abs(w_before) + 1e-14)
-    assert np.all(w_after * w_before >= -1e-16)
-
-
-def test_truncation_identity_below_level(profile01, frame01, wide_x):
-    x = wide_x
-    v = profile01.frame(x)["v"] - 1e-4 * np.exp(-(x / 10.0) ** 2)
-    vt = sl.truncate_state(v, frame01, 0.02)
-    npt.assert_allclose(vt, v, rtol=0, atol=1e-14)
-
-
-def test_bd_relative_functional_properties(profile01, wide_x):
-    x = wide_x
-    st = profile01.states
-    fr = profile01.frame(x)
-    v_tilde = fr["v"]
-    u_tilde = fr["h"] - fr["dp"]
-    assert sl.bd_relative_functional(x, v_tilde, u_tilde, profile01) < 1e-12
-    v = v_tilde + 0.02 * np.exp(-(x / 8.0) ** 2)
-    val = sl.bd_relative_functional(x, v, u_tilde, profile01)
-    assert val > 0
-
-
-def test_normalized_layer_variables(profile01, weight01, wide_x):
-    x = wide_x
-    v_tilde = profile01.frame(x)["v"]
-    v = v_tilde + 1e-3 * np.exp(-(x / 5.0) ** 2)
-    y, W = sl.normalized_layer_variables(x, v, weight01)
-    assert np.all(np.diff(y) > 0)
-    assert y[0] >= 1e-3 - 1e-12 and y[-1] <= 1.0 - 1e-3 + 1e-12
-    # at the exact profile W vanishes identically
-    y0, W0 = sl.normalized_layer_variables(x, v_tilde, weight01)
-    assert np.abs(W0).max() < 1e-12
-
-
-def test_normalized_layer_variables_against_scipys_cubic_spline(profile01, weight01, wide_x):
-    # the cubic Hermite form with central-difference slopes is third order in
-    # dx: 3.8e-6 of max|W| off scipy's spline on the bump state, and about 8
-    # times closer at half the spacing
-    from scipy.interpolate import CubicSpline
-
-    gas = profile01.gas
-
-    def error(x):
-        v = profile01.frame(x)["v"] + 1e-3 * np.exp(-(x / 5.0) ** 2)
-        y, W = sl.normalized_layer_variables(x, v, weight01)
-        w_ref = CubicSpline(x, gas.pressure(v) - profile01.pressure_profile(x))
-        W_ref = (weight01.lam / profile01.eps) * w_ref(profile01.xi_of_y(y))
-        return np.max(np.abs(W - W_ref)) / np.max(np.abs(W_ref))
-
-    coarse = error(wide_x)
-    fine = error(np.linspace(wide_x[0], wide_x[-1], 2 * wide_x.size - 1))
-    assert coarse < 5e-6
-    assert coarse / fine > 6.0
-
-
-def test_normalized_layer_variables_window_check(profile01, weight01):
-    x = np.linspace(-40.0, 40.0, 401)  # far narrower than the layer window
-    v = profile01.frame(x)["v"]
-    with pytest.raises(ValueError):
-        sl.normalized_layer_variables(x, v, weight01)
-
-
-def test_normalized_layer_variables_needs_a_uniform_grid(profile01, weight01, wide_x):
-    x = wide_x.copy()
-    x[2000] += 0.05  # one point moved by a quarter of dx
-    with pytest.raises(ValueError, match="uniform"):
-        sl.normalized_layer_variables(x, profile01.frame(x)["v"], weight01)
 
 
 def test_weighted_q_probe_smoke(profile01, weight01):

@@ -43,16 +43,11 @@ for argv in (["profile"], ["verify-inequalities", "--fast"],
 """ + LOADED_SCIPY
 
 REPORTS = NO_SCIPY + """
-import numpy as np
 import shocklab as sl
 from shocklab.functionals import weighted_q_probe
 profile = sl.solve_profile(sl.GasModel(2.0, 1.0), 0.1)
 weight = sl.build_weight(profile, 0.5)
 assert 0.5 < weighted_q_probe(weight)["t_star_over_eps_by_lam"] < 2.5
-x = np.linspace(-400.0, 400.0, 4001)
-y, W = sl.normalized_layer_variables(x, profile.frame(x)["v"] + 1e-3 * np.exp(-(x / 5.0) ** 2),
-                                     weight)
-assert np.all(np.isfinite(W)) and np.abs(W).max() > 0
 """ + LOADED_SCIPY
 
 # scipy importable, but importing the CLI loads none of it

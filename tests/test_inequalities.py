@@ -15,14 +15,9 @@ from shocklab.inequalities import (
     P_delta_poly,
     _legendre_maps,
     _r_delta_kernel,
-    centered_cubic_bound_slack,
-    cubic_mean_decomposition,
     g_deriv,
     locate_g_critical_points,
     minimize,
-    log_remainder,
-    poincare_slack_from_samples,
-    sup_deviation_slack,
 )
 
 
@@ -40,26 +35,7 @@ def test_theta_quadrature_error():
     assert abs(val - THETA**2) <= 1e-15
 
 
-def test_log_remainder_values():
-    assert log_remainder(0.0) == 0.0
-    assert abs(log_remainder(0.5) - (-0.5 - np.log(0.5))) < 1e-15
-    # quadratic leading behavior near zero
-    assert abs(log_remainder(1e-4) - 5e-9) < 1e-12
-    with pytest.raises(ValueError):
-        log_remainder(1.0)
-
-
-# -- sup-deviation and Poincare slacks ---------------------------------------
-
-def test_sup_deviation_slack_nonnegative():
-    y = np.linspace(0.0, 1.0, 4001)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        coeffs = rng.normal(size=6)
-        f = np.polynomial.polynomial.polyval(y, coeffs)
-        slack, _arg = sup_deviation_slack(y, f)
-        assert slack > -1e-10
-
+# -- the Poincare slack ------------------------------------------------------
 
 def test_poincare_equality_case():
     # f = 2y - 1: both sides equal 1/3
@@ -74,15 +50,6 @@ def test_poincare_random_polynomials():
         coeffs = rng.normal(size=rng.integers(2, 9))
         worst = min(worst, sl.poincare_slack_from_poly(list(coeffs)))
     assert worst > -1e-12
-
-
-def test_poincare_samples_agree_with_poly():
-    coeffs = [0.3, -1.2, 0.7, 2.0]
-    y = np.linspace(0.0, 1.0, 20001)
-    f = np.polynomial.polynomial.polyval(y, coeffs)
-    exact = sl.poincare_slack_from_poly(coeffs)
-    sampled = poincare_slack_from_samples(y, f)
-    assert abs(exact - sampled) < 1e-5
 
 
 # -- the cubic-with-root polynomial bound ------------------------------------
@@ -263,25 +230,6 @@ def test_moments_of_linear_function():
     npt.assert_allclose([m1, m2, m3, ma3], [0.5, 1 / 3, 0.25, 0.25], rtol=1e-6)
     # int y(1-y) * 1 = 1/6
     npt.assert_allclose(dir_, 1 / 6, rtol=1e-6)
-
-
-def test_cubic_mean_decomposition_identity():
-    rng = np.random.default_rng(17)
-    y = np.linspace(0.0, 1.0, 501)
-    for _ in range(10):
-        W = DiscretizedW.from_samples(
-            np.polynomial.polynomial.polyval(y, rng.normal(size=5)))
-        lhs, rhs = cubic_mean_decomposition(W)
-        assert abs(lhs - rhs) < 1e-12
-
-
-def test_centered_cubic_bound():
-    rng = np.random.default_rng(23)
-    y = np.linspace(0.0, 1.0, 2001)
-    for _ in range(10):
-        W = DiscretizedW.from_samples(
-            np.polynomial.polynomial.polyval(y, rng.normal(scale=0.3, size=5)))
-        assert centered_cubic_bound_slack(W) > -1e-10
 
 
 def test_maximize_r_delta_smoke():
