@@ -14,7 +14,6 @@ the same certifications at tighter resolution.
 
 import numpy as np
 
-import shocklab as sl
 from shocklab.inequalities import (
     certify_g_negative, certify_prop_algebra, locate_g_critical_points,
     maximize_r_delta, poincare_slack_from_poly, theta_constant,

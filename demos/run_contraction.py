@@ -5,8 +5,6 @@ comparison frame so the weighted relative entropy decreases record by
 record.  We print a compact table of the trace and the summary verdicts.
 """
 
-import numpy as np
-
 import shocklab as sl
 
 cfg = sl.ExperimentConfig(

@@ -2,8 +2,11 @@
 
 A run builds (gas, end states, profile, weight, grid), applies a perturbation,
 then advances (v, h, X) together — the shift ODE right-hand side is evaluated
-inside every RKC2 stage from the current stage values, not lagged.  At a fixed
-cadence the full functional breakdown is recorded into a ContractionTrace.
+inside every RKC2 stage from the current stage values, not lagged.  dt is the
+advective limit (with the shift's drift); the record cadence does not set it.
+At each time k*record_dt the full functional breakdown is recorded into a
+ContractionTrace, from the cubic Hermite interpolant of (v, h, X) between the
+two ends of the step that holds it (`solver.march`).
 
 The state is marched at xi = x - X(t), in the frame of the shifted profile
 where int a(xi) eta(U | Utilde(xi)) dxi lives.  As d/dt|_xi = d/dt|_x +
@@ -89,7 +92,7 @@ class ExperimentConfig:
     span_over_eps: float = 40.0  # grid half-width L = span_over_eps/eps
     cells_per_layer: int = 50    # dx = (1/eps)/cells_per_layer
     t_end_sigma: float = 2.0     # t_end = t_end_sigma/|sigma|
-    record_sigma: float = 0.01   # record_dt = record_sigma/|sigma|
+    record_sigma: float = 0.01   # record_dt = record_sigma/|sigma|; written by dense output
     cfl_safety: float = 0.4
     v_floor_frac: float = 0.1    # guard floor = frac * v_plus
     steady_relax: bool = False   # Newton-relax to the discrete steady state first
@@ -171,10 +174,10 @@ class ExperimentConfig:
             raise ValueError(f"width = {self.width!r} is over 0.8 L = {0.8 * L:.6g}, with "
                              f"L = span_over_eps / eps = {self.span_over_eps!r} / {self.eps!r}: "
                              "the perturbation support must stay within 80% of the domain")
-        # a step has dt < cfl_safety*dx/|sigma| and dt <= record_dt  (+1: end
-        # tolerance); the parabolic limit sets the stage count, not dt
-        min_steps = self.t_end_sigma * max(self.eps * self.cells_per_layer / self.cfl_safety,
-                                           1.0 / self.record_sigma)
+        # a step has dt < cfl_safety*dx/|sigma|  (+1: end tolerance); the
+        # parabolic limit sets the stage count and the records are written
+        # by dense output, so neither sets dt
+        min_steps = self.t_end_sigma * self.eps * self.cells_per_layer / self.cfl_safety
         if min_steps > solver.MAX_STEPS + 1:
             raise ConfigError(f"t_end_sigma = {self.t_end_sigma!r} needs at least {min_steps:.4g} "
                               f"steps, over the step-count limit of {solver.MAX_STEPS}")
@@ -360,14 +363,12 @@ class ContractionTrace:
         return np.column_stack([getattr(self, f.name) for f in fields(self)])
 
 
-def coupled_rk4_step(setup, v, h, X, dt, xdot):
-    """One time step of (v, h, X) at xi = x - X: an RKC2 step (`solver.rkc2`),
-    its stage count set by the diffusion radius at the step's start.
+def _coupled_rhs(setup, xdot):
+    """The right-hand side of (v, h, X) at xi = x - X, for `solver.rkc2`.
 
-    Each stage computes p(v), (Y, B) on the set-up's functional frame, Xdot =
+    Each call computes p(v), (Y, B) on the set-up's functional frame, Xdot =
     shift_rhs(Y, B, eps) into the one-element list `xdot`, and the PDE at
-    drift sigma + Xdot.  (The name predates the RKC2 step; the benchmark
-    tracer observes the step by this name.)"""
+    drift sigma + Xdot."""
     def rhs(y):
         v, h, X = y
         p = setup.gas.pressure(v)  # one p(v) per stage, for both consumers
@@ -376,7 +377,19 @@ def coupled_rk4_step(setup, v, h, X, dt, xdot):
         dv, dh = semi_discrete_rhs(setup.sigma + rate, setup.grid, v, h, p)
         return dv, dh, rate
 
-    return rkc2(rhs, (v, h, X), dt, diffusion_radius(setup.gas, setup.grid, v))
+    return rhs
+
+
+def coupled_rk4_step(setup, v, h, X, dt, xdot, f0):
+    """One time step of (v, h, X) at xi = x - X: an RKC2 step (`solver.rkc2`)
+    of `_coupled_rhs`, its stage count set by the diffusion radius at the
+    step's start, and f0 the right-hand side there.
+
+    Returns the tuple (v, h, X) one step later.  (The name predates the RKC2
+    step; the benchmark tracer observes the step by this name and reads dt
+    as its 5th argument.)"""
+    return rkc2(_coupled_rhs(setup, xdot), (v, h, X), dt,
+                diffusion_radius(setup.gas, setup.grid, v), f0)
 
 
 def run_experiment(setup, snapshots=None):
@@ -394,12 +407,12 @@ def run_experiment(setup, snapshots=None):
     state = initial_state(setup)
     rows = {f.name: [] for f in fields(ContractionTrace)}
     t_wall = time.perf_counter()
-    xdot = [0.0]  # the latest Xdot, from a stage or a record
+    xdot = [0.0]  # the Xdot of the latest right-hand side evaluation
 
     def record(t, y):
         v, h, X = y
         bd = compute_breakdown(v, h, setup.frame)
-        rate = xdot[0] = shift_rhs(bd.Y, bd.B, eps)
+        rate = shift_rhs(bd.Y, bd.B, eps)
         for f in fields(bd):
             rows[f.name].append(getattr(bd, f.name))
         rows["t"].append(t)
@@ -411,10 +424,12 @@ def run_experiment(setup, snapshots=None):
         if snapshots is not None:
             snapshots.append((t, v.copy(), h.copy()))
 
-    # drift bound 2|Xdot|: the advective limit holds while |Xdot| at most
-    # doubles within a step
+    # drift bound 2|Xdot|, with Xdot at the step's start: march evaluates the
+    # right-hand side there last.  The advective limit holds while |Xdot| at
+    # most doubles within a step
     t, (v, h, X) = march(
-        lambda y, dt: coupled_rk4_step(setup, *y, dt, xdot),
+        lambda y, dt, f0: coupled_rk4_step(setup, *y, dt, xdot, f0),
+        _coupled_rhs(setup, xdot),
         (state.v, state.h, 0.0), 0.0, t_end,
         lambda y: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety,
                             drift=2.0 * abs(xdot[0])),

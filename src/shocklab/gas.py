@@ -79,10 +79,6 @@ class GasModel:
         v = np.asarray(v, dtype=float)
         return -self.gamma * v ** (-self.gamma - 1.0)
 
-    def d2pressure(self, v):
-        v = np.asarray(v, dtype=float)
-        return self.gamma * (self.gamma + 1.0) * v ** (-self.gamma - 2.0)
-
     def entropy(self, v):
         """q(v) = v**(1-gamma)/(gamma-1); q'(v) = -p(v), q'' = -p' > 0."""
         v = np.asarray(v, dtype=float)

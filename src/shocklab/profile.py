@@ -213,14 +213,6 @@ class ShockProfile:
         """y(xi) = (p_tilde - p_minus)/eps in [0, 1), the layer progress variable."""
         return (self.pressure_profile(x) - self.states.p_minus) / self.eps
 
-    def xi_of_y(self, y):
-        """Inverse of y_of on the stored window (monotone interpolation)."""
-        y = np.asarray(y, dtype=float)
-        ys = (self.p - self.states.p_minus) / self.eps
-        if np.any(y <= ys[0]) or np.any(y >= ys[-1]):
-            raise ValueError("y outside the stored window of the profile")
-        return np.interp(y, ys, self.xi)
-
     # -- diagnostics -------------------------------------------------------
 
     def ode_residual_sup(self):
@@ -247,10 +239,11 @@ def _hermite_coef(xk, y, dy):
     """The cubic Hermite form through (xk, y) with slopes dy at the knots.
 
     One row (c0, c1, c2, c3) per cell in scipy's PPoly layout, computed in
-    CubicHermiteSpline's order.
+    CubicHermiteSpline's order.  y and dy may carry trailing axes, one curve
+    per trailing index, and each row then carries them too.
     """
-    dx = np.diff(xk)
-    slope = np.diff(y) / dx
+    dx = np.diff(xk).reshape((-1,) + (1,) * (np.ndim(y) - 1))
+    slope = np.diff(y, axis=0) / dx
     t = (dy[:-1] + dy[1:] - 2 * slope) / dx
     return np.stack([t / dx, (slope - dy[:-1]) / dx - t, dy[:-1], y[:-1]], axis=1)
 

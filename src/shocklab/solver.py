@@ -17,7 +17,9 @@ needs to cover dt times the diffusion operator's spectral radius.
 
 `rkc2` and `march` are the package's one time step and one guarded time
 loop: `simulate` marches (v, h) with them, the coupled experiment (v, h, X)
-in the frame of the shifted profile, where sigma becomes sigma + Xdot.
+in the frame of the shifted profile, where sigma becomes sigma + Xdot.  The
+record cadence does not clip dt: `march` writes each record from the cubic
+Hermite interpolant of the step that holds it.
 
 Also here: a damped-Newton solver for the *discrete* steady state (a run
 started from it stays put to machine precision, which the shift-coupled
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+
+from .profile import _hermite_coef
 
 __all__ = [
     "Grid",
@@ -49,7 +53,8 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"SHCKPT01"
 
-#: 33 times the longest march of any test, demo or benchmark workload (3,000 steps)
+#: about 85 times the longest march of any test, demo or benchmark workload
+#: (1,181 steps, in criterion 10)
 MAX_STEPS = 100_000
 
 #: RKC2 damping: it costs about 2% of the undamped stability interval and
@@ -181,21 +186,25 @@ def rkc2_stages(dt_rho):
     return s
 
 
-def rkc2(rhs, y, dt, rho):
+def rkc2(rhs, y, dt, rho, f0=None):
     """One RKC2 step of y' = rhs(y) for a tuple y of arrays or floats.
 
     rho bounds the spectral radius of rhs's Jacobian along the negative real
     axis (for the march, `diffusion_radius`); the step takes rkc2_stages(dt*rho)
-    stages, one rhs evaluation each:
+    stages:
 
         Y_0 = y,  Y_1 = Y_0 + mu~_1 dt F_0,
         Y_j = (1 - mu_j - nu_j) Y_0 + mu_j Y_(j-1) + nu_j Y_(j-2)
               + mu~_j dt F_(j-1) + gamma~_j dt F_0,
 
-    with F_j = rhs(Y_j), and returns Y_s.
+    with F_j = rhs(Y_j), and returns Y_s.  f0 is F_0 = rhs(y) when the caller
+    has it already (first same as last: `march` passes the F it evaluated at
+    the end of the previous step), so a step makes s - 1 rhs calls; without
+    it, s.
     """
     _, mut1, stages = _rkc2_scheme(rkc2_stages(dt * rho))
-    f0 = rhs(y)
+    if f0 is None:
+        f0 = rhs(y)
     prev, cur = y, tuple(a + (mut1 * dt) * f for a, f in zip(y, f0))
     for mu, nu, mut, gamt in stages:
         f = rhs(cur)
@@ -209,23 +218,58 @@ def _finite(y):
     return all(np.all(np.isfinite(a)) for a in y)
 
 
-def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None):
+def _dense(t0, y0, f0, t1, y1, f1, times):
+    """The states at the times in [t0, t1] (to within 1e-12) of the step
+    (t0, y0) -> (t1, y1), one tuple like y per time.
+
+    A time at the step's end takes y1 itself; the others take the cubic
+    Hermite interpolant of y with the slopes f0 and f1 at the two ends
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.6).  The interpolant is
+    linear in (y0, y1, f0, f1), so it is the sum of the four with the weights
+    of the four Hermite basis cubics of the step at that time; the form of
+    `profile._hermite_coef` gives these as its four curves with unit values
+    and slopes (the rows of the identity).
+    """
+    basis = np.eye(4)
+    c0, c1, c2, c3 = _hermite_coef(np.array([t0, t1]), basis[:2], basis[2:])[0]
+    out = []
+    for t in times:
+        if t >= t1 - 1e-12:
+            out.append(y1)
+            continue
+        s = t - t0
+        w0, w1, w2, w3 = ((c0 * s + c1) * s + c2) * s + c3
+        out.append(tuple(w0 * a0 + w1 * a1 + w2 * g0 + w3 * g1
+                         for a0, a1, g0, g1 in zip(y0, y1, f0, f1)))
+    return out
+
+
+def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None):
     """March the tuple y = (v, ...) from t to t_end with the positivity guard.
 
-    step(y, dt) returns the state one step of size dt later; dt_limit(y) is
-    the stable step at y.  dt is clipped to t_end and, when record_dt is set,
-    to the next record time, so records land exactly on the cadence;
-    on_record(t, y) fires at the start and at each record time.  The start
-    must have v > 0 and every component finite.  If a step result has a
-    non-finite entry, or min(v) not above v_floor, the step is retried with
-    halved dt, up to 5 times; persistent failure raises and says which of
-    the two tripped.  This guard is the march's only state check: the gas
-    closures inside a step do not validate.  An internal stage of the step
-    (one of `rkc2`'s s stages) that goes non-positive gives NaN at
-    non-integral gamma, but finite values at integral gamma (v**-2 is finite
-    for v < 0); it is then caught only if the step result falls to the
-    floor.  A march that would take more than MAX_STEPS steps raises instead
-    of running on.  Returns (t, y).
+    rhs(y) is y's time derivative F, a tuple like y; step(y, dt, f0) returns
+    the state one step of size dt later, given f0 = rhs(y); dt_limit(y) is
+    the stable step at y.  dt is clipped to t_end alone.  The march evaluates
+    F once at the start and once at the end of each accepted step, and hands
+    that F to the next step as its f0 (first same as last), so the slopes at
+    both ends of every step cost one extra rhs call per march.  When
+    record_dt is set, on_record(t, y) fires at the start and at each time
+    t + k*record_dt up to t_end; a record inside a step is the cubic Hermite
+    interpolant of y between the step's two ends with their slopes (`_dense`).
+
+    The start must have v > 0 and every component finite.  A step is
+    retried with halved dt, up to 5 times, if its result has a non-finite
+    entry or min(v) not above v_floor, or else if a record inside it does
+    (a cubic can dip between two positive ends); persistent failure raises
+    and says which of the two tripped.  F at the step's end is evaluated
+    only once the step result has passed: at non-integral gamma p(v) of a
+    v <= 0 is NaN with a RuntimeWarning.  This guard is the march's only
+    state check: the gas closures inside a step do not validate.  An
+    internal stage of the step (one of `rkc2`'s s stages) that goes
+    non-positive gives NaN at non-integral gamma, but finite values at
+    integral gamma (v**-2 is finite for v < 0); it is then caught only if
+    the step result falls to the floor.  A march that would take more than
+    MAX_STEPS steps raises instead of running on.  Returns (t, y).
     """
     if record_dt is not None and not record_dt > 0.0:
         raise ValueError(f"record_dt must be positive, got {record_dt}")
@@ -233,20 +277,30 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None):
         raise ValueError("starting state must be finite")
     if not np.min(y[0]) > 0.0:
         raise ValueError("starting v must be positive")
+    f = rhs(y)
     if on_record is not None:
         on_record(t, y)
-    next_rec = t + record_dt if record_dt is not None else np.inf
+    t_rec, k = t, 1  # the next record is at t_rec + k*rec_dt
+    rec_dt = np.inf if record_dt is None else record_dt
     steps = 0
     while t < t_end - 1e-12:
         if steps == MAX_STEPS:
             raise RuntimeError(f"step-count limit: {MAX_STEPS} steps reached at "
                                f"t = {t:.6g} before t_end = {t_end:.6g}")
-        dt = min(dt_limit(y), t_end - t, next_rec - t)
+        dt = min(dt_limit(y), t_end - t)
         for _ in range(6):  # the first try and up to 5 halvings
-            cand = step(y, dt)
+            cand = step(y, dt, f)
             finite = _finite(cand)
             if finite and np.min(cand[0]) > v_floor:
-                break
+                f_end = rhs(cand)
+                k_end = k
+                while t_rec + k_end * rec_dt <= t + dt + 1e-12:
+                    k_end += 1
+                times = t_rec + rec_dt * np.arange(k, k_end)
+                recs = _dense(t, y, f, t + dt, cand, f_end, times)
+                finite = all(map(_finite, recs))
+                if finite and all(np.min(r[0]) > v_floor for r in recs):
+                    break
             dt *= 0.5
         else:
             if not finite:
@@ -257,11 +311,10 @@ def march(step, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None):
             raise RuntimeError(
                 f"positivity guard: v <= {v_floor} persists after 5 dt halvings"
             )
-        t, y, steps = t + dt, cand, steps + 1
-        if t >= next_rec - 1e-12:
-            if on_record is not None:
-                on_record(t, y)
-            next_rec += record_dt
+        if on_record is not None:
+            for tj, r in zip(times.tolist(), recs):
+                on_record(tj, r)
+        t, y, f, k, steps = t + dt, cand, f_end, k_end, steps + 1
     return t, y
 
 
@@ -276,9 +329,12 @@ def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None
     """
     if not safety > 0.0:
         raise ValueError(f"safety must be positive, got {safety}")
+
+    def rhs(y):
+        return semi_discrete_rhs(sigma, grid, *y, gas.pressure(y[0]))
+
     t, (v, h) = march(
-        lambda y, dt: rkc2(lambda z: semi_discrete_rhs(sigma, grid, *z, gas.pressure(z[0])),
-                           y, dt, diffusion_radius(gas, grid, y[0])),
+        lambda y, dt, f0: rkc2(rhs, y, dt, diffusion_radius(gas, grid, y[0]), f0), rhs,
         (state.v.copy(), state.h.copy()), state.t, t_end,
         lambda y: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
         None if on_record is None else lambda t, y: on_record(FieldState(t, *y)))

@@ -4,7 +4,6 @@ Session-scoped fixtures hold the objects that are expensive to build (the
 reference shock profile and its weight) so the whole suite solves them once.
 """
 
-import numpy as np
 import pytest
 
 import shocklab as sl

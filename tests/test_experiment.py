@@ -193,10 +193,11 @@ def test_step_size_counts_the_shift_drift(monkeypatch):
                         lambda *a: rates.append(shift_rhs(*a)) or rates[-1])
     step = sl.experiment.coupled_rk4_step
 
-    def traced(setup, v, h, X, dt, *rest):
+    def traced(setup, v, h, X, dt, xdot, f0):
+        # the step's stage 0 is f0, which the march evaluated at its start
         first = len(rates)
-        out = step(setup, v, h, X, dt, *rest)
-        steps.append((dt, float(np.min(v)), max(map(abs, rates[first:]))))
+        out = step(setup, v, h, X, dt, xdot, f0)
+        steps.append((dt, float(np.min(v)), max(map(abs, [f0[2]] + rates[first:]))))
         return out
 
     monkeypatch.setattr(sl.experiment, "coupled_rk4_step", traced)
@@ -209,6 +210,33 @@ def test_step_size_counts_the_shift_drift(monkeypatch):
         advective_binds += advective < cfg.cfl_safety * dx * dx / (2.0 * dp_max)
     assert len(steps) > 10 and advective_binds == len(steps)
     assert max(rate for _, _, rate in steps) > abs(sig)  # the drift matters
+
+
+def test_default_run_records_on_the_cadence():
+    # the march steps at the advective limit and writes each record by dense
+    # output, so the records land on k * record_dt: 201 of them to t_end
+    cfg = sl.ExperimentConfig()
+    setup = sl.build_setup(cfg)
+    rec_dt = cfg.record_sigma / abs(setup.sigma)
+    trace, (state, _), summary = sl.run_experiment(setup)
+    assert summary["records"] == 201
+    npt.assert_array_equal(trace.t, np.arange(201) * rec_dt)
+    assert state.t == cfg.t_end_sigma / abs(setup.sigma)
+
+
+def test_steady_hold_march_is_not_set_by_the_record_cadence(monkeypatch):
+    # a step clipped to each record time makes 1,000 steps of 3 stages
+    # (3,000 rhs calls) on the benchmark's steady-hold config; at the
+    # advective limit the march needs about a third of that
+    calls = []
+    rhs = sl.experiment.semi_discrete_rhs
+    monkeypatch.setattr(sl.experiment, "semi_discrete_rhs",
+                        lambda *a: calls.append(1) or rhs(*a))
+    cfg = sl.ExperimentConfig(steady_relax=True, perturb_kind="none", span_over_eps=20.0,
+                              t_end_sigma=10.0)
+    trace, _, _ = sl.run_experiment(sl.build_setup(cfg))
+    assert len(trace.t) == 1001
+    assert 0 < len(calls) < 1500
 
 
 def test_phase_aligned_steady_is_steady():
@@ -369,24 +397,30 @@ def test_trace_csv_and_summary_json_roundtrip():
 
 
 def test_audit_error_is_space_error_not_time_error(monkeypatch):
-    # at fixed dx, capping dt at half the record cadence (which binds on
-    # every step) moves the audit's max relative error by under 10% at both
-    # refinements: the O(dx^2) space error dominates the RKC2 time error
+    # at fixed dx, capping dt at half the record cadence (under the advective
+    # limit on every step) moves the audit's max relative error by under 10%
+    # at both refinements: the O(dx^2) space error dominates the RKC2 time
+    # error
     cfg = sl.ExperimentConfig(span_over_eps=20.0)
     steps = []
     step = sl.experiment.coupled_rk4_step
     monkeypatch.setattr(sl.experiment, "coupled_rk4_step",
-                        lambda *a: steps.append(1) or step(*a))
+                        lambda *a: steps.append(a[4]) or step(*a))
     base = sl.identity_audit(cfg)
     n_base = len(steps)
     march = sl.experiment.march
+    caps = []
 
-    def half_cadence(step, y, t, t_end, dt_limit, v_floor, record_dt, on_record):
-        return march(step, y, t, t_end, lambda y: min(dt_limit(y), 0.5 * record_dt),
+    def half_cadence(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt, on_record):
+        caps.append(0.5 * record_dt)
+        return march(step, rhs, y, t, t_end, lambda y: min(dt_limit(y), 0.5 * record_dt),
                      v_floor, record_dt, on_record)
 
     monkeypatch.setattr(sl.experiment, "march", half_cadence)
     halved = sl.identity_audit(cfg)
-    assert len(steps) == 3 * n_base  # twice the steps in the halved-dt audit
+    # the cap binds: every step of the halved-dt audit is at most half a
+    # record interval, and it takes over twice the base audit's steps
+    assert max(steps[n_base:]) <= max(caps)
+    assert len(steps) - n_base > 2 * n_base
     for a, b in zip(base["levels"], halved["levels"]):
         assert abs(b["max_rel"] / a["max_rel"] - 1.0) < 0.1, (a, b)

@@ -130,12 +130,6 @@ def test_derivative_profiles_match_fd(profile01):
     npt.assert_allclose(fr["dh"], (up["h"] - down["h"]) / (2 * d), atol=1e-8)
 
 
-def test_layer_coordinate_roundtrip(profile01):
-    y = np.linspace(0.05, 0.95, 19)
-    xi = profile01.xi_of_y(y)
-    npt.assert_allclose(profile01.y_of(xi), y, atol=1e-6)
-
-
 def test_tail_rates_linear_in_eps_prediction(profile01):
     rep = sl.tail_decay_report(profile01)
     # fitted rates agree with the linearized end-state rates to ~0.2%

@@ -2,7 +2,6 @@
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 import shocklab as sl
 from shocklab.shift import overshoot, phi_eps, r_residual, saturated

@@ -253,18 +253,65 @@ def test_rkc2_takes_the_fewest_stages_that_cover_dt_rho():
 
 
 def test_march_halves_dt_until_the_guard_clears():
-    # a step is accepted only once dt <= 0.26: 0.5 is halved once, 0.25 passes
-    tried, records = [], []
+    # a step is accepted only once dt <= 0.26: 0.5 is halved once, 0.25 passes;
+    # F is evaluated at the start and at each accepted step's end, never at
+    # the rejected -1
+    tried, records, evaluated = [], [], []
 
-    def step(y, dt):
+    def step(y, dt, f0):
         tried.append(dt)
         return (y[0] if dt <= 0.26 else -y[0],)
 
-    t, (v,) = march(step, (np.ones(3),), 0.0, 0.5, lambda y: 1.0, 0.0,
+    def rhs(y):
+        evaluated.append(y[0][0])
+        return (np.zeros_like(y[0]),)
+
+    t, (v,) = march(step, rhs, (np.ones(3),), 0.0, 0.5, lambda y: 1.0, 0.0,
                     on_record=lambda t, y: records.append(t))
     assert tried == [0.5, 0.25, 0.25]
     assert t == 0.5 and np.all(v == 1.0)
     assert records == [0.0]
+    assert evaluated == [1.0, 1.0, 1.0]
+
+
+def test_march_halves_dt_until_the_records_inside_the_step_clear():
+    # both ends of every step sit at v = 1, but with the slope -20 at both
+    # ends the cubic Hermite interpolant dips to 1 - 20*dt*(h10 + h11)(theta),
+    # h10 + h11 = 2 theta^3 - 3 theta^2 + theta: at dt = 0.5 the record at
+    # theta = 1/4 reads 0.0625, under the floor 0.1, so the step is retried
+    # at 0.25, whose one interior record (theta = 1/2) reads 1
+    tried, records = [], []
+
+    def step(y, dt, f0):
+        tried.append(dt)
+        return (y[0].copy(),)
+
+    t, (v,) = march(step, lambda y: (np.full_like(y[0], -20.0),), (np.ones(2),), 0.0, 0.5,
+                    lambda y: 0.5, 0.1, record_dt=0.125,
+                    on_record=lambda t, y: records.append((t, y[0][0])))
+    assert tried == [0.5, 0.25, 0.25]
+    assert t == 0.5 and np.all(v == 1.0)
+    assert records == [(k * 0.125, 1.0) for k in range(5)]
+
+
+def test_march_writes_records_on_the_cadence_by_dense_output():
+    # y' = -y stepped exactly at the stable limit 0.3 alone: every record
+    # time k*0.1 is on the cadence, a record at a step's end is the step
+    # result, and the others are the step's cubic Hermite interpolant, off
+    # exp(-t) by at most dt^4/384 * max|y''''| = 0.3^4/384
+    tried, records = [], []
+
+    def step(y, dt, f0):
+        tried.append(dt)
+        return (y[0] * np.exp(-dt),)
+
+    t, (v,) = march(step, lambda y: (-y[0],), (np.ones(1),), 0.0, 1.0, lambda y: 0.3,
+                    0.1, record_dt=0.1, on_record=lambda t, y: records.append((t, y[0][0])))
+    assert tried[:3] == [0.3, 0.3, 0.3] and len(tried) == 4 and t == 1.0
+    assert [r[0] for r in records] == [k * 0.1 for k in range(11)]
+    assert records[3][1] == np.exp(-0.3) and records[-1][1] == v[0]
+    err = max(abs(y - np.exp(-t)) for t, y in records)
+    assert 0.0 < err < 0.3 ** 4 / 384
 
 
 @pytest.mark.parametrize("bad", [0, 1], ids=["nan-in-v", "nan-in-h"])
@@ -272,13 +319,14 @@ def test_march_names_a_non_finite_state(bad):
     # at non-integral gamma a stage that meets v < 0 yields NaN (the gas
     # closures do not raise, and v ** -1.4 is NaN there); the guard must say
     # so instead of blaming the floor
-    def step(y, dt):
+    def step(y, dt, f0):
         out = [a.copy() for a in y]
         out[bad][1] = np.nan
         return tuple(out)
 
     with pytest.raises(RuntimeError) as exc:
-        march(step, (np.ones(3), np.zeros(3)), 0.0, 0.5, lambda y: 1.0, 0.1)
+        march(step, lambda y: tuple(np.zeros_like(a) for a in y), (np.ones(3), np.zeros(3)),
+              0.0, 0.5, lambda y: 1.0, 0.1)
     assert str(exc.value) == (
         "non-finite state: NaN or inf in the stepped state persists after 5 dt halvings")
 
@@ -292,14 +340,17 @@ def test_march_judges_a_negative_stage_only_by_the_step_result():
     gas = sl.GasModel(gamma=2.0, v_minus=1.0)
     stages, tried = [], []
 
-    def step(y, dt):
+    def rhs(y):
+        return (gas.dpressure(y[0]),)
+
+    def step(y, dt, f0):
         tried.append(dt)
         (v,) = y
-        mid = v + 0.5 * dt * gas.dpressure(v)
+        mid = v + 0.5 * dt * f0[0]
         stages.extend([v[0], mid[0]])
-        return (v + dt * gas.dpressure(mid),)
+        return (v + dt * rhs((mid,))[0],)
 
-    t, (v,) = march(step, (np.ones(1),), 0.0, 1.5, lambda y: 1.5, 0.1)
+    t, (v,) = march(step, rhs, (np.ones(1),), 0.0, 1.5, lambda y: 1.5, 0.1)
     assert stages[1] == -0.5
     assert tried == [1.5] and t == 1.5
     assert v[0] == 25.0
