@@ -12,7 +12,7 @@ The state is marched at xi = x - X(t), in the frame of the shifted profile
 where int a(xi) eta(U | Utilde(xi)) dxi lives.  As d/dt|_xi = d/dt|_x +
 Xdot d/dxi, the PDE drift is sigma + Xdot and the weight frame is fixed:
 build_setup folds it into one functional frame for every stage and record.
-Snapshots, the final state and the checkpoint are at xi.
+The recorded states, the final state and the checkpoint are at xi.
 
 The identity audit re-runs a configuration on a resolution ladder and checks
 that the centered time-difference of the recorded weighted entropy matches
@@ -363,24 +363,25 @@ class ContractionTrace:
         return np.column_stack([getattr(self, f.name) for f in fields(self)])
 
 
-def _coupled_rhs(setup, xdot):
-    """The right-hand side of (v, h, X) at xi = x - X, for `solver.rkc2`.
+def _coupled_rhs(setup):
+    """The right-hand side (dv, dh, Xdot) of (v, h, X) at xi = x - X, for
+    `solver.rkc2` and `solver.march`.
 
     Each call computes p(v), (Y, B) on the set-up's functional frame, Xdot =
-    shift_rhs(Y, B, eps) into the one-element list `xdot`, and the PDE at
-    drift sigma + Xdot."""
+    shift_rhs(Y, B, eps), and the PDE at drift sigma + Xdot.  The rate is the
+    third entry of the result, so the march's step limit reads it there."""
     def rhs(y):
         v, h, X = y
         p = setup.gas.pressure(v)  # one p(v) per stage, for both consumers
         Y, B = quick_yb(v, h, p, setup.frame)
-        rate = xdot[0] = shift_rhs(Y, B, setup.eps)
+        rate = shift_rhs(Y, B, setup.eps)
         dv, dh = semi_discrete_rhs(setup.sigma + rate, setup.grid, v, h, p)
         return dv, dh, rate
 
     return rhs
 
 
-def coupled_rk4_step(setup, v, h, X, dt, xdot, f0):
+def coupled_rk4_step(setup, v, h, X, dt, f0):
     """One time step of (v, h, X) at xi = x - X: an RKC2 step (`solver.rkc2`)
     of `_coupled_rhs`, its stage count set by the diffusion radius at the
     step's start, and f0 the right-hand side there.
@@ -388,16 +389,15 @@ def coupled_rk4_step(setup, v, h, X, dt, xdot, f0):
     Returns the tuple (v, h, X) one step later.  (The name predates the RKC2
     step; the benchmark tracer observes the step by this name and reads dt
     as its 5th argument.)"""
-    return rkc2(_coupled_rhs(setup, xdot), (v, h, X), dt,
+    return rkc2(_coupled_rhs(setup), (v, h, X), dt,
                 diffusion_radius(setup.gas, setup.grid, v), f0)
 
 
-def run_experiment(setup, snapshots=None):
+def run_experiment(setup):
     """March the coupled system to t_end, recording the breakdown at the cadence.
 
-    Returns (trace, final FieldState with shift, summary dict).  `snapshots`,
-    if given, is a list that receives (t, v, h) copies at each record.  All
-    states are at xi = x - X (module docstring).
+    Returns (trace, final FieldState with shift, summary dict).  All states
+    are at xi = x - X (module docstring).
     """
     cfg, sig, eps = setup.config, setup.sigma, setup.eps
     t_end = cfg.t_end_sigma / abs(sig)
@@ -407,7 +407,6 @@ def run_experiment(setup, snapshots=None):
     state = initial_state(setup)
     rows = {f.name: [] for f in fields(ContractionTrace)}
     t_wall = time.perf_counter()
-    xdot = [0.0]  # the Xdot of the latest right-hand side evaluation
 
     def record(t, y):
         v, h, X = y
@@ -421,18 +420,14 @@ def run_experiment(setup, snapshots=None):
         rows["R"].append(r_residual(bd, eps, cfg.lam))
         rows["branch_saturated"].append(1.0 if saturated(bd.Y, eps) else 0.0)
         rows["overshoot"].append(overshoot(rate, eps))
-        if snapshots is not None:
-            snapshots.append((t, v.copy(), h.copy()))
 
-    # drift bound 2|Xdot|, with Xdot at the step's start: march evaluates the
-    # right-hand side there last.  The advective limit holds while |Xdot| at
-    # most doubles within a step
+    # drift bound 2|Xdot|, with Xdot = f[2] at the step's start.  The
+    # advective limit holds while |Xdot| at most doubles within a step
     t, (v, h, X) = march(
-        lambda y, dt, f0: coupled_rk4_step(setup, *y, dt, xdot, f0),
-        _coupled_rhs(setup, xdot),
+        lambda y, dt, f0: coupled_rk4_step(setup, *y, dt, f0), _coupled_rhs(setup),
         (state.v, state.h, 0.0), 0.0, t_end,
-        lambda y: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety,
-                            drift=2.0 * abs(xdot[0])),
+        lambda y, f: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety,
+                               drift=2.0 * abs(f[2])),
         v_floor, rec_dt, record)
 
     trace = ContractionTrace(**{name: np.array(col) for name, col in rows.items()})

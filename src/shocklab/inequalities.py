@@ -313,10 +313,11 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
 # ---------------------------------------------------------------------------
 
 
-#: the bound C1 on int W^2, and the points of the uniform y-grid on [0, 1]
-#: that samples W, in the R_delta search
+#: the bound C1 on int W^2, the points of the uniform y-grid on [0, 1]
+#: that samples W, and the Legendre degree of W, in the R_delta search
 R_DELTA_C1 = 10.0
 R_DELTA_N_GRID = 64
+R_DELTA_DEGREE = 12
 
 
 @dataclass
@@ -368,19 +369,18 @@ def _legendre_maps(y, degree):
             2.0 * npleg.legval(t, npleg.legder(np.eye(degree + 1))).T)
 
 
-def _r_delta_kernel(p, A, D, q, qd, delta):
+def _r_delta_kernel(rows, A, D, q, qd, delta):
     """R_delta and its exact gradient for W = A p, W' = D p, row by row.
 
-    p is one coefficient vector or an (m, k) array with one vector per row;
-    the result has the same leading shape.  q and qd = q y(1-y) are the
-    trapezoid weight vectors of the y-grid (q @ f is np.trapezoid(f, y)).
+    rows is an (m, k) array with one coefficient vector p per row; the
+    result is the m values and the (m, k) gradients.  q and qd = q y(1-y)
+    are the trapezoid weight vectors of the y-grid (q @ f is
+    np.trapezoid(f, y)).
     Each W is first projected radially onto {int W^2 <= C1}: with
     s = sqrt(C1/int W^2) the map w -> s w has Jacobian
     s (I - w (q w)^T / int W^2), applied to both W and W'.  |W|^3 is C^1 with
     derivative 3|W|W.
     """
-    p = np.asarray(p, dtype=float)
-    rows = np.atleast_2d(p)
     w = rows @ A.T
     wp = rows @ D.T
     qw = q * w
@@ -404,8 +404,6 @@ def _r_delta_kernel(p, A, D, q, qd, delta):
         r = np.flatnonzero(proj)
         dot = np.einsum("ij,ij->i", g_u[r], w[r]) + np.einsum("ij,ij->i", g_v[r], wp[r])
         grad[r] = s[r] * (grad[r] - (qw[r] @ A) * (dot / i2w[r])[:, None])
-    if p.ndim == 1:
-        return val[0], grad[0]
     return val, grad
 
 
@@ -496,9 +494,10 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
     return SimpleNamespace(x=x_out, fun=f_out, nfev=nfev, nit=nit)
 
 
-def maximize_r_delta(delta=0.01, n_starts=200, degree=12, seed=20240817):
+def maximize_r_delta(delta=0.01, n_starts=200, seed=20240817):
     """Seeded multistart maximization of R_delta under int W^2 <= C1 = R_DELTA_C1,
-    W sampled on R_DELTA_N_GRID uniform points of [0, 1].
+    W of Legendre degree R_DELTA_DEGREE sampled on R_DELTA_N_GRID uniform
+    points of [0, 1].
 
     Starts are random Legendre coefficient vectors (decaying spectrum, random
     radius), all ascended together by one batched L-BFGS (``minimize``) on the
@@ -508,17 +507,18 @@ def maximize_r_delta(delta=0.01, n_starts=200, degree=12, seed=20240817):
     count batched kernel calls and batched iterations, each covering every
     start still active.
     """
-    if n_starts < 1 or degree < 0 or not delta > 0.0:
-        raise ValueError("need n_starts >= 1, degree >= 0 and delta > 0")
+    if n_starts < 1 or not delta > 0.0:
+        raise ValueError("need n_starts >= 1 and delta > 0")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     y = np.linspace(0.0, 1.0, R_DELTA_N_GRID)
     q = np.trapezoid(np.eye(y.size), y, axis=0)
     qd = q * y * (1.0 - y)
-    leg, leg_d = _legendre_maps(y, degree)
-    starts = np.empty((n_starts, degree + 1))
+    leg, leg_d = _legendre_maps(y, R_DELTA_DEGREE)
+    k = R_DELTA_DEGREE + 1
+    starts = np.empty((n_starts, k))
     for row in starts:
-        row[:] = rng.standard_normal(degree + 1) / (1.0 + np.arange(degree + 1)) ** 2
+        row[:] = rng.standard_normal(k) / (1.0 + np.arange(k)) ** 2
         row *= rng.uniform(0.05, np.sqrt(R_DELTA_C1))
 
     def neg_r_delta(p):
@@ -529,7 +529,7 @@ def maximize_r_delta(delta=0.01, n_starts=200, degree=12, seed=20240817):
     best_val = -float(np.min(res.fun))
     return CertificationReport(
         target="R_delta(W) <= 0 under int W^2 <= C1",
-        domain=f"Legendre deg<={degree}, n={y.size}",
+        domain=f"Legendre deg<={R_DELTA_DEGREE}, n={y.size}",
         resolution=1.0 / (y.size - 1),
         worst_value=best_val,
         margin=-best_val,

@@ -21,7 +21,8 @@ finds p_tilde at the uniform knots by a vectorized Newton solve on xi(s).
 The window ends where p_tilde is within 1e-12*eps of its limit (or at
 |xi| = L); between the knots the profile is the cubic Hermite interpolant of
 (p_tilde, f(p_tilde)), and beyond the window it continues by exponential tails
-with rates fitted from the last stored decade.  numpy alone does all of it.
+at the linearized rates of the two rest points (`analytic_tail_rates`).  numpy
+alone does all of it.
 """
 
 from dataclasses import dataclass, field
@@ -120,9 +121,11 @@ class ShockProfile:
     uniform pieces that solve_profile builds; the interpolant is the cubic
     Hermite form with the slopes f(p) at the knots.  Beyond the window the
     edge gap p[0] - p_minus (p_plus - p[-1]) decays at tail_rate_minus
-    (tail_rate_plus), which __post_init__ fits on the outer knots of that
-    side.  :meth:`frame` evaluates every profile field at any xi (tails
-    handled by the splice) and is the one reader of them;
+    (tail_rate_plus), the linearized rate of the ODE at that rest point
+    (`analytic_tail_rates`): the outer knots need not be in the exponential
+    regime yet, so a fit on them can miss the rate (at gamma 100 by 17%).
+    :meth:`frame` evaluates every profile field at any xi (tails handled by
+    the splice) and is the one reader of them;
     :meth:`pressure_profile` gives p_tilde alone.  Derivatives come from the
     ODE right-hand side, so stored samples satisfy the profile equation
     identically; the independent accuracy check is :meth:`ode_residual_sup`,
@@ -140,8 +143,7 @@ class ShockProfile:
         p = self.p
         self._coef = _hermite_coef(
             self.xi, p, _profile_rhs(self.states)(p, self.gas.pressure_inverse(p)))
-        self.tail_rate_minus = _fit_tail(self.xi, p - self.states.p_minus, side="left")
-        self.tail_rate_plus = _fit_tail(self.xi, self.states.p_plus - p, side="right")
+        self.tail_rate_minus, self.tail_rate_plus = analytic_tail_rates(self.states)
 
     # -- core evaluation --------------------------------------------------
 
@@ -422,7 +424,8 @@ def analytic_tail_rates(states):
 def tail_decay_report(profile):
     """Tail-rate and interior-floor diagnostics of a solved profile.
 
-    Returns a dict with fitted vs linearized tail rates per side, the
+    Returns a dict with the tail rates fitted on the outer knots
+    (`_fit_tail`) vs the linearized rates per side, the
     normalized interior floor  min |v_tilde'| / eps^2  over [-1/eps, 1/eps],
     and the centre-slope ratio  v_tilde'(0) / (-(v_minus - v_plus)*rate/4)
     (logistic-shape sanity number, ~1 for small eps).
@@ -430,16 +433,18 @@ def tail_decay_report(profile):
     states = profile.states
     eps = states.eps
     an_minus, an_plus = analytic_tail_rates(states)
+    fit_minus = _fit_tail(profile.xi, profile.p - states.p_minus, side="left")
+    fit_plus = _fit_tail(profile.xi, states.p_plus - profile.p, side="right")
     # the core grid plus xi = 0 in one pass; each point is evaluated on its own
     dv = profile.frame(np.append(np.linspace(-1.0 / eps, 1.0 / eps, 2001), 0.0))["dv"]
     floor = float(np.min(np.abs(dv[:-1]))) / eps ** 2
     dv0 = float(dv[-1])
     amp = states.v_minus - states.v_plus
-    rate_mean = 0.5 * (profile.tail_rate_minus + profile.tail_rate_plus)
+    rate_mean = 0.5 * (fit_minus + fit_plus)
     centre_ratio = abs(dv0) / (amp * rate_mean / 4.0)
     return {
-        "rate_minus_fit": profile.tail_rate_minus,
-        "rate_plus_fit": profile.tail_rate_plus,
+        "rate_minus_fit": fit_minus,
+        "rate_plus_fit": fit_plus,
         "rate_minus_lin": an_minus,
         "rate_plus_lin": an_plus,
         "interior_floor_over_eps2": floor,

@@ -128,10 +128,11 @@ def semi_discrete_rhs(sigma, grid, v, h, p):
     return dv, dh
 
 
-def stable_dt(gas, sigma, grid, v, safety=0.4, drift=0.0):
+def stable_dt(gas, sigma, grid, v, safety, drift=0.0):
     """safety * advective step dx/c_max; drift bounds |Xdot| of a moving frame.
 
-    The parabolic limit is the stage count's job (`rkc2`), not dt's.
+    safety has no default: a run passes ExperimentConfig.cfl_safety and
+    `simulate` its own argument.  The parabolic limit is the stage count's job (`rkc2`), not dt's.
     """
     vmin = float(np.min(v))
     if vmin <= 0.0:
@@ -186,7 +187,7 @@ def rkc2_stages(dt_rho):
     return s
 
 
-def rkc2(rhs, y, dt, rho, f0=None):
+def rkc2(rhs, y, dt, rho, f0):
     """One RKC2 step of y' = rhs(y) for a tuple y of arrays or floats.
 
     rho bounds the spectral radius of rhs's Jacobian along the negative real
@@ -197,14 +198,11 @@ def rkc2(rhs, y, dt, rho, f0=None):
         Y_j = (1 - mu_j - nu_j) Y_0 + mu_j Y_(j-1) + nu_j Y_(j-2)
               + mu~_j dt F_(j-1) + gamma~_j dt F_0,
 
-    with F_j = rhs(Y_j), and returns Y_s.  f0 is F_0 = rhs(y) when the caller
-    has it already (first same as last: `march` passes the F it evaluated at
-    the end of the previous step), so a step makes s - 1 rhs calls; without
-    it, s.
+    with F_j = rhs(Y_j), and returns Y_s.  f0 is F_0 = rhs(y), which the
+    caller holds (first same as last: `march` passes the F it evaluated at
+    the end of the previous step), so a step makes s - 1 rhs calls.
     """
     _, mut1, stages = _rkc2_scheme(rkc2_stages(dt * rho))
-    if f0 is None:
-        f0 = rhs(y)
     prev, cur = y, tuple(a + (mut1 * dt) * f for a, f in zip(y, f0))
     for mu, nu, mut, gamt in stages:
         f = rhs(cur)
@@ -248,11 +246,12 @@ def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=N
     """March the tuple y = (v, ...) from t to t_end with the positivity guard.
 
     rhs(y) is y's time derivative F, a tuple like y; step(y, dt, f0) returns
-    the state one step of size dt later, given f0 = rhs(y); dt_limit(y) is
-    the stable step at y.  dt is clipped to t_end alone.  The march evaluates
-    F once at the start and once at the end of each accepted step, and hands
-    that F to the next step as its f0 (first same as last), so the slopes at
-    both ends of every step cost one extra rhs call per march.  When
+    the state one step of size dt later, given f0 = rhs(y); dt_limit(y, f)
+    is the stable step at y, given f = rhs(y).  dt is clipped to t_end alone.
+    The march evaluates F once at the start and once at the end of each
+    accepted step, and hands that F to the next step's dt_limit and step
+    (first same as last), so the slopes at both ends of every step cost one
+    extra rhs call per march.  When
     record_dt is set, on_record(t, y) fires at the start and at each time
     t + k*record_dt up to t_end; a record inside a step is the cubic Hermite
     interpolant of y between the step's two ends with their slopes (`_dense`).
@@ -287,7 +286,7 @@ def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=N
         if steps == MAX_STEPS:
             raise RuntimeError(f"step-count limit: {MAX_STEPS} steps reached at "
                                f"t = {t:.6g} before t_end = {t_end:.6g}")
-        dt = min(dt_limit(y), t_end - t)
+        dt = min(dt_limit(y, f), t_end - t)
         for _ in range(6):  # the first try and up to 5 halvings
             cand = step(y, dt, f)
             finite = _finite(cand)
@@ -336,7 +335,7 @@ def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None
     t, (v, h) = march(
         lambda y, dt, f0: rkc2(rhs, y, dt, diffusion_radius(gas, grid, y[0]), f0), rhs,
         (state.v.copy(), state.h.copy()), state.t, t_end,
-        lambda y: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
+        lambda y, f: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
         None if on_record is None else lambda t, y: on_record(FieldState(t, *y)))
     return FieldState(t, v, h)
 

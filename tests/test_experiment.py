@@ -87,18 +87,35 @@ def test_large_amplitude_kind_runs():
     assert np.isfinite(trace.Y).all()
 
 
-def test_trace_structure_and_summary():
+def recorded_states(monkeypatch):
+    """A list that receives a (v, h) copy at each record of the next run,
+    taken where the run computes that record's breakdown."""
+    snaps = []
+    breakdown = sl.experiment.compute_breakdown
+
+    def traced(v, h, frame):
+        snaps.append((v.copy(), h.copy()))
+        return breakdown(v, h, frame)
+
+    monkeypatch.setattr(sl.experiment, "compute_breakdown", traced)
+    return snaps
+
+
+def test_trace_structure_and_summary(monkeypatch):
     cfg = short_config(record_sigma=0.05)
     setup = sl.build_setup(cfg)
-    snaps = []
-    trace, (state, X), summary = sl.run_experiment(setup, snapshots=snaps)
+    snaps = recorded_states(monkeypatch)
+    trace, (state, X), summary = sl.run_experiment(setup)
     n = len(trace.t)
     for name in ("X", "Xdot", "weighted_entropy", "Y", "B", "G", "R",
                  "branch_saturated", "overshoot", "sup_w"):
         assert len(getattr(trace, name)) == n
     assert np.all(np.diff(trace.t) > 0)
     assert len(snaps) == n
-    assert snaps[0][0] == trace.t[0]
+    # the first record is the starting state, at t = 0
+    start = sl.initial_state(setup)
+    assert trace.t[0] == 0.0
+    assert np.array_equal(snaps[0][0], start.v) and np.array_equal(snaps[0][1], start.h)
     for key in ("entropy_initial", "entropy_final", "max_record_increment",
                 "max_shift_bound_ratio", "max_abs_X", "saturated_fraction",
                 "wall_time_s"):
@@ -106,16 +123,16 @@ def test_trace_structure_and_summary():
     assert summary["records"] == n
 
 
-def test_sup_w_column_is_max_pressure_perturbation():
+def test_sup_w_column_is_max_pressure_perturbation(monkeypatch):
     cfg = short_config(record_sigma=0.05)
     setup = sl.build_setup(cfg)
-    snaps = []
-    trace, _, _ = sl.run_experiment(setup, snapshots=snaps)
+    snaps = recorded_states(monkeypatch)
+    trace, _, _ = sl.run_experiment(setup)
     # the shift moves, so the co-moving frame is not the lab frame; the
     # snapshots are at xi = x - X, where the profile is p_tilde(xi)
     assert np.any(trace.X != 0.0)
     p_tilde = setup.profile.pressure_profile(setup.grid.x)
-    expected = [np.max(np.abs(setup.gas.pressure(v) - p_tilde)) for _, v, _ in snaps]
+    expected = [np.max(np.abs(setup.gas.pressure(v) - p_tilde)) for v, _ in snaps]
     npt.assert_array_equal(trace.sup_w, expected)
 
 
@@ -193,10 +210,10 @@ def test_step_size_counts_the_shift_drift(monkeypatch):
                         lambda *a: rates.append(shift_rhs(*a)) or rates[-1])
     step = sl.experiment.coupled_rk4_step
 
-    def traced(setup, v, h, X, dt, xdot, f0):
+    def traced(setup, v, h, X, dt, f0):
         # the step's stage 0 is f0, which the march evaluated at its start
         first = len(rates)
-        out = step(setup, v, h, X, dt, xdot, f0)
+        out = step(setup, v, h, X, dt, f0)
         steps.append((dt, float(np.min(v)), max(map(abs, [f0[2]] + rates[first:]))))
         return out
 
@@ -413,7 +430,7 @@ def test_audit_error_is_space_error_not_time_error(monkeypatch):
 
     def half_cadence(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt, on_record):
         caps.append(0.5 * record_dt)
-        return march(step, rhs, y, t, t_end, lambda y: min(dt_limit(y), 0.5 * record_dt),
+        return march(step, rhs, y, t, t_end, lambda y, f: min(dt_limit(y, f), 0.5 * record_dt),
                      v_floor, record_dt, on_record)
 
     monkeypatch.setattr(sl.experiment, "march", half_cadence)

@@ -142,6 +142,17 @@ def test_analytic_tail_rates_frozen(profile01):
     npt.assert_allclose([rm, rp], [0.0507574584, 0.0468818567], rtol=1e-8)
 
 
+def test_splice_rates_are_the_linearized_rates():
+    # at gamma 100 the outer knots are not yet in the exponential regime: a
+    # fit on them misses the rate by about 17%, so the tails beyond the
+    # window continue at the linearized rates instead
+    profile = sl.solve_profile(sl.GasModel(100.0, 1.0), 0.1)
+    rm, rp = sl.analytic_tail_rates(profile.states)
+    assert profile.tail_rate_minus == rm and profile.tail_rate_plus == rp
+    rep = sl.tail_decay_report(profile)
+    assert rep["rate_plus_fit"] < 0.9 * rp and rep["rate_minus_fit"] < 0.9 * rm
+
+
 def test_interior_floor_scale(profile01):
     rep = sl.tail_decay_report(profile01)
     # min |p'| over the central half-layer, divided by eps^2: order 0.05

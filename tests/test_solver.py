@@ -209,10 +209,17 @@ def chebyshev_rkc2(s):
 
 def linear_step(z, s):
     """One rkc2 step of y' = z*y (z an array) from y = 1 at dt = 1, with rho
-    just inside s stages' reach; returns (amplification, rhs evaluations)."""
+    just inside s stages' reach; returns (amplification, rhs evaluations,
+    counting the one that gives f0)."""
     calls = []
     rho = RKC_MARGIN * chebyshev_rkc2(s)[-1] * (1.0 - 1e-9)
-    (amp,) = rkc2(lambda y: calls.append(1) or (z * y[0],), (np.ones_like(z),), 1.0, rho)
+
+    def rhs(y):
+        calls.append(1)
+        return (z * y[0],)
+
+    y = (np.ones_like(z),)
+    (amp,) = rkc2(rhs, y, 1.0, rho, rhs(y))
     return amp, len(calls)
 
 
@@ -266,7 +273,7 @@ def test_march_halves_dt_until_the_guard_clears():
         evaluated.append(y[0][0])
         return (np.zeros_like(y[0]),)
 
-    t, (v,) = march(step, rhs, (np.ones(3),), 0.0, 0.5, lambda y: 1.0, 0.0,
+    t, (v,) = march(step, rhs, (np.ones(3),), 0.0, 0.5, lambda y, f: 1.0, 0.0,
                     on_record=lambda t, y: records.append(t))
     assert tried == [0.5, 0.25, 0.25]
     assert t == 0.5 and np.all(v == 1.0)
@@ -287,7 +294,7 @@ def test_march_halves_dt_until_the_records_inside_the_step_clear():
         return (y[0].copy(),)
 
     t, (v,) = march(step, lambda y: (np.full_like(y[0], -20.0),), (np.ones(2),), 0.0, 0.5,
-                    lambda y: 0.5, 0.1, record_dt=0.125,
+                    lambda y, f: 0.5, 0.1, record_dt=0.125,
                     on_record=lambda t, y: records.append((t, y[0][0])))
     assert tried == [0.5, 0.25, 0.25]
     assert t == 0.5 and np.all(v == 1.0)
@@ -305,13 +312,38 @@ def test_march_writes_records_on_the_cadence_by_dense_output():
         tried.append(dt)
         return (y[0] * np.exp(-dt),)
 
-    t, (v,) = march(step, lambda y: (-y[0],), (np.ones(1),), 0.0, 1.0, lambda y: 0.3,
+    t, (v,) = march(step, lambda y: (-y[0],), (np.ones(1),), 0.0, 1.0, lambda y, f: 0.3,
                     0.1, record_dt=0.1, on_record=lambda t, y: records.append((t, y[0][0])))
     assert tried[:3] == [0.3, 0.3, 0.3] and len(tried) == 4 and t == 1.0
     assert [r[0] for r in records] == [k * 0.1 for k in range(11)]
     assert records[3][1] == np.exp(-0.3) and records[-1][1] == v[0]
     err = max(abs(y - np.exp(-t)) for t, y in records)
     assert 0.0 < err < 0.3 ** 4 / 384
+
+
+def test_march_hands_dt_limit_the_f_it_evaluated_at_the_same_state():
+    # dt_limit(y, f) and step(y, dt, f0) both get the F that march evaluated
+    # at the step's start y: at t = 0 and then at each accepted step's end
+    evaluated, limits, steps = [], [], []
+
+    def rhs(y):
+        f = (-y[0],)
+        evaluated.append((y, f))
+        return f
+
+    def dt_limit(y, f):
+        limits.append((y, f))
+        return 0.3
+
+    def step(y, dt, f0):
+        steps.append((y, f0))
+        return (y[0] * np.exp(-dt),)
+
+    t, _ = march(step, rhs, (np.ones(1),), 0.0, 1.0, dt_limit, 0.1)
+    assert t == 1.0 and len(limits) == len(steps) == 4 and len(evaluated) == 5
+    for (y, f), (y_lim, f_lim), (y_step, f_step) in zip(evaluated, limits, steps):
+        assert y_lim is y and f_lim is f
+        assert y_step is y and f_step is f
 
 
 @pytest.mark.parametrize("bad", [0, 1], ids=["nan-in-v", "nan-in-h"])
@@ -326,7 +358,7 @@ def test_march_names_a_non_finite_state(bad):
 
     with pytest.raises(RuntimeError) as exc:
         march(step, lambda y: tuple(np.zeros_like(a) for a in y), (np.ones(3), np.zeros(3)),
-              0.0, 0.5, lambda y: 1.0, 0.1)
+              0.0, 0.5, lambda y, f: 1.0, 0.1)
     assert str(exc.value) == (
         "non-finite state: NaN or inf in the stepped state persists after 5 dt halvings")
 
@@ -350,7 +382,7 @@ def test_march_judges_a_negative_stage_only_by_the_step_result():
         stages.extend([v[0], mid[0]])
         return (v + dt * rhs((mid,))[0],)
 
-    t, (v,) = march(step, rhs, (np.ones(1),), 0.0, 1.5, lambda y: 1.5, 0.1)
+    t, (v,) = march(step, rhs, (np.ones(1),), 0.0, 1.5, lambda y, f: 1.5, 0.1)
     assert stages[1] == -0.5
     assert tried == [1.5] and t == 1.5
     assert v[0] == 25.0
