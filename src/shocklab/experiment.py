@@ -73,10 +73,11 @@ MAX_MODE_CELLS = 10_000_000
 
 #: the profile's knot spacing is at most L/50, and its ODE residual grows
 #: about like 1/span_over_eps once the knots crowd.  With gamma <= 1e6 and eps
-#: over the whole supported range, `shocklab profile` passes down to 0.3
-#: (worst residual 9.4e-9 at gamma 1e6, eps 9.99*p(v_minus)) and fails at 0.1
-#: (2.9e-8, over the check's 1e-8); at 1 the worst is 3.7e-9.  Near 1e-300
-#: the tail fit's polyfit fails
+#: over the whole supported range, `shocklab profile` passes down to 0.01
+#: (worst residual 4.1e-7*eps at gamma 1e6, eps 9.99*p(v_minus)) and fails at
+#: 0.003 (1.3e-6*eps, over the check's 1e-6*eps); at 1 the worst is
+#: 2.7e-7*eps (gamma 1e6, eps 1e-3*p(v_minus)).  Near 1e-300 the tail fit's
+#: polyfit fails
 MIN_SPAN_OVER_EPS = 1.0
 
 

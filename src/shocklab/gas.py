@@ -19,22 +19,23 @@ import numpy as np
 __all__ = ["GasModel"]
 
 #: v_minus - v_plus is about v_minus*log(1 + eps/p(v_minus))/gamma, so the
-#: profile's ODE residual grows about linearly in gamma.  At the default
-#: window `shocklab profile` passes up to gamma 1e7 for every eps of the
-#: supported range (worst residual 3.7e-9 at eps = 9.99*p(v_minus)) and fails
-#: from 3e7 (1.1e-8 there, over the check's 1e-8); at 1e6 the worst is
-#: 5.3e-10.  From 1e15 p(v) at the layer's middle rounds onto p(v_minus) and
-#: the profile quadrature's panel count overflows; from 1e17 v_plus rounds
-#: onto v_minus
+#: profile's ODE residual grows with gamma.  At p(v_minus) = 1 `shocklab
+#: profile` passes up to gamma 1e7 for every eps of the supported range
+#: (worst residual 7.7e-7*eps at eps = 1e-3*p(v_minus), under the check's
+#: 1e-6*eps) and fails from 3e7 (2.9e-6*eps there); at 1e6 the worst is
+#: 9.8e-8*eps.  From 1e15 p(v) at the layer's middle rounds onto p(v_minus)
+#: and the profile quadrature's panel count overflows; from 1e17 v_plus
+#: rounds onto v_minus
 MAX_GAMMA = 1e6
 
 #: log10 range of p(v_minus) = v_minus**-gamma, checked in logs so that no
-#: power overflows.  The profile's ODE residual grows with p(v_minus): some
-#: eps of the supported range passes `shocklab profile` up to p(v_minus) =
-#: 10**3.5 for gamma 1.01 to 1e3 (none from 1e4) and up to 10**1.5 at gamma
-#: 1e6 (none from 1e2); the upper bound is 3.2x inside 10**1.5.  Near gamma 1
-#: the profile solve's step estimate overflows from p(v_minus) = 1e-78 (gamma
-#: 1.0001, eps = 9.99*p(v_minus)); the lower bound is 8 decades above that
+#: power overflows.  The profile's ODE residual relative to eps grows with
+#: p(v_minus) above 1: `shocklab profile` passes for every eps of the
+#: supported range and every gamma from 1.01 to 1e6 up to p(v_minus) = 10**2
+#: (worst residual 1.3e-7*eps, at gamma 1e6), and at gamma 1e6 for none from
+#: 10**3.5; the upper bound is 10x inside 10**2.  Near gamma 1 the profile
+#: solve's step estimate overflows from p(v_minus) = 1e-78 (gamma 1.0001,
+#: eps = 9.99*p(v_minus)); the lower bound is 8 decades above that
 P_MINUS_LOG10_RANGE = (-70.0, 1.0)
 
 

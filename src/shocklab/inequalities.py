@@ -9,9 +9,11 @@ Contents:
   * the sharp-sup constant  theta = sqrt(5 - pi^2/3)  and the singular
     quadrature that produces it,
   * the weighted Poincare inequality  int (f-mean)^2 <= 1/2 int y(1-y) f'^2
-    on polynomials, in exact coefficient arithmetic,
+    on polynomials, both sides as exact quadratic forms in the coefficients,
+    for a batch of polynomials at once,
   * the one-variable cubic-radical function g on [-2, 0] and its negativity,
   * the two-variable polynomial P_delta with constraint band |E| <= delta_1,
+    evaluated only at the grid points next to the band's ring,
   * the constrained functional R_delta(W) on (0,1) and its multistart
     maximization: one batched L-BFGS ascent of all starts at once on the
     exact gradient of R_delta (``minimize``).
@@ -27,7 +29,6 @@ from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from numpy.polynomial import polynomial as nppoly
 
 __all__ = [
     "CertificationReport",
@@ -103,28 +104,31 @@ def theta_squared_quadrature():
 # ---------------------------------------------------------------------------
 
 
-def _poly_integral_01(c):
-    """Exact int_0^1 of a polynomial given ascending coefficients."""
-    ci = nppoly.polyint(c)
-    return float(nppoly.polyval(1.0, ci) - nppoly.polyval(0.0, ci))
-
-
 def poincare_slack_from_poly(coeffs):
-    """Exact slack 1/2 int y(1-y) f'^2 - int (f - mean)^2 for a polynomial f.
+    """Exact slack 1/2 int y(1-y) f'^2 - int (f - mean)^2 for polynomials f.
 
-    coeffs are ascending power-basis coefficients on [0, 1]; all integrals are
-    done in exact coefficient arithmetic (roundoff only), so the slack of a
-    true polynomial is >= -O(1e-14).
+    coeffs holds the ascending power-basis coefficients on [0, 1] of one
+    polynomial, or an (m, K) array with one polynomial per row (a row may be
+    zero-padded); the result is a float, or the m slacks.  Both sides are
+    exact quadratic forms in the coefficients: with g = c - mean e0 the
+    centred coefficients, int (f - mean)^2 = g^T H g, H_ij = 1/(i+j+1), and
+    with d the coefficients of f', int y(1-y) f'^2 = d^T H_w d,
+    (H_w)_ij = 1/(i+j+2) - 1/(i+j+3).  Centring first keeps the left side
+    free of the cancellation of c^T H c - mean^2, so the slack of a true
+    polynomial is >= -O(1e-16) for coefficients of order 1.
     """
     c = np.asarray(coeffs, dtype=float)
-    mean = _poly_integral_01(c)
-    g = c.copy()
-    g[0] -= mean
-    lhs = _poly_integral_01(nppoly.polymul(g, g))
-    d = nppoly.polyder(c)
-    wd2 = nppoly.polymul([0.0, 1.0, -1.0], nppoly.polymul(d, d))
-    rhs = 0.5 * _poly_integral_01(wd2)
-    return rhs - lhs
+    rows = np.atleast_2d(c)
+    k = np.arange(rows.shape[1])
+    g = rows.copy()
+    g[:, 0] -= rows @ (1.0 / (k + 1.0))
+    s = k[:, None] + k[None, :]
+    lhs = np.einsum("mi,ij,mj->m", g, 1.0 / (s + 1.0), g)
+    d = rows[:, 1:] * k[1:]
+    s = s[:-1, :-1]
+    rhs = 0.5 * np.einsum("mi,ij,mj->m", d, 1.0 / (s + 2.0) - 1.0 / (s + 3.0), d)
+    slack = rhs - lhs
+    return float(slack[0]) if c.ndim == 1 else slack
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +148,7 @@ def g_poly(x):
     x = _check_g_domain(x)
     th = theta_constant()
     rad = np.clip(-x * x - 2.0 * x, 0.0, None)
-    return 2.0 * x - 2.0 * x * x - (4.0 / 3.0) * x ** 3 + (4.0 * th / 3.0) * rad ** 1.5
+    return 2.0 * x - 2.0 * x * x - (4.0 / 3.0) * (x * x * x) + (4.0 * th / 3.0) * rad ** 1.5
 
 
 def g_deriv(x, theta=None):
@@ -259,39 +263,83 @@ def P_delta_poly(z1, z2, delta):
     a1 = np.abs(z1)
     z2sq = z2 * z2
     return ((1.0 + delta) * (z1 * z1 + z2sq) + 2.0 * z1 * z2sq
-            + (2.0 / 3.0) * z1 ** 3 + 6.0 * delta * (a1 * z2sq + a1 ** 3)
+            + (2.0 / 3.0) * (z1 * z1 * z1) + 6.0 * delta * (a1 * z2sq + a1 * a1 * a1)
             - 2.0 * (1.0 - delta - (2.0 / 3.0 + delta) * th * z2) * z2sq)
+
+
+#: the grid points certify_prop_algebra evaluates at once, plus up to one row
+BAND_BLOCK_POINTS = 1 << 17
+
+
+def _band_columns(z1, z2_lo, step, n2, delta1):
+    """The columns of each row of the grid z1 x (z2_lo + j step, j < n2) that
+    can lie in the band |E| <= delta1: two ranges per row, ranges 2i and
+    2i + 1 in row i, as the flat arrays (first column, column count).
+
+    E = (z1+1)^2 + z2^2 - 1, so the band is the ring between the circles of
+    radius sqrt(1 -+ delta1) about (-1, 0).  Each row takes the columns of
+    the ring for both signs of z2, widened by 1e-9 (1 + delta1) in E (far
+    beyond E's rounding at the ring's points) and by one column on each
+    side; the caller applies the float test to them.
+    """
+    a = (z1 + 1.0) ** 2
+    widen = 1e-9 * (1.0 + delta1)
+    outer = 1.0 + delta1 + widen - a
+    r_hi = np.sqrt(np.maximum(outer, 0.0))
+    r_lo = np.sqrt(np.maximum(1.0 - delta1 - widen - a, 0.0))
+    # per row, the column ranges [start, stop) of z2 in [-r_hi, -r_lo] and in
+    # [r_lo, r_hi]; the second is emptied into the first where they meet,
+    # and both where the row misses the ring
+    start = np.floor((np.stack([-r_hi, r_lo], axis=1) - z2_lo) / step) - 1.0
+    stop = np.ceil((np.stack([-r_lo, r_hi], axis=1) - z2_lo) / step) + 2.0
+    joined = stop[:, 0] >= start[:, 1]
+    stop[joined, 0] = stop[joined, 1]
+    start[joined, 1] = stop[joined, 1]
+    stop[outer < 0.0] = start[outer < 0.0]
+    start = np.clip(start, 0, n2).astype(np.intp).ravel()
+    count = np.clip(stop, 0, n2).astype(np.intp).ravel() - start
+    return start, count
 
 
 def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
                          step=1e-3):
     """Grid-certify  P_delta - E^2 <= 1e-10  on the band {|E| <= delta1}.
 
-    The box is (z1_lo, z1_hi, z2_lo, z2_hi).  E is evaluated 64 z1 rows at a
-    time to bound memory, P_delta only at the band's points.  Reports the
-    worst admissible value and where it first occurs in row-major order.  A
-    box whose grid has no point in the band certifies nothing.
+    The box is (z1_lo, z1_hi, z2_lo, z2_hi).  E is evaluated only at the
+    grid points next to the band's ring (``_band_columns``), about
+    BAND_BLOCK_POINTS at a time, and P_delta only at those that pass
+    |E| <= delta1; the band points, the worst value and where it first
+    occurs in row-major order are the full grid's.  details count the
+    grid's points, the E evaluations and the band's points.  A box whose
+    grid has no point in the band certifies nothing.
     """
     t0 = time.perf_counter()
     tol = 1e-10
     z1_lo, z1_hi, z2_lo, z2_hi = box
     z1 = np.arange(0, round((z1_hi - z1_lo) / step) + 1) * step + z1_lo
     z2 = np.arange(0, round((z2_hi - z2_lo) / step) + 1) * step + z2_lo
+    start, count = _band_columns(z1, z2_lo, step, z2.size, delta1)
+    first = np.cumsum(count) - count
+    blocks = np.split(np.arange(count.size),
+                      np.flatnonzero(np.diff(first // BAND_BLOCK_POINTS)) + 1)
     worst = -np.inf
     arg = (np.nan, np.nan)
     n_admissible = 0
-    for i0 in range(0, z1.size, 64):
-        E = E_poly(z1[i0:i0 + 64, None], z2[None, :])
-        r, c = np.nonzero(np.abs(E) <= delta1)
-        if r.size == 0:
+    for k in blocks:
+        n = count[k]
+        r = np.repeat(k // 2, n)
+        c = np.arange(n.sum()) + np.repeat(start[k] - (np.cumsum(n) - n), n)
+        E = E_poly(z1[r], z2[c])
+        band = np.abs(E) <= delta1
+        if not band.any():
             continue
+        r, c, e = r[band], c[band], E[band]
         n_admissible += r.size
-        e = E[r, c]
-        val = P_delta_poly(z1[i0 + r], z2[c], delta) - e * e
+        val = P_delta_poly(z1[r], z2[c], delta) - e * e
         j = int(np.argmax(val))
         if val[j] > worst:
             worst = float(val[j])
-            arg = (float(z1[i0 + r[j]]), float(z2[c[j]]))
+            arg = (float(z1[r[j]]), float(z2[c[j]]))
     certified = n_admissible > 0 and worst <= tol
     return CertificationReport(
         target="P_delta - E^2 <= 0 on |E| <= delta1",
@@ -303,6 +351,7 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
         method="grid",
         details={"delta": delta, "delta1": delta1, "argmax": arg,
                  "grid_points": int(z1.size * z2.size),
+                 "evaluated_points": int(count.sum()),
                  "admissible_points": n_admissible},
         runtime_s=time.perf_counter() - t0,
     )

@@ -4,14 +4,14 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shocklab as sl
-from shocklab.cli import main
+from shocklab.cli import PROFILE_RESIDUAL_TOL, _profile_ok, main
 
 
 def config_to_text(config):
@@ -130,6 +130,28 @@ def test_cli_profile_exit_zero_and_csv():
 def test_cli_profile_passes_at_gamma_1_4(capsys):
     assert main(["profile", "--set", "gamma=1.4"]) == 0
     assert "profile check: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gamma, v_minus, eps", [(2.0, 1.0, 0.1), (1.4, 1e40, 1e-57)])
+def test_profile_verdict_bounds_the_residual_relative_to_eps(gamma, v_minus, eps):
+    # negative control: one mid-layer knot raised until the residual is just
+    # over PROFILE_RESIDUAL_TOL * eps fails, just under passes, at p(v_minus)
+    # = 1 and at 1e-56, where an absolute bound could not fail
+    profile = sl.solve_profile(sl.GasModel(gamma, v_minus), eps)
+    assert _profile_ok(profile)
+    i = int(np.searchsorted(profile.xi, 0.0))
+
+    def raised(dp):
+        p = profile.p.copy()
+        p[i] += dp
+        return replace(profile, p=p)
+
+    per_dp = raised(1e-6 * eps).ode_residual_sup() / (1e-6 * eps)
+    bound = PROFILE_RESIDUAL_TOL * eps
+    over, under = raised(1.01 * bound / per_dp), raised(0.99 * bound / per_dp)
+    assert under.ode_residual_sup() < bound < over.ode_residual_sup()
+    assert over.monotone()
+    assert _profile_ok(under) and not _profile_ok(over)
 
 
 def test_cli_profile_checks_only_the_keys_it_reads(capsys):
@@ -500,6 +522,8 @@ def test_cli_verify_inequalities_fast(capsys):
     # every check reports its work and its runtime
     assert all(re.search(r"\(\d+ [^()]*, \d+\.\d{3} s\)$", ln) for ln in lines)
     assert re.search(r"max found = \S+ \(\d+ objective calls", lines[-1])
+    # the band check reports how many points it evaluated, not only the grid
+    assert re.search(r"\(\d+ grid points, \d+ evaluated, \d+ in the band, ", lines[3])
 
 
 def refused_by_the_parser(argv, capsys):

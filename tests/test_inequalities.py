@@ -3,8 +3,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.polynomial import polynomial as nppoly
 
 import shocklab as sl
+from shocklab import inequalities
 from shocklab.inequalities import (
     G_ANALYTIC_THRESHOLD,
     G_CUSP,
@@ -52,11 +54,63 @@ def test_poincare_random_polynomials():
     assert worst > -1e-12
 
 
+def poincare_slack_reference(c):
+    """The slack by numpy.polynomial arithmetic: products, f', integrals."""
+    def integral(c):
+        ci = nppoly.polyint(c)
+        return nppoly.polyval(1.0, ci) - nppoly.polyval(0.0, ci)
+
+    g = np.array(c, dtype=float)
+    g[0] -= integral(c)
+    d = nppoly.polyder(c)
+    return (0.5 * integral(nppoly.polymul([0.0, 1.0, -1.0], nppoly.polymul(d, d)))
+            - integral(nppoly.polymul(g, g)))
+
+
+def test_poincare_rows_match_polynomial_arithmetic():
+    rng = np.random.default_rng(3)
+    rows = np.zeros((500, 9))  # degree 0 to 8, zero-padded to 9 coefficients
+    degrees = rng.integers(0, 9, size=500)
+    for row, deg in zip(rows, degrees):
+        row[:deg + 1] = rng.standard_normal(deg + 1)
+    slack = sl.poincare_slack_from_poly(rows)
+    ref = [poincare_slack_reference(row[:deg + 1]) for row, deg in zip(rows, degrees)]
+    assert slack.shape == (500,)
+    npt.assert_allclose(slack, ref, rtol=0.0, atol=1e-13)
+    # more zero padding is the same polynomial
+    npt.assert_allclose(sl.poincare_slack_from_poly(np.pad(rows, ((0, 0), (0, 3)))),
+                        slack, rtol=0.0, atol=1e-13)
+
+
+def test_poincare_degree_one_rows_are_equality_cases():
+    # f = a + b y: both sides equal b^2/12
+    slack = sl.poincare_slack_from_poly(np.array([[-1.0, 2.0, 0.0, 0.0],
+                                                  [3.0, -5.0, 0.0, 0.0]]))
+    assert np.all(np.abs(slack) < 1e-14)
+
+
+def test_poincare_one_polynomial_gives_a_float():
+    assert type(sl.poincare_slack_from_poly([1.0, -2.0, 0.5])) is float
+    assert type(sl.poincare_slack_from_poly(np.array([4.0]))) is float
+
+
 # -- the cubic-with-root polynomial bound ------------------------------------
 
 def test_g_endpoint_values():
     assert abs(sl.g_poly(-2.0) - (-4.0 / 3.0)) < 1e-14
     assert sl.g_poly(0.0) == 0.0
+
+
+def test_g_cube_as_product_is_the_power_to_roundoff():
+    # g_poly writes x^3 as x*x*x; on the certification grid it stays within
+    # 4 ulp of the sum of |terms| of the x**3 form
+    x = np.arange(-2.0, -G_CUSP + 0.5e-5, 1e-5)
+    rad = np.clip(-x * x - 2.0 * x, 0.0, None)
+    terms = [2.0 * x, -2.0 * x * x, -(4.0 / 3.0) * x ** 3,
+             (4.0 * THETA / 3.0) * rad ** 1.5]
+    ref = terms[0] + terms[1] + terms[2] + terms[3]
+    bound = 4.0 * np.finfo(float).eps * sum(np.abs(t) for t in terms)
+    assert np.all(np.abs(sl.g_poly(x) - ref) <= bound)
 
 
 def test_g_derivative_exact_at_minus_one():
@@ -172,13 +226,45 @@ def full_grid_prop_reference(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
     {"delta": 0.05, "delta1": 0.05, "step": 5e-3},  # worst 1.2686, off the origin
     {"box": (-2.5, 0.5, -1.0, 1.0), "step": 4e-3},
     {"box": (5.0, 6.0, 5.0, 6.0), "step": 1e-2},
-], ids=["default-box", "delta1-0.05", "z2-below-zero", "empty-band"])
+    {"delta1": 0.5, "step": 5e-3},
+    {"box": (-1.8, -0.2, -0.7, 0.7), "step": 2e-3},  # each side cuts the ring
+    {"box": (-3.0, 1.0, -0.3, 2.0), "step": 5e-3},
+    {"step": 7e-3},  # 4/7e-3 and 3/7e-3 are not integers
+], ids=["default-box", "delta1-0.05", "z2-below-zero", "empty-band", "delta1-0.5",
+        "box-cuts-the-ring", "z2-straddles-zero", "step-does-not-divide"])
 def test_certify_prop_algebra_matches_full_grid(kwargs):
     worst, arg, count = full_grid_prop_reference(**kwargs)
     rep = sl.certify_prop_algebra(**kwargs)
     assert rep.worst_value == worst
     npt.assert_array_equal(rep.details["argmax"], arg)
     assert rep.details["admissible_points"] == count
+
+
+@pytest.mark.parametrize("kwargs", [{"delta": 0.05, "delta1": 0.05, "step": 5e-3},
+                                    {"delta1": 0.5, "step": 5e-3}])
+def test_certify_prop_algebra_blocks_match_full_grid(monkeypatch, kwargs):
+    # blocks of about 97 points: hundreds of blocks, seams between the two
+    # column ranges of a row and between rows
+    monkeypatch.setattr(inequalities, "BAND_BLOCK_POINTS", 97)
+    worst, arg, count = full_grid_prop_reference(**kwargs)
+    rep = sl.certify_prop_algebra(**kwargs)
+    assert rep.worst_value == worst
+    npt.assert_array_equal(rep.details["argmax"], arg)
+    assert rep.details["admissible_points"] == count
+
+
+def test_certify_prop_algebra_evaluates_e_near_the_band_only(monkeypatch):
+    calls = []
+
+    def counted(z1, z2):
+        calls.append(np.broadcast(z1, z2).size)
+        return E_poly(z1, z2)
+
+    monkeypatch.setattr(inequalities, "E_poly", counted)
+    rep = sl.certify_prop_algebra()
+    assert rep.details["grid_points"] == 12_007_001
+    assert sum(calls) == rep.details["evaluated_points"] < 0.01 * 12_007_001
+    assert rep.details["admissible_points"] == 31_477
 
 
 def test_certify_prop_algebra_empty_band_is_not_certified():
