@@ -205,8 +205,8 @@ def cmd_verify_inequalities(args):
     rep_r = ineq.maximize_r_delta(n_starts=n_starts, seed=args.seed)
     checks.append((rep_r.target, rep_r.certified,
                    f"max found = {rep_r.worst_value:.3e}",
-                   f"{rep_r.details['nfev']} objective calls, "
-                   f"{rep_r.details['nit']} iterations",
+                   f"{rep_r.details['nfev']} batched calls over "
+                   f"{rep_r.details['rows']} rows, {rep_r.details['nit']} iterations",
                    rep_r.runtime_s))
 
     all_ok = True

@@ -71,6 +71,26 @@ MAX_AMPLITUDE = 1e3
 #: any test, demo or benchmark workload runs (6 modes on 200 cells)
 MAX_MODE_CELLS = 10_000_000
 
+#: bound on |u_minus|.  u enters the equations only through differences, so
+#: u_minus shifts every velocity by a constant and costs about |u_minus| 1e-16
+#: of absolute precision in each.  The default run's entropy moves in its
+#: 11th digit at 1e6 and in its 8th at 1e8; `shocklab profile` fails its
+#: jump-condition check from 1e7 and `simulate` its entropy check by 1e12.
+#: Near 1e100 the profile's arithmetic overflows
+MAX_ABS_U_MINUS = 1e6
+
+#: lower bound on width / L: the perturbation squares x / width over the grid,
+#: |x| <= L, which overflows once L / width passes 1.3e154.  Every width under
+#: half a cell (at least 1 / (2 MAX_CELLS) of L) already puts the bump on one
+#: grid point at most, so the bound refuses no other run
+MIN_WIDTH_OVER_L = 1e-150
+
+#: bound on the records of a run, t_end_sigma / record_sigma + 1: about 67
+#: times the most of any test, demo or benchmark workload (1,501, in
+#: test_shift_settles_for_small_bump_on_aligned_state).  A record costs about
+#: 0.2 ms and 19 floats of trace at the defaults
+MAX_RECORDS = 100_000
+
 #: the profile's knot spacing is at most L/50, and its ODE residual grows
 #: about like 1/span_over_eps once the knots crowd.  With gamma <= 1e6 and eps
 #: over the whole supported range, `shocklab profile` passes down to 0.01
@@ -117,6 +137,9 @@ class ExperimentConfig:
     def validate_profile(self):
         """Check the keys a profile and its weight read (`shocklab profile` reads no other)."""
         self._check_numbers(("gamma", "v_minus", "u_minus", "eps", "span_over_eps", "lam"))
+        if abs(self.u_minus) > MAX_ABS_U_MINUS:
+            raise ValueError(f"u_minus must lie within [-{MAX_ABS_U_MINUS:g}, "
+                             f"{MAX_ABS_U_MINUS:g}], got {self.u_minus!r}")
         if self.span_over_eps < MIN_SPAN_OVER_EPS:
             raise ValueError(f"span_over_eps must be at least {MIN_SPAN_OVER_EPS:g}, "
                              f"got {self.span_over_eps!r}")
@@ -175,6 +198,9 @@ class ExperimentConfig:
             raise ValueError(f"width = {self.width!r} is over 0.8 L = {0.8 * L:.6g}, with "
                              f"L = span_over_eps / eps = {self.span_over_eps!r} / {self.eps!r}: "
                              "the perturbation support must stay within 80% of the domain")
+        if self.width < MIN_WIDTH_OVER_L * L:
+            raise ValueError(f"width = {self.width!r} is under {MIN_WIDTH_OVER_L:g} L = "
+                             f"{MIN_WIDTH_OVER_L * L:.6g}: (x / width)^2 overflows on the grid")
         # a step has dt < cfl_safety*dx/|sigma|  (+1: end tolerance); the
         # parabolic limit sets the stage count and the records are written
         # by dense output, so neither sets dt
@@ -182,6 +208,11 @@ class ExperimentConfig:
         if min_steps > solver.MAX_STEPS + 1:
             raise ConfigError(f"t_end_sigma = {self.t_end_sigma!r} needs at least {min_steps:.4g} "
                               f"steps, over the step-count limit of {solver.MAX_STEPS}")
+        records = self.t_end_sigma / self.record_sigma + 1.0
+        if records > MAX_RECORDS:
+            raise ConfigError(f"record_sigma = {self.record_sigma!r} makes {records:.4g} records "
+                              f"over t_end_sigma = {self.t_end_sigma!r}, over the record limit "
+                              f"of {MAX_RECORDS}")
         return self
 
 

@@ -16,7 +16,9 @@ Contents:
     evaluated only at the grid points next to the band's ring,
   * the constrained functional R_delta(W) on (0,1) and its multistart
     maximization: one batched L-BFGS ascent of all starts at once on the
-    exact gradient of R_delta (``minimize``).
+    exact gradient of R_delta (``minimize``), for delta up to about 0.33 in
+    coordinates where the second variation of R_delta at W = 0 is minus the
+    identity.
 
 The module needs numpy alone: the quadrature is Gauss-Legendre on graded
 panels, the roots of g' come from a vectorized bisection, and the ascent is
@@ -456,8 +458,22 @@ def _r_delta_kernel(rows, A, D, q, qd, delta):
     return val, grad
 
 
+def _r_delta_hessian_at_zero(A, D, q, qd, delta):
+    """M, the Hessian of -R_delta at W = 0 in the coefficients p of W = A p,
+    W' = D p (the weights as in ``_r_delta_kernel``).
+
+    Only the quadratic terms of R_delta have a second variation at 0:
+    M = (8/d) a a^T - 2(1+d) G + 2(1-d) H with a = A^T q, G = A^T diag(q) A
+    and H = D^T diag(qd) D.
+    """
+    a = A.T @ q
+    return ((8.0 / delta) * np.outer(a, a) - 2.0 * (1.0 + delta) * (A.T @ (q[:, None] * A))
+            + 2.0 * (1.0 - delta) * (D.T @ (qd[:, None] * D)))
+
+
 #: curvature pairs each row keeps, the Armijo sufficient-decrease constant and
-#: the most step halvings in one iteration
+#: the most backtracking steps in one iteration (each shrinks the step to at
+#: most half)
 LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 40
@@ -469,11 +485,13 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
     fun takes an (m, k) array and returns the m values and the (m, k)
     gradients.  Each row keeps its own limited-memory inverse Hessian (the
     two-loop recursion, Nocedal & Wright 2006, Alg. 7.4) and its own Armijo
-    backtracking by halving from the full step.  A row stops when its
-    decrease falls to ftol * max(|f_old|, |f_new|, 1), when its largest
-    gradient entry falls to gtol, when its line search finds no decrease or
-    after maxiter iterations; from then on it is left out of the calls of
-    fun.  A curvature pair with s.y <= 0 is kept as a no-op (rho = 0), so
+    backtracking from the full step: a rejected step t gives way to the
+    minimizer of the quadratic through f(0), the slope at 0 and f(t), kept
+    within [0.1 t, 0.5 t] (N&W section 3.5); a nan f(t) gives 0.1 t.  A row
+    stops when its decrease falls to ftol * max(|f_old|, |f_new|, 1), when
+    its largest gradient entry falls to gtol, when its line search finds no
+    decrease or after maxiter iterations; from then on it is left out of the
+    calls of fun.  A curvature pair with s.y <= 0 is kept as a no-op (rho = 0), so
     every row's inverse Hessian stays positive definite.
 
     Returns a namespace with x and fun, the best point and value of each row,
@@ -521,7 +539,10 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
             if not need.any():
                 break
             r = np.flatnonzero(need)
-            t[r] *= 0.5
+            tr = t[r]
+            tq = -0.5 * slope[r] * tr * tr / (f_new[r] - f[r] - slope[r] * tr)
+            # fmax, unlike clip, takes 0.1 t where f(t), and so tq, is nan
+            t[r] = np.fmin(np.fmax(tq, 0.1 * tr), 0.5 * tr)
             x_new[r] = x[r] + t[r, None] * d[r]
             f_new[r], g_new[r] = fun(x_new[r])
             nfev += 1
@@ -548,13 +569,20 @@ def maximize_r_delta(delta=0.01, n_starts=200, seed=20240817):
     W of Legendre degree R_DELTA_DEGREE sampled on R_DELTA_N_GRID uniform
     points of [0, 1].
 
-    Starts are random Legendre coefficient vectors (decaying spectrum, random
-    radius), all ascended together by one batched L-BFGS (``minimize``) on the
-    exact gradient.  Returns a CertificationReport whose worst_value is the
-    largest R_delta found (the claim is that it stays <= 0 up to
-    discretization noise); details carry the ascent's nfev and nit.  They
-    count batched kernel calls and batched iterations, each covering every
-    start still active.
+    Starts are random Legendre coefficient vectors p (decaying spectrum,
+    random radius), all ascended together by one batched L-BFGS
+    (``minimize``) on the exact gradient.  The term -(1/d)(int W^2 + 2 int W)^2
+    makes the problem stiff: its curvature 8/d in the direction of int W
+    dwarfs the others.  So where M, the Hessian of -R_delta at W = 0
+    (``_r_delta_hessian_at_zero``), is positive definite, M = L L^T, the
+    search runs in z = L^T p, where that Hessian is the identity (N&W
+    section 7.2); the starts are the same W.  M is positive definite up to
+    d ~ 0.33; above that the search stays in the Legendre coefficients.
+
+    Returns a CertificationReport whose worst_value is the largest R_delta
+    found (the claim is that it stays <= 0 up to discretization noise);
+    details carry the ascent's nfev, nit and rows: batched kernel calls,
+    batched iterations and the sum of the calls' batch sizes.
     """
     if n_starts < 1 or not delta > 0.0:
         raise ValueError("need n_starts >= 1 and delta > 0")
@@ -570,8 +598,19 @@ def maximize_r_delta(delta=0.01, n_starts=200, seed=20240817):
         row[:] = rng.standard_normal(k) / (1.0 + np.arange(k)) ** 2
         row *= rng.uniform(0.05, np.sqrt(R_DELTA_C1))
 
-    def neg_r_delta(p):
-        val, grad = _r_delta_kernel(p, leg, leg_d, q, qd, delta)
+    try:
+        chol = np.linalg.cholesky(_r_delta_hessian_at_zero(leg, leg_d, q, qd, delta))
+    except np.linalg.LinAlgError:
+        pass  # M is indefinite: the search stays in p
+    else:  # W = leg p = (leg L^-T) z
+        to_p = np.linalg.inv(chol).T
+        leg, leg_d, starts = leg @ to_p, leg_d @ to_p, starts @ chol
+    rows = 0
+
+    def neg_r_delta(z):
+        nonlocal rows
+        rows += len(z)
+        val, grad = _r_delta_kernel(z, leg, leg_d, q, qd, delta)
         return -val, -grad
 
     res = minimize(neg_r_delta, starts, maxiter=200, ftol=1e-14, gtol=1e-12)
@@ -585,6 +624,6 @@ def maximize_r_delta(delta=0.01, n_starts=200, seed=20240817):
         certified=bool(best_val <= 1e-8),
         method="multistart",
         details={"delta": delta, "c1": R_DELTA_C1, "n_starts": n_starts, "seed": seed,
-                 "nfev": res.nfev, "nit": res.nit},
+                 "nfev": res.nfev, "nit": res.nit, "rows": rows},
         runtime_s=time.perf_counter() - t0,
     )

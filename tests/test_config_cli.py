@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -459,6 +460,51 @@ def test_step_bound_counts_the_advective_limit(capsys):
         sl.ExperimentConfig(t_end_sigma=8001.0, record_sigma=1.0).validate()
 
 
+def test_record_bound_refuses_a_run_that_would_not_end(capsys):
+    # t_end_sigma / record_sigma records: 2e6 at 1e-6 ran on past 20 s, and
+    # 1e-300 asked for about 1e300
+    with pytest.raises(sl.experiment.ConfigError, match="record_sigma"):
+        sl.ExperimentConfig(record_sigma=1e-6).validate()
+    for value in ("1e-6", "1e-300"):
+        assert main(["simulate", "--set", f"record_sigma={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: record_sigma = {float(value)!r}") and err.count("\n") == 1
+    # t_end_sigma / record_sigma + 1 records, at most MAX_RECORDS of them
+    limit = sl.experiment.MAX_RECORDS
+    sl.ExperimentConfig(t_end_sigma=(limit - 1) * 0.01, record_sigma=0.01).validate()
+    with pytest.raises(sl.experiment.ConfigError, match="record_sigma"):
+        sl.ExperimentConfig(t_end_sigma=limit * 0.01, record_sigma=0.01).validate()
+    # the audit's fine level divides record_sigma by r, and is checked first
+    # (66,668 records at r = 1, 133,334 at r = 2)
+    assert main(["audit", "--set", "record_sigma=0.00003", "--refine", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --refine 2 ") and "record_sigma = 1.5e-05 makes" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--set", "width=1e-300"], "width"),  # overflowed in c2_bump
+    (["simulate", "--set", "u_minus=1e308"], "u_minus"),  # overflowed in the stage sums
+    (["simulate", "--set", "u_minus=-1e7"], "u_minus"),
+    (["profile", "--set", "u_minus=1e308"], "u_minus"),
+], ids=["width-1e-300", "u_minus-1e308", "u_minus--1e7", "profile-u_minus"])
+def test_cli_refuses_an_overflowing_value_under_warnings_as_errors(argv, key, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+
+
+def test_width_and_u_minus_at_their_bounds_are_accepted():
+    L = 40.0 / 0.1
+    bound = sl.experiment.MIN_WIDTH_OVER_L * L
+    sl.ExperimentConfig(width=bound).validate()
+    with pytest.raises(ValueError, match="width"):
+        sl.ExperimentConfig(width=0.5 * bound).validate()
+    sl.ExperimentConfig(u_minus=-1e6).validate()
+    sl.ExperimentConfig(u_minus=1e6).validate_profile()
+
+
 @pytest.mark.parametrize("overrides", [{}, {"gamma": 1.4, "eps": 0.05},
                                        {"cells_per_layer": 100, "cfl_safety": 0.9}])
 def test_step_bound_refuses_no_run_that_could_finish(overrides, monkeypatch):
@@ -521,7 +567,8 @@ def test_cli_verify_inequalities_fast(capsys):
     assert len(lines) == 5 and all(ln.startswith("[PASS] ") for ln in lines)
     # every check reports its work and its runtime
     assert all(re.search(r"\(\d+ [^()]*, \d+\.\d{3} s\)$", ln) for ln in lines)
-    assert re.search(r"max found = \S+ \(\d+ objective calls", lines[-1])
+    assert re.search(r"max found = \S+ \(\d+ batched calls over \d+ rows, \d+ iterations, ",
+                     lines[-1])
     # the band check reports how many points it evaluated, not only the grid
     assert re.search(r"\(\d+ grid points, \d+ evaluated, \d+ in the band, ", lines[3])
 

@@ -16,6 +16,7 @@ from shocklab.inequalities import (
     E_poly,
     P_delta_poly,
     _legendre_maps,
+    _r_delta_hessian_at_zero,
     _r_delta_kernel,
     g_deriv,
     locate_g_critical_points,
@@ -346,6 +347,14 @@ def test_maximize_r_delta_stays_nonpositive_at_delta_one_tenth():
     assert sl.maximize_r_delta(delta=0.1).worst_value <= 1e-8
 
 
+def test_maximize_r_delta_reaches_the_supremum_where_it_cannot_scale():
+    # above delta ~ 0.33 the second variation of -R_delta at 0 is indefinite,
+    # and the search keeps the Legendre coefficients
+    A, D = _legendre_maps(Y64, 12)
+    assert np.linalg.eigvalsh(_r_delta_hessian_at_zero(A, D, Q64, QD64, 0.5))[0] < 0.0
+    npt.assert_allclose(sl.maximize_r_delta(delta=0.5).worst_value, 22.31458, rtol=1e-6)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"n_starts": 0}, {"delta": 0.0},
 ], ids=lambda kw: next(iter(kw)))
@@ -406,6 +415,20 @@ def test_r_delta_kernel_gradient_matches_central_differences(scale, raw):
     npt.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.abs(grad).max())
 
 
+@pytest.mark.parametrize("delta", [0.01, 0.3, 0.5])
+def test_r_delta_hessian_at_zero_matches_central_differences(delta):
+    A, D = _legendre_maps(Y64, 8)
+    M = _r_delta_hessian_at_zero(A, D, Q64, QD64, delta)
+    h = 1e-6
+
+    def grad(p):
+        return _r_delta_kernel(p[None], A, D, Q64, QD64, delta)[1][0]
+
+    fd = np.array([(grad(h * e) - grad(-h * e)) / (2.0 * h) for e in np.eye(9)])
+    npt.assert_allclose(M, M.T, rtol=0, atol=1e-12 * np.abs(M).max())
+    npt.assert_allclose(M, -fd, rtol=1e-6, atol=1e-6 * np.abs(M).max())
+
+
 @pytest.mark.parametrize("scale", [0.3, 4.0])
 def test_r_delta_kernel_value_matches_r_delta(scale):
     A, _ = _legendre_maps(Y64, 8)
@@ -452,3 +475,34 @@ def test_minimize_runs_each_row_and_drops_converged_rows():
     # the start at the minimum leaves before the first step
     assert rows_seen[0] == 4 and max(rows_seen[1:]) == 3
     npt.assert_array_equal(x0[2], [1.0, 1.0])  # x0 is not written to
+
+
+def test_minimize_backtracks_to_the_minimizer_of_the_interpolating_quadratic():
+    # f = x^2 from x = 0.3: the first step has unit length and lands on -0.7,
+    # where Armijo fails; the quadratic through f(0), the slope and f(1) is f
+    # itself, so its minimizer t = 0.3 (in [0.1, 0.5]) is the exact minimum.
+    # Halving would try t = 0.5 and accept x = -0.2
+    calls = []
+
+    def square(x):
+        calls.append(x.copy())
+        return x[:, 0] ** 2, 2.0 * x
+
+    res = minimize(square, [[0.3]], maxiter=1, ftol=0.0, gtol=0.0)
+    npt.assert_allclose([c[0, 0] for c in calls], [0.3, -0.7, 0.0], atol=1e-15)
+    assert res.nfev == 3 and res.nit == 1
+    npt.assert_allclose(res.x, [[0.0]], atol=1e-15)
+
+
+def test_minimize_backtracks_by_the_most_where_the_trial_value_is_nan():
+    # x^2 on (-0.5, 0.5), nan outside: the first trial at -0.7 is nan, the
+    # next step is 0.1 of it, and the search still reaches the minimum
+    calls = []
+
+    def square_inside(x):
+        calls.append(x[0, 0])
+        return np.where(np.abs(x[:, 0]) < 0.5, x[:, 0] ** 2, np.nan), 2.0 * x
+
+    res = minimize(square_inside, [[0.3]], maxiter=50, ftol=0.0, gtol=1e-12)
+    npt.assert_allclose(calls[:3], [0.3, -0.7, 0.2], atol=1e-15)
+    npt.assert_allclose(res.x, [[0.0]], atol=1e-12)

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import shocklab as sl
@@ -166,21 +166,55 @@ def test_bregman_gaps_are_nonnegative_and_vanish_on_the_diagonal(gamma, v, w):
     assert gas.p_relative(w, w) == 0.0
 
 
-# normal magnitudes or zero, so that no product or partial sum is subnormal
-entry = st.floats(-1e3, 1e3).map(lambda z: z if abs(z) >= 1e-100 else 0.0)
+def entries(n):
+    """n floats drawn as one block of 8n bytes: each 8-byte word w gives
+    +-m 10^e, the sign from bit 63, e in [-100, 3] from bits 52-62 and m in
+    [0, 1) from bits 0-51; values under 1e-100 become 0, so that the values
+    are normal or zero and no product or partial sum is subnormal."""
+    def decode(raw):
+        w = np.frombuffer(raw, dtype="<u8")
+        e = ((w >> 52) & 0x7FF).astype(np.int64) % 104 - 100
+        z = np.where(w >> 63, -1.0, 1.0) * ((w & (2 ** 52 - 1)) * 2.0 ** -52) * 10.0 ** e
+        return np.where(np.abs(z) >= 1e-100, z, 0.0)
+
+    return st.binary(min_size=8 * n, max_size=8 * n).map(decode)
 
 
-@PROPERTY
-@given(data=st.data(), n=st.integers(2, 300), dx=st.floats(1e-3, 1.0))
-def test_quad_is_the_trapezoid_rule_to_rounding(data, n, dx):
+def quad_within_rounding(data, n, dx, weights):
     # the functionals' quadrature <tw f, g> with the folded trapezoid weights
     # tw and np.trapezoid sum the same terms in different orders; each is
     # within gamma_{n+4} dx sum|f_i g_i| of the exact trapezoid sum (the
     # products, at most n + 1 additions, the end terms, the dx scaling),
     # with gamma_k = k u / (1 - k u)
-    f = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="f"))
-    g = np.array(data.draw(st.lists(entry, min_size=n, max_size=n), label="g"))
+    f = data.draw(entries(n), label="f")
+    g = data.draw(entries(n), label="g")
     k, u = n + 4, np.finfo(float).eps / 2
     bound = 2.0 * k * u / (1.0 - k * u) * dx * float(np.sum(np.abs(f * g)))
-    tw = _trapezoid_weights(dx * np.arange(n))
-    assert abs(_dot(tw * f, g) - np.trapezoid(f * g, dx=dx)) <= bound
+    tw = weights(dx * np.arange(n))
+    return abs(_dot(tw * f, g) - np.trapezoid(f * g, dx=dx)) <= bound
+
+
+QUAD_ARGS = dict(data=st.data(), n=st.integers(2, 300), dx=st.floats(1e-3, 1.0))
+
+
+@PROPERTY
+@given(**QUAD_ARGS)
+def test_quad_is_the_trapezoid_rule_to_rounding(data, n, dx):
+    assert quad_within_rounding(data, n, dx, _trapezoid_weights)
+
+
+def test_quad_property_catches_a_wrong_end_weight():
+    # negative control: the same draws, with the last end weight dx in place
+    # of dx / 2, must turn up an example outside the bound
+    def one_end_halved(x):
+        tw = np.full(x.size, x[1] - x[0])
+        tw[0] *= 0.5
+        return tw
+
+    @settings(PROPERTY, phases=[Phase.generate])
+    @given(**QUAD_ARGS)
+    def planted(data, n, dx):
+        assert quad_within_rounding(data, n, dx, one_end_halved)
+
+    with pytest.raises(AssertionError):
+        planted()
