@@ -75,8 +75,8 @@ MAX_MODE_CELLS = 10_000_000
 #: u_minus shifts every velocity by a constant and costs about |u_minus| 1e-16
 #: of absolute precision in each.  The default run's entropy moves in its
 #: 11th digit at 1e6 and in its 8th at 1e8; `shocklab profile` fails its
-#: jump-condition check from 1e7 and `simulate` its entropy check by 1e12.
-#: Near 1e100 the profile's arithmetic overflows
+#: jump-condition check from about 2.1e6 (2^21) and `simulate` its entropy
+#: check by 1e12.  Near 1e100 the profile's arithmetic overflows
 MAX_ABS_U_MINUS = 1e6
 
 #: lower bound on width / L: the perturbation squares x / width over the grid,
@@ -90,6 +90,14 @@ MIN_WIDTH_OVER_L = 1e-150
 #: test_shift_settles_for_small_bump_on_aligned_state).  A record costs about
 #: 0.2 ms and 19 floats of trace at the defaults
 MAX_RECORDS = 100_000
+
+#: a run evaluates its records in blocks of K = max(1, RECORD_BLOCK_FLOATS // n)
+#: states on n grid points, so that each temporary of a block's breakdown,
+#: K*n floats, stays under glibc's default mmap threshold of 128 KiB.
+#: compute_breakdown per record, in-process on one core: at n = 2001, 168 us
+#: one at a time and 86 us in blocks of 8; at n = 8001, 307 us one at a
+#: time, 277 us in blocks of 2 and 534 us in blocks of 16
+RECORD_BLOCK_FLOATS = 16384
 
 #: the profile's knot spacing is at most L/50, and its ODE residual grows
 #: about like 1/span_over_eps once the knots crowd.  With gamma <= 1e6 and eps
@@ -428,8 +436,11 @@ def coupled_rk4_step(setup, v, h, X, dt, f0):
 def run_experiment(setup):
     """March the coupled system to t_end, recording the breakdown at the cadence.
 
-    Returns (trace, final FieldState with shift, summary dict).  All states
-    are at xi = x - X (module docstring).
+    The records are buffered and their breakdowns evaluated in blocks of
+    up to K states (RECORD_BLOCK_FLOATS); each row of a block gives the
+    record's trace entries bit for bit, and a partial last block is
+    evaluated when the march returns.  Returns (trace, final FieldState with
+    shift, summary dict).  All states are at xi = x - X (module docstring).
     """
     cfg, sig, eps = setup.config, setup.sigma, setup.eps
     t_end = cfg.t_end_sigma / abs(sig)
@@ -437,21 +448,34 @@ def run_experiment(setup):
     v_floor = cfg.v_floor_frac * setup.profile.states.v_plus
 
     state = initial_state(setup)
-    rows = {f.name: [] for f in fields(ContractionTrace)}
+    n = setup.grid.x.size
+    K = max(1, RECORD_BLOCK_FLOATS // n)
+    block_v, block_h, block_t, block_X = np.empty((K, n)), np.empty((K, n)), [], []
+    cols = {f.name: [] for f in fields(ContractionTrace)}
     t_wall = time.perf_counter()
 
-    def record(t, y):
-        v, h, X = y
-        bd = compute_breakdown(v, h, setup.frame)
-        rate = shift_rhs(bd.Y, bd.B, eps)
+    def flush():
+        m = len(block_t)
+        bd = compute_breakdown(block_v[:m], block_h[:m], setup.frame)
         for f in fields(bd):
-            rows[f.name].append(getattr(bd, f.name))
-        rows["t"].append(t)
-        rows["X"].append(X)
-        rows["Xdot"].append(rate)
-        rows["R"].append(r_residual(bd, eps, cfg.lam))
-        rows["branch_saturated"].append(1.0 if saturated(bd.Y, eps) else 0.0)
-        rows["overshoot"].append(overshoot(rate, eps))
+            cols[f.name].append(getattr(bd, f.name))
+        rate = shift_rhs(bd.Y, bd.B, eps)
+        cols["t"].append(np.array(block_t))
+        cols["X"].append(np.array(block_X))
+        cols["Xdot"].append(rate)
+        cols["R"].append(r_residual(bd, eps, cfg.lam))
+        cols["branch_saturated"].append(np.where(saturated(bd.Y, eps), 1.0, 0.0))
+        cols["overshoot"].append(overshoot(rate, eps))
+        block_t.clear()
+        block_X.clear()
+
+    def record(t, y):
+        j = len(block_t)
+        block_v[j], block_h[j] = y[0], y[1]
+        block_t.append(t)
+        block_X.append(y[2])
+        if j + 1 == K:
+            flush()
 
     # drift bound 2|Xdot|, with Xdot = f[2] at the step's start.  The
     # advective limit holds while |Xdot| at most doubles within a step
@@ -461,8 +485,10 @@ def run_experiment(setup):
         lambda y, f: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety,
                                drift=2.0 * abs(f[2])),
         v_floor, rec_dt, record)
+    if block_t:
+        flush()
 
-    trace = ContractionTrace(**{name: np.array(col) for name, col in rows.items()})
+    trace = ContractionTrace(**{name: np.concatenate(col) for name, col in cols.items()})
     summary = summarize_trace(trace, setup, time.perf_counter() - t_wall)
     return trace, (FieldState(t=t, v=v, h=h), X), summary
 

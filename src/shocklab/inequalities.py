@@ -487,11 +487,14 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
     two-loop recursion, Nocedal & Wright 2006, Alg. 7.4) and its own Armijo
     backtracking from the full step: a rejected step t gives way to the
     minimizer of the quadratic through f(0), the slope at 0 and f(t), kept
-    within [0.1 t, 0.5 t] (N&W section 3.5); a nan f(t) gives 0.1 t.  A row
+    within [0.1 t, 0.5 t] (N&W section 3.5); a nan f(t) gives 0.1 t.  A
+    line search fails after MAX_HALVINGS rejected steps, or once the
+    predicted decrease -t * slope of a rejected step is within machine
+    epsilon of |f|, where rounding alone decides the Armijo test.  A row
     stops when its decrease falls to ftol * max(|f_old|, |f_new|, 1), when
-    its largest gradient entry falls to gtol, when its line search finds no
-    decrease or after maxiter iterations; from then on it is left out of the
-    calls of fun.  A curvature pair with s.y <= 0 is kept as a no-op (rho = 0), so
+    its largest gradient entry falls to gtol, when its line search fails or
+    after maxiter iterations; from then on it is left out of the calls of
+    fun.  A curvature pair with s.y <= 0 is kept as a no-op (rho = 0), so
     every row's inverse Hessian stays positive definite.
 
     Returns a namespace with x and fun, the best point and value of each row,
@@ -535,10 +538,13 @@ def minimize(fun, x0, *, maxiter, ftol, gtol):
         f_new, g_new = fun(x_new)
         nfev += 1
         need = ~(f_new <= f + ARMIJO_C * slope)
+        rounding = np.finfo(float).eps * np.abs(f)
         for _ in range(MAX_HALVINGS):
-            if not need.any():
+            # a row whose predicted decrease -t*slope is within the rounding
+            # of f has its Armijo test decided by rounding alone: it stops
+            r = np.flatnonzero(need & (-t * slope > rounding))
+            if r.size == 0:
                 break
-            r = np.flatnonzero(need)
             tr = t[r]
             tq = -0.5 * slope[r] * tr * tr / (f_new[r] - f[r] - slope[r] * tr)
             # fmax, unlike clip, takes 0.1 t where f(t), and so tq, is nan

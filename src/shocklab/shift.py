@@ -17,12 +17,17 @@ the useful object is the residual
 whose nonpositivity is what makes the entropy rate negative there.
 """
 
+import numpy as np
+
 __all__ = ["phi_eps", "shift_rhs", "saturated", "r_residual", "overshoot"]
 
 
 def phi_eps(y, eps):
-    """Capped-linear shift response at a scalar y; exact at the knots."""
+    """Capped-linear shift response at a float y, or at each entry of an
+    array y; exact at the knots."""
     e2 = eps * eps
+    if isinstance(y, np.ndarray):
+        return np.where(y <= -e2, 1.0 / e2, np.where(y >= e2, -1.0 / e2, -y / (e2 * e2)))
     return float(1.0 / e2 if y <= -e2 else -1.0 / e2 if y >= e2 else -y / (e2 * e2))
 
 
@@ -33,16 +38,23 @@ def shift_rhs(Y, B, eps):
 
 def saturated(Y, eps):
     """True on the saturated branch |Y| >= eps^2."""
-    return bool(abs(Y) >= eps * eps)
+    return abs(Y) >= eps * eps
 
 
 def r_residual(breakdown, eps, lam):
-    """R = -Y^2/eps^4 + (1 + 0.1*eps/lam)|B| - G of a breakdown."""
+    """R = -Y^2/eps^4 + (1 + 0.1*eps/lam)|B| - G of a breakdown.
+
+    For a breakdown of a block of states (arrays of Y, B and G), each entry
+    is the R of that state alone, bit for bit: Y^2 is then Python's float
+    power entry by entry, since numpy's square of an array rounds about one
+    value in 1,200 differently.
+    """
+    Y = breakdown.Y
+    Y2 = np.array([y ** 2 for y in Y.tolist()]) if isinstance(Y, np.ndarray) else Y ** 2
     margin = 0.1 * eps / lam
-    return (-breakdown.Y ** 2 / eps ** 4
-            + (1.0 + margin) * abs(breakdown.B) - breakdown.G)
+    return -Y2 / eps ** 4 + (1.0 + margin) * abs(breakdown.B) - breakdown.G
 
 
 def overshoot(xdot, eps):
     """f = (|Xdot|*eps^2 - 1)_+ ; bounded by 2|B| pointwise."""
-    return max(abs(xdot) * eps * eps - 1.0, 0.0)
+    return np.maximum(abs(xdot) * eps * eps - 1.0, 0.0)

@@ -27,13 +27,12 @@ steady tests need), with a Thomas solve of its tridiagonal Jacobian, and
 binary checkpoint IO.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-
-from .profile import _hermite_coef
 
 __all__ = [
     "Grid",
@@ -213,33 +212,59 @@ def rkc2(rhs, y, dt, rho, f0):
 
 
 def _finite(y):
-    return all(np.all(np.isfinite(a)) for a in y)
+    """Every entry of the tuple y is finite: one ndarray.all() per array,
+    math.isfinite per float."""
+    return all(np.isfinite(a).all() if isinstance(a, np.ndarray) else math.isfinite(a)
+               for a in y)
+
+
+#: the values (y0, y1) and slopes (f0, f1) at the two ends of the four
+#: Hermite basis cubics, in the order of `_dense`'s weights
+_HERMITE_BASIS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                  (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
 def _dense(t0, y0, f0, t1, y1, f1, times):
-    """The states at the times in [t0, t1] (to within 1e-12) of the step
-    (t0, y0) -> (t1, y1), one tuple like y per time.
+    """The states at the nonempty, ascending list of times in [t0, t1] (to
+    within 1e-12) of the step (t0, y0) -> (t1, y1), as one block per
+    component of y: row j of a block (an entry, for a float component) is
+    that component at times[j].
 
     A time at the step's end takes y1 itself; the others take the cubic
     Hermite interpolant of y with the slopes f0 and f1 at the two ends
     (Hairer, Norsett and Wanner, Solving ODEs I, II.6).  The interpolant is
-    linear in (y0, y1, f0, f1), so it is the sum of the four with the weights
-    of the four Hermite basis cubics of the step at that time; the form of
-    `profile._hermite_coef` gives these as its four curves with unit values
-    and slopes (the rows of the identity).
+    linear in (y0, y1, f0, f1), so row j is
+    ((W[j][0]*y0 + W[j][1]*y1) + W[j][2]*f0) + W[j][3]*f1, with W[j] the
+    values at times[j] of the step's four Hermite basis cubics.  Their
+    coefficients are computed in floats by the operations of
+    `profile._hermite_coef` on the four curves with unit value or slope, so
+    they equal its results bit for bit.
     """
-    basis = np.eye(4)
-    c0, c1, c2, c3 = _hermite_coef(np.array([t0, t1]), basis[:2], basis[2:])[0]
+    h = t1 - t0
+    coef = []
+    for a, b, da, db in _HERMITE_BASIS:
+        slope = (b - a) / h
+        c = (da + db - 2 * slope) / h
+        coef.append((c / h, (slope - da) / h - c, da, a))
+    # the times ascend, so those at the step's end come last
+    W = [[((c0 * s + c1) * s + c2) * s + c3 for c0, c1, c2, c3 in coef]
+         for s in (t - t0 for t in times if t < t1 - 1e-12)]
     out = []
-    for t in times:
-        if t >= t1 - 1e-12:
-            out.append(y1)
-            continue
-        s = t - t0
-        w0, w1, w2, w3 = ((c0 * s + c1) * s + c2) * s + c3
-        out.append(tuple(w0 * a0 + w1 * a1 + w2 * g0 + w3 * g1
-                         for a0, a1, g0, g1 in zip(y0, y1, f0, f1)))
-    return out
+    for a0, a1, g0, g1 in zip(y0, y1, f0, f1):
+        if isinstance(a0, np.ndarray):
+            # row by row in place: a broadcast (m, 1)*(n,) product is slower
+            block = np.empty((len(times), a0.size))
+            for row, (w0, w1, w2, w3) in zip(block, W):
+                np.multiply(w0, a0, out=row)
+                row += w1 * a1
+                row += w2 * g0
+                row += w3 * g1
+            block[len(W):] = a1
+        else:
+            block = np.array([w0 * a0 + w1 * a1 + w2 * g0 + w3 * g1 for w0, w1, w2, w3 in W]
+                             + [a1] * (len(times) - len(W)))
+        out.append(block)
+    return tuple(out)
 
 
 def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None):
@@ -254,7 +279,9 @@ def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=N
     extra rhs call per march.  When
     record_dt is set, on_record(t, y) fires at the start and at each time
     t + k*record_dt up to t_end; a record inside a step is the cubic Hermite
-    interpolant of y between the step's two ends with their slopes (`_dense`).
+    interpolant of y between the step's two ends with their slopes (`_dense`,
+    which evaluates the records of a step as one block per component; y is
+    then a tuple of row views of the blocks, which the march does not reuse).
 
     The start must have v > 0 and every component finite.  A step is
     retried with halved dt, up to 5 times, if its result has a non-finite
@@ -295,10 +322,12 @@ def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=N
                 k_end = k
                 while t_rec + k_end * rec_dt <= t + dt + 1e-12:
                     k_end += 1
-                times = t_rec + rec_dt * np.arange(k, k_end)
+                times = (t_rec + rec_dt * np.arange(k, k_end)).tolist()
+                if not times:
+                    break
                 recs = _dense(t, y, f, t + dt, cand, f_end, times)
-                finite = all(map(_finite, recs))
-                if finite and all(np.min(r[0]) > v_floor for r in recs):
+                finite = _finite(recs)
+                if finite and recs[0].min() > v_floor:
                     break
             dt *= 0.5
         else:
@@ -311,8 +340,8 @@ def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=N
                 f"positivity guard: v <= {v_floor} persists after 5 dt halvings"
             )
         if on_record is not None:
-            for tj, r in zip(times.tolist(), recs):
-                on_record(tj, r)
+            for j, tj in enumerate(times):
+                on_record(tj, tuple(block[j] for block in recs))
         t, y, f, k, steps = t + dt, cand, f_end, k_end, steps + 1
     return t, y
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import shocklab as sl
-from shocklab.cli import PROFILE_RESIDUAL_TOL, _profile_ok, main
+from shocklab.cli import (JUMP_RESIDUAL_TOL, PROFILE_RESIDUAL_TOL, _jump_conditions_ok,
+                          _profile_ok, main)
 
 
 def config_to_text(config):
@@ -153,6 +154,28 @@ def test_profile_verdict_bounds_the_residual_relative_to_eps(gamma, v_minus, eps
     assert under.ode_residual_sup() < bound < over.ode_residual_sup()
     assert over.monotone()
     assert _profile_ok(under) and not _profile_ok(over)
+
+
+@pytest.mark.parametrize("gamma, v_minus, eps", [(2.0, 1.0, 0.1), (1.4, 1e40, 1e-57)])
+def test_jump_verdict_bounds_the_residuals_relative_to_the_jump(gamma, v_minus, eps):
+    # negative control: u_plus moved until the larger Rankine-Hugoniot
+    # residual is just over JUMP_RESIDUAL_TOL * |u_plus - u_minus| fails,
+    # just under passes, at p(v_minus) = 1 and at 1e-56, where the jump is
+    # 8.1e-10: its bound is 8.1e-19, and the absolute 1e-10 could not fail
+    states = sl.end_states_from_amplitude(sl.GasModel(gamma, v_minus), eps)
+    assert _jump_conditions_ok(states)
+
+    def moved(frac):
+        # sigma*[u] - [p] moves by sigma*du, sigma*[v] + [u] by du
+        du = frac * JUMP_RESIDUAL_TOL * abs(states.u_plus - states.u_minus)
+        return replace(states, u_plus=states.u_plus + du / max(1.0, abs(states.sigma)))
+
+    def ratio(st):
+        return max(map(abs, st.rankine_hugoniot_residuals())) / abs(st.u_plus - st.u_minus)
+
+    over, under = moved(1.01), moved(0.99)
+    assert ratio(under) < JUMP_RESIDUAL_TOL < ratio(over)
+    assert _jump_conditions_ok(under) and not _jump_conditions_ok(over)
 
 
 def test_cli_profile_checks_only_the_keys_it_reads(capsys):
@@ -592,6 +615,7 @@ def refused_by_the_parser(argv, capsys):
     # entropy growth threshold is now a constant, so the flag itself is refused
     (["simulate", "--tol", "nan"], "--tol"),
     (["simulate", "--tol", "inf"], "--tol"),
+    (["audit", "--refine", "1"], "--refine"),  # compared the coarse level with itself
 ])
 def test_cli_rejects_a_bad_count_at_parse_time(argv, flag, capsys):
     # refused by the parser, before any run: exit 2 and one error line

@@ -1,5 +1,6 @@
 """Coupled PDE + shift experiments: setup, traces, audits, steady runs."""
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -10,7 +11,8 @@ import numpy.testing as npt
 import pytest
 
 import shocklab as sl
-from shocklab.experiment import c2_bump, phase_aligned_steady
+from shocklab.experiment import RECORD_BLOCK_FLOATS, _audit_level, c2_bump, phase_aligned_steady
+from shocklab.shift import overshoot, r_residual, saturated
 
 
 def short_config(**kw):
@@ -89,16 +91,102 @@ def test_large_amplitude_kind_runs():
 
 def recorded_states(monkeypatch):
     """A list that receives a (v, h) copy at each record of the next run,
-    taken where the run computes that record's breakdown."""
+    taken where the run computes that record's breakdown: the run passes a
+    block of records, one per row."""
     snaps = []
     breakdown = sl.experiment.compute_breakdown
 
     def traced(v, h, frame):
-        snaps.append((v.copy(), h.copy()))
+        snaps.extend((vr.copy(), hr.copy()) for vr, hr in zip(v, h))
         return breakdown(v, h, frame)
 
     monkeypatch.setattr(sl.experiment, "compute_breakdown", traced)
     return snaps
+
+
+def recorded_blocks(monkeypatch):
+    """A list that receives (v, h) copies of each block of records of the
+    next run, one record per row, as the run computes their breakdowns."""
+    blocks = []
+    breakdown = sl.experiment.compute_breakdown
+
+    def traced(v, h, frame):
+        blocks.append((v.copy(), h.copy()))
+        return breakdown(v, h, frame)
+
+    monkeypatch.setattr(sl.experiment, "compute_breakdown", traced)
+    return blocks
+
+
+def assert_trace_is_the_breakdowns_of_the_blocks(trace, blocks, setup):
+    """Every record's trace entries are those of its state alone, bit for
+    bit: the 1-d breakdown of the block row and the scalar shift functions."""
+    cfg, eps = setup.config, setup.eps
+    rows = [sl.compute_breakdown(v, h, setup.frame) for V, H in blocks for v, h in zip(V, H)]
+    assert len(rows) == len(trace.t)
+    rates = [sl.shift_rhs(bd.Y, bd.B, eps) for bd in rows]
+    expected = {f.name: [getattr(bd, f.name) for bd in rows]
+                for f in dataclasses.fields(sl.FunctionalBreakdown)}
+    expected.update(Xdot=rates, R=[r_residual(bd, eps, cfg.lam) for bd in rows],
+                    branch_saturated=[1.0 if saturated(bd.Y, eps) else 0.0 for bd in rows],
+                    overshoot=[overshoot(x, eps) for x in rates])
+    for name, values in expected.items():
+        assert np.array(values).tobytes() == getattr(trace, name).tobytes(), name
+
+
+@pytest.mark.parametrize("config", [
+    _audit_level(sl.ExperimentConfig(), 1),
+    sl.ExperimentConfig(steady_relax=True, perturb_kind="none", span_over_eps=20.0,
+                        t_end_sigma=10.0),
+    sl.ExperimentConfig(perturb_kind="random-fourier"),
+    _audit_level(sl.ExperimentConfig(), 2),
+], ids=["default-and-audit-r1", "steady-hold", "random-fourier", "audit-r2"])
+def test_each_record_of_a_block_is_the_breakdown_of_its_state_alone(config, monkeypatch):
+    # a run evaluates its records in blocks of K = RECORD_BLOCK_FLOATS // n
+    # states (8, 4 and 2 at n = 2001, 4001 and 8001), the last block partial
+    # (each of these runs ends in a block of 1), and each row of a block is
+    # the record that the 1-d breakdown of its state gives
+    assert _audit_level(sl.ExperimentConfig(), 1) == sl.ExperimentConfig()
+    setup = sl.build_setup(config)
+    blocks = recorded_blocks(monkeypatch)
+    trace, _, _ = sl.run_experiment(setup)
+    n, records = setup.grid.x.size, len(trace.t)
+    K = RECORD_BLOCK_FLOATS // n
+    assert K == {2001: 8, 4001: 4, 8001: 2}[n] and K * n <= RECORD_BLOCK_FLOATS
+    assert [len(v) for v, _ in blocks] == [K] * (records // K) + [records % K]
+    assert_trace_is_the_breakdowns_of_the_blocks(trace, blocks, setup)
+
+
+def test_records_of_a_step_the_guard_halved_are_written_once(monkeypatch):
+    # the slopes at the end of the first step come back NaN once, so the
+    # records interpolated inside it are NaN and the guard halves dt; the
+    # records of the halved step are written once each, none is lost, and
+    # each is the breakdown of its own state
+    cfg = short_config(record_sigma=0.002)
+    setup = sl.build_setup(cfg)
+    step, march = sl.experiment.coupled_rk4_step, sl.experiment.march
+    tried = []
+    monkeypatch.setattr(sl.experiment, "coupled_rk4_step",
+                        lambda *a: tried.append(a[4]) or step(*a))
+
+    def nan_slopes_once(step, rhs, y, *args):
+        calls = []
+
+        def rhs_nan_once(y):
+            calls.append(1)
+            f = rhs(y)
+            return (f[0] * np.nan,) + f[1:] if len(calls) == 2 else f
+
+        return march(step, rhs_nan_once, y, *args)
+
+    monkeypatch.setattr(sl.experiment, "march", nan_slopes_once)
+    blocks = recorded_blocks(monkeypatch)
+    trace, _, _ = sl.run_experiment(setup)
+    rec_dt = cfg.record_sigma / abs(setup.sigma)
+    # the first try held records, the halved one too
+    assert tried[1] == 0.5 * tried[0] and np.count_nonzero(trace.t < tried[1]) > 2
+    npt.assert_array_equal(trace.t, np.arange(251) * rec_dt)
+    assert_trace_is_the_breakdowns_of_the_blocks(trace, blocks, setup)
 
 
 def test_trace_structure_and_summary(monkeypatch):
@@ -184,7 +272,8 @@ def test_the_march_with_the_shift_frozen_is_the_lab_frame_march(monkeypatch):
     # the co-moving PDE has drift sigma + Xdot; with Xdot forced to 0 that is
     # sigma + 0.0 == sigma, and the step-size drift is 0, so the coupled
     # march is solver.simulate's lab-frame march bit for bit
-    monkeypatch.setattr(sl.experiment, "shift_rhs", lambda Y, B, eps: 0.0)
+    # (0.0 * |Y| is 0.0 at a stage and a zero per record of a block)
+    monkeypatch.setattr(sl.experiment, "shift_rhs", lambda Y, B, eps: 0.0 * abs(Y))
     cfg = short_config(t_end_sigma=0.2)
     setup = sl.build_setup(cfg)
     _, (state, X), _ = sl.run_experiment(setup)

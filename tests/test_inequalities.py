@@ -506,3 +506,21 @@ def test_minimize_backtracks_by_the_most_where_the_trial_value_is_nan():
     res = minimize(square_inside, [[0.3]], maxiter=50, ftol=0.0, gtol=1e-12)
     npt.assert_allclose(calls[:3], [0.3, -0.7, 0.2], atol=1e-15)
     npt.assert_allclose(res.x, [[0.0]], atol=1e-12)
+
+
+def test_minimize_stops_a_line_search_that_rounding_decides():
+    # f reads 1.0 at the start and one ulp more everywhere else, while the
+    # gradient 1e-15 predicts a decrease of 1e-15 * t for a step t, under
+    # the rounding of f (2.2e-16) once t < 0.22: Armijo fails on rounding
+    # alone.  The search stops there instead of backtracking MAX_HALVINGS
+    # times (42 calls in all), and it counts as failed: the row keeps its
+    # start and stops
+    rows_seen = []
+
+    def flat(x):
+        rows_seen.append(len(x))
+        return np.where(x[:, 0] == 0.0, 1.0, 1.0 + 2.0 ** -52), np.full_like(x, 1e-15)
+
+    res = minimize(flat, [[0.0]], maxiter=10, ftol=0.0, gtol=0.0)
+    assert res.nit == 1 and res.nfev == len(rows_seen) < 5
+    assert res.x[0, 0] == 0.0 and res.fun[0] == 1.0
