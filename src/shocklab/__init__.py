@@ -16,7 +16,7 @@ from .profile import (ShockEndStates, ShockProfile, analytic_tail_rates,
                       tail_decay_report, write_profile_csv)
 from .weight import WeightFn, build_weight, weight_report
 from .solver import (FieldState, Grid, read_checkpoint, semi_discrete_rhs,
-                     simulate, stable_dt, steady_state, write_checkpoint)
+                     stable_dt, steady_state, write_checkpoint)
 from .functionals import (FunctionalBreakdown, compute_breakdown,
                           functional_frame, quick_yb)
 from .shift import phi_eps, r_residual, shift_rhs
@@ -24,10 +24,10 @@ from .experiment import (ContractionTrace, ExperimentConfig, LabSetup,
                          audit_trace, build_setup, identity_audit,
                          initial_state, run_experiment, summarize_trace,
                          sweep, write_summary_json, write_trace_csv)
-from .inequalities import (CertificationReport, DiscretizedW,
-                           certify_g_negative, certify_prop_algebra, g_poly,
-                           maximize_r_delta, poincare_slack_from_poly, r_delta,
-                           theta_constant, theta_squared_quadrature)
+from .inequalities import (CertificationReport, certify_g_negative,
+                           certify_prop_algebra, g_poly, maximize_r_delta,
+                           poincare_slack_from_poly, theta_constant,
+                           theta_squared_quadrature)
 from .config import apply_overrides, parse_config_text
 
 __version__ = "0.1.0"

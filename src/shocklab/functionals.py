@@ -105,9 +105,9 @@ def _yb_kernel(v, h, p, fr):
 
     p is p(v), which every caller already has; fr is a functional frame.
     v, h and p are 1-d, or 2-d with one state per row (Y, B1 and B2 are then
-    arrays of one value per row).  q(v) is evaluated once.  q(v|v_tilde) and
-    p(v|v_tilde) keep the operation order of GasModel.q_relative and
-    p_relative, so they match those bit for bit.
+    arrays of one value per row).  q(v) is evaluated once.  q(v|v_tilde)
+    keeps the operation order of GasModel.q_relative, and p(v|v_tilde) that
+    of p(v) - p(w) - p'(w)(v - w), so each matches its plain form bit for bit.
     """
     dv = v - fr["v"]
     w = p - fr["p"]

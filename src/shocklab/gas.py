@@ -93,12 +93,6 @@ class GasModel:
         w = np.asarray(w, dtype=float)
         return self.entropy(v) - self.entropy(w) + self.pressure(w) * (v - w)
 
-    def p_relative(self, v, w):
-        """p(v|w) = p(v) - p(w) - p'(w)(v-w) >= 0 (p is convex)."""
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return self.pressure(v) - self.pressure(w) - self.dpressure(w) * (v - w)
-
     # -- reference-state derived numbers ----------------------------------
 
     @property

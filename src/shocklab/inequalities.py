@@ -44,8 +44,6 @@ __all__ = [
     "E_poly",
     "P_delta_poly",
     "certify_prop_algebra",
-    "DiscretizedW",
-    "r_delta",
     "minimize",
     "maximize_r_delta",
 ]
@@ -369,47 +367,6 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
 R_DELTA_C1 = 10.0
 R_DELTA_N_GRID = 64
 R_DELTA_DEGREE = 12
-
-
-@dataclass
-class DiscretizedW:
-    """W sampled on a uniform y-grid over [0,1] (endpoints included)."""
-
-    y: np.ndarray
-    w: np.ndarray
-
-    @classmethod
-    def from_samples(cls, w):
-        w = np.asarray(w, dtype=float)
-        return cls(y=np.linspace(0.0, 1.0, w.size), w=w)
-
-    @classmethod
-    def from_legendre(cls, coeffs):
-        """W = sum_k coeffs[k] P_k(2y - 1) on R_DELTA_N_GRID points."""
-        y = np.linspace(0.0, 1.0, R_DELTA_N_GRID)
-        w = npleg.legval(2.0 * y - 1.0, np.asarray(coeffs, dtype=float))
-        return cls(y=y, w=w)
-
-    def moments(self):
-        """(int W, int W^2, int W^3, int |W|^3, int y(1-y)|W'|^2) by trapezoid."""
-        y, w = self.y, self.w
-        wp = np.gradient(w, y)
-        return (
-            float(np.trapezoid(w, y)),
-            float(np.trapezoid(w * w, y)),
-            float(np.trapezoid(w ** 3, y)),
-            float(np.trapezoid(np.abs(w) ** 3, y)),
-            float(np.trapezoid(y * (1.0 - y) * wp * wp, y)),
-        )
-
-
-def r_delta(W, delta):
-    """R_delta of a DiscretizedW:
-    -(1/d)(int W^2 + 2 int W)^2 + (1+d) int W^2 + (2/3) int W^3
-    + d int |W|^3 - (1-d) int y(1-y)|W'|^2."""
-    i1, i2, i3, i3a, dir_term = W.moments()
-    return (-(i2 + 2.0 * i1) ** 2 / delta + (1.0 + delta) * i2
-            + (2.0 / 3.0) * i3 + delta * i3a - (1.0 - delta) * dir_term)
 
 
 def _legendre_maps(y, degree):

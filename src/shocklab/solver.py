@@ -16,10 +16,10 @@ takes as many stages as its stability interval along the negative real axis
 needs to cover dt times the diffusion operator's spectral radius.
 
 `rkc2` and `march` are the package's one time step and one guarded time
-loop: `simulate` marches (v, h) with them, the coupled experiment (v, h, X)
-in the frame of the shifted profile, where sigma becomes sigma + Xdot.  The
-record cadence does not clip dt: `march` writes each record from the cubic
-Hermite interpolant of the step that holds it.
+loop; the coupled experiment marches (v, h, X) with them in the frame of the
+shifted profile, where sigma becomes sigma + Xdot.  The record cadence does
+not clip dt: `march` writes each record from the cubic Hermite interpolant
+of the step that holds it.
 
 Also here: a damped-Newton solver for the *discrete* steady state (a run
 started from it stays put to machine precision, which the shift-coupled
@@ -43,7 +43,6 @@ __all__ = [
     "rkc2_stages",
     "rkc2",
     "march",
-    "simulate",
     "steady_state",
     "effective_velocity",
     "write_checkpoint",
@@ -130,8 +129,8 @@ def semi_discrete_rhs(sigma, grid, v, h, p):
 def stable_dt(gas, sigma, grid, v, safety, drift=0.0):
     """safety * advective step dx/c_max; drift bounds |Xdot| of a moving frame.
 
-    safety has no default: a run passes ExperimentConfig.cfl_safety and
-    `simulate` its own argument.  The parabolic limit is the stage count's job (`rkc2`), not dt's.
+    safety has no default: a run passes ExperimentConfig.cfl_safety.  The
+    parabolic limit is the stage count's job (`rkc2`), not dt's.
     """
     vmin = float(np.min(v))
     if vmin <= 0.0:
@@ -344,29 +343,6 @@ def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=N
                 on_record(tj, tuple(block[j] for block in recs))
         t, y, f, k, steps = t + dt, cand, f_end, k_end, steps + 1
     return t, y
-
-
-def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None,
-             record_dt=None):
-    """March the PDE to t_end with the guards of `march`.
-
-    The starting state must be finite with v > 0 (ValueError otherwise).
-
-    When record_dt is set, on_record(state) fires at each record time
-    (including t = 0); without it, only at t = 0.
-    """
-    if not safety > 0.0:
-        raise ValueError(f"safety must be positive, got {safety}")
-
-    def rhs(y):
-        return semi_discrete_rhs(sigma, grid, *y, gas.pressure(y[0]))
-
-    t, (v, h) = march(
-        lambda y, dt, f0: rkc2(rhs, y, dt, diffusion_radius(gas, grid, y[0]), f0), rhs,
-        (state.v.copy(), state.h.copy()), state.t, t_end,
-        lambda y, f: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
-        None if on_record is None else lambda t, y: on_record(FieldState(t, *y)))
-    return FieldState(t, v, h)
 
 
 def steady_state(gas, sigma, grid, v0, h0):

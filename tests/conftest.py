@@ -1,7 +1,8 @@
 """Shared fixtures and the acceptance-summary reporting hook.
 
 Session-scoped fixtures hold the objects that are expensive to build (the
-reference shock profile and its weight) so the whole suite solves them once.
+reference shock profile and its weight, and the runs that more than one test
+reads) so the whole suite builds each of them once.
 """
 
 import pytest
@@ -47,3 +48,18 @@ def weight01(profile01):
 def setup_default():
     """Default experiment setup (gamma = 2, eps = 0.1, lam = 0.5)."""
     return sl.build_setup(sl.ExperimentConfig())
+
+
+@pytest.fixture(scope="session")
+def shared_run():
+    """run_experiment(build_setup(config)), run once per config for the whole
+    session.  The tests that share a run only read it, and none of them has a
+    monkeypatch in force: a patched run is not the run that others read."""
+    runs = {}
+
+    def run(config):
+        if config not in runs:
+            runs[config] = sl.run_experiment(sl.build_setup(config))
+        return runs[config]
+
+    return run

@@ -151,7 +151,7 @@ def test_criterion_07_tail_scaling(profiles):
           f"downstream {rp:.3f} (need [1.6, 2.4])")
 
 
-def test_criterion_08_contraction_runs():
+def test_criterion_08_contraction_runs(shared_run):
     kinds = [("bump", 0.01, 0.01), ("random-fourier", 0.01, 0.01),
              ("large-amplitude", 0.3, 0.3)]
     msgs, ok = [], True
@@ -163,7 +163,7 @@ def test_criterion_08_contraction_runs():
                                       span_over_eps=20.0, t_end_sigma=2.0,
                                       perturb_kind=kind, amplitude=amp,
                                       amplitude_h=amp_h)
-            _, _, s = sl.run_experiment(sl.build_setup(cfg))
+            _, _, s = shared_run(cfg)
             good = (s["max_record_increment"] <= bound
                     and s["entropy_final"] <= s["entropy_initial"])
             ok &= good
@@ -185,7 +185,7 @@ def test_criterion_09_entropy_rate_identity_audit():
           f"ratio at dx/2 {ratio:.2f} (need ~4, accepted [2.5, 6])")
 
 
-def test_criterion_10_shift_bounds():
+def test_criterion_10_shift_bounds(shared_run):
     eps = 0.1
     knots_ok = (sl.phi_eps(0.02, eps) == -1.0 / eps**2
                 and sl.phi_eps(-0.02, eps) == 1.0 / eps**2
@@ -195,12 +195,12 @@ def test_criterion_10_shift_bounds():
 
     steady = sl.ExperimentConfig(steady_relax=True, perturb_kind="none",
                                  span_over_eps=20.0, t_end_sigma=10.0)
-    tr_s, _, sum_s = sl.run_experiment(sl.build_setup(steady))
+    tr_s, _, sum_s = shared_run(steady)
 
     big = sl.ExperimentConfig(perturb_kind="bump", amplitude=0.2,
                               amplitude_h=1.2, width=5.0, span_over_eps=20.0,
                               t_end_sigma=1.0)
-    tr_b, _, sum_b = sl.run_experiment(sl.build_setup(big))
+    tr_b, _, sum_b = shared_run(big)
 
     worst_ratio = max(sum_s["max_shift_bound_ratio"],
                       sum_b["max_shift_bound_ratio"])

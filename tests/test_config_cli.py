@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import shocklab as sl
-from shocklab.cli import (JUMP_RESIDUAL_TOL, PROFILE_RESIDUAL_TOL, _jump_conditions_ok,
-                          _profile_ok, main)
+from shocklab.cli import (AUDIT_MISMATCH_TOL, AUDIT_RATIO_BAND, JUMP_RESIDUAL_TOL,
+                          PROFILE_RESIDUAL_TOL, _audit_ok, _jump_conditions_ok, _profile_ok,
+                          main)
 
 
 def config_to_text(config):
@@ -228,6 +229,21 @@ def test_cli_audit_exit_zero():
                "--set", "t_end_sigma=0.5", "--set", "width=5",
                "--refine", "2"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_audit_verdict_judges_the_mismatch_and_the_refinement_ratio(r):
+    lo, hi = AUDIT_RATIO_BAND
+
+    def report(max_rel, ratio_over_r2):
+        return {"levels": [{"max_rel": max_rel}, {}], "ratio_max": ratio_over_r2 * r ** 2}
+
+    inside = AUDIT_MISMATCH_TOL * (1.0 - 1e-6)
+    assert _audit_ok(report(inside, lo * (1.0 + 1e-6)), r)
+    assert _audit_ok(report(inside, hi * (1.0 - 1e-6)), r)
+    assert not _audit_ok(report(inside, lo * (1.0 - 1e-6)), r)
+    assert not _audit_ok(report(inside, hi * (1.0 + 1e-6)), r)
+    assert not _audit_ok(report(AUDIT_MISMATCH_TOL * (1.0 + 1e-6), 1.0), r)
 
 
 def test_cli_config_file_beats_the_defaults_and_set_beats_the_file(tmp_path, capsys,

@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import shocklab as sl
+from references import simulate
 from shocklab.experiment import RECORD_BLOCK_FLOATS, _audit_level, c2_bump, phase_aligned_steady
 from shocklab.shift import overshoot, r_residual, saturated
 
@@ -224,10 +225,10 @@ def test_sup_w_column_is_max_pressure_perturbation(monkeypatch):
     npt.assert_array_equal(trace.sup_w, expected)
 
 
-def test_entropy_decreases_for_small_bump():
+def test_entropy_decreases_for_small_bump(shared_run):
     cfg = sl.ExperimentConfig(span_over_eps=20.0, t_end_sigma=2.0,
                               amplitude=0.01, amplitude_h=0.01)
-    trace, _, summary = sl.run_experiment(sl.build_setup(cfg))
+    trace, _, summary = shared_run(cfg)
     E = trace.weighted_entropy
     assert summary["entropy_final"] < summary["entropy_initial"]
     assert summary["max_record_increment"] < 0  # strictly decreasing here
@@ -271,17 +272,17 @@ def test_one_weight_frame_per_run(overrides, monkeypatch):
 def test_the_march_with_the_shift_frozen_is_the_lab_frame_march(monkeypatch):
     # the co-moving PDE has drift sigma + Xdot; with Xdot forced to 0 that is
     # sigma + 0.0 == sigma, and the step-size drift is 0, so the coupled
-    # march is solver.simulate's lab-frame march bit for bit
+    # march is the reference lab-frame march bit for bit
     # (0.0 * |Y| is 0.0 at a stage and a zero per record of a block)
     monkeypatch.setattr(sl.experiment, "shift_rhs", lambda Y, B, eps: 0.0 * abs(Y))
     cfg = short_config(t_end_sigma=0.2)
     setup = sl.build_setup(cfg)
     _, (state, X), _ = sl.run_experiment(setup)
     sig = setup.sigma
-    lab = sl.simulate(setup.gas, sig, setup.grid, sl.initial_state(setup),
-                      t_end=cfg.t_end_sigma / abs(sig),
-                      v_floor=cfg.v_floor_frac * setup.profile.states.v_plus,
-                      safety=cfg.cfl_safety, record_dt=cfg.record_sigma / abs(sig))
+    lab = simulate(setup.gas, sig, setup.grid, sl.initial_state(setup),
+                   t_end=cfg.t_end_sigma / abs(sig),
+                   v_floor=cfg.v_floor_frac * setup.profile.states.v_plus,
+                   safety=cfg.cfl_safety, record_dt=cfg.record_sigma / abs(sig))
     assert X == 0.0 and state.t == lab.t
     assert np.array_equal(state.v, lab.v) and np.array_equal(state.h, lab.h)
 
@@ -400,11 +401,11 @@ def test_shift_settles_for_small_bump_on_aligned_state():
     assert abs(X[-1]) < 1.0
 
 
-def test_saturated_branch_bookkeeping():
+def test_saturated_branch_bookkeeping(shared_run):
     cfg = sl.ExperimentConfig(perturb_kind="bump", amplitude=0.2,
                               amplitude_h=1.2, width=5.0, span_over_eps=20.0,
                               t_end_sigma=1.0)
-    trace, _, summary = sl.run_experiment(sl.build_setup(cfg))
+    trace, _, summary = shared_run(cfg)
     eps = 0.1
     sat = trace.branch_saturated.astype(bool)
     assert summary["saturated_fraction"] > 0.05
@@ -457,10 +458,10 @@ def test_unweighted_pinned_identity():
         bd = sl.compute_breakdown(s.v, s.h, setup.frame)
         recs.append((s.t, bd.weighted_entropy, bd.B, bd.G))
 
-    sl.simulate(setup.gas, pr.states.sigma, grid, state,
-                t_end=cfg.t_end_sigma / abs(pr.states.sigma),
-                v_floor=0.1 * pr.states.v_plus, on_record=on_record,
-                record_dt=0.01)
+    simulate(setup.gas, pr.states.sigma, grid, state,
+             t_end=cfg.t_end_sigma / abs(pr.states.sigma),
+             v_floor=0.1 * pr.states.v_plus, on_record=on_record,
+             record_dt=0.01)
     t, E, B, G = map(np.array, zip(*recs))
     dEdt = (E[2:] - E[:-2]) / (t[2:] - t[:-2])
     rhs = (B - G)[1:-1]

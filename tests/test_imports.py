@@ -86,8 +86,7 @@ def test_importing_the_cli_loads_no_scipy():
 def test_the_inequality_names_are_re_exported():
     from shocklab import inequalities
 
-    for name in ("CertificationReport", "DiscretizedW", "certify_g_negative",
-                 "certify_prop_algebra", "g_poly", "maximize_r_delta",
-                 "poincare_slack_from_poly", "r_delta", "theta_constant",
-                 "theta_squared_quadrature"):
+    for name in ("CertificationReport", "certify_g_negative", "certify_prop_algebra",
+                 "g_poly", "maximize_r_delta", "poincare_slack_from_poly",
+                 "theta_constant", "theta_squared_quadrature"):
         assert getattr(sl, name) is getattr(inequalities, name)

@@ -6,13 +6,13 @@ import pytest
 from numpy.polynomial import polynomial as nppoly
 
 import shocklab as sl
+from references import DiscretizedW, r_delta
 from shocklab import inequalities
 from shocklab.inequalities import (
     G_ANALYTIC_THRESHOLD,
     G_CUSP,
     G_LIPSCHITZ_BOUND,
     R_DELTA_C1,
-    DiscretizedW,
     E_poly,
     P_delta_poly,
     _legendre_maps,
@@ -284,12 +284,12 @@ def uniform_W(value=0.1, n=101):
 def test_r_delta_constant_hand_value():
     # W = 0.1, delta = 0.01: -(0.21)^2/0.01 + 1.01*0.01 + (2/3)*1e-3
     #                         + 0.01*1e-3 = -4.399223333...
-    val = sl.r_delta(uniform_W(), 0.01)
+    val = r_delta(uniform_W(), 0.01)
     assert abs(val - (-4.3992233333333333)) < 1e-10
 
 
 def test_r_delta_zero_at_zero():
-    assert sl.r_delta(uniform_W(0.0), 0.01) == 0.0
+    assert r_delta(uniform_W(0.0), 0.01) == 0.0
 
 
 def test_r_delta_negative_on_random_smooth(profile01):
@@ -299,7 +299,7 @@ def test_r_delta_negative_on_random_smooth(profile01):
         coeffs = rng.normal(scale=0.5, size=6)
         W = DiscretizedW.from_samples(
             np.polynomial.polynomial.polyval(y, coeffs))
-        assert sl.r_delta(W, 0.01) < 1e-10
+        assert r_delta(W, 0.01) < 1e-10
 
 
 def test_discretized_w_legendre_matches_direct():
@@ -436,7 +436,7 @@ def test_r_delta_kernel_value_matches_r_delta(scale):
     i2 = DiscretizedW(y=Y64, w=w).moments()[1]
     W = DiscretizedW(y=Y64, w=w * min(1.0, np.sqrt(C1 / i2)))
     val, _ = kernel_at(w, grid_maps())
-    npt.assert_allclose(val, sl.r_delta(W, DELTA), rtol=1e-12)
+    npt.assert_allclose(val, r_delta(W, DELTA), rtol=1e-12)
 
 
 @pytest.mark.parametrize("raw", [False, True])

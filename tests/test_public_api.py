@@ -30,11 +30,7 @@ TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
 #: public names (and "Class.method") that only tests call, each kept as the
 #: tests' reference; an entry for a class covers its methods
 ALLOWED = {
-    "solver.simulate": "the bare march that run_experiment is compared with bit for bit",
-    "inequalities.r_delta": "the oracle of the batched R_delta kernel's value test",
-    "inequalities.DiscretizedW": "the discretized W that r_delta reads",
     "solver.read_checkpoint": "the one reader of the file simulate --checkpoint writes",
-    "gas.GasModel.p_relative": "the bit-for-bit reference of the p(v|w) that _yb_kernel forms",
 }
 
 

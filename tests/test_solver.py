@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import shocklab as sl
+from references import simulate
 from shocklab import solver
 from shocklab.solver import (
     RKC_DAMPING,
@@ -125,7 +126,7 @@ def test_rkc2_is_second_order_against_a_reference_integrator(gas2, profile01):
     for safety in (0.1, 0.05):
         dt_rho = sl.stable_dt(gas2, sigma, grid, v, safety) * diffusion_radius(gas2, grid, v)
         assert rkc2_stages(dt_rho) == 2
-        out = sl.simulate(gas2, sigma, grid, state, t_end, v_floor=0.1, safety=safety)
+        out = simulate(gas2, sigma, grid, state, t_end, v_floor=0.1, safety=safety)
         errors.append(max(np.abs(out.v - ref.y[:m, -1]).max(),
                           np.abs(out.h - ref.y[m:, -1]).max()))
     ratio = errors[0] / errors[1]
@@ -137,9 +138,9 @@ def test_simulate_records_and_positivity(gas2, profile01):
     v, h = profile_arrays(profile01, grid)
     state = sl.FieldState(0.0, v, h)
     times = []
-    out = sl.simulate(gas2, profile01.states.sigma, grid, state, t_end=0.2,
-                      v_floor=0.1, on_record=lambda s: times.append(s.t),
-                      record_dt=0.05)
+    out = simulate(gas2, profile01.states.sigma, grid, state, t_end=0.2,
+                   v_floor=0.1, on_record=lambda s: times.append(s.t),
+                   record_dt=0.05)
     assert out.t >= 0.2 - 1e-12
     assert len(times) >= 4
     assert np.min(out.v) > 0.1
@@ -150,8 +151,8 @@ def _guard_simulate(gas2, profile01):
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
     v, h = profile_arrays(profile01, grid)
     state = sl.FieldState(0.0, v - 0.9, h)  # drives v near 0.05, below any sane floor
-    return 0.5, lambda: sl.simulate(gas2, profile01.states.sigma, grid, state,
-                                    t_end=0.5, v_floor=0.5)
+    return 0.5, lambda: simulate(gas2, profile01.states.sigma, grid, state,
+                                 t_end=0.5, v_floor=0.5)
 
 
 def _guard_run_experiment(gas2, profile01):
@@ -175,8 +176,8 @@ def test_positivity_guard_raises(entry, gas2, profile01):
 def _cap_simulate(gas2, profile01):
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
     state = sl.FieldState(0.0, *profile_arrays(profile01, grid))
-    return lambda: sl.simulate(gas2, profile01.states.sigma, grid, state,
-                               t_end=0.5, v_floor=0.1)
+    return lambda: simulate(gas2, profile01.states.sigma, grid, state,
+                            t_end=0.5, v_floor=0.1)
 
 
 def _cap_run_experiment(gas2, profile01):
@@ -388,20 +389,23 @@ def test_march_judges_a_negative_stage_only_by_the_step_result():
     assert v[0] == 25.0
 
 
-def test_simulate_rejects_a_bad_starting_state(gas2, profile01):
+def _unreachable(*args):
+    raise AssertionError("the march evaluated a state it should have refused")
+
+
+def test_march_rejects_a_bad_starting_state(profile01):
+    # refused before the first rhs, step or step-size call
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
     v, h = profile_arrays(profile01, grid)
-    sigma = profile01.states.sigma
     for bad in (-0.5, 0.0, np.nan):
         v_bad = v.copy()
         v_bad[7] = bad
         with pytest.raises(ValueError, match="starting"):
-            sl.simulate(gas2, sigma, grid, sl.FieldState(0.0, v_bad, h), t_end=0.1,
-                        v_floor=0.1)
+            march(_unreachable, _unreachable, (v_bad, h), 0.0, 0.1, _unreachable, 0.1)
     h_bad = h.copy()
     h_bad[3] = np.inf
     with pytest.raises(ValueError, match="starting state must be finite"):
-        sl.simulate(gas2, sigma, grid, sl.FieldState(0.0, v, h_bad), t_end=0.1, v_floor=0.1)
+        march(_unreachable, _unreachable, (v, h_bad), 0.0, 0.1, _unreachable, 0.1)
 
 
 def test_grid_points_are_built_once_and_read_only():
@@ -411,15 +415,14 @@ def test_grid_points_are_built_once_and_read_only():
         g.x[0] = 1.0
 
 
-def test_simulate_rejects_nonpositive_cadence_and_safety(gas2, profile01):
-    # either would leave dt at 0 and the march would never end
+def test_march_rejects_a_nonpositive_cadence(profile01):
+    # it would leave dt at 0 and the march would never end
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
-    state = sl.FieldState(0.0, *profile_arrays(profile01, grid))
-    sigma = profile01.states.sigma
-    for kw in ({"record_dt": 0.0}, {"record_dt": -0.05}, {"safety": 0.0},
-               {"safety": -0.4}):
-        with pytest.raises(ValueError):
-            sl.simulate(gas2, sigma, grid, state, t_end=0.1, v_floor=0.1, **kw)
+    y = profile_arrays(profile01, grid)
+    for record_dt in (0.0, -0.05):
+        with pytest.raises(ValueError, match="record_dt must be positive"):
+            march(_unreachable, _unreachable, y, 0.0, 0.1, _unreachable, 0.1, record_dt,
+                  _unreachable)
 
 
 def test_sampled_profile_drift_over_long_run(gas2, profile01):
@@ -428,7 +431,7 @@ def test_sampled_profile_drift_over_long_run(gas2, profile01):
     v, h = profile_arrays(profile01, grid)
     state = sl.FieldState(0.0, v, h)
     t_end = 10.0 / abs(profile01.states.sigma)
-    out = sl.simulate(gas2, profile01.states.sigma, grid, state, t_end, v_floor=0.1)
+    out = simulate(gas2, profile01.states.sigma, grid, state, t_end, v_floor=0.1)
     drift = max(np.abs(out.v - v).max(), np.abs(out.h - h).max())
     assert drift < 1e-6, f"drift {drift:.3e}"
 
