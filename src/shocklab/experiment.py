@@ -2,11 +2,13 @@
 
 A run builds (gas, end states, profile, weight, grid), applies a perturbation,
 then advances (v, h, X) together — the shift ODE right-hand side is evaluated
-inside every RKC2 stage from the current stage values, not lagged.  dt is the
-advective limit (with the shift's drift); the record cadence does not set it.
-At each time k*record_dt the full functional breakdown is recorded into a
-ContractionTrace, from the cubic Hermite interpolant of (v, h, X) between the
-two ends of the step that holds it (`solver.march`).
+inside every RKC2 stage from the current stage values, not lagged.  One
+`solver.stable_dt` call per step of `solver.march` gives dt, the advective
+limit with the shift's drift, and the bound that sets the step's RKC2 stage
+count; the record cadence does not set dt.  At each time k*record_dt the
+full functional breakdown is recorded into a ContractionTrace, from the cubic
+Hermite interpolant of (v, h, X) between the two ends of the step that holds
+it (`solver.march`).
 
 The state is marched at xi = x - X(t), in the frame of the shifted profile
 where int a(xi) eta(U | Utilde(xi)) dxi lives.  As d/dt|_xi = d/dt|_x +
@@ -31,8 +33,8 @@ from .functionals import compute_breakdown, functional_frame, quick_yb
 from .gas import GasModel
 from .profile import end_states_from_amplitude, solve_profile
 from .shift import overshoot, r_residual, saturated, shift_rhs
-from .solver import (FieldState, Grid, diffusion_radius, effective_velocity, march,
-                     rkc2, semi_discrete_rhs, stable_dt, steady_state)
+from .solver import (FieldState, Grid, effective_velocity, march, semi_discrete_rhs,
+                     stable_dt, steady_state)
 from .weight import build_weight, check_lam
 
 __all__ = [
@@ -405,7 +407,7 @@ class ContractionTrace:
 
 def _coupled_rhs(setup):
     """The right-hand side (dv, dh, Xdot) of (v, h, X) at xi = x - X, for
-    `solver.rkc2` and `solver.march`.
+    `solver.march`.
 
     Each call computes p(v), (Y, B) on the set-up's functional frame, Xdot =
     shift_rhs(Y, B, eps), and the PDE at drift sigma + Xdot.  The rate is the
@@ -419,18 +421,6 @@ def _coupled_rhs(setup):
         return dv, dh, rate
 
     return rhs
-
-
-def coupled_rk4_step(setup, v, h, X, dt, f0):
-    """One time step of (v, h, X) at xi = x - X: an RKC2 step (`solver.rkc2`)
-    of `_coupled_rhs`, its stage count set by the diffusion radius at the
-    step's start, and f0 the right-hand side there.
-
-    Returns the tuple (v, h, X) one step later.  (The name predates the RKC2
-    step; the benchmark tracer observes the step by this name and reads dt
-    as its 5th argument.)"""
-    return rkc2(_coupled_rhs(setup), (v, h, X), dt,
-                diffusion_radius(setup.gas, setup.grid, v), f0)
 
 
 def run_experiment(setup):
@@ -480,8 +470,7 @@ def run_experiment(setup):
     # drift bound 2|Xdot|, with Xdot = f[2] at the step's start.  The
     # advective limit holds while |Xdot| at most doubles within a step
     t, (v, h, X) = march(
-        lambda y, dt, f0: coupled_rk4_step(setup, *y, dt, f0), _coupled_rhs(setup),
-        (state.v, state.h, 0.0), 0.0, t_end,
+        _coupled_rhs(setup), (state.v, state.h, 0.0), 0.0, t_end,
         lambda y, f: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety,
                                drift=2.0 * abs(f[2])),
         v_floor, rec_dt, record)

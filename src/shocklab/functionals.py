@@ -106,8 +106,9 @@ def _yb_kernel(v, h, p, fr):
     p is p(v), which every caller already has; fr is a functional frame.
     v, h and p are 1-d, or 2-d with one state per row (Y, B1 and B2 are then
     arrays of one value per row).  q(v) is evaluated once.  q(v|v_tilde)
-    keeps the operation order of GasModel.q_relative, and p(v|v_tilde) that
-    of p(v) - p(w) - p'(w)(v - w), so each matches its plain form bit for bit.
+    keeps the operation order of q(v) - q(w) + p(w)(v - w), and p(v|v_tilde)
+    that of p(v) - p(w) - p'(w)(v - w), so each matches its plain form bit
+    for bit.
     """
     dv = v - fr["v"]
     w = p - fr["p"]
@@ -197,7 +198,7 @@ def weighted_q_probe(weight):
         raise RuntimeError("no sign change for the layer probe amplitude")
     t_star = _bisect(Y_of, t_lo, t_hi, -1.0)
     v = fr["v"] + t_star * S
-    iq = _dot(np.abs(fr["tda"]), gas.q_relative(v, fr["v"]))
+    iq = _dot(np.abs(fr["tda"]), _yb_kernel(v, fr["h"], gas.pressure(v), fr)[5])
     return {
         "t_star": float(t_star),
         "t_star_over_eps_by_lam": float(t_star * lam / eps),

@@ -2,8 +2,9 @@
 
 Everything downstream (profiles, PDE, functionals) talks to the gas law only
 through this module: pressure p(v) = v**(-gamma), the entropy-flux potential
-q(v) = v**(1-gamma)/(gamma-1) with q'(v) = -p(v), and the relative
-("Bregman gap") versions of both.  All functions broadcast over numpy arrays.
+q(v) = v**(1-gamma)/(gamma-1) with q'(v) = -p(v).  The relative ("Bregman
+gap") forms q(v|w) and p(v|w) are built from these where they are used
+(`functionals._yb_kernel`).  All functions broadcast over numpy arrays.
 
 The closures are bare formulas and do not check their arguments: they run at
 every RK stage, so positivity and finiteness are checked where data enters
@@ -84,14 +85,6 @@ class GasModel:
         """q(v) = v**(1-gamma)/(gamma-1); q'(v) = -p(v), q'' = -p' > 0."""
         v = np.asarray(v, dtype=float)
         return v ** (1.0 - self.gamma) / (self.gamma - 1.0)
-
-    # -- relative (Bregman) quantities ------------------------------------
-
-    def q_relative(self, v, w):
-        """q(v|w) = q(v) - q(w) - q'(w)(v-w) >= 0, with q'(w) = -p(w)."""
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return self.entropy(v) - self.entropy(w) + self.pressure(w) * (v - w)
 
     # -- reference-state derived numbers ----------------------------------
 

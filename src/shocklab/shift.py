@@ -45,14 +45,12 @@ def r_residual(breakdown, eps, lam):
     """R = -Y^2/eps^4 + (1 + 0.1*eps/lam)|B| - G of a breakdown.
 
     For a breakdown of a block of states (arrays of Y, B and G), each entry
-    is the R of that state alone, bit for bit: Y^2 is then Python's float
-    power entry by entry, since numpy's square of an array rounds about one
-    value in 1,200 differently.
+    is the R of that state alone, bit for bit: Y^2 is Y*Y, which is correctly
+    rounded for a float and for each entry of an array alike.
     """
     Y = breakdown.Y
-    Y2 = np.array([y ** 2 for y in Y.tolist()]) if isinstance(Y, np.ndarray) else Y ** 2
     margin = 0.1 * eps / lam
-    return -Y2 / eps ** 4 + (1.0 + margin) * abs(breakdown.B) - breakdown.G
+    return -(Y * Y) / eps ** 4 + (1.0 + margin) * abs(breakdown.B) - breakdown.G
 
 
 def overshoot(xdot, eps):

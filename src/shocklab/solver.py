@@ -15,8 +15,9 @@ shrinking dt to the explicit parabolic limit dx^2/(2*max|p'(v)|), each step
 takes as many stages as its stability interval along the negative real axis
 needs to cover dt times the diffusion operator's spectral radius.
 
-`rkc2` and `march` are the package's one time step and one guarded time
-loop; the coupled experiment marches (v, h, X) with them in the frame of the
+`march` is the package's one guarded time loop and steps by `rkc2`, the one
+time step, with dt and the stage count's bound from one `stable_dt` call per
+step.  The coupled experiment marches (v, h, X) with it in the frame of the
 shifted profile, where sigma becomes sigma + Xdot.  The record cadence does
 not clip dt: `march` writes each record from the cubic Hermite interpolant
 of the step that holds it.
@@ -39,7 +40,6 @@ __all__ = [
     "FieldState",
     "semi_discrete_rhs",
     "stable_dt",
-    "diffusion_radius",
     "rkc2_stages",
     "rkc2",
     "march",
@@ -69,6 +69,12 @@ MAX_STAGES = 200
 
 #: the fewest cells a Grid takes
 MIN_CELLS = 8
+
+#: the steady Newton stops at max|F| <= max(1e-13, NEWTON_FLOOR*eps*scale),
+#: eps the machine epsilon and scale = max p/dx^2 + |sigma| max v/dx at the
+#: pinned ends.  Run to its stall, Newton ends 1.5 to 4.3 times eps*scale
+#: above zero (gamma 1.4, 2 and 3, eps 0.05 and 0.1, 25 to 300 cells per layer)
+NEWTON_FLOOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -127,24 +133,22 @@ def semi_discrete_rhs(sigma, grid, v, h, p):
 
 
 def stable_dt(gas, sigma, grid, v, safety, drift=0.0):
-    """safety * advective step dx/c_max; drift bounds |Xdot| of a moving frame.
+    """(dt, rho) of a step from v, both from p'(min v).
 
-    safety has no default: a run passes ExperimentConfig.cfl_safety.  The
-    parabolic limit is the stage count's job (`rkc2`), not dt's.
+    dt = safety*dx/c_max is the advective step, with drift bounding |Xdot|
+    of a moving frame (safety has no default: a run passes
+    ExperimentConfig.cfl_safety).  The parabolic limit sets `rkc2`'s stage
+    count, not dt, through rho = 4*|p'(min v)|/dx^2: the Gershgorin bound on
+    the spectral radius of the linearized diffusion dv -> -D2(p'(v)*dv),
+    whose absolute row sums are (|p'_(i-1)| + 2|p'_i| + |p'_(i+1)|)/dx^2.
     """
     vmin = float(np.min(v))
     if vmin <= 0.0:
         raise ValueError("non-positive v in stable_dt")
     # |p'| is largest at min v
-    c_max = abs(sigma) + drift + float(np.sqrt(-gas.dpressure(vmin)))
-    return safety * grid.dx / c_max
-
-
-def diffusion_radius(gas, grid, v):
-    """4*|p'(min v)|/dx^2: the Gershgorin bound on the spectral radius of the
-    linearized diffusion dv -> -D2(p'(v)*dv), whose absolute row sums are
-    (|p'_(i-1)| + 2|p'_i| + |p'_(i+1)|)/dx^2."""
-    return 4.0 * float(-gas.dpressure(np.min(v))) / (grid.dx * grid.dx)
+    dp_max = float(-gas.dpressure(vmin))
+    c_max = abs(sigma) + drift + float(np.sqrt(dp_max))
+    return safety * grid.dx / c_max, 4.0 * dp_max / (grid.dx * grid.dx)
 
 
 @cache
@@ -189,8 +193,8 @@ def rkc2(rhs, y, dt, rho, f0):
     """One RKC2 step of y' = rhs(y) for a tuple y of arrays or floats.
 
     rho bounds the spectral radius of rhs's Jacobian along the negative real
-    axis (for the march, `diffusion_radius`); the step takes rkc2_stages(dt*rho)
-    stages:
+    axis (for the march, the rho of `stable_dt`); the step takes
+    rkc2_stages(dt*rho) stages:
 
         Y_0 = y,  Y_1 = Y_0 + mu~_1 dt F_0,
         Y_j = (1 - mu_j - nu_j) Y_0 + mu_j Y_(j-1) + nu_j Y_(j-2)
@@ -266,21 +270,23 @@ def _dense(t0, y0, f0, t1, y1, f1, times):
     return tuple(out)
 
 
-def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=None):
-    """March the tuple y = (v, ...) from t to t_end with the positivity guard.
+def march(rhs, y, t, t_end, limits, v_floor, record_dt=None, on_record=None):
+    """March the tuple y = (v, ...) from t to t_end by `rkc2` steps with the
+    positivity guard.
 
-    rhs(y) is y's time derivative F, a tuple like y; step(y, dt, f0) returns
-    the state one step of size dt later, given f0 = rhs(y); dt_limit(y, f)
-    is the stable step at y, given f = rhs(y).  dt is clipped to t_end alone.
-    The march evaluates F once at the start and once at the end of each
-    accepted step, and hands that F to the next step's dt_limit and step
-    (first same as last), so the slopes at both ends of every step cost one
-    extra rhs call per march.  When
-    record_dt is set, on_record(t, y) fires at the start and at each time
-    t + k*record_dt up to t_end; a record inside a step is the cubic Hermite
-    interpolant of y between the step's two ends with their slopes (`_dense`,
-    which evaluates the records of a step as one block per component; y is
-    then a tuple of row views of the blocks, which the march does not reuse).
+    rhs(y) is y's time derivative F, a tuple like y; limits(y, f) returns
+    (dt, rho) at y, given f = rhs(y), as `stable_dt` does: the stable step,
+    clipped to t_end alone, and the bound that sets the step's stage count.
+    It is called once per step; a halved retry reuses its rho.  The march
+    evaluates F once at the start and once at the end of each accepted step,
+    and hands that F to the next step's limits and to `rkc2` as f0 (first
+    same as last), so the slopes at both ends of every step cost one extra
+    rhs call per march.  When record_dt is set, on_record(t, y) fires at the
+    start and at each time t + k*record_dt up to t_end; a record inside a
+    step is the cubic Hermite interpolant of y between the step's two ends
+    with their slopes (`_dense`, which evaluates the records of a step as
+    one block per component; y is then a tuple of row views of the blocks,
+    which the march does not reuse).
 
     The start must have v > 0 and every component finite.  A step is
     retried with halved dt, up to 5 times, if its result has a non-finite
@@ -312,9 +318,10 @@ def march(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt=None, on_record=N
         if steps == MAX_STEPS:
             raise RuntimeError(f"step-count limit: {MAX_STEPS} steps reached at "
                                f"t = {t:.6g} before t_end = {t_end:.6g}")
-        dt = min(dt_limit(y, f), t_end - t)
+        dt, rho = limits(y, f)
+        dt = min(dt, t_end - t)
         for _ in range(6):  # the first try and up to 5 halvings
-            cand = step(y, dt, f)
+            cand = rkc2(rhs, y, dt, rho, f)
             finite = _finite(cand)
             if finite and np.min(cand[0]) > v_floor:
                 f_end = rhs(cand)
@@ -358,17 +365,21 @@ def steady_state(gas, sigma, grid, v0, h0):
         sigma*D1 v + D1[(p(v)+C)/sigma] - D2 p(v) = 0
 
     with a tridiagonal Jacobian, and h = (p(v)+C)/sigma is reconstructed.
-    Both components of the full right-hand side vanish for the result.
+    Both components of the full right-hand side vanish for the result, to
+    the roundoff floor of evaluating them (NEWTON_FLOOR).
     """
     v = v0.copy()
     dx = grid.dx
-    C = sigma * h0[0] - gas.pressure(v0[0])
-    C_right = sigma * h0[-1] - gas.pressure(v0[-1])
+    p_left, p_right = gas.pressure(v0[0]), gas.pressure(v0[-1])
+    C = sigma * h0[0] - p_left
+    C_right = sigma * h0[-1] - p_right
     if abs(C_right - C) > 1e-11 * max(1.0, abs(C)):
         raise ValueError(
             "boundary data inconsistent with a steady state: sigma*h - p(v) "
             f"differs across ends by {C_right - C:.3e}; build h from v"
         )
+    scale = float(max(p_left, p_right)) / (dx * dx) + abs(sigma) * max(v0[0], v0[-1]) / dx
+    tol = max(1e-13, NEWTON_FLOOR * float(np.finfo(float).eps) * scale)
 
     def resid(v):
         p = gas.pressure(v)
@@ -377,7 +388,7 @@ def steady_state(gas, sigma, grid, v0, h0):
     F = resid(v)
     for _ in range(40):
         nrm = float(np.max(np.abs(F)))
-        if nrm <= 1e-13:
+        if nrm <= tol:
             return v, (gas.pressure(v) + C) / sigma
         pv = gas.dpressure(v)
         c1 = 1.0 / (2.0 * dx)
@@ -399,7 +410,7 @@ def steady_state(gas, sigma, grid, v0, h0):
             step *= 0.5
         else:
             raise RuntimeError("steady-state Newton stalled (no descent step)")
-    raise RuntimeError("steady-state Newton did not reach tol=1e-13")
+    raise RuntimeError(f"steady-state Newton did not reach tol={tol:.3g}")
 
 
 def _thomas(lo, di, up, rhs):

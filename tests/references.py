@@ -4,12 +4,12 @@ None of these is part of shocklab: each is the plain form of something the
 package computes in a faster or more general way, kept here as its oracle.
 
   * `simulate`: the bare lab-frame march of (v, h), built from the public
-    `solver.march` and `solver.rkc2`; the coupled march with the shift
+    `solver.march` and `solver.stable_dt`; the coupled march with the shift
     frozen matches it bit for bit.
   * `DiscretizedW` and `r_delta`: R_delta of a sampled W by trapezoid
     moments, the oracle of the batched R_delta kernel's value test.
-  * `p_relative`: p(v|w) in the operation order of `_yb_kernel`, which
-    matches it bit for bit.
+  * `q_relative` and `p_relative`: q(v|w) and p(v|w) in the operation
+    order of `_yb_kernel`, which matches each bit for bit.
 """
 
 from dataclasses import dataclass
@@ -18,8 +18,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from shocklab.inequalities import R_DELTA_N_GRID
-from shocklab.solver import (FieldState, diffusion_radius, march, rkc2,
-                             semi_discrete_rhs, stable_dt)
+from shocklab.solver import FieldState, march, semi_discrete_rhs, stable_dt
 
 
 def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None,
@@ -36,8 +35,7 @@ def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None
         return semi_discrete_rhs(sigma, grid, *y, gas.pressure(y[0]))
 
     t, (v, h) = march(
-        lambda y, dt, f0: rkc2(rhs, y, dt, diffusion_radius(gas, grid, y[0]), f0), rhs,
-        (state.v.copy(), state.h.copy()), state.t, t_end,
+        rhs, (state.v.copy(), state.h.copy()), state.t, t_end,
         lambda y, f: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
         None if on_record is None else lambda t, y: on_record(FieldState(t, *y)))
     return FieldState(t, v, h)
@@ -82,6 +80,13 @@ def r_delta(W, delta):
     i1, i2, i3, i3a, dir_term = W.moments()
     return (-(i2 + 2.0 * i1) ** 2 / delta + (1.0 + delta) * i2
             + (2.0 / 3.0) * i3 + delta * i3a - (1.0 - delta) * dir_term)
+
+
+def q_relative(gas, v, w):
+    """q(v|w) = q(v) - q(w) - q'(w)(v-w) >= 0, with q'(w) = -p(w)."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    return gas.entropy(v) - gas.entropy(w) + gas.pressure(w) * (v - w)
 
 
 def p_relative(gas, v, w):

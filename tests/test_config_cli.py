@@ -549,9 +549,8 @@ def test_width_and_u_minus_at_their_bounds_are_accepted():
 def test_step_bound_refuses_no_run_that_could_finish(overrides, monkeypatch):
     # with the cap set to the steps a run takes, validate() must let it start
     steps = []
-    step = sl.experiment.coupled_rk4_step
-    monkeypatch.setattr(sl.experiment, "coupled_rk4_step",
-                        lambda *a: steps.append(1) or step(*a))
+    rkc2 = sl.solver.rkc2
+    monkeypatch.setattr(sl.solver, "rkc2", lambda *a: steps.append(1) or rkc2(*a))
     cfg = sl.ExperimentConfig(span_over_eps=10.0, width=5.0, t_end_sigma=1.0,
                               record_sigma=0.1, **overrides)
     sl.run_experiment(sl.build_setup(cfg))

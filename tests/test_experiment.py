@@ -165,12 +165,11 @@ def test_records_of_a_step_the_guard_halved_are_written_once(monkeypatch):
     # each is the breakdown of its own state
     cfg = short_config(record_sigma=0.002)
     setup = sl.build_setup(cfg)
-    step, march = sl.experiment.coupled_rk4_step, sl.experiment.march
+    rkc2, march = sl.solver.rkc2, sl.experiment.march
     tried = []
-    monkeypatch.setattr(sl.experiment, "coupled_rk4_step",
-                        lambda *a: tried.append(a[4]) or step(*a))
+    monkeypatch.setattr(sl.solver, "rkc2", lambda *a: tried.append(a[2]) or rkc2(*a))
 
-    def nan_slopes_once(step, rhs, y, *args):
+    def nan_slopes_once(rhs, y, *args):
         calls = []
 
         def rhs_nan_once(y):
@@ -178,7 +177,7 @@ def test_records_of_a_step_the_guard_halved_are_written_once(monkeypatch):
             f = rhs(y)
             return (f[0] * np.nan,) + f[1:] if len(calls) == 2 else f
 
-        return march(step, rhs_nan_once, y, *args)
+        return march(rhs_nan_once, y, *args)
 
     monkeypatch.setattr(sl.experiment, "march", nan_slopes_once)
     blocks = recorded_blocks(monkeypatch)
@@ -298,16 +297,16 @@ def test_step_size_counts_the_shift_drift(monkeypatch):
     shift_rhs = sl.experiment.shift_rhs
     monkeypatch.setattr(sl.experiment, "shift_rhs",
                         lambda *a: rates.append(shift_rhs(*a)) or rates[-1])
-    step = sl.experiment.coupled_rk4_step
+    rkc2 = sl.solver.rkc2
 
-    def traced(setup, v, h, X, dt, f0):
+    def traced(rhs, y, dt, rho, f0):
         # the step's stage 0 is f0, which the march evaluated at its start
         first = len(rates)
-        out = step(setup, v, h, X, dt, f0)
-        steps.append((dt, float(np.min(v)), max(map(abs, [f0[2]] + rates[first:]))))
+        out = rkc2(rhs, y, dt, rho, f0)
+        steps.append((dt, float(np.min(y[0])), max(map(abs, [f0[2]] + rates[first:]))))
         return out
 
-    monkeypatch.setattr(sl.experiment, "coupled_rk4_step", traced)
+    monkeypatch.setattr(sl.solver, "rkc2", traced)
     sl.run_experiment(setup)
     advective_binds = 0
     for dt, vmin, rate in steps:
@@ -383,6 +382,19 @@ def test_steady_run_holds_fixed_point():
     cfg = sl.ExperimentConfig(steady_relax=True, perturb_kind="none",
                               span_over_eps=20.0, t_end_sigma=1.0)
     trace, _, summary = sl.run_experiment(sl.build_setup(cfg))
+    assert summary["max_abs_X"] < 1e-9
+    assert np.abs(trace.Y).max() < 1e-12
+
+
+@pytest.mark.parametrize("cells", [150, 200])
+def test_steady_hold_runs_on_fine_grids(cells):
+    # the steady Newton's roundoff floor passes 1e-13 from about 150 cells
+    # per layer (1.9e-13 there, 3.2e-13 at 200), so the phase alignment's
+    # solves must stop at the floor, not at 1e-13
+    cfg = sl.ExperimentConfig(steady_relax=True, perturb_kind="none", span_over_eps=20.0,
+                              t_end_sigma=0.1, cells_per_layer=cells)
+    trace, _, summary = sl.run_experiment(sl.build_setup(cfg))
+    assert summary["records"] == 11
     assert summary["max_abs_X"] < 1e-9
     assert np.abs(trace.Y).max() < 1e-12
 
@@ -510,18 +522,21 @@ def test_audit_error_is_space_error_not_time_error(monkeypatch):
     # error
     cfg = sl.ExperimentConfig(span_over_eps=20.0)
     steps = []
-    step = sl.experiment.coupled_rk4_step
-    monkeypatch.setattr(sl.experiment, "coupled_rk4_step",
-                        lambda *a: steps.append(a[4]) or step(*a))
+    rkc2 = sl.solver.rkc2
+    monkeypatch.setattr(sl.solver, "rkc2", lambda *a: steps.append(a[2]) or rkc2(*a))
     base = sl.identity_audit(cfg)
     n_base = len(steps)
     march = sl.experiment.march
     caps = []
 
-    def half_cadence(step, rhs, y, t, t_end, dt_limit, v_floor, record_dt, on_record):
+    def half_cadence(rhs, y, t, t_end, limits, v_floor, record_dt, on_record):
         caps.append(0.5 * record_dt)
-        return march(step, rhs, y, t, t_end, lambda y, f: min(dt_limit(y, f), 0.5 * record_dt),
-                     v_floor, record_dt, on_record)
+
+        def capped(y, f):
+            dt, rho = limits(y, f)
+            return min(dt, 0.5 * record_dt), rho
+
+        return march(rhs, y, t, t_end, capped, v_floor, record_dt, on_record)
 
     monkeypatch.setattr(sl.experiment, "march", half_cadence)
     halved = sl.identity_audit(cfg)

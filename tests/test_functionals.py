@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import shocklab as sl
-from references import p_relative
+from references import p_relative, q_relative
 from shocklab.functionals import _dot, _yb_kernel, weighted_q_probe
 
 
@@ -66,7 +66,7 @@ def test_entropy_weight_sandwich(profile01, frame01, wide_x):
     bd = sl.compute_breakdown(v, h, frame01)
     gas = profile01.states.gas
     fr = profile01.frame(wide_x)
-    eta = 0.5 * (h - fr["h"]) ** 2 + gas.q_relative(v, fr["v"])
+    eta = 0.5 * (h - fr["h"]) ** 2 + q_relative(gas, v, fr["v"])
     unweighted = np.trapezoid(eta, wide_x)
     assert 0.5 * unweighted - 1e-12 <= bd.weighted_entropy <= unweighted + 1e-12
 
@@ -117,7 +117,7 @@ def test_kernel_relative_quantities_match_gas_closures_bitwise(profile01, weight
     xi = wide_x - 0.37
     fr = sl.functional_frame(weight01, xi)
     out = _yb_kernel(v, h, gas.pressure(v), fr)
-    assert np.array_equal(out[5], gas.q_relative(v, fr["v"]))
+    assert np.array_equal(out[5], q_relative(gas, v, fr["v"]))
     assert out[1] == _dot(fr["tb1"], p_relative(gas, v, fr["v"]))
     pf = weight01.frame(xi)
     terms = [(sig, pf["a"], pf["dv"] * p_relative(gas, v, pf["v"]))]
@@ -160,7 +160,7 @@ def reference_terms(xi, v, h, weight):
     dv = v - pf["v"]
     w = gas.pressure(v) - pf["p"]
     dh = h - pf["h"]
-    q_rel = gas.q_relative(v, pf["v"])
+    q_rel = q_relative(gas, v, pf["v"])
     eta = 0.5 * dh ** 2 + q_rel
     b = dh - w / sig
     terms = {

@@ -15,7 +15,6 @@ from shocklab.solver import (
     RKC_DAMPING,
     RKC_MARGIN,
     _thomas,
-    diffusion_radius,
     effective_velocity,
     march,
     rkc2,
@@ -92,14 +91,17 @@ def test_rhs_small_on_sampled_profile(gas2, profile01):
 
 
 def test_stable_dt_formula(gas2):
-    # the advective limit alone: the parabolic limit sets rkc2's stage count
+    # dt is the advective limit alone; the parabolic limit sets rkc2's stage
+    # count through rho, the Gershgorin bound 4|p'(min v)|/dx^2.  Both are
+    # their plain formulas at min v, bit for bit
     grid = make_grid(dx=0.2)
-    v = np.full(grid.n + 1, 0.9)
+    v = np.linspace(0.9, 1.3, grid.n + 1)
     sigma = -1.5
-    dt = sl.stable_dt(gas2, sigma, grid, v, safety=0.4)
-    c = abs(sigma) + np.sqrt(-gas2.dpressure(0.9))
-    assert abs(dt - 0.4 * grid.dx / c) < 1e-14
-    assert diffusion_radius(gas2, grid, v) == 4.0 * -gas2.dpressure(0.9) / (grid.dx * grid.dx)
+    for drift in (0.0, 0.3):
+        dt, rho = sl.stable_dt(gas2, sigma, grid, v, safety=0.4, drift=drift)
+        c = abs(sigma) + drift + float(np.sqrt(-gas2.dpressure(float(np.min(v)))))
+        assert dt == 0.4 * grid.dx / c
+        assert rho == 4.0 * float(-gas2.dpressure(np.min(v))) / (grid.dx * grid.dx)
 
 
 def test_rkc2_is_second_order_against_a_reference_integrator(gas2, profile01):
@@ -124,8 +126,8 @@ def test_rkc2_is_second_order_against_a_reference_integrator(gas2, profile01):
                     rtol=1e-11, atol=1e-12, dense_output=False)
     errors = []
     for safety in (0.1, 0.05):
-        dt_rho = sl.stable_dt(gas2, sigma, grid, v, safety) * diffusion_radius(gas2, grid, v)
-        assert rkc2_stages(dt_rho) == 2
+        dt, rho = sl.stable_dt(gas2, sigma, grid, v, safety)
+        assert rkc2_stages(dt * rho) == 2
         out = simulate(gas2, sigma, grid, state, t_end, v_floor=0.1, safety=safety)
         errors.append(max(np.abs(out.v - ref.y[:m, -1]).max(),
                           np.abs(out.h - ref.y[m:, -1]).max()))
@@ -260,7 +262,13 @@ def test_rkc2_takes_the_fewest_stages_that_cover_dt_rho():
         rkc2_stages(np.inf)
 
 
-def test_march_halves_dt_until_the_guard_clears():
+def fake_rkc2(monkeypatch, step):
+    """march's step replaced by step(y, dt, f0): `march` looks `solver.rkc2`
+    up at call time."""
+    monkeypatch.setattr(solver, "rkc2", lambda rhs, y, dt, rho, f0: step(y, dt, f0))
+
+
+def test_march_halves_dt_until_the_guard_clears(monkeypatch):
     # a step is accepted only once dt <= 0.26: 0.5 is halved once, 0.25 passes;
     # F is evaluated at the start and at each accepted step's end, never at
     # the rejected -1
@@ -274,7 +282,8 @@ def test_march_halves_dt_until_the_guard_clears():
         evaluated.append(y[0][0])
         return (np.zeros_like(y[0]),)
 
-    t, (v,) = march(step, rhs, (np.ones(3),), 0.0, 0.5, lambda y, f: 1.0, 0.0,
+    fake_rkc2(monkeypatch, step)
+    t, (v,) = march(rhs, (np.ones(3),), 0.0, 0.5, lambda y, f: (1.0, 0.0), 0.0,
                     on_record=lambda t, y: records.append(t))
     assert tried == [0.5, 0.25, 0.25]
     assert t == 0.5 and np.all(v == 1.0)
@@ -282,7 +291,29 @@ def test_march_halves_dt_until_the_guard_clears():
     assert evaluated == [1.0, 1.0, 1.0]
 
 
-def test_march_halves_dt_until_the_records_inside_the_step_clear():
+def test_march_calls_limits_once_per_step_and_hands_each_try_its_rho(monkeypatch):
+    # each step's first try at dt = 0.5 fails the guard and is halved; limits
+    # is asked once per step, not per try, and the halved try gets the rho
+    # that limits returned for its step
+    asked, tries = [], []
+
+    def step_limits(y, f):
+        asked.append(y[0][0])
+        return 0.5, 10.0 + len(asked)  # a rho of its own for each step
+
+    def fake(rhs, y, dt, rho, f0):
+        tries.append((dt, rho))
+        return (y[0] + 1.0 if dt <= 0.26 else -y[0],)
+
+    monkeypatch.setattr(solver, "rkc2", fake)
+    t, (v,) = march(lambda y: (np.zeros_like(y[0]),), (np.ones(1),), 0.0, 0.75,
+                    step_limits, 0.1)
+    assert asked == [1.0, 2.0, 3.0]
+    assert tries == [(0.5, 11.0), (0.25, 11.0), (0.5, 12.0), (0.25, 12.0), (0.25, 13.0)]
+    assert t == 0.75 and v[0] == 4.0
+
+
+def test_march_halves_dt_until_the_records_inside_the_step_clear(monkeypatch):
     # both ends of every step sit at v = 1, but with the slope -20 at both
     # ends the cubic Hermite interpolant dips to 1 - 20*dt*(h10 + h11)(theta),
     # h10 + h11 = 2 theta^3 - 3 theta^2 + theta: at dt = 0.5 the record at
@@ -294,15 +325,16 @@ def test_march_halves_dt_until_the_records_inside_the_step_clear():
         tried.append(dt)
         return (y[0].copy(),)
 
-    t, (v,) = march(step, lambda y: (np.full_like(y[0], -20.0),), (np.ones(2),), 0.0, 0.5,
-                    lambda y, f: 0.5, 0.1, record_dt=0.125,
+    fake_rkc2(monkeypatch, step)
+    t, (v,) = march(lambda y: (np.full_like(y[0], -20.0),), (np.ones(2),), 0.0, 0.5,
+                    lambda y, f: (0.5, 0.0), 0.1, record_dt=0.125,
                     on_record=lambda t, y: records.append((t, y[0][0])))
     assert tried == [0.5, 0.25, 0.25]
     assert t == 0.5 and np.all(v == 1.0)
     assert records == [(k * 0.125, 1.0) for k in range(5)]
 
 
-def test_march_writes_records_on_the_cadence_by_dense_output():
+def test_march_writes_records_on_the_cadence_by_dense_output(monkeypatch):
     # y' = -y stepped exactly at the stable limit 0.3 alone: every record
     # time k*0.1 is on the cadence, a record at a step's end is the step
     # result, and the others are the step's cubic Hermite interpolant, off
@@ -313,7 +345,8 @@ def test_march_writes_records_on_the_cadence_by_dense_output():
         tried.append(dt)
         return (y[0] * np.exp(-dt),)
 
-    t, (v,) = march(step, lambda y: (-y[0],), (np.ones(1),), 0.0, 1.0, lambda y, f: 0.3,
+    fake_rkc2(monkeypatch, step)
+    t, (v,) = march(lambda y: (-y[0],), (np.ones(1),), 0.0, 1.0, lambda y, f: (0.3, 0.0),
                     0.1, record_dt=0.1, on_record=lambda t, y: records.append((t, y[0][0])))
     assert tried[:3] == [0.3, 0.3, 0.3] and len(tried) == 4 and t == 1.0
     assert [r[0] for r in records] == [k * 0.1 for k in range(11)]
@@ -322,9 +355,10 @@ def test_march_writes_records_on_the_cadence_by_dense_output():
     assert 0.0 < err < 0.3 ** 4 / 384
 
 
-def test_march_hands_dt_limit_the_f_it_evaluated_at_the_same_state():
-    # dt_limit(y, f) and step(y, dt, f0) both get the F that march evaluated
-    # at the step's start y: at t = 0 and then at each accepted step's end
+def test_march_hands_dt_limit_the_f_it_evaluated_at_the_same_state(monkeypatch):
+    # limits(y, f) and rkc2(rhs, y, dt, rho, f0) both get the F that march
+    # evaluated at the step's start y: at t = 0 and then at each accepted
+    # step's end
     evaluated, limits, steps = [], [], []
 
     def rhs(y):
@@ -332,15 +366,16 @@ def test_march_hands_dt_limit_the_f_it_evaluated_at_the_same_state():
         evaluated.append((y, f))
         return f
 
-    def dt_limit(y, f):
+    def step_limits(y, f):
         limits.append((y, f))
-        return 0.3
+        return 0.3, 0.0
 
     def step(y, dt, f0):
         steps.append((y, f0))
         return (y[0] * np.exp(-dt),)
 
-    t, _ = march(step, rhs, (np.ones(1),), 0.0, 1.0, dt_limit, 0.1)
+    fake_rkc2(monkeypatch, step)
+    t, _ = march(rhs, (np.ones(1),), 0.0, 1.0, step_limits, 0.1)
     assert t == 1.0 and len(limits) == len(steps) == 4 and len(evaluated) == 5
     for (y, f), (y_lim, f_lim), (y_step, f_step) in zip(evaluated, limits, steps):
         assert y_lim is y and f_lim is f
@@ -348,7 +383,7 @@ def test_march_hands_dt_limit_the_f_it_evaluated_at_the_same_state():
 
 
 @pytest.mark.parametrize("bad", [0, 1], ids=["nan-in-v", "nan-in-h"])
-def test_march_names_a_non_finite_state(bad):
+def test_march_names_a_non_finite_state(bad, monkeypatch):
     # at non-integral gamma a stage that meets v < 0 yields NaN (the gas
     # closures do not raise, and v ** -1.4 is NaN there); the guard must say
     # so instead of blaming the floor
@@ -357,14 +392,15 @@ def test_march_names_a_non_finite_state(bad):
         out[bad][1] = np.nan
         return tuple(out)
 
+    fake_rkc2(monkeypatch, step)
     with pytest.raises(RuntimeError) as exc:
-        march(step, lambda y: tuple(np.zeros_like(a) for a in y), (np.ones(3), np.zeros(3)),
-              0.0, 0.5, lambda y, f: 1.0, 0.1)
+        march(lambda y: tuple(np.zeros_like(a) for a in y), (np.ones(3), np.zeros(3)),
+              0.0, 0.5, lambda y, f: (1.0, 0.0), 0.1)
     assert str(exc.value) == (
         "non-finite state: NaN or inf in the stepped state persists after 5 dt halvings")
 
 
-def test_march_judges_a_negative_stage_only_by_the_step_result():
+def test_march_judges_a_negative_stage_only_by_the_step_result(monkeypatch):
     # at integral gamma the closures are finite for v < 0, so a stage that
     # goes negative is no error by itself: the guard sees only the step
     # result.  v' = p'(v) with gamma = 2 and dt = 1.5 under the explicit
@@ -383,7 +419,8 @@ def test_march_judges_a_negative_stage_only_by_the_step_result():
         stages.extend([v[0], mid[0]])
         return (v + dt * rhs((mid,))[0],)
 
-    t, (v,) = march(step, rhs, (np.ones(1),), 0.0, 1.5, lambda y, f: 1.5, 0.1)
+    fake_rkc2(monkeypatch, step)
+    t, (v,) = march(rhs, (np.ones(1),), 0.0, 1.5, lambda y, f: (1.5, 0.0), 0.1)
     assert stages[1] == -0.5
     assert tried == [1.5] and t == 1.5
     assert v[0] == 25.0
@@ -393,19 +430,20 @@ def _unreachable(*args):
     raise AssertionError("the march evaluated a state it should have refused")
 
 
-def test_march_rejects_a_bad_starting_state(profile01):
+def test_march_rejects_a_bad_starting_state(profile01, monkeypatch):
     # refused before the first rhs, step or step-size call
+    monkeypatch.setattr(solver, "rkc2", _unreachable)
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
     v, h = profile_arrays(profile01, grid)
     for bad in (-0.5, 0.0, np.nan):
         v_bad = v.copy()
         v_bad[7] = bad
         with pytest.raises(ValueError, match="starting"):
-            march(_unreachable, _unreachable, (v_bad, h), 0.0, 0.1, _unreachable, 0.1)
+            march(_unreachable, (v_bad, h), 0.0, 0.1, _unreachable, 0.1)
     h_bad = h.copy()
     h_bad[3] = np.inf
     with pytest.raises(ValueError, match="starting state must be finite"):
-        march(_unreachable, _unreachable, (v, h_bad), 0.0, 0.1, _unreachable, 0.1)
+        march(_unreachable, (v, h_bad), 0.0, 0.1, _unreachable, 0.1)
 
 
 def test_grid_points_are_built_once_and_read_only():
@@ -415,14 +453,14 @@ def test_grid_points_are_built_once_and_read_only():
         g.x[0] = 1.0
 
 
-def test_march_rejects_a_nonpositive_cadence(profile01):
+def test_march_rejects_a_nonpositive_cadence(profile01, monkeypatch):
     # it would leave dt at 0 and the march would never end
+    monkeypatch.setattr(solver, "rkc2", _unreachable)
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
     y = profile_arrays(profile01, grid)
     for record_dt in (0.0, -0.05):
         with pytest.raises(ValueError, match="record_dt must be positive"):
-            march(_unreachable, _unreachable, y, 0.0, 0.1, _unreachable, 0.1, record_dt,
-                  _unreachable)
+            march(_unreachable, y, 0.0, 0.1, _unreachable, 0.1, record_dt, _unreachable)
 
 
 def test_sampled_profile_drift_over_long_run(gas2, profile01):
@@ -444,6 +482,26 @@ def test_steady_state_residual_and_consistency(gas2, profile01):
     assert max(np.abs(dv).max(), np.abs(dh).max()) < 1e-12
     # the steady solution stays close to the sampled profile (O(dx^2))
     assert np.abs(v - v0).max() < 1e-3
+
+
+def test_steady_state_converges_from_a_step_on_a_fine_grid(gas2, profile01):
+    # a jump between the pinned end values starts 37% of the jump off the
+    # steady state; on a grid 3 times finer than dx = 0.2 Newton's roundoff
+    # floor is over 1e-13, so Newton stops at the floor, at the state it
+    # reaches from the sampled profile
+    grid = make_grid(lo=-40.0, hi=40.0, dx=0.2 / 3.0)
+    sigma = profile01.states.sigma
+    v0, h0 = profile_arrays(profile01, grid)
+    C = sigma * h0[0] - gas2.pressure(v0[0])
+    v_ref, _ = sl.steady_state(gas2, sigma, grid, v0, (gas2.pressure(v0) + C) / sigma)
+    v_jump = np.where(grid.x < 0.0, v0[0], v0[-1])
+    v, h = sl.steady_state(gas2, sigma, grid, v_jump, (gas2.pressure(v_jump) + C) / sigma)
+    assert np.abs(v_jump - v_ref).max() > 0.3 * (v0[0] - v0[-1])
+    assert np.abs(v - v_ref).max() < 1e-12
+    dv, dh = sl.semi_discrete_rhs(sigma, grid, v, h, gas2.pressure(v))
+    scale = gas2.pressure(v0[-1]) / grid.dx ** 2 + abs(sigma) * v0[0] / grid.dx
+    assert 1e-13 < max(np.abs(dv).max(), np.abs(dh).max()) <= (
+        solver.NEWTON_FLOOR * np.finfo(float).eps * scale)
 
 
 def splu_solve(lo, di, up, rhs):
