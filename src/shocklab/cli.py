@@ -32,9 +32,8 @@ import numpy as np
 
 from . import inequalities as ineq
 from .config import _parse_scalar, apply_overrides, parse_config_text
-from .experiment import (ConfigError, ExperimentConfig, _audit_level, build_setup,
-                         identity_audit, run_experiment, sweep,
-                         write_summary_json, write_trace_csv)
+from .experiment import (ConfigError, ExperimentConfig, build_setup, identity_audit,
+                         run_experiment, sweep, write_summary_json, write_trace_csv)
 from .gas import GasModel
 from .profile import solve_profile, tail_decay_report, write_profile_csv
 from .solver import write_checkpoint
@@ -253,15 +252,13 @@ def cmd_verify_inequalities(args):
 
 
 def cmd_sweep(args):
-    cfg = _config_from_args(args)
     points = [_config_from_args(args, {args.key: _parse_scalar(v)})
               for v in args.values.split(",")]
-    overrides = [{args.key: getattr(point, args.key)} for point in points]
-    results = sweep(cfg, overrides)
     rows = []
     ok = True
     failed = False
-    for ov, result in zip(overrides, results):
+    for point, result in zip(points, sweep(points)):
+        ov = {args.key: getattr(point, args.key)}
         if "error" in result:
             rows.append({"overrides": ov, "error": result["error"]})
             failed = True
@@ -280,21 +277,9 @@ def cmd_sweep(args):
 
 
 def cmd_audit(args):
-    cfg = _config_from_args(args)
-    refined = _audit_level(cfg, args.refine)
-    try:
-        refined.validate()
-    except ValueError as exc:
-        raise ConfigError(f"--refine {args.refine} takes cells_per_layer to "
-                          f"{refined.cells_per_layer} and record_sigma to "
-                          f"{refined.record_sigma:.6g}: {exc}") from exc
-    report = identity_audit(cfg, refinements=(1, args.refine))
-    base = report["levels"][0]
-    fine = report["levels"][1]
-    print(f"coarse: max rel mismatch {base['max_rel']:.3e} "
-          f"(median {base['median_rel']:.3e})")
-    print(f"fine:   max rel mismatch {fine['max_rel']:.3e} "
-          f"(median {fine['median_rel']:.3e})")
+    report = identity_audit(_config_from_args(args), refinements=(1, args.refine))
+    for name, level in zip(("coarse:", "fine:  "), report["levels"]):
+        print(f"{name} max rel mismatch {level['max_rel']:.3e} (median {level['median_rel']:.3e})")
     print(f"refinement ratio: max {report['ratio_max']:.2f}, "
           f"median {report['ratio_median']:.2f}")
     ok = _audit_ok(report, args.refine)

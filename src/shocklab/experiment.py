@@ -110,6 +110,17 @@ RECORD_BLOCK_FLOATS = 16384
 #: polyfit fails
 MIN_SPAN_OVER_EPS = 1.0
 
+#: a step is CFL_SAFETY times the advective limit.  Larger is hardly faster:
+#: the RKC2 stage count rises with dt (4 to 6 stages from 0.4 to 1.0 at
+#: cells_per_layer 50), so `audit --refine 2` took only 7-9% less time at
+#: 0.6-1.0 (one run each), while its coarse mismatch rose from 2.73e-4 to 4.02e-4
+CFL_SAFETY = 0.4
+
+#: the positivity guard's floor over v_plus, the profile's lowest value.  On
+#: the defaults the deepest start that initial_state admits (amplitude -0.5,
+#: min v = v_plus / 2) never steps lower: the floor catches a step gone wrong
+V_FLOOR_FRAC = 0.1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -124,8 +135,6 @@ class ExperimentConfig:
     cells_per_layer: int = 50    # dx = (1/eps)/cells_per_layer
     t_end_sigma: float = 2.0     # t_end = t_end_sigma/|sigma|
     record_sigma: float = 0.01   # record_dt = record_sigma/|sigma|; written by dense output
-    cfl_safety: float = 0.4
-    v_floor_frac: float = 0.1    # guard floor = frac * v_plus
     steady_relax: bool = False   # Newton-relax to the discrete steady state first
     perturb_kind: str = "bump"   # none | bump | random-fourier | large-amplitude
     amplitude: float = 0.01      # v-amplitude
@@ -141,7 +150,7 @@ class ExperimentConfig:
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
             if key in ("eps", "cells_per_layer", "t_end_sigma", "record_sigma",
-                       "cfl_safety", "width") and not value > 0.0:
+                       "width") and not value > 0.0:
                 raise ValueError(f"{key} must be positive, got {value!r}")
 
     def validate_profile(self):
@@ -196,13 +205,6 @@ class ExperimentConfig:
             # computed only to be thrown away
             raise ConfigError("steady_relax = true does not apply to "
                               "perturb_kind = 'large-amplitude'")
-        if not 0.0 < self.v_floor_frac < 1.0:
-            # the guard floor frac * v_plus must stay below v_plus, the
-            # lowest value of the profile
-            raise ValueError(f"v_floor_frac must lie in (0, 1), got {self.v_floor_frac!r}")
-        if self.cfl_safety > 1.0:
-            # at 1 dt already sits at the advective limit
-            raise ValueError(f"cfl_safety must be at most 1, got {self.cfl_safety!r}")
         L = self.span_over_eps / self.eps
         if self.width > 0.8 * L:
             raise ValueError(f"width = {self.width!r} is over 0.8 L = {0.8 * L:.6g}, with "
@@ -211,10 +213,10 @@ class ExperimentConfig:
         if self.width < MIN_WIDTH_OVER_L * L:
             raise ValueError(f"width = {self.width!r} is under {MIN_WIDTH_OVER_L:g} L = "
                              f"{MIN_WIDTH_OVER_L * L:.6g}: (x / width)^2 overflows on the grid")
-        # a step has dt < cfl_safety*dx/|sigma|  (+1: end tolerance); the
+        # a step has dt < CFL_SAFETY*dx/|sigma|  (+1: end tolerance); the
         # parabolic limit sets the stage count and the records are written
         # by dense output, so neither sets dt
-        min_steps = self.t_end_sigma * self.eps * self.cells_per_layer / self.cfl_safety
+        min_steps = self.t_end_sigma * self.eps * self.cells_per_layer / CFL_SAFETY
         if min_steps > solver.MAX_STEPS + 1:
             raise ConfigError(f"t_end_sigma = {self.t_end_sigma!r} needs at least {min_steps:.4g} "
                               f"steps, over the step-count limit of {solver.MAX_STEPS}")
@@ -435,7 +437,7 @@ def run_experiment(setup):
     cfg, sig, eps = setup.config, setup.sigma, setup.eps
     t_end = cfg.t_end_sigma / abs(sig)
     rec_dt = cfg.record_sigma / abs(sig)
-    v_floor = cfg.v_floor_frac * setup.profile.states.v_plus
+    v_floor = V_FLOOR_FRAC * setup.profile.states.v_plus
 
     state = initial_state(setup)
     n = setup.grid.x.size
@@ -471,7 +473,7 @@ def run_experiment(setup):
     # advective limit holds while |Xdot| at most doubles within a step
     t, (v, h, X) = march(
         _coupled_rhs(setup), (state.v, state.h, 0.0), 0.0, t_end,
-        lambda y, f: stable_dt(setup.gas, sig, setup.grid, y[0], cfg.cfl_safety,
+        lambda y, f: stable_dt(setup.gas, sig, setup.grid, y[0], CFL_SAFETY,
                                drift=2.0 * abs(f[2])),
         v_floor, rec_dt, record)
     if block_t:
@@ -533,21 +535,33 @@ def identity_audit(config, refinements=(1, 2)):
 
     Each refinement r multiplies cells_per_layer by r and divides the record
     cadence by r, so the audit error should scale ~ dx^2.  Every level is
-    validated before the first one runs.  Returns a dict with per-level
-    max/median relative errors and the coarse/fine ratios.
+    checked before the first one runs; a level that validate() refuses, or
+    with fewer than the 3 records audit_trace's centred difference needs
+    (solver.march writes them at t = 0 and k*record_dt <= t_end + 1e-12),
+    raises one ConfigError that names its refinement.  Returns a dict with
+    per-level max/median relative errors and the coarse/fine ratios.
     """
-    configs = [_audit_level(config, r).validate() for r in refinements]
+    configs = []
+    for r in refinements:
+        cfg = _audit_level(config, r)
+        try:
+            cfg.validate()
+            gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus, u_minus=cfg.u_minus)
+            sig = abs(end_states_from_amplitude(gas, cfg.eps).sigma)
+            if not 2.0 * (cfg.record_sigma / sig) <= cfg.t_end_sigma / sig + 1e-12:
+                raise ValueError(f"t_end_sigma = {cfg.t_end_sigma!r} and record_sigma = "
+                                 f"{cfg.record_sigma!r} make fewer than the 3 records "
+                                 "that the audit's centred difference needs")
+        except ValueError as exc:
+            raise ConfigError(f"refinement {r} (cells_per_layer = {cfg.cells_per_layer}, "
+                              f"record_sigma = {cfg.record_sigma:.6g}): {exc}") from exc
+        configs.append(cfg)
     levels = []
     for r, cfg in zip(refinements, configs):
         setup = build_setup(cfg)
-        trace, _, _ = run_experiment(setup)
-        rel = audit_trace(trace)
-        levels.append({
-            "refine": r,
-            "dx": setup.grid.dx,
-            "max_rel": float(np.max(rel)),
-            "median_rel": float(np.median(rel)),
-        })
+        rel = audit_trace(run_experiment(setup)[0])
+        levels.append({"refine": r, "dx": setup.grid.dx, "max_rel": float(np.max(rel)),
+                       "median_rel": float(np.median(rel))})
     out = {"levels": levels}
     if len(levels) >= 2:
         out["ratio_max"] = levels[0]["max_rel"] / levels[-1]["max_rel"]
@@ -555,17 +569,17 @@ def identity_audit(config, refinements=(1, 2)):
     return out
 
 
-def sweep(base_config, overrides_list):
-    """Run a family of configs (dicts of field overrides); returns summaries.
+def sweep(configs):
+    """Run each of the configs; returns their summaries.
 
     A point whose run fails (a RuntimeError: the march guard, a non-finite
     state or the step-count limit) gives {"error": message} in place of its
     summary, and the remaining points still run.  A config error raises.
     """
     out = []
-    for overrides in overrides_list:
+    for config in configs:
         try:
-            _, _, summary = run_experiment(build_setup(replace(base_config, **overrides)))
+            _, _, summary = run_experiment(build_setup(config))
         except RuntimeError as exc:
             summary = {"error": str(exc)}
         out.append(summary)

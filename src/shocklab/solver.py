@@ -137,7 +137,7 @@ def stable_dt(gas, sigma, grid, v, safety, drift=0.0):
 
     dt = safety*dx/c_max is the advective step, with drift bounding |Xdot|
     of a moving frame (safety has no default: a run passes
-    ExperimentConfig.cfl_safety).  The parabolic limit sets `rkc2`'s stage
+    experiment.CFL_SAFETY).  The parabolic limit sets `rkc2`'s stage
     count, not dt, through rho = 4*|p'(min v)|/dx^2: the Gershgorin bound on
     the spectral radius of the linearized diffusion dv -> -D2(p'(v)*dv),
     whose absolute row sums are (|p'_(i-1)| + 2|p'_i| + |p'_(i+1)|)/dx^2.

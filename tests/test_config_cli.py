@@ -75,20 +75,18 @@ def test_overrides_are_type_checked():
 def test_march_settings_must_be_positive_and_finite():
     # each of these used to start a march whose dt never left 0 (or a crash)
     cfg = sl.ExperimentConfig()
-    for key in ("record_sigma", "cfl_safety", "t_end_sigma"):
+    for key in ("record_sigma", "t_end_sigma"):
         for value in (0, -0.01, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=key):
                 sl.apply_overrides(cfg, {key: value})
 
 
-def test_lam_and_cfl_safety_upper_bounds_are_closed():
+def test_lam_upper_bound_is_closed():
     cfg = sl.ExperimentConfig()
-    for key, value in (("lam", 0.5 + 1e-12), ("lam", float("nan")),
-                       ("cfl_safety", 1.0 + 1e-12)):
-        with pytest.raises(ValueError, match=key):
-            sl.apply_overrides(cfg, {key: value})
-    out = sl.apply_overrides(cfg, {"lam": 0.5, "cfl_safety": 1.0})
-    assert out.lam == 0.5 and out.cfl_safety == 1.0
+    for value in (0.5 + 1e-12, float("nan")):
+        with pytest.raises(ValueError, match="lam"):
+            sl.apply_overrides(cfg, {"lam": value})
+    assert sl.apply_overrides(cfg, {"lam": 0.5}).lam == 0.5
 
 
 def test_config_text_roundtrip():
@@ -275,10 +273,26 @@ def test_cli_audit_refuses_a_refinement_it_cannot_run_before_running_any(capsys,
     assert main(["audit", "--set", "cells_per_layer=400", "--refine", "100"]) == 2
     err = capsys.readouterr().err
     assert runs == []
-    assert err.count("\n") == 1 and "--refine 100" in err and "40000" in err
+    assert err.count("\n") == 1 and "refinement 100" in err and "40000" in err
     # a library caller is refused before any level runs as well
     with pytest.raises(sl.experiment.ConfigError, match="cells"):
         sl.identity_audit(sl.ExperimentConfig(cells_per_layer=400), refinements=(1, 100))
+    assert runs == []
+
+
+def test_audit_refuses_a_level_with_too_few_records_before_running_any(capsys, monkeypatch):
+    # the centred difference of audit_trace needs a record between two
+    # others; t_end_sigma = record_sigma gives the coarse level two records,
+    # which ended in a zero-size np.max after both levels ran
+    runs = []
+    monkeypatch.setattr(sl.experiment, "run_experiment", runs.append)
+    assert main(["audit", "--set", "t_end_sigma=0.01"]) == 2
+    err = capsys.readouterr().err
+    assert runs == []
+    assert err.startswith("error: refinement 1 (") and err.count("\n") == 1
+    assert "t_end_sigma = 0.01 and record_sigma = 0.01 make fewer than the 3 records" in err
+    with pytest.raises(sl.experiment.ConfigError, match="t_end_sigma.*record_sigma"):
+        sl.identity_audit(sl.ExperimentConfig(t_end_sigma=0.01))
     assert runs == []
 
 
@@ -291,7 +305,6 @@ def test_cli_audit_refuses_a_refinement_it_cannot_run_before_running_any(capsys,
     ("eps=-0.1", "eps"),
     ("lam=0.7", "lam"),
     ("lam=0", "lam"),
-    ("cfl_safety=5", "cfl_safety"),
     ("amplitude=nan", "amplitude"),
     ("gamma=1", "gamma"),
     ("gamma=1e17", "gamma"),  # was a ZeroDivisionError: v_plus rounds onto v_minus
@@ -302,12 +315,13 @@ def test_cli_audit_refuses_a_refinement_it_cannot_run_before_running_any(capsys,
     ("margin_coeff=0.1", "unknown config key 'margin_coeff'"),
     ("center=0", "unknown config key 'center'"),
     ("stretch=1.6", "unknown config key 'stretch'"),
+    ("cfl_safety=5", "unknown config key 'cfl_safety'"),
+    ("v_floor_frac=2", "unknown config key 'v_floor_frac'"),
     ("seed=-1", "seed"),
     ("modes=0", "modes"),
     ("cells_per_layer=0", "cells_per_layer"),
     ("width=0", "width"),
     ("width=-5", "width"),
-    ("v_floor_frac=2", "v_floor_frac"),
     ("amplitude=-0.6", "amplitude"),
     ("amplitude=1e300", "amplitude"),
     ("amplitude_h=1e300", "amplitude_h"),
@@ -489,7 +503,7 @@ def test_steady_relax_with_a_stretched_layer_is_a_config_error(capsys):
 
 def test_step_bound_counts_the_advective_limit(capsys):
     # at record_sigma = 1 the advective limit binds the bound: dt <
-    # cfl_safety*dx/|sigma| is 12.5 steps per unit of t_end_sigma at the
+    # CFL_SAFETY*dx/|sigma| is 12.5 steps per unit of t_end_sigma at the
     # defaults, so 10000 cannot end inside MAX_STEPS
     assert main(["simulate", "--set", "t_end_sigma=10000", "--set", "record_sigma=1"]) == 2
     err = capsys.readouterr().err
@@ -517,7 +531,7 @@ def test_record_bound_refuses_a_run_that_would_not_end(capsys):
     # (66,668 records at r = 1, 133,334 at r = 2)
     assert main(["audit", "--set", "record_sigma=0.00003", "--refine", "2"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --refine 2 ") and "record_sigma = 1.5e-05 makes" in err
+    assert err.startswith("error: refinement 2 (") and "record_sigma = 1.5e-05 makes" in err
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -544,10 +558,13 @@ def test_width_and_u_minus_at_their_bounds_are_accepted():
     sl.ExperimentConfig(u_minus=1e6).validate_profile()
 
 
-@pytest.mark.parametrize("overrides", [{}, {"gamma": 1.4, "eps": 0.05},
-                                       {"cells_per_layer": 100, "cfl_safety": 0.9}])
-def test_step_bound_refuses_no_run_that_could_finish(overrides, monkeypatch):
+@pytest.mark.parametrize("overrides, safety", [
+    ({}, sl.experiment.CFL_SAFETY), ({"gamma": 1.4, "eps": 0.05}, sl.experiment.CFL_SAFETY),
+    ({"cells_per_layer": 100}, 0.9),
+], ids=["overrides0", "overrides1", "overrides2"])
+def test_step_bound_refuses_no_run_that_could_finish(overrides, safety, monkeypatch):
     # with the cap set to the steps a run takes, validate() must let it start
+    monkeypatch.setattr(sl.experiment, "CFL_SAFETY", safety)
     steps = []
     rkc2 = sl.solver.rkc2
     monkeypatch.setattr(sl.solver, "rkc2", lambda *a: steps.append(1) or rkc2(*a))
@@ -561,7 +578,7 @@ def test_step_bound_refuses_no_run_that_could_finish(overrides, monkeypatch):
 def test_sweep_verdict_is_the_simulate_verdict(capsys, monkeypatch):
     # a point whose shift rate leaves its bound fails the sweep, as in simulate
     summary = {"entropy_initial": 1.0, "entropy_final": 0.5, "max_shift_bound_ratio": 2.0}
-    monkeypatch.setattr(sl.cli, "sweep", lambda cfg, overrides: [summary for _ in overrides])
+    monkeypatch.setattr(sl.cli, "sweep", lambda configs: [summary for _ in configs])
     assert main(["sweep", "amplitude", "0.01"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == "sweep check: FAIL"
 
@@ -569,12 +586,13 @@ def test_sweep_verdict_is_the_simulate_verdict(capsys, monkeypatch):
 def test_cli_run_failure_is_one_line(capsys, monkeypatch):
     # a run that fails in the march is one "error: run failed: ..." line and
     # exit 3, apart from config errors (2) and failed checks (1)
-    assert main(["simulate", "--set", "v_floor_frac=0.9", "--set", "amplitude=-0.3"]) == 3
+    monkeypatch.setattr(sl.experiment, "V_FLOOR_FRAC", 0.9)
+    assert main(["simulate", "--set", "amplitude=-0.3"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: run failed: positivity guard") and err.count("\n") == 1
     monkeypatch.setattr(sl.solver, "MAX_STEPS", 3)
     # t_end_sigma = 0.3 at record_sigma = 1 passes validate()'s lower bound of
-    # 3.75 steps (dt < cfl_safety*dx/|sigma|), but the march takes 11
+    # 3.75 steps (dt < CFL_SAFETY*dx/|sigma|), but the march takes 11
     assert main(["simulate", "--set", "span_over_eps=10", "--set", "width=5",
                  "--set", "t_end_sigma=0.3", "--set", "record_sigma=1"]) == 3
     err = capsys.readouterr().err
@@ -582,20 +600,29 @@ def test_cli_run_failure_is_one_line(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_cli_sweep_runs_past_a_failed_point(capsys):
+def test_cli_sweep_runs_past_a_failed_point(capsys, monkeypatch):
+    # under a guard floor of 0.9 v_plus the dip of amplitude -0.3 fails, and
+    # the sweep runs on to the next point
+    monkeypatch.setattr(sl.experiment, "V_FLOOR_FRAC", 0.9)
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "sweep.json")
         rc = main(["sweep", "--set", "span_over_eps=10", "--set", "t_end_sigma=0.2",
-                   "--set", "width=5", "--set", "amplitude=-0.3",
-                   "v_floor_frac", "0.9,0.1", "--out", out])
+                   "--set", "width=5", "--out", out, "--", "amplitude", "-0.3,0.01"])
         rows = json.loads(Path(out).read_text())
     assert rc == 3
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("v_floor_frac = 0.9: run failed: positivity guard")
-    assert lines[1].startswith("v_floor_frac = 0.1: entropy ")
-    assert rows[0]["overrides"] == {"v_floor_frac": 0.9}
+    assert lines[0].startswith("amplitude = -0.3: run failed: positivity guard")
+    assert lines[1].startswith("amplitude = 0.01: entropy ")
+    assert rows[0]["overrides"] == {"amplitude": -0.3}
     assert rows[0]["error"].startswith("positivity guard") and "summary" not in rows[0]
-    assert rows[1]["summary"]["config"]["v_floor_frac"] == 0.1
+    assert rows[1]["summary"]["config"]["amplitude"] == 0.01
+
+
+def test_cli_sweep_checks_its_points_not_the_base(capsys):
+    # the --set base amplitude = 5000 is out of range, but no point runs it
+    assert main(["sweep", "--set", "span_over_eps=10", "--set", "t_end_sigma=0.2",
+                 "--set", "width=5", "--set", "amplitude=5000", "amplitude", "0.01"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "sweep check: PASS"
 
 
 def test_cli_verify_inequalities_fast(capsys):

@@ -12,7 +12,8 @@ import pytest
 
 import shocklab as sl
 from references import simulate
-from shocklab.experiment import RECORD_BLOCK_FLOATS, _audit_level, c2_bump, phase_aligned_steady
+from shocklab.experiment import (CFL_SAFETY, RECORD_BLOCK_FLOATS, V_FLOOR_FRAC, _audit_level,
+                                 c2_bump, phase_aligned_steady)
 from shocklab.shift import overshoot, r_residual, saturated
 
 
@@ -280,8 +281,8 @@ def test_the_march_with_the_shift_frozen_is_the_lab_frame_march(monkeypatch):
     sig = setup.sigma
     lab = simulate(setup.gas, sig, setup.grid, sl.initial_state(setup),
                    t_end=cfg.t_end_sigma / abs(sig),
-                   v_floor=cfg.v_floor_frac * setup.profile.states.v_plus,
-                   safety=cfg.cfl_safety, record_dt=cfg.record_sigma / abs(sig))
+                   v_floor=V_FLOOR_FRAC * setup.profile.states.v_plus,
+                   safety=CFL_SAFETY, record_dt=cfg.record_sigma / abs(sig))
     assert X == 0.0 and state.t == lab.t
     assert np.array_equal(state.v, lab.v) and np.array_equal(state.h, lab.h)
 
@@ -311,9 +312,9 @@ def test_step_size_counts_the_shift_drift(monkeypatch):
     advective_binds = 0
     for dt, vmin, rate in steps:
         dp_max = -float(gas.dpressure(vmin))
-        advective = cfg.cfl_safety * dx / (abs(sig) + rate + np.sqrt(dp_max))
+        advective = CFL_SAFETY * dx / (abs(sig) + rate + np.sqrt(dp_max))
         assert dt <= advective
-        advective_binds += advective < cfg.cfl_safety * dx * dx / (2.0 * dp_max)
+        advective_binds += advective < CFL_SAFETY * dx * dx / (2.0 * dp_max)
     assert len(steps) > 10 and advective_binds == len(steps)
     assert max(rate for _, _, rate in steps) > abs(sig)  # the drift matters
 
@@ -490,8 +491,7 @@ def test_identity_audit_structure():
 
 
 def test_sweep_runs_overrides():
-    base = short_config(t_end_sigma=0.2)
-    res = sl.sweep(base, [{"amplitude": 0.005}, {"amplitude": 0.02}])
+    res = sl.sweep([short_config(t_end_sigma=0.2, amplitude=a) for a in (0.005, 0.02)])
     assert len(res) == 2
     assert res[0]["config"]["amplitude"] == 0.005
     assert res[1]["config"]["amplitude"] == 0.02

@@ -148,7 +148,7 @@ def test_simulate_records_and_positivity(gas2, profile01):
     assert np.min(out.v) > 0.1
 
 
-def _guard_simulate(gas2, profile01):
+def _guard_simulate(gas2, profile01, monkeypatch):
     # a state already at the floor cannot be evolved with that floor
     grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
     v, h = profile_arrays(profile01, grid)
@@ -157,19 +157,19 @@ def _guard_simulate(gas2, profile01):
                                  t_end=0.5, v_floor=0.5)
 
 
-def _guard_run_experiment(gas2, profile01):
+def _guard_run_experiment(gas2, profile01, monkeypatch):
     # a dip to v ~ 0.68 under a floor of 0.9 * v_plus ~ 0.86: one step of
     # diffusion cannot lift it back over the floor
+    monkeypatch.setattr(sl.experiment, "V_FLOOR_FRAC", 0.9)
     setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.5,
-                                               width=5.0, amplitude=-0.3,
-                                               v_floor_frac=0.9))
+                                               width=5.0, amplitude=-0.3))
     return 0.9 * setup.profile.states.v_plus, lambda: sl.run_experiment(setup)
 
 
 @pytest.mark.parametrize("entry", [_guard_simulate, _guard_run_experiment],
                          ids=["simulate", "run_experiment"])
-def test_positivity_guard_raises(entry, gas2, profile01):
-    floor, run = entry(gas2, profile01)
+def test_positivity_guard_raises(entry, gas2, profile01, monkeypatch):
+    floor, run = entry(gas2, profile01, monkeypatch)
     with pytest.raises(RuntimeError) as exc:
         run()
     assert str(exc.value) == f"positivity guard: v <= {floor} persists after 5 dt halvings"
@@ -184,7 +184,7 @@ def _cap_simulate(gas2, profile01):
 
 def _cap_run_experiment(gas2, profile01):
     # t_end_sigma = 0.3 at record_sigma = 1 passes validate()'s lower bound of
-    # 3.75 steps (dt < cfl_safety*dx/|sigma|), but the march takes 11
+    # 3.75 steps (dt < CFL_SAFETY*dx/|sigma|), but the march takes 11
     setup = sl.build_setup(sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.3,
                                                record_sigma=1.0, width=5.0))
     return lambda: sl.run_experiment(setup)
