@@ -25,6 +25,7 @@ such a point on its own line, runs the remaining points, and then exits 3.
 import argparse
 import json
 import os
+import random
 import sys
 import time
 
@@ -208,11 +209,11 @@ def cmd_verify_inequalities(args):
                    time.perf_counter() - t0))
 
     t0 = time.perf_counter()
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     coeffs = np.zeros((POINCARE_TRIALS, 9))
     for row in coeffs:
-        deg = rng.integers(1, 9)
-        row[:deg + 1] = rng.standard_normal(deg + 1)
+        deg = rng.randint(1, 8)
+        row[:deg + 1] = [rng.gauss(0.0, 1.0) for _ in range(deg + 1)]
     worst_poly = float(np.min(ineq.poincare_slack_from_poly(coeffs)))
     checks.append(("Poincare slack over random polynomials",
                    worst_poly >= -1e-12, f"min slack = {worst_poly:.3e}",

@@ -18,13 +18,16 @@ Contents:
     maximization: one batched L-BFGS ascent of all starts at once on the
     exact gradient of R_delta (``minimize``), for delta up to about 0.33 in
     coordinates where the second variation of R_delta at W = 0 is minus the
-    identity.
+    identity; its quadratic moments are exact quadratic forms in the
+    coefficients of W, built before the search rather than per call.
 
-The module needs numpy alone: the quadrature is Gauss-Legendre on graded
-panels, the roots of g' come from a vectorized bisection, and the ascent is
-the batched L-BFGS defined here.
+The module needs numpy and the standard library alone: the quadrature is
+Gauss-Legendre on graded panels, the roots of g' come from a vectorized
+bisection, the ascent is the batched L-BFGS defined here, and the seeded
+starts are drawn from a ``random.Random``.
 """
 
+import random
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -172,6 +175,11 @@ G_ANALYTIC_THRESHOLD = (6.0 / (4.0 * theta_constant() * 2.0 ** 1.5)) ** 2
 G_CUSP = 0.15
 
 
+#: the grid points certify_g_negative evaluates at once, and certify_prop_algebra
+#: too, plus up to one row
+BAND_BLOCK_POINTS = 1 << 17
+
+
 def certify_g_negative(step=1e-5):
     """Certify g < 0 on (-2, 0): grid + Lipschitz slack on [-2, -G_CUSP],
     analytic cusp bound on (-G_CUSP, 0).
@@ -179,14 +187,24 @@ def certify_g_negative(step=1e-5):
     The grid margin is -(max g + L*step/2) with the global derivative bound
     L; on the cusp, G_CUSP = 0.15 lies below the analytic threshold ~0.164,
     where the bound 2x + (4 theta/3)(2|x|)^(3/2) is strictly negative away
-    from 0 (with margin -> 0 as x -> 0 since g(0) = 0).
+    from 0 (with margin -> 0 as x -> 0 since g(0) = 0).  The grid is that
+    of np.arange(-2, -G_CUSP + step/2, step) with its last point moved to
+    -G_CUSP, evaluated BAND_BLOCK_POINTS at a time; the worst value and where
+    it first occurs are the full grid's.
     """
     t0 = time.perf_counter()
-    x = np.arange(-2.0, -G_CUSP + 0.5 * step, step)
-    x[-1] = -G_CUSP
-    vals = g_poly(x)
-    i = int(np.argmax(vals))
-    worst = float(vals[i])
+    # np.arange's own points: -2 + i dx, with dx = (-2 + step) + 2 its step
+    n = int(np.ceil((-G_CUSP + 0.5 * step + 2.0) / step))
+    dx = (-2.0 + step) + 2.0
+    worst, arg = -np.inf, np.nan
+    for lo in range(0, n, BAND_BLOCK_POINTS):
+        x = -2.0 + np.arange(lo, min(lo + BAND_BLOCK_POINTS, n)) * dx
+        if lo + x.size == n:
+            x[-1] = -G_CUSP
+        vals = g_poly(x)
+        i = int(np.argmax(vals))
+        if vals[i] > worst:
+            worst, arg = float(vals[i]), float(x[i])
     slack = G_LIPSCHITZ_BOUND * step / 2.0
     margin = -(worst + slack)
     certified = margin > 0.0
@@ -199,10 +217,10 @@ def certify_g_negative(step=1e-5):
         certified=certified,
         method="grid+Lipschitz",
         details={
-            "argmax_grid": float(x[i]),
+            "argmax_grid": arg,
             "lipschitz_bound": G_LIPSCHITZ_BOUND,
             "analytic_threshold": G_ANALYTIC_THRESHOLD,
-            "grid_points": int(x.size),
+            "grid_points": n,
         },
         runtime_s=time.perf_counter() - t0,
     )
@@ -265,10 +283,6 @@ def P_delta_poly(z1, z2, delta):
     return ((1.0 + delta) * (z1 * z1 + z2sq) + 2.0 * z1 * z2sq
             + (2.0 / 3.0) * (z1 * z1 * z1) + 6.0 * delta * (a1 * z2sq + a1 * a1 * a1)
             - 2.0 * (1.0 - delta - (2.0 / 3.0 + delta) * th * z2) * z2sq)
-
-
-#: the grid points certify_prop_algebra evaluates at once, plus up to one row
-BAND_BLOCK_POINTS = 1 << 17
 
 
 def _band_columns(z1, z2_lo, step, n2, delta1):
@@ -377,55 +391,63 @@ def _legendre_maps(y, degree):
             2.0 * npleg.legval(t, npleg.legder(np.eye(degree + 1))).T)
 
 
-def _r_delta_kernel(rows, A, D, q, qd, delta):
-    """R_delta and its exact gradient for W = A p, W' = D p, row by row.
+def _r_delta_forms(A, D, q, qd):
+    """The exact quadratic forms of R_delta's moments in the coefficients p
+    of W = A p, W' = D p, as (G, a, H): int W^2 = p^T G p, int W = a . p and
+    int y(1-y) W'^2 = p^T H p, with G = A^T diag(q) A, a = A^T q and
+    H = D^T diag(qd) D.
+
+    q and qd = q y(1-y) are the trapezoid weight vectors of the y-grid
+    (q @ f is np.trapezoid(f, y)).
+    """
+    return A.T @ (q[:, None] * A), A.T @ q, D.T @ (qd[:, None] * D)
+
+
+def _r_delta_kernel(rows, A, q, forms, delta):
+    """R_delta and its exact gradient for W = A p, row by row.
 
     rows is an (m, k) array with one coefficient vector p per row; the
-    result is the m values and the (m, k) gradients.  q and qd = q y(1-y)
-    are the trapezoid weight vectors of the y-grid (q @ f is
-    np.trapezoid(f, y)).
+    result is the m values and the (m, k) gradients.  q is the trapezoid
+    weight vector of the y-grid and forms = (G, a, H) are the quadratic forms
+    of ``_r_delta_forms``: int W^2, int W and int y(1-y) W'^2 come from them,
+    so only W is sampled, for its cubic terms, and never W'.
     Each W is first projected radially onto {int W^2 <= C1}: with
-    s = sqrt(C1/int W^2) the map w -> s w has Jacobian
-    s (I - w (q w)^T / int W^2), applied to both W and W'.  |W|^3 is C^1 with
-    derivative 3|W|W.
+    s = sqrt(C1/int W^2) the map p -> s p has Jacobian
+    s (I - p (G p)^T / int W^2).  |W|^3 is C^1 with derivative 3|W|W.
     """
-    w = rows @ A.T
-    wp = rows @ D.T
-    qw = q * w
-    i2w = np.einsum("ij,ij->i", qw, w)
+    G, a, H = forms
+    gp = rows @ G
+    hp = rows @ H
+    i2w = np.einsum("ij,ij->i", gp, rows)
     proj = i2w > R_DELTA_C1
-    s = np.sqrt(R_DELTA_C1 / np.where(proj, i2w, R_DELTA_C1))[:, None]
+    s = np.sqrt(R_DELTA_C1 / np.where(proj, i2w, R_DELTA_C1))
     i2 = np.where(proj, R_DELTA_C1, i2w)
-    u = s * w
-    v = s * wp
-    i1 = u @ q
+    u = s[:, None] * (rows @ A.T)
     u2 = u * u
     au = np.abs(u)
-    a = i2 + 2.0 * i1
-    val = (-a * a / delta + (1.0 + delta) * i2 + (2.0 / 3.0) * ((u2 * u) @ q)
-           + delta * ((u2 * au) @ q) - (1.0 - delta) * ((v * v) @ qd))
-    g_u = q * (-(4.0 * a[:, None] / delta) * (u + 1.0) + 2.0 * (1.0 + delta) * u
-               + 2.0 * u2 + 3.0 * delta * au * u)
-    g_v = -2.0 * (1.0 - delta) * qd * v
-    grad = g_u @ A + g_v @ D
+    b = i2 + 2.0 * s * (rows @ a)
+    val = (-b * b / delta + (1.0 + delta) * i2 + (2.0 / 3.0) * ((u2 * u) @ q)
+           + delta * ((u2 * au) @ q) - (1.0 - delta) * s * s * np.einsum("ij,ij->i", hp, rows))
+    # the gradient in the projected coefficients s p, where G s p = s G p
+    grad = ((q * (2.0 * u2 + 3.0 * delta * au * u)) @ A
+            - (4.0 * b / delta)[:, None] * (s[:, None] * gp + a)
+            + s[:, None] * (2.0 * (1.0 + delta) * gp - 2.0 * (1.0 - delta) * hp))
     if proj.any():
         r = np.flatnonzero(proj)
-        dot = np.einsum("ij,ij->i", g_u[r], w[r]) + np.einsum("ij,ij->i", g_v[r], wp[r])
-        grad[r] = s[r] * (grad[r] - (qw[r] @ A) * (dot / i2w[r])[:, None])
+        dot = np.einsum("ij,ij->i", grad[r], rows[r])
+        grad[r] = s[r, None] * (grad[r] - gp[r] * (dot / i2w[r])[:, None])
     return val, grad
 
 
-def _r_delta_hessian_at_zero(A, D, q, qd, delta):
-    """M, the Hessian of -R_delta at W = 0 in the coefficients p of W = A p,
-    W' = D p (the weights as in ``_r_delta_kernel``).
+def _r_delta_hessian_at_zero(forms, delta):
+    """M, the Hessian of -R_delta at W = 0 in the coefficients p, from the
+    forms (G, a, H) of ``_r_delta_forms``.
 
     Only the quadratic terms of R_delta have a second variation at 0:
-    M = (8/d) a a^T - 2(1+d) G + 2(1-d) H with a = A^T q, G = A^T diag(q) A
-    and H = D^T diag(qd) D.
+    M = (8/d) a a^T - 2(1+d) G + 2(1-d) H.
     """
-    a = A.T @ q
-    return ((8.0 / delta) * np.outer(a, a) - 2.0 * (1.0 + delta) * (A.T @ (q[:, None] * A))
-            + 2.0 * (1.0 - delta) * (D.T @ (qd[:, None] * D)))
+    G, a, H = forms
+    return (8.0 / delta) * np.outer(a, a) - 2.0 * (1.0 + delta) * G + 2.0 * (1.0 - delta) * H
 
 
 #: curvature pairs each row keeps, the Armijo sufficient-decrease constant and
@@ -550,7 +572,7 @@ def maximize_r_delta(delta=0.01, n_starts=200, seed=20240817):
     if n_starts < 1 or not delta > 0.0:
         raise ValueError("need n_starts >= 1 and delta > 0")
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     y = np.linspace(0.0, 1.0, R_DELTA_N_GRID)
     q = np.trapezoid(np.eye(y.size), y, axis=0)
     qd = q * y * (1.0 - y)
@@ -558,22 +580,25 @@ def maximize_r_delta(delta=0.01, n_starts=200, seed=20240817):
     k = R_DELTA_DEGREE + 1
     starts = np.empty((n_starts, k))
     for row in starts:
-        row[:] = rng.standard_normal(k) / (1.0 + np.arange(k)) ** 2
+        row[:] = [rng.gauss(0.0, 1.0) for _ in range(k)]
+        row /= (1.0 + np.arange(k)) ** 2
         row *= rng.uniform(0.05, np.sqrt(R_DELTA_C1))
 
+    forms = _r_delta_forms(leg, leg_d, q, qd)
     try:
-        chol = np.linalg.cholesky(_r_delta_hessian_at_zero(leg, leg_d, q, qd, delta))
+        chol = np.linalg.cholesky(_r_delta_hessian_at_zero(forms, delta))
     except np.linalg.LinAlgError:
         pass  # M is indefinite: the search stays in p
     else:  # W = leg p = (leg L^-T) z
         to_p = np.linalg.inv(chol).T
-        leg, leg_d, starts = leg @ to_p, leg_d @ to_p, starts @ chol
+        leg, starts = leg @ to_p, starts @ chol
+        forms = _r_delta_forms(leg, leg_d @ to_p, q, qd)
     rows = 0
 
     def neg_r_delta(z):
         nonlocal rows
         rows += len(z)
-        val, grad = _r_delta_kernel(z, leg, leg_d, q, qd, delta)
+        val, grad = _r_delta_kernel(z, leg, q, forms, delta)
         return -val, -grad
 
     res = minimize(neg_r_delta, starts, maxiter=200, ftol=1e-14, gtol=1e-12)

@@ -652,7 +652,7 @@ def refused_by_the_parser(argv, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["audit", "--refine", "0"], "--refine"),  # a division by zero in identity_audit
     (["audit", "--refine", "-1"], "--refine"),
-    (["verify-inequalities", "--seed", "-1"], "--seed"),  # numpy's ValueError
+    (["verify-inequalities", "--seed", "-1"], "--seed"),  # random.Random takes |seed|
     # a tolerance of nan failed every run and inf passed every run; the
     # entropy growth threshold is now a constant, so the flag itself is refused
     (["simulate", "--tol", "nan"], "--tol"),

@@ -65,6 +65,17 @@ def test_zero_amplitude_equals_none():
     npt.assert_array_equal(tr_a.Y, tr_b.Y)
 
 
+def test_random_fourier_start_follows_its_seed():
+    def start(seed):
+        return sl.initial_state(sl.build_setup(short_config(perturb_kind="random-fourier",
+                                                            seed=seed)))
+
+    a, b, c = start(7), start(7), start(8)
+    npt.assert_array_equal(a.v, b.v)
+    npt.assert_array_equal(a.h, b.h)
+    assert not np.array_equal(a.v, c.v) and not np.array_equal(a.h, c.h)
+
+
 def test_positivity_precondition():
     with pytest.raises(ValueError):
         sl.initial_state(sl.build_setup(short_config(amplitude=-0.6)))
@@ -482,12 +493,22 @@ def test_unweighted_pinned_identity():
     assert np.max(np.abs(dEdt - rhs) / scale) < 0.01
 
 
-def test_identity_audit_structure():
-    cfg = sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.5, width=5.0)
-    audit = sl.identity_audit(cfg, refinements=(1,))
-    level = audit["levels"][0]
-    assert level["refine"] == 1
-    assert level["max_rel"] < 0.01
+def test_identity_audit_structure(monkeypatch):
+    rels = []
+    audit_trace = sl.experiment.audit_trace
+    monkeypatch.setattr(sl.experiment, "audit_trace",
+                        lambda trace: rels.append(audit_trace(trace)) or rels[-1])
+    # 49 and 50 mismatches: the median of an odd and of an even count
+    for t_end_sigma, n_rel in ((0.5, 49), (0.51, 50)):
+        cfg = sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=t_end_sigma, width=5.0)
+        audit = sl.identity_audit(cfg, refinements=(1,))
+        level = audit["levels"][0]
+        assert level["refine"] == 1
+        assert level["max_rel"] < 0.01
+        # the level's max and median, bit for bit as numpy takes them
+        rel = rels[-1]
+        assert rel.size == n_rel
+        assert level["max_rel"] == np.max(rel) and level["median_rel"] == np.median(rel)
 
 
 def test_sweep_runs_overrides():

@@ -1,5 +1,7 @@
 """shocklab runs on numpy alone: scipy stays off the import path of the
-package, the march, the whole CLI and the report helpers."""
+package, the march, the whole CLI and the report helpers; and no command
+loads numpy.random or numpy.ma, whose first imports cost more than the
+work they would do (seeded draws come from the standard library's random)."""
 
 import os
 import subprocess
@@ -11,6 +13,12 @@ import shocklab as sl
 NO_SCIPY = """
 import sys
 sys.modules["scipy"] = None
+"""
+
+# neither numpy.random nor numpy.ma has been imported
+NO_NUMPY_RANDOM_OR_MA = """
+loaded = [m for m in ("numpy.random", "numpy.ma") if m in sys.modules]
+assert not loaded, loaded
 """
 
 # every scipy module in sys.modules that was really loaded
@@ -28,7 +36,7 @@ for sets in ({}, {"steady_relax": True, "perturb_kind": "none"}):
 short = sl.ExperimentConfig(span_over_eps=10.0, t_end_sigma=0.2, width=5.0)
 sl.run_experiment(sl.build_setup(short))
 sl.identity_audit(short, refinements=(1, 2))
-""" + LOADED_SCIPY
+""" + NO_NUMPY_RANDOM_OR_MA + LOADED_SCIPY
 
 SHORT = ["--set", "span_over_eps=10", "--set", "t_end_sigma=0.2", "--set", "width=5"]
 
@@ -36,11 +44,13 @@ CLI = NO_SCIPY + f"""
 import contextlib, io
 from shocklab.cli import main
 for argv in (["profile"], ["verify-inequalities", "--fast"],
-             ["simulate", *{SHORT!r}], ["audit", *{SHORT!r}]):
+             ["simulate", *{SHORT!r}],
+             ["simulate", *{SHORT!r}, "--set", "perturb_kind=random-fourier"],
+             ["audit", *{SHORT!r}]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     assert code == 0, (argv, code)
-""" + LOADED_SCIPY
+""" + NO_NUMPY_RANDOM_OR_MA + LOADED_SCIPY
 
 REPORTS = NO_SCIPY + """
 import shocklab as sl

@@ -16,6 +16,7 @@ from shocklab.inequalities import (
     E_poly,
     P_delta_poly,
     _legendre_maps,
+    _r_delta_forms,
     _r_delta_hessian_at_zero,
     _r_delta_kernel,
     g_deriv,
@@ -137,6 +138,32 @@ def test_certify_g_negative():
     assert rep.certified
     assert rep.margin > 0.08
     assert -0.0857 < rep.worst_value < -0.0855
+
+
+def plateau(x):
+    """0 on about [-1.005, -0.995], negative elsewhere: a maximum that many
+    grid points share, the first of them inside the grid."""
+    return -np.abs(np.round(x, 2) + 1.0)
+
+
+@pytest.mark.parametrize("g", [sl.g_poly, plateau], ids=["g", "plateau"])
+@pytest.mark.parametrize("step", [1e-4, 3e-5])
+def test_certify_g_negative_blocks_match_full_grid(monkeypatch, step, g):
+    # the one-shot grid; blocks of 97 points put hundreds of seams in it,
+    # and the last block, which holds -G_CUSP, is partial.  g itself is
+    # largest at -G_CUSP
+    x = np.arange(-2.0, -G_CUSP + 0.5 * step, step)
+    x[-1] = -G_CUSP
+    vals = g(x)
+    i = int(np.argmax(vals))
+    monkeypatch.setattr(inequalities, "g_poly", g)
+    monkeypatch.setattr(inequalities, "BAND_BLOCK_POINTS", 97)
+    assert x.size % 97
+    rep = sl.certify_g_negative(step=step)
+    assert rep.worst_value == vals[i]
+    assert rep.details["argmax_grid"] == x[i]
+    assert rep.margin == -(vals[i] + G_LIPSCHITZ_BOUND * step / 2.0)
+    assert rep.details["grid_points"] == x.size
 
 
 def test_g_certificate_constants_follow_theta():
@@ -350,8 +377,8 @@ def test_maximize_r_delta_stays_nonpositive_at_delta_one_tenth():
 def test_maximize_r_delta_reaches_the_supremum_where_it_cannot_scale():
     # above delta ~ 0.33 the second variation of -R_delta at 0 is indefinite,
     # and the search keeps the Legendre coefficients
-    A, D = _legendre_maps(Y64, 12)
-    assert np.linalg.eigvalsh(_r_delta_hessian_at_zero(A, D, Q64, QD64, 0.5))[0] < 0.0
+    forms = _r_delta_forms(*_legendre_maps(Y64, 12), Q64, QD64)
+    assert np.linalg.eigvalsh(_r_delta_hessian_at_zero(forms, 0.5))[0] < 0.0
     npt.assert_allclose(sl.maximize_r_delta(delta=0.5).worst_value, 22.31458, rtol=1e-6)
 
 
@@ -381,7 +408,9 @@ def grid_maps():
 
 
 def kernel(rows, maps):
-    return _r_delta_kernel(rows, *maps, Q64, QD64, DELTA)
+    """The kernel for W = maps[0] p, W' = maps[1] p, its forms built by
+    the helper that maximize_r_delta uses."""
+    return _r_delta_kernel(rows, maps[0], Q64, _r_delta_forms(*maps, Q64, QD64), DELTA)
 
 
 def kernel_at(p, maps):
@@ -418,11 +447,12 @@ def test_r_delta_kernel_gradient_matches_central_differences(scale, raw):
 @pytest.mark.parametrize("delta", [0.01, 0.3, 0.5])
 def test_r_delta_hessian_at_zero_matches_central_differences(delta):
     A, D = _legendre_maps(Y64, 8)
-    M = _r_delta_hessian_at_zero(A, D, Q64, QD64, delta)
+    forms = _r_delta_forms(A, D, Q64, QD64)
+    M = _r_delta_hessian_at_zero(forms, delta)
     h = 1e-6
 
     def grad(p):
-        return _r_delta_kernel(p[None], A, D, Q64, QD64, delta)[1][0]
+        return _r_delta_kernel(p[None], A, Q64, forms, delta)[1][0]
 
     fd = np.array([(grad(h * e) - grad(-h * e)) / (2.0 * h) for e in np.eye(9)])
     npt.assert_allclose(M, M.T, rtol=0, atol=1e-12 * np.abs(M).max())
