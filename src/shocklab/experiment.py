@@ -254,18 +254,27 @@ class LabSetup:
         return self.profile.eps
 
 
+def _setups(configs):
+    """Set-ups of checked configs that differ only in keys the profile and the
+    weight do not read: one profile and one weight, from the first config,
+    then each config's grid and functional frame as the set-up is drawn."""
+    base = configs[0]
+    gas = GasModel(gamma=base.gamma, v_minus=base.v_minus, u_minus=base.u_minus)
+    # the profile window reaches 10/eps past each end of the grid
+    profile = solve_profile(gas, base.eps, span_over_eps=base.span_over_eps + 10.0)
+    weight = build_weight(profile, base.lam)
+    for config in configs:
+        L = config.span_over_eps / config.eps
+        dx = 1.0 / (config.eps * config.cells_per_layer)
+        n = int(np.ceil(2.0 * L / dx))
+        grid = Grid(lo=-L, hi=L, n=n)
+        yield LabSetup(config=config, profile=profile, weight=weight, grid=grid,
+                       frame=functional_frame(weight, grid.x))
+
+
 def build_setup(config):
     config.validate()
-    gas = GasModel(gamma=config.gamma, v_minus=config.v_minus, u_minus=config.u_minus)
-    # the profile window reaches 10/eps past each end of the grid
-    profile = solve_profile(gas, config.eps, span_over_eps=config.span_over_eps + 10.0)
-    weight = build_weight(profile, config.lam)
-    L = config.span_over_eps / config.eps
-    dx = 1.0 / (config.eps * config.cells_per_layer)
-    n = int(np.ceil(2.0 * L / dx))
-    grid = Grid(lo=-L, hi=L, n=n)
-    return LabSetup(config=config, profile=profile, weight=weight, grid=grid,
-                    frame=functional_frame(weight, grid.x))
+    return next(_setups([config]))
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +569,9 @@ def identity_audit(config, refinements=(1, 2)):
                               f"record_sigma = {cfg.record_sigma:.6g}): {exc}") from exc
         configs.append(cfg)
     levels = []
-    for r, cfg in zip(refinements, configs):
-        setup = build_setup(cfg)
+    # the levels differ only in cells_per_layer and record_sigma, so they
+    # share one profile and one weight
+    for r, setup in zip(refinements, _setups(configs)):
         rel = audit_trace(run_experiment(setup)[0])
         # np.median's value from one sort, without the numpy.ma import it costs
         srt = np.sort(rel)

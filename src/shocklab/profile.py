@@ -368,6 +368,7 @@ def solve_profile(gas, eps, span_over_eps=40.0):
     def xi_of(s):
         j = np.clip(((s - left[0]) / PANEL_WIDTH).astype(np.intp), 0, left.size - 1)
         t = (s - left.take(j)) * (2.0 / PANEL_WIDTH) - 1.0
+        # the march's speed relies on this gather: freeing it lifts glibc's mmap/trim thresholds
         c = coef.take(j, axis=1)
         # Clenshaw's recurrence for sum_k c_k T_k(t)
         t2 = 2.0 * t

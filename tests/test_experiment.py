@@ -511,6 +511,29 @@ def test_identity_audit_structure(monkeypatch):
         assert level["max_rel"] == np.max(rel) and level["median_rel"] == np.median(rel)
 
 
+def test_identity_audit_solves_one_profile_for_its_ladder(monkeypatch):
+    # the levels differ only in cells_per_layer and record_sigma, which the
+    # profile and the weight do not read; each level scores as the set-up
+    # that build_setup makes of it alone, bit for bit
+    cfg = short_config(t_end_sigma=0.2)
+    alone = {}
+    for r in (1, 2, 3):
+        rel = sl.experiment.audit_trace(
+            sl.run_experiment(sl.build_setup(_audit_level(cfg, r)))[0])
+        alone[r] = (np.max(rel), np.median(rel))
+    solves = []
+    solve_profile = sl.experiment.solve_profile
+    monkeypatch.setattr(sl.experiment, "solve_profile",
+                        lambda *a, **kw: solves.append(a) or solve_profile(*a, **kw))
+    for refinements in ((1, 2), (1, 2, 3)):
+        solves.clear()
+        audit = sl.identity_audit(cfg, refinements=refinements)
+        assert len(solves) == 1
+        for r, level in zip(refinements, audit["levels"]):
+            assert level["refine"] == r
+            assert (level["max_rel"], level["median_rel"]) == alone[r]
+
+
 def test_sweep_runs_overrides():
     res = sl.sweep([short_config(t_end_sigma=0.2, amplitude=a) for a in (0.005, 0.02)])
     assert len(res) == 2

@@ -3,9 +3,12 @@ package, the march, the whole CLI and the report helpers; and no command
 loads numpy.random or numpy.ma, whose first imports cost more than the
 work they would do (seeded draws come from the standard library's random)."""
 
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import shocklab as sl
 
@@ -26,7 +29,6 @@ LOADED_SCIPY = """
 loaded = [m for m, mod in sys.modules.items()
           if m.split(".")[0] == "scipy" and mod is not None]
 assert not loaded, loaded
-print("ok")
 """
 
 MARCH = NO_SCIPY + """
@@ -66,31 +68,47 @@ import sys
 import shocklab.cli
 """ + LOADED_SCIPY
 
+# one fresh process runs the parts in this order, CLI_IMPORT first while
+# scipy is still importable, and prints {part: "ok" or its traceback}
+PARTS = [("cli_import", CLI_IMPORT), ("march", MARCH), ("cli", CLI), ("reports", REPORTS)]
+CHILD = f"PARTS = {PARTS!r}\n" + """
+import json, traceback
+report = {}
+for name, code in PARTS:
+    try:
+        exec(code, {})
+        report[name] = "ok"
+    except Exception:
+        report[name] = traceback.format_exc()
+print(json.dumps(report))
+"""
 
-def run_python(code):
+
+@pytest.fixture(scope="module")
+def report():
     src = os.path.dirname(os.path.dirname(sl.__file__))
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    out = subprocess.run([sys.executable, "-W", "error", "-c", code],
+    out = subprocess.run([sys.executable, "-W", "error", "-c", CHILD],
                          capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
+    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def test_the_march_path_imports_no_scipy():
-    run_python(MARCH)
+def test_the_march_path_imports_no_scipy(report):
+    assert report["march"] == "ok", report["march"]
 
 
-def test_the_cli_runs_without_scipy():
-    run_python(CLI)
+def test_the_cli_runs_without_scipy(report):
+    assert report["cli"] == "ok", report["cli"]
 
 
-def test_the_report_helpers_run_without_scipy():
-    run_python(REPORTS)
+def test_the_report_helpers_run_without_scipy(report):
+    assert report["reports"] == "ok", report["reports"]
 
 
-def test_importing_the_cli_loads_no_scipy():
-    run_python(CLI_IMPORT)
+def test_importing_the_cli_loads_no_scipy(report):
+    assert report["cli_import"] == "ok", report["cli_import"]
 
 
 def test_the_inequality_names_are_re_exported():
