@@ -15,8 +15,7 @@ from .profile import (ShockEndStates, ShockProfile, analytic_tail_rates,
                       end_states_from_amplitude, solve_profile,
                       tail_decay_report, write_profile_csv)
 from .weight import WeightFn, build_weight, weight_report
-from .solver import (FieldState, Grid, read_checkpoint, semi_discrete_rhs,
-                     stable_dt, steady_state, write_checkpoint)
+from .solver import FieldState, Grid, semi_discrete_rhs, stable_dt, steady_state
 from .functionals import (FunctionalBreakdown, compute_breakdown,
                           functional_frame, quick_yb)
 from .shift import phi_eps, r_residual, shift_rhs

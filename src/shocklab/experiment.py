@@ -14,7 +14,7 @@ The state is marched at xi = x - X(t), in the frame of the shifted profile
 where int a(xi) eta(U | Utilde(xi)) dxi lives.  As d/dt|_xi = d/dt|_x +
 Xdot d/dxi, the PDE drift is sigma + Xdot and the weight frame is fixed:
 build_setup folds it into one functional frame for every stage and record.
-The recorded states, the final state and the checkpoint are at xi.
+The recorded states and the final state are at xi.
 
 The identity audit re-runs a configuration on a resolution ladder and checks
 that the centered time-difference of the recorded weighted entropy matches
@@ -95,11 +95,14 @@ MIN_WIDTH_OVER_L = 1e-150
 MAX_RECORDS = 100_000
 
 #: a run evaluates its records in blocks of K = max(1, RECORD_BLOCK_FLOATS // n)
-#: states on n grid points, so that each temporary of a block's breakdown,
-#: K*n floats, stays under glibc's default mmap threshold of 128 KiB.
-#: compute_breakdown per record, in-process on one core: at n = 2001, 168 us
-#: one at a time and 86 us in blocks of 8; at n = 8001, 307 us one at a
-#: time, 277 us in blocks of 2 and 534 us in blocks of 16
+#: states on n grid points; each temporary of a block's breakdown is K*n
+#: floats.  Under the CLI's fixed malloc thresholds (cli.MMAP_THRESHOLD),
+#: 65,536 floats measured worse than 16,384 (BENCH_pr36.json): steady-hold's
+#: minor faults 2.4k -> 36.7k and peak RSS 34.8 -> 38.8 MB, audit-r2's
+#: 1.9k -> 69.6k and 38.4 -> 42.0 MB.  compute_breakdown per
+#: record, in-process on one core: at n = 2001, 168 us one at a time and
+#: 86 us in blocks of 8; at n = 8001, 307 us one at a time, 277 us in blocks
+#: of 2 and 534 us in blocks of 16
 RECORD_BLOCK_FLOATS = 16384
 
 #: the profile's knot spacing is at most L/50, and its ODE residual grows

@@ -368,7 +368,8 @@ def solve_profile(gas, eps, span_over_eps=40.0):
     def xi_of(s):
         j = np.clip(((s - left[0]) / PANEL_WIDTH).astype(np.intp), 0, left.size - 1)
         t = (s - left.take(j)) * (2.0 / PANEL_WIDTH) - 1.0
-        # the march's speed relies on this gather: freeing it lifts glibc's mmap/trim thresholds
+        # freeing this gather lifts glibc's dynamic mmap/trim thresholds; the CLI
+        # fixes them (cli.MMAP_THRESHOLD), so only an API user's march leans on it
         c = coef.take(j, axis=1)
         # Clenshaw's recurrence for sum_k c_k T_k(t)
         t2 = 2.0 * t

@@ -24,12 +24,10 @@ of the step that holds it.
 
 Also here: a damped-Newton solver for the *discrete* steady state (a run
 started from it stays put to machine precision, which the shift-coupled
-steady tests need), with a Thomas solve of its tridiagonal Jacobian, and
-binary checkpoint IO.
+steady tests need), with a Thomas solve of its tridiagonal Jacobian.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -45,11 +43,7 @@ __all__ = [
     "march",
     "steady_state",
     "effective_velocity",
-    "write_checkpoint",
-    "read_checkpoint",
 ]
-
-CHECKPOINT_MAGIC = b"SHCKPT01"
 
 #: about 85 times the longest march of any test, demo or benchmark workload
 #: (1,181 steps, in criterion 10)
@@ -432,64 +426,3 @@ def _thomas(lo, di, up, rhs):
         x[i] -= c[i] * x[i + 1]
     return np.array(x)
 
-
-# ---------------------------------------------------------------------------
-# binary restart checkpoints
-#
-# Layout (all little-endian): 8-byte magic b"SHCKPT01", int64 n_points,
-# float64 t, float64 shift X, then v[n_points] and h[n_points] as float64:
-# 32 + 16*n_points bytes in all.
-# ---------------------------------------------------------------------------
-
-
-def _check_state(t, shift, v, h):
-    if not (np.isfinite(t) and np.isfinite(shift)):
-        raise ValueError(f"corrupt checkpoint header: t = {t!r}, shift = {shift!r}")
-    for name, a in (("v", v), ("h", h)):
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"checkpoint body has a non-finite {name}")
-    if not np.all(v > 0.0):
-        raise ValueError("checkpoint body has v <= 0")
-
-
-def write_checkpoint(path, t, shift, v, h):
-    """Write (t, shift, v, h); refuses a state that read_checkpoint rejects."""
-    v = np.asarray(v, dtype="<f8")
-    h = np.asarray(h, dtype="<f8")
-    if v.shape != h.shape or v.ndim != 1 or v.size < 1:
-        raise ValueError("v and h must be nonempty 1-d arrays of equal length")
-    _check_state(t, shift, v, h)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        np.array([v.size], dtype="<i8").tofile(f)
-        np.array([t, shift], dtype="<f8").tofile(f)
-        v.tofile(f)
-        h.tofile(f)
-
-
-def read_checkpoint(path):
-    """Returns (t, shift, v, h).
-
-    Raises ValueError on a bad magic, a header with n < 1 points, a file size
-    other than the 32 + 16*n bytes the header promises (truncated, or with
-    trailing bytes), a non-finite t, shift, v or h, or a v <= 0.  The size is
-    checked first, so a corrupt n never asks for more than the file holds.
-    """
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if f.read(8) != CHECKPOINT_MAGIC:
-            raise ValueError("not a shocklab checkpoint (bad magic)")
-        if size < 32:
-            raise ValueError(f"truncated checkpoint: {size} bytes, the header alone is 32")
-        n = int(np.fromfile(f, dtype="<i8", count=1)[0])
-        t, shift = np.fromfile(f, dtype="<f8", count=2).tolist()
-        if n < 1:
-            raise ValueError(f"corrupt checkpoint header: n = {n} points")
-        expected = 32 + 16 * n
-        if size != expected:
-            kind = "truncated checkpoint" if size < expected else "trailing bytes in checkpoint"
-            raise ValueError(f"{kind}: {size} bytes, the header's n = {n} needs {expected}")
-        v = np.fromfile(f, dtype="<f8", count=n)
-        h = np.fromfile(f, dtype="<f8", count=n)
-    _check_state(t, shift, v, h)
-    return t, shift, v, h

@@ -1,9 +1,11 @@
 """Key-value config parsing and the command-line entry points."""
 
+import ctypes
 import json
 import os
 import re
 import tempfile
+import types
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -195,19 +197,14 @@ def test_cli_simulate_artifacts():
     with tempfile.TemporaryDirectory() as d:
         trace = os.path.join(d, "trace.csv")
         summary = os.path.join(d, "summary.json")
-        chk = os.path.join(d, "final.chk")
         rc = main(["simulate",
                    "--set", "span_over_eps=10", "--set", "t_end_sigma=0.3",
                    "--set", "width=5",
-                   "--trace", trace, "--summary", summary,
-                   "--checkpoint", chk])
+                   "--trace", trace, "--summary", summary])
         assert rc == 0
         loaded = json.loads(Path(summary).read_text())
-        t, X, v, h = sl.read_checkpoint(chk)
         n_rows = len(Path(trace).read_text().strip().splitlines()) - 1
     assert loaded["records"] == n_rows
-    assert np.all(v > 0)
-    assert t > 0
 
 
 def test_cli_sweep():
@@ -669,10 +666,13 @@ def test_cli_rejects_a_bad_count_at_parse_time(argv, flag, capsys):
     ["sweep", "amplitude", "0.01", "--tol", "1e-8"],
     ["audit", "--tol", "0.01"],
     ["verify-inequalities", "--poincare-trials", "200"],
-], ids=["sweep-tol", "audit-tol", "verify-inequalities-poincare-trials"])
+    ["simulate", "--checkpoint", os.devnull],
+], ids=["sweep-tol", "audit-tol", "verify-inequalities-poincare-trials",
+        "simulate-checkpoint"])
 def test_cli_refuses_a_retired_flag(argv, capsys):
     # the entropy growth and audit mismatch thresholds and the polynomial
-    # count are constants of the CLI; the flags that set them are unknown
+    # count are constants of the CLI; the flags that set them are unknown.
+    # The restart file had no reader, and its flag is gone too
     error = refused_by_the_parser(argv, capsys)
     assert "unrecognized arguments" in error and argv[-2] in error
 
@@ -681,13 +681,58 @@ def test_cli_refuses_a_retired_flag(argv, capsys):
     ["profile", "--out"],
     ["simulate", "--trace"],
     ["simulate", "--summary"],
-    ["simulate", "--checkpoint"],
     ["sweep", "amplitude", "0.01", "--out"],
-], ids=["profile-out", "simulate-trace", "simulate-summary", "simulate-checkpoint",
-        "sweep-out"])
+], ids=["profile-out", "simulate-trace", "simulate-summary", "sweep-out"])
 def test_cli_refuses_an_unwritable_output_path_at_parse_time(argv, tmp_path, capsys):
     # a path in a directory that does not exist, or one that names a
     # directory, is refused before any set-up, not after the whole run with
     # a traceback
     for path in (str(tmp_path / "missing" / "out"), str(tmp_path), "new" + os.sep, ""):
         assert argv[-1] in refused_by_the_parser(argv + [path], capsys)
+
+
+def fake_libc(monkeypatch, handle):
+    """ctypes.CDLL replaced by one that returns `handle` (or raises it, if it
+    is an exception); the names it was asked for are returned."""
+    asked = []
+
+    def cdll(name, *args, **kwargs):
+        asked.append(name)
+        if isinstance(handle, Exception):
+            raise handle
+        return handle
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    return asked
+
+
+THRESHOLDS = [(-3, 2 * 1024 * 1024), (-1, 4 * 1024 * 1024)]
+SHORT_RUN = ["simulate", "--set", "span_over_eps=10", "--set", "t_end_sigma=0.2",
+             "--set", "width=5"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (SHORT_RUN, 0),
+    (["simulate", "--set", "eps=-1"], 2),
+    (["audit", "--set", "t_end_sigma=0.01"], 2),
+    (["sweep", "eps", "-1"], 2),
+], ids=["simulate", "simulate-config-error", "audit", "sweep"])
+def test_main_fixes_the_malloc_thresholds_of_the_commands_that_march(argv, code, monkeypatch,
+                                                                     capsys):
+    # M_MMAP_THRESHOLD (-3) = 2 MiB and M_TRIM_THRESHOLD (-1) = 4 MiB for
+    # simulate, sweep and audit (tests/test_imports.py checks that profile
+    # and verify-inequalities keep glibc's defaults); the exit code does not
+    # depend on them
+    made = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: made.append((param, value)) or 1)
+    fake_libc(monkeypatch, libc)
+    assert main(argv) == code
+    assert made == THRESHOLDS
+
+
+@pytest.mark.parametrize("handle", [OSError("libc.so.6: cannot open shared object file"),
+                                    types.SimpleNamespace()], ids=["no-glibc", "no-mallopt"])
+def test_main_runs_where_libc_has_no_mallopt(handle, monkeypatch, capsys):
+    asked = fake_libc(monkeypatch, handle)
+    assert main(SHORT_RUN) == 0
+    assert asked and capsys.readouterr().out.endswith("simulate check: PASS\n")

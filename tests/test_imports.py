@@ -1,7 +1,9 @@
 """shocklab runs on numpy alone: scipy stays off the import path of the
 package, the march, the whole CLI and the report helpers; and no command
 loads numpy.random or numpy.ma, whose first imports cost more than the
-work they would do (seeded draws come from the standard library's random)."""
+work they would do (seeded draws come from the standard library's random).
+Only the CLI entry sets glibc's malloc thresholds, for the commands that
+march; the package never does."""
 
 import json
 import os
@@ -68,19 +70,39 @@ import sys
 import shocklab.cli
 """ + LOADED_SCIPY
 
+# ctypes.CDLL, patched before anything imports shocklab, records each
+# mallopt call made through it in RecordingCDLL.calls instead of making it;
+# every other symbol resolves as before
+RECORD_MALLOPT = """
+import ctypes
+
+class RecordingCDLL(ctypes.CDLL):
+    calls = []
+
+    def __getattr__(self, name):
+        if name == "mallopt":
+            return lambda *args: RecordingCDLL.calls.append(args) or 1
+        return super().__getattr__(name)
+
+ctypes.CDLL = RecordingCDLL
+"""
+
 # one fresh process runs the parts in this order, CLI_IMPORT first while
-# scipy is still importable, and prints {part: "ok" or its traceback}
+# scipy is still importable, and prints {part: "ok" or its traceback} with
+# {part: the mallopt calls it made} under "mallopt"
 PARTS = [("cli_import", CLI_IMPORT), ("march", MARCH), ("cli", CLI), ("reports", REPORTS)]
-CHILD = f"PARTS = {PARTS!r}\n" + """
+CHILD = RECORD_MALLOPT + f"PARTS = {PARTS!r}\n" + """
 import json, traceback
-report = {}
+report, mallopt = {}, {}
 for name, code in PARTS:
+    start = len(RecordingCDLL.calls)
     try:
         exec(code, {})
         report[name] = "ok"
     except Exception:
         report[name] = traceback.format_exc()
-print(json.dumps(report))
+    mallopt[name] = RecordingCDLL.calls[start:]
+print(json.dumps({**report, "mallopt": mallopt}))
 """
 
 
@@ -109,6 +131,15 @@ def test_the_report_helpers_run_without_scipy(report):
 
 def test_importing_the_cli_loads_no_scipy(report):
     assert report["cli_import"] == "ok", report["cli_import"]
+
+
+def test_only_the_cli_entry_sets_the_malloc_thresholds(report):
+    # importing shocklab or its CLI, build_setup, run_experiment and the
+    # report helpers leave a library user's allocator as it is; of the CLI
+    # part's five cli.main calls, the three that march set both thresholds
+    calls = report["mallopt"]
+    assert calls["cli_import"] == calls["march"] == calls["reports"] == []
+    assert calls["cli"] == [[-3, 2 * 1024 * 1024], [-1, 4 * 1024 * 1024]] * 3
 
 
 def test_the_inequality_names_are_re_exported():

@@ -1,13 +1,11 @@
-"""Property tests: checkpoint headers and bodies, config text round trip,
-Bregman gaps, the functionals' quadrature.
+"""Property tests: config text round trip, Bregman gaps, the functionals'
+quadrature.
 
 Examples are drawn deterministically (derandomize) and no example database
 is written, so a run is reproducible and leaves no files behind.
 """
 
 import dataclasses
-import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -21,86 +19,6 @@ from shocklab.functionals import _dot, _trapezoid_weights
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-def checkpoint_bytes(t, shift, v, h):
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "state.chk")
-        sl.write_checkpoint(path, t, shift, v, h)
-        with open(path, "rb") as f:
-            return f.read()
-
-
-def read_bytes(raw):
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "state.chk")
-        with open(path, "wb") as f:
-            f.write(raw)
-        return sl.read_checkpoint(path)
-
-
-@PROPERTY
-@given(n=st.integers(1, 40), t=finite, shift=finite, data=st.data())
-def test_checkpoint_roundtrip_and_truncation(n, t, shift, data):
-    rng = np.random.default_rng(n)
-    v, h = rng.uniform(0.5, 2.0, n), rng.standard_normal(n)
-    raw = checkpoint_bytes(t, shift, v, h)
-    assert len(raw) == 32 + 16 * n
-    t2, shift2, v2, h2 = read_bytes(raw)
-    assert (t2, shift2) == (t, shift)
-    assert np.array_equal(v2, v) and np.array_equal(h2, h)
-    # any truncation, and any trailing bytes, is a ValueError
-    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
-    extra = data.draw(st.binary(min_size=1, max_size=24), label="extra")
-    for bad in (raw[:cut], raw + extra):
-        try:
-            read_bytes(bad)
-        except ValueError:
-            continue
-        raise AssertionError(f"accepted a checkpoint of {len(bad)} bytes")
-
-
-@PROPERTY
-@given(count=st.integers(-2 ** 63, 2 ** 63 - 1), t=st.floats(), shift=st.floats(),
-       n=st.integers(1, 8))
-def test_checkpoint_header_fuzz(count, t, shift, n):
-    # a header is accepted only if its n matches the file and t, shift are
-    # finite; any other header is a ValueError, never an allocation of n
-    body = np.arange(1, 2 * n + 1, dtype="<f8").tobytes()  # a valid body: v > 0
-    raw = (b"SHCKPT01" + np.array([count], "<i8").tobytes()
-           + np.array([t, shift], "<f8").tobytes() + body)
-    valid = count == n and np.isfinite(t) and np.isfinite(shift)
-    try:
-        t2, shift2, v, h = read_bytes(raw)
-    except ValueError:
-        assert not valid
-    else:
-        assert valid and (t2, shift2) == (t, shift) and v.size == h.size == n
-
-
-non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
-
-
-@PROPERTY
-@given(n=st.integers(1, 40), which=st.sampled_from(["v", "h"]), data=st.data())
-def test_checkpoint_rejects_a_body_no_march_can_start_from(n, which, data):
-    # a non-finite v or h, or a v <= 0, is refused on write and rejected on
-    # read, with the array named
-    rng = np.random.default_rng(n)
-    state = {"v": rng.uniform(0.5, 2.0, n), "h": rng.standard_normal(n)}
-    bad = data.draw(non_finite if which == "h" else
-                    st.one_of(non_finite, st.floats(max_value=0.0)), label="bad")
-    state[which][data.draw(st.integers(0, n - 1), label="index")] = bad
-    message = f"non-finite {which}" if not np.isfinite(bad) else "v <= 0"
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "state.chk")
-        with pytest.raises(ValueError, match=message):
-            sl.write_checkpoint(path, 0.0, 0.0, state["v"], state["h"])
-        assert not os.path.exists(path)
-    raw = (b"SHCKPT01" + np.array([n], "<i8").tobytes() + np.zeros(2, "<f8").tobytes()
-           + state["v"].astype("<f8").tobytes() + state["h"].astype("<f8").tobytes())
-    with pytest.raises(ValueError, match=message):
-        read_bytes(raw)
 
 
 def _value_strategy(f):

@@ -29,9 +29,7 @@ TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
 
 #: public names (and "Class.method") that only tests call, each kept as the
 #: tests' reference; an entry for a class covers its methods
-ALLOWED = {
-    "solver.read_checkpoint": "the one reader of the file simulate --checkpoint writes",
-}
+ALLOWED = {}
 
 
 def _names(node):

@@ -1,8 +1,4 @@
-"""Finite-difference evolution: RHS accuracy, stepping, steady states, I/O."""
-
-import os
-import tempfile
-from pathlib import Path
+"""Finite-difference evolution: RHS accuracy, stepping, steady states."""
 
 import numpy as np
 import numpy.testing as npt
@@ -610,58 +606,3 @@ def test_conservation_balance_zero_for_compact_perturbation(gas2, profile01):
                           h + 1e-3 * np.exp(-((x - 3.0) / 5.0) ** 2))
     ddt, flux = conservation_balance(gas2, profile01.states.sigma, grid, state)
     assert abs(ddt - flux) < 1e-8
-
-
-def test_checkpoint_roundtrip(profile01):
-    grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
-    v, h = profile_arrays(profile01, grid)
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "state.chk")
-        sl.write_checkpoint(path, 1.375, -0.0625, v, h)
-        t, shift, v2, h2 = sl.read_checkpoint(path)
-    assert t == 1.375 and shift == -0.0625
-    npt.assert_array_equal(v2, v)
-    npt.assert_array_equal(h2, h)
-
-
-def test_checkpoint_rejects_corruption(profile01):
-    grid = make_grid(lo=-10.0, hi=10.0, dx=0.2)
-    v, h = profile_arrays(profile01, grid)
-    n = v.size
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "state.chk")
-        sl.write_checkpoint(path, 0.0, 0.0, v, h)
-        raw = Path(path).read_bytes()
-
-        def header(count, t=0.0, shift=0.0):
-            return (raw[:8] + np.array([count], "<i8").tobytes()
-                    + np.array([t, shift], "<f8").tobytes())
-
-        for corrupt, message in (
-            (b"BADMAGIC" + raw[8:], "bad magic"),
-            (raw[:20], "truncated checkpoint: 20 bytes"),
-            (raw[: len(raw) // 2], "truncated checkpoint"),
-            (raw + b"\0" * 8, "trailing bytes"),
-            (header(0) + raw[32:], "n = 0 points"),
-            (header(-1) + raw[32:], "n = -1 points"),
-            # a huge n is caught by the size check, before any allocation
-            (header(10 ** 12) + raw[32:], f"n = {10 ** 12} needs"),
-            (header(n + 1) + raw[32:], "truncated checkpoint"),
-            (header(n, t=float("nan")) + raw[32:], "t = nan"),
-            (header(n, shift=float("inf")) + raw[32:], "shift = inf"),
-        ):
-            Path(path).write_bytes(corrupt)
-            with pytest.raises(ValueError, match=message):
-                sl.read_checkpoint(path)
-
-
-def test_write_checkpoint_refuses_a_state_read_would_reject(tmp_path):
-    path = tmp_path / "state.chk"
-    v, h = np.ones(4), np.zeros(4)
-    for args, message in (((float("nan"), 0.0, v, h), "t = nan"),
-                          ((0.0, float("inf"), v, h), "shift = inf"),
-                          ((0.0, 0.0, v[:0], h[:0]), "nonempty"),
-                          ((0.0, 0.0, -v, h), "v <= 0")):
-        with pytest.raises(ValueError, match=message):
-            sl.write_checkpoint(path, *args)
-        assert not path.exists()
