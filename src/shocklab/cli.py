@@ -23,7 +23,6 @@ such a point on its own line, runs the remaining points, and then exits 3.
 """
 
 import argparse
-import ctypes
 import json
 import os
 import random
@@ -39,34 +38,6 @@ from .experiment import (ConfigError, ExperimentConfig, build_setup, identity_au
 from .gas import GasModel
 from .profile import solve_profile, tail_decay_report, write_profile_csv
 from .weight import build_weight
-
-
-#: glibc's malloc thresholds for the commands that march: M_MMAP_THRESHOLD
-#: = 2 MiB and M_TRIM_THRESHOLD = 4 MiB.  Under glibc's dynamic defaults a
-#: march was lean only because solve_profile frees a 4.4 MB gather, which
-#: lifts both thresholds.  Fixed, median peak RSS of 10 perfbench pairs on
-#: a 2-core box: audit-r2 39.27 -> 38.38 MB and steady-hold 35.53 -> 34.78 MB,
-#: lower in 10 of 10, wall time within its spread (BENCH_pr36.json).  1/2 MiB
-#: left audit-r2 at 38.44 MB with 1.7x its page faults.  verify-inequalities
-#: keeps the defaults: each fixed pair tried (0.5 to 2 MiB) raised its peak
-#: RSS by 0.16 to 0.9 MB, as its 1 MiB band blocks then stay on the heap
-MMAP_THRESHOLD = 2 << 20
-TRIM_THRESHOLD = 4 << 20
-MARCHING_COMMANDS = ("simulate", "sweep", "audit")
-
-#: mallopt's parameter numbers in glibc's malloc.h
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-
-
-def _fix_malloc_thresholds():
-    """Set MMAP_THRESHOLD and TRIM_THRESHOLD where libc is glibc; elsewhere
-    nothing.  Only `main` calls it: a library leaves its host's allocator be."""
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _config_from_args(args, extra=None, check=ExperimentConfig.validate):
@@ -355,8 +326,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command in MARCHING_COMMANDS:
-        _fix_malloc_thresholds()
     try:
         return args.func(args)
     except ConfigError as exc:

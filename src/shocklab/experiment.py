@@ -30,12 +30,12 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import solver
-from .functionals import compute_breakdown, functional_frame, quick_yb
+from .functionals import breakdown_work, compute_breakdown, functional_frame, quick_yb
 from .gas import GasModel
 from .profile import end_states_from_amplitude, solve_profile
 from .shift import overshoot, r_residual, saturated, shift_rhs
-from .solver import (FieldState, Grid, effective_velocity, march, semi_discrete_rhs,
-                     stable_dt, steady_state)
+from .solver import (FieldState, Grid, central_gradient, effective_velocity, march,
+                     semi_discrete_rhs, stable_dt, steady_state)
 from .weight import build_weight, check_lam
 
 __all__ = [
@@ -95,14 +95,11 @@ MIN_WIDTH_OVER_L = 1e-150
 MAX_RECORDS = 100_000
 
 #: a run evaluates its records in blocks of K = max(1, RECORD_BLOCK_FLOATS // n)
-#: states on n grid points; each temporary of a block's breakdown is K*n
-#: floats.  Under the CLI's fixed malloc thresholds (cli.MMAP_THRESHOLD),
-#: 65,536 floats measured worse than 16,384 (BENCH_pr36.json): steady-hold's
-#: minor faults 2.4k -> 36.7k and peak RSS 34.8 -> 38.8 MB, audit-r2's
-#: 1.9k -> 69.6k and 38.4 -> 42.0 MB.  compute_breakdown per
-#: record, in-process on one core: at n = 2001, 168 us one at a time and
-#: 86 us in blocks of 8; at n = 8001, 307 us one at a time, 277 us in blocks
-#: of 2 and 534 us in blocks of 16
+#: states on n grid points, in one workspace of K*n-float arrays per run.  Via
+#: the CLI, medians of 6 fresh processes on a 2-core box, steady-hold's and
+#: audit-r2's CPU time and peak RSS: 8,192 floats 0.225 s, 33.4 MB and 0.492 s,
+#: 36.5 MB; 16,384 0.238 s, 33.7 MB and 0.473 s, 36.4 MB; 32,768 0.222 s,
+#: 34.8 MB and 0.474 s, 37.6 MB; steady-hold's times spread 10% between rounds
 RECORD_BLOCK_FLOATS = 16384
 
 #: the profile's knot spacing is at most L/50, and its ODE residual grows
@@ -384,7 +381,7 @@ def initial_state(setup):
         # prescribe velocity u = u0 + dh, then h = u + d_xi p(v); the reference's
         # u0 = h0 - d_xi p(v0) takes the solver's difference on the relaxed state
         # and d/dxi p(s*xi) = s*p' on the profile
-        dp0 = (np.gradient(setup.gas.pressure(v0), setup.grid.dx) if cfg.steady_relax
+        dp0 = (central_gradient(setup.gas.pressure(v0), setup.grid.dx) if cfg.steady_relax
                else s * fr["dp"])
         h = effective_velocity(setup.gas, setup.grid, v, h0 - dp0 + dh)
 
@@ -426,13 +423,16 @@ def _coupled_rhs(setup):
     """The right-hand side (dv, dh, Xdot) of (v, h, X) at xi = x - X, for
     `solver.march`.
 
-    Each call computes p(v), (Y, B) on the set-up's functional frame, Xdot =
-    shift_rhs(Y, B, eps), and the PDE at drift sigma + Xdot.  The rate is the
-    third entry of the result, so the march's step limit reads it there."""
+    Each call computes p(v), (Y, B) on the set-up's functional frame (in one
+    workspace for every call), Xdot = shift_rhs(Y, B, eps), and the PDE at
+    drift sigma + Xdot.  The rate is the third entry of the result, so the
+    march's step limit reads it there."""
+    work = breakdown_work(setup.grid.x.shape)
+
     def rhs(y):
         v, h, X = y
         p = setup.gas.pressure(v)  # one p(v) per stage, for both consumers
-        Y, B = quick_yb(v, h, p, setup.frame)
+        Y, B = quick_yb(v, h, p, setup.frame, work)
         rate = shift_rhs(Y, B, setup.eps)
         dv, dh = semi_discrete_rhs(setup.sigma + rate, setup.grid, v, h, p)
         return dv, dh, rate
@@ -458,12 +458,13 @@ def run_experiment(setup):
     n = setup.grid.x.size
     K = max(1, RECORD_BLOCK_FLOATS // n)
     block_v, block_h, block_t, block_X = np.empty((K, n)), np.empty((K, n)), [], []
+    work = breakdown_work((K, n))
     cols = {f.name: [] for f in fields(ContractionTrace)}
     t_wall = time.perf_counter()
 
     def flush():
         m = len(block_t)
-        bd = compute_breakdown(block_v[:m], block_h[:m], setup.frame)
+        bd = compute_breakdown(block_v[:m], block_h[:m], setup.frame, [a[:m] for a in work])
         for f in fields(bd):
             cols[f.name].append(getattr(bd, f.name))
         rate = shift_rhs(bd.Y, bd.B, eps)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inequalities import _bisect
+from .solver import central_gradient
 
 __all__ = [
     "FunctionalBreakdown",
@@ -99,53 +100,66 @@ def functional_frame(weight, x):
     }
 
 
-def _yb_kernel(v, h, p, fr):
+def breakdown_work(shape):
+    """The workspace of `compute_breakdown` and `quick_yb` for states of this
+    shape: 8 separate arrays (`experiment.RECORD_BLOCK_FLOATS` sizes them)."""
+    return [np.empty(shape) for _ in range(8)]
+
+
+def _yb_kernel(v, h, p, fr, work=None):
     """Y, B1, B2 and the pointwise arrays (w, h - h_tilde, q(v|v_tilde), eta,
     v - v_tilde, w*w).
 
     p is p(v), which every caller already has; fr is a functional frame.
     v, h and p are 1-d, or 2-d with one state per row (Y, B1 and B2 are then
-    arrays of one value per row).  q(v) is evaluated once.  q(v|v_tilde)
-    keeps the operation order of q(v) - q(w) + p(w)(v - w), and p(v|v_tilde)
-    that of p(v) - p(w) - p'(w)(v - w), so each matches its plain form bit
-    for bit.
+    arrays of one value per row).  The arrays go into `work` as in
+    compute_breakdown; p may be work[4], which ends as p(v|v_tilde).  q(v)
+    is evaluated once.  q(v|v_tilde) keeps the operation order of q(v) -
+    q(w) + p(w)(v - w), and p(v|v_tilde) that of p(v) - p(w) - p'(w)(v - w),
+    so each matches its plain form bit for bit.
     """
-    dv = v - fr["v"]
-    w = p - fr["p"]
-    dh_field = h - fr["h"]
-    q_rel = fr["gas"].entropy(v) - fr["qv"] + fr["pv"] * dv
-    p_rel = p - fr["pv"] - fr["dpv"] * dv
-    eta = 0.5 * dh_field ** 2 + q_rel
-    w2 = w * w
+    work = breakdown_work(np.shape(v)) if work is None else work
+    dv, w, dh_field, q_rel, p_rel, eta, w2, tmp = work
+    np.subtract(v, fr["v"], out=dv)
+    np.subtract(p, fr["p"], out=w)
+    np.subtract(h, fr["h"], out=dh_field)
+    np.subtract(fr["gas"].entropy(v, out=q_rel), fr["qv"], out=q_rel)
+    q_rel += np.multiply(fr["pv"], dv, out=tmp)
+    np.subtract(np.subtract(p, fr["pv"], out=p_rel), np.multiply(fr["dpv"], dv, out=tmp), out=p_rel)
+    np.add(np.multiply(np.square(dh_field, out=eta), 0.5, out=eta), q_rel, out=eta)
+    np.multiply(w, w, out=w2)
     Y = _dot(fr["ta_dh"], dh_field) - _dot(fr["tda"], eta) - _dot(fr["ta_dp"], dv)
     B1 = _dot(fr["tb1"], p_rel)
     B2 = _dot(fr["tb2"], w2)
     return Y, B1, B2, w, dh_field, q_rel, eta, dv, w2
 
 
-def compute_breakdown(v, h, frame):
+def compute_breakdown(v, h, frame, work=None):
     """Full functional breakdown of the state (v, h) against a functional frame.
 
     Returns a FunctionalBreakdown; see the module docstring for the
     formulas.  The Y decomposition satisfies Y = Y_g + Y_b + Y_l
     identically (same discrete arrays on both sides).  v and h may also be
     (K, n) stacks of K states: every field is then an array of K values, and
-    entry k is the field of row k alone, bit for bit.
-    """
+    entry k is the field of row k alone, bit for bit.  Every temporary of
+    v's size goes into `work` (`breakdown_work(v.shape)`, allocated if None),
+    whose values on entry are never read."""
+    work = breakdown_work(np.shape(v)) if work is None else work
     sig, ta, tda = frame["sigma"], frame["ta"], frame["tda"]
     Y, B1, B2, w, dh_field, q_rel, eta, dv, w2 = _yb_kernel(
-        v, h, frame["gas"].pressure(v), frame)
-    b = dh_field - w / sig
+        v, h, frame["gas"].pressure(v, out=work[4]), frame, work)
+    b, tmp = work[4], work[7]  # p(v|v_tilde), spent in B1, and the scratch array
+    np.subtract(dh_field, np.divide(w, sig, out=tmp), out=b)
     i_da_q = _dot(tda, q_rel)
-    i_da_b2 = _dot(tda, b ** 2)
+    i_da_b2 = _dot(tda, np.square(b, out=tmp))
     Y_g = (-_dot(tda, w2) / (2.0 * sig * sig) - i_da_q
            - _dot(frame["ta_dp"], dv) + _dot(frame["ta_dh"], w) / sig)
-    Y_b = -0.5 * i_da_b2 - _dot(tda, w * b) / sig
+    Y_b = -0.5 * i_da_b2 - _dot(tda, np.multiply(w, b, out=tmp)) / sig
     Y_l = _dot(frame["ta_dh"], b)
     G1 = 0.5 * sig * i_da_b2
     G2 = sig * i_da_q
-    D = _dot(ta, np.gradient(w, frame["dx"], axis=-1) ** 2)
-    sup_w = np.abs(w).max(axis=-1)
+    D = _dot(ta, np.square(central_gradient(w, frame["dx"], out=tmp), out=tmp))
+    sup_w = np.abs(w, out=tmp).max(axis=-1)
 
     return FunctionalBreakdown(
         weighted_entropy=_dot(ta, eta),
@@ -156,10 +170,10 @@ def compute_breakdown(v, h, frame):
     )
 
 
-def quick_yb(v, h, p, frame):
-    """(Y, B) only, for the shift ODE at every RK stage; p = p(v), frame as in
-    compute_breakdown."""
-    Y, B1, B2 = _yb_kernel(v, h, p, frame)[:3]
+def quick_yb(v, h, p, frame, work=None):
+    """(Y, B) only, for the shift ODE at every RK stage; p = p(v), frame and
+    work as in compute_breakdown."""
+    Y, B1, B2 = _yb_kernel(v, h, p, frame, work)[:3]
     return Y, B1 + B2
 
 

@@ -66,11 +66,10 @@ class GasModel:
             raise ValueError(f"gamma = {self.gamma!r} and v_minus = {self.v_minus!r} give "
                              f"p(v_minus) = 10**{log_p:.6g}, outside [1e{lo:g}, 1e{hi:g}]")
 
-    # -- bare closures ----------------------------------------------------
+    # -- bare closures (pressure and entropy also into a given out) -------
 
-    def pressure(self, v):
-        v = np.asarray(v, dtype=float)
-        return v ** (-self.gamma)
+    def pressure(self, v, out=None):
+        return np.power(np.asarray(v, dtype=float), -self.gamma, out=out)
 
     def pressure_inverse(self, p):
         p = np.asarray(p, dtype=float)
@@ -81,10 +80,10 @@ class GasModel:
         v = np.asarray(v, dtype=float)
         return -self.gamma * v ** (-self.gamma - 1.0)
 
-    def entropy(self, v):
+    def entropy(self, v, out=None):
         """q(v) = v**(1-gamma)/(gamma-1); q'(v) = -p(v), q'' = -p' > 0."""
-        v = np.asarray(v, dtype=float)
-        return v ** (1.0 - self.gamma) / (self.gamma - 1.0)
+        q = np.power(np.asarray(v, dtype=float), 1.0 - self.gamma, out=out)
+        return np.divide(q, self.gamma - 1.0, out=out)
 
     # -- reference-state derived numbers ----------------------------------
 

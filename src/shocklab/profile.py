@@ -135,14 +135,14 @@ class ShockProfile:
     states: ShockEndStates
     xi: np.ndarray
     p: np.ndarray
+    dp: np.ndarray = field(init=False, repr=False)  # the knot slopes f(p)
     tail_rate_minus: float = field(init=False)
     tail_rate_plus: float = field(init=False)
-    _coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = self.p
-        self._coef = _hermite_coef(
-            self.xi, p, _profile_rhs(self.states)(p, self.gas.pressure_inverse(p)))
+        f, v_of = _profile_rhs(self.states), self.gas.pressure_inverse
+        cuts = range(KNOT_BLOCK, self.p.size, KNOT_BLOCK)
+        self.dp = np.concatenate([f(p, v_of(p)) for p in np.split(self.p, cuts)])
         self.tail_rate_minus, self.tail_rate_plus = analytic_tail_rates(self.states)
 
     # -- core evaluation --------------------------------------------------
@@ -170,7 +170,7 @@ class ShockProfile:
         st = self.states
         lo, hi = self.xi[0], self.xi[-1]
         # points beyond the window are overwritten by the tails below
-        out = _hermite_eval(self.xi, self._coef, x.ravel()).reshape(x.shape)
+        out = _hermite_eval(self.xi, self.p, self.dp, x.ravel()).reshape(x.shape)
         left = x < lo
         if np.any(left):
             out[left] = st.p_minus + (self.p[0] - st.p_minus) * np.exp(
@@ -225,8 +225,9 @@ class ShockProfile:
         residual vanishes there by construction; at the midpoints a wrong
         knot value shows.
         """
-        c0, c1, c2, c3 = self._coef.T
-        s = 0.5 * np.diff(self.xi)
+        dx = np.diff(self.xi)
+        s = 0.5 * dx
+        c0, c1, c2, c3 = _hermite_coef(dx, self.p[:-1], self.p[1:], self.dp[:-1], self.dp[1:])
         p = ((c0 * s + c1) * s + c2) * s + c3
         dps = (3.0 * c0 * s + 2.0 * c1) * s + c2
         f = _profile_rhs(self.states)(p, self.gas.pressure_inverse(p))
@@ -237,30 +238,30 @@ class ShockProfile:
         return bool(np.all(np.diff(self.p) >= 0.0) and self.p[-1] > self.p[0])
 
 
-def _hermite_coef(xk, y, dy):
-    """The cubic Hermite form through (xk, y) with slopes dy at the knots.
+def _hermite_coef(dx, y0, y1, dy0, dy1):
+    """The cubic Hermite form (c0, c1, c2, c3) in s of a cell of width dx,
+    through y0 at s = 0 and y1 at s = dx with slopes dy0 and dy1 there.
 
-    One row (c0, c1, c2, c3) per cell in scipy's PPoly layout, computed in
-    CubicHermiteSpline's order.  y and dy may carry trailing axes, one curve
-    per trailing index, and each row then carries them too.
+    Scipy's PPoly layout, computed in CubicHermiteSpline's order; the
+    arguments are floats or arrays, one cell per entry.
     """
-    dx = np.diff(xk).reshape((-1,) + (1,) * (np.ndim(y) - 1))
-    slope = np.diff(y, axis=0) / dx
-    t = (dy[:-1] + dy[1:] - 2 * slope) / dx
-    return np.stack([t / dx, (slope - dy[:-1]) / dx - t, dy[:-1], y[:-1]], axis=1)
+    slope = (y1 - y0) / dx
+    t = (dy0 + dy1 - 2 * slope) / dx
+    return t / dx, (slope - dy0) / dx - t, dy0, y0
 
 
-def _hermite_eval(xk, coef, x):
-    """The form of _hermite_coef at the 1-d points x, clipped to [xk[0], xk[-1]].
-
-    Evaluated as scipy's PPoly.__call__ evaluates it, bit for bit; each
-    point on its own, and a NaN point gives NaN.
-    """
+def _hermite_eval(xk, y, dy, x):
+    """The cubic Hermite interpolant of (xk, y) with slopes dy at the 1-d
+    points x, clipped to [xk[0], xk[-1]]: each point's cell cubic from its two
+    knots (`_hermite_coef`), evaluated as scipy's PPoly.__call__ evaluates it,
+    bit for bit; each point on its own, and a NaN point gives NaN."""
     xc = np.clip(x, xk[0], xk[-1])
     # the last cell is closed at xk[-1]
     i = np.clip(np.searchsorted(xk, xc, side="right") - 1, 0, xk.size - 2)
-    s = xc - xk.take(i)
-    c0, c1, c2, c3 = coef.take(i, axis=0).T
+    x0, i1 = xk.take(i), i + 1
+    s = xc - x0
+    c0, c1, c2, c3 = _hermite_coef(xk.take(i1) - x0, y.take(i), y.take(i1), dy.take(i),
+                                   dy.take(i1))
     # scipy's order: ((c3 + c2*s) + c1*s**2) + c0*(s**2*s)
     s2 = s * s
     out = c2 * s
@@ -272,6 +273,9 @@ def _hermite_eval(xk, coef, x):
     return out
 
 
+#: the knots that solve_profile and ShockProfile take at a time: no temporary
+#: of theirs crosses glibc's 128 KiB mmap threshold, so none moves it when freed
+KNOT_BLOCK = 8192
 #: the quadrature xi(s): Chebyshev panels of this width in s and this degree
 #: (half the width at degree 20 moves no knot value by more than 5e-15*eps)
 PANEL_WIDTH = 0.25
@@ -337,7 +341,7 @@ def solve_profile(gas, eps, span_over_eps=40.0):
     xi(s) = int_{s0}^{s} dxi/ds is the antiderivative of the Chebyshev
     interpolant of dxi/ds on panels of PANEL_WIDTH in s, s0 the logit at
     xi = 0; each knot's s comes from Newton's method on xi(s) = xi_k, started
-    from linear interpolation in the panel nodes, all knots at once.
+    from linear interpolation in the panel nodes, all knots in step.
     """
     states = end_states_from_amplitude(gas, eps)
     sig = states.sigma
@@ -368,35 +372,44 @@ def solve_profile(gas, eps, span_over_eps=40.0):
     def xi_of(s):
         j = np.clip(((s - left[0]) / PANEL_WIDTH).astype(np.intp), 0, left.size - 1)
         t = (s - left.take(j)) * (2.0 / PANEL_WIDTH) - 1.0
-        # freeing this gather lifts glibc's dynamic mmap/trim thresholds; the CLI
-        # fixes them (cli.MMAP_THRESHOLD), so only an API user's march leans on it
-        c = coef.take(j, axis=1)
-        # Clenshaw's recurrence for sum_k c_k T_k(t)
+        # Clenshaw's recurrence for sum_k c_k T_k(t), one coefficient at a time
         t2 = 2.0 * t
         b1 = b2 = 0.0
-        for ck in c[:0:-1]:
-            b1, b2 = ck + t2 * b1 - b2, b1
-        return xi_left.take(j) + (c[0] + t * b1 - b2)
+        for ck in coef[:0:-1]:
+            b1, b2 = ck.take(j) + t2 * b1 - b2, b1
+        return xi_left.take(j) + (coef[0].take(j) + t * b1 - b2)
 
     xi_hi = min(float(xi_of(s_end)), L)
     xi_lo = max(float(xi_of(-s_end)), -L)
     h = max(h, (xi_hi - xi_lo) / 500_000.0)  # at most about 500,000 knots
     n_fwd = max(int(np.ceil(xi_hi / h)), 8)
     n_bwd = max(int(np.ceil(-xi_lo / h)), 8)
-    xi = np.concatenate([np.linspace(xi_lo, 0.0, n_bwd + 1)[:-1],
-                         np.linspace(0.0, xi_hi, n_fwd + 1)])
+    # linspace(xi_lo, 0, n_bwd + 1)[:-1] then linspace(0, xi_hi, n_fwd + 1), in place
+    xi = np.arange(float(n_bwd + n_fwd + 1))
+    xi[n_bwd:] -= n_bwd
+    xi[n_bwd:] *= xi_hi / n_fwd
+    xi[:n_bwd] *= (0.0 - xi_lo) / n_bwd
+    xi[:n_bwd] += xi_lo
+    xi[-1] = xi_hi
 
-    # Newton from linear interpolation in the panel nodes; a step of at most
-    # 1e-7 leaves an error of the order of its square
+    # Newton from linear interpolation in the panel nodes, a block of knots at a
+    # time; a step of at most 1e-7 leaves an error of the order of its square
     s = np.interp(xi, (xi_left[:-1, None] + g @ to_nodes.T).ravel(), nodes.ravel())
+    cuts = range(KNOT_BLOCK, xi.size, KNOT_BLOCK)
+    blocks = list(zip(np.split(s, cuts), np.split(xi, cuts)))  # views
     for _ in range(8):
-        ds = (xi_of(s) - xi) / dxi_ds(s)
-        s -= ds
-        if np.max(np.abs(ds)) <= 1e-7:
+        step = 0.0
+        for sb, xb in blocks:
+            ds = (xi_of(sb) - xb) / dxi_ds(sb)
+            sb -= ds
+            step = np.maximum(step, np.max(np.abs(ds)))
+        if step <= 1e-7:
             break
     else:
         raise RuntimeError("profile knots: Newton on xi(s) did not converge")
-    return ShockProfile(states, xi, np.clip(p_of(s), p_minus, p_plus))
+    for sb, _ in blocks:
+        np.clip(p_of(sb), p_minus, p_plus, out=sb)  # s becomes p in place
+    return ShockProfile(states, xi, s)
 
 
 def _fit_tail(xi, gap, side):

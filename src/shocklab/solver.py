@@ -33,6 +33,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .profile import _hermite_coef
+
 __all__ = [
     "Grid",
     "FieldState",
@@ -102,10 +104,20 @@ class FieldState:
     h: np.ndarray
 
 
+def central_gradient(f, dx, out=None):
+    """np.gradient(f, dx, axis=-1) in its operations (central inside, one-sided
+    at the ends), into `out` when given: a float array of f's shape, not f."""
+    out = np.empty(np.shape(f)) if out is None else out
+    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2.0 * dx
+    out[..., [0, -1]] = (f[..., [1, -1]] - f[..., [0, -2]]) / dx
+    return out
+
+
 def effective_velocity(gas, grid, v, u):
-    """h = u + (p(v))_xi, the derivative by np.gradient: central inside,
-    one-sided at the ends (the march uses semi_discrete_rhs)."""
-    return u + np.gradient(gas.pressure(v), grid.dx)
+    """h = u + (p(v))_xi, the derivative by central_gradient (the march uses
+    semi_discrete_rhs)."""
+    return u + central_gradient(gas.pressure(v), grid.dx)
 
 
 def semi_discrete_rhs(sigma, grid, v, h, p):
@@ -115,14 +127,17 @@ def semi_discrete_rhs(sigma, grid, v, h, p):
     functionals of the same stage.
     """
     dx = grid.dx
-    dv = np.zeros_like(v)
-    dh = np.zeros_like(h)
-    d1v = (v[2:] - v[:-2]) / (2.0 * dx)
-    d1h = (h[2:] - h[:-2]) / (2.0 * dx)
-    d1p = (p[2:] - p[:-2]) / (2.0 * dx)
-    d2p = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (dx * dx)
-    dv[1:-1] = sigma * d1v + d1h - d2p
-    dh[1:-1] = sigma * d1h - d1p
+    dv, dh, tmp = np.zeros_like(v), np.zeros_like(h), np.empty(v.size - 2)
+    iv, ih = dv[1:-1], dh[1:-1]
+    # sigma*d1v + d1h - d2p and sigma*d1h - d1p, d1 and d2 the central
+    # differences, in place: at n = 8001 temporaries would trim glibc's heap
+    np.divide(np.subtract(h[2:], h[:-2], out=ih), 2.0 * dx, out=ih)
+    np.divide(np.subtract(v[2:], v[:-2], out=iv), 2.0 * dx, out=iv)
+    np.add(np.multiply(iv, sigma, out=iv), ih, out=iv)
+    np.add(np.subtract(p[2:], np.multiply(2.0, p[1:-1], out=tmp), out=tmp), p[:-2], out=tmp)
+    iv -= np.divide(tmp, dx * dx, out=tmp)
+    np.multiply(ih, sigma, out=ih)
+    ih -= np.divide(np.subtract(p[2:], p[:-2], out=tmp), 2.0 * dx, out=tmp)
     return dv, dh
 
 
@@ -215,12 +230,6 @@ def _finite(y):
                for a in y)
 
 
-#: the values (y0, y1) and slopes (f0, f1) at the two ends of the four
-#: Hermite basis cubics, in the order of `_dense`'s weights
-_HERMITE_BASIS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
-                  (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
-
-
 def _dense(t0, y0, f0, t1, y1, f1, times):
     """The states at the nonempty, ascending list of times in [t0, t1] (to
     within 1e-12) of the step (t0, y0) -> (t1, y1), as one block per
@@ -232,17 +241,12 @@ def _dense(t0, y0, f0, t1, y1, f1, times):
     (Hairer, Norsett and Wanner, Solving ODEs I, II.6).  The interpolant is
     linear in (y0, y1, f0, f1), so row j is
     ((W[j][0]*y0 + W[j][1]*y1) + W[j][2]*f0) + W[j][3]*f1, with W[j] the
-    values at times[j] of the step's four Hermite basis cubics.  Their
-    coefficients are computed in floats by the operations of
-    `profile._hermite_coef` on the four curves with unit value or slope, so
-    they equal its results bit for bit.
+    values at times[j] of the step's four Hermite basis cubics: the cell
+    cubics of `profile._hermite_coef`, the profile interpolant's, with unit
+    value y0, y1 or slope f0, f1 and the other three zero.
     """
     h = t1 - t0
-    coef = []
-    for a, b, da, db in _HERMITE_BASIS:
-        slope = (b - a) / h
-        c = (da + db - 2 * slope) / h
-        coef.append((c / h, (slope - da) / h - c, da, a))
+    coef = [_hermite_coef(h, *basis) for basis in np.eye(4).tolist()]
     # the times ascend, so those at the step's end come last
     W = [[((c0 * s + c1) * s + c2) * s + c3 for c0, c1, c2, c3 in coef]
          for s in (t - t0 for t in times if t < t1 - 1e-12)]

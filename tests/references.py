@@ -9,7 +9,7 @@ package computes in a faster or more general way, kept here as its oracle.
   * `DiscretizedW` and `r_delta`: R_delta of a sampled W by trapezoid
     moments, the oracle of the batched R_delta kernel's value test.
   * `q_relative` and `p_relative`: q(v|w) and p(v|w) in the operation
-    order of `_yb_kernel`, which matches each bit for bit.
+    order of `_yb_kernel`, which matches each bit for bit, from numpy's **.
 """
 
 from dataclasses import dataclass
@@ -83,14 +83,22 @@ def r_delta(W, delta):
 
 
 def q_relative(gas, v, w):
-    """q(v|w) = q(v) - q(w) - q'(w)(v-w) >= 0, with q'(w) = -p(w)."""
+    """q(v|w) = q(v) - q(w) - q'(w)(v-w) >= 0, with q'(w) = -p(w).
+
+    q and p are written out with numpy's ** rather than taken from the gas,
+    whose closures may compute into a given array by np.power: ** switches
+    to np.reciprocal for the exponent -1 (q at gamma 2) and to np.square for
+    2, so a match here holds np.power to those bits."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    return gas.entropy(v) - gas.entropy(w) + gas.pressure(w) * (v - w)
+    g = gas.gamma
+    return v ** (1.0 - g) / (g - 1.0) - w ** (1.0 - g) / (g - 1.0) + w ** (-g) * (v - w)
 
 
 def p_relative(gas, v, w):
-    """p(v|w) = p(v) - p(w) - p'(w)(v-w) >= 0 (p is convex)."""
+    """p(v|w) = p(v) - p(w) - p'(w)(v-w) >= 0 (p is convex), with numpy's **
+    as q_relative."""
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
-    return gas.pressure(v) - gas.pressure(w) - gas.dpressure(w) * (v - w)
+    g = gas.gamma
+    return v ** (-g) - w ** (-g) - (-g * w ** (-g - 1.0)) * (v - w)

@@ -1,11 +1,9 @@
 """Key-value config parsing and the command-line entry points."""
 
-import ctypes
 import json
 import os
 import re
 import tempfile
-import types
 import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -690,49 +688,3 @@ def test_cli_refuses_an_unwritable_output_path_at_parse_time(argv, tmp_path, cap
     for path in (str(tmp_path / "missing" / "out"), str(tmp_path), "new" + os.sep, ""):
         assert argv[-1] in refused_by_the_parser(argv + [path], capsys)
 
-
-def fake_libc(monkeypatch, handle):
-    """ctypes.CDLL replaced by one that returns `handle` (or raises it, if it
-    is an exception); the names it was asked for are returned."""
-    asked = []
-
-    def cdll(name, *args, **kwargs):
-        asked.append(name)
-        if isinstance(handle, Exception):
-            raise handle
-        return handle
-
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
-    return asked
-
-
-THRESHOLDS = [(-3, 2 * 1024 * 1024), (-1, 4 * 1024 * 1024)]
-SHORT_RUN = ["simulate", "--set", "span_over_eps=10", "--set", "t_end_sigma=0.2",
-             "--set", "width=5"]
-
-
-@pytest.mark.parametrize("argv, code", [
-    (SHORT_RUN, 0),
-    (["simulate", "--set", "eps=-1"], 2),
-    (["audit", "--set", "t_end_sigma=0.01"], 2),
-    (["sweep", "eps", "-1"], 2),
-], ids=["simulate", "simulate-config-error", "audit", "sweep"])
-def test_main_fixes_the_malloc_thresholds_of_the_commands_that_march(argv, code, monkeypatch,
-                                                                     capsys):
-    # M_MMAP_THRESHOLD (-3) = 2 MiB and M_TRIM_THRESHOLD (-1) = 4 MiB for
-    # simulate, sweep and audit (tests/test_imports.py checks that profile
-    # and verify-inequalities keep glibc's defaults); the exit code does not
-    # depend on them
-    made = []
-    libc = types.SimpleNamespace(mallopt=lambda param, value: made.append((param, value)) or 1)
-    fake_libc(monkeypatch, libc)
-    assert main(argv) == code
-    assert made == THRESHOLDS
-
-
-@pytest.mark.parametrize("handle", [OSError("libc.so.6: cannot open shared object file"),
-                                    types.SimpleNamespace()], ids=["no-glibc", "no-mallopt"])
-def test_main_runs_where_libc_has_no_mallopt(handle, monkeypatch, capsys):
-    asked = fake_libc(monkeypatch, handle)
-    assert main(SHORT_RUN) == 0
-    assert asked and capsys.readouterr().out.endswith("simulate check: PASS\n")

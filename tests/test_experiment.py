@@ -109,9 +109,9 @@ def recorded_states(monkeypatch):
     snaps = []
     breakdown = sl.experiment.compute_breakdown
 
-    def traced(v, h, frame):
+    def traced(v, h, frame, work=None):
         snaps.extend((vr.copy(), hr.copy()) for vr, hr in zip(v, h))
-        return breakdown(v, h, frame)
+        return breakdown(v, h, frame, work)
 
     monkeypatch.setattr(sl.experiment, "compute_breakdown", traced)
     return snaps
@@ -123,9 +123,9 @@ def recorded_blocks(monkeypatch):
     blocks = []
     breakdown = sl.experiment.compute_breakdown
 
-    def traced(v, h, frame):
+    def traced(v, h, frame, work=None):
         blocks.append((v.copy(), h.copy()))
-        return breakdown(v, h, frame)
+        return breakdown(v, h, frame, work)
 
     monkeypatch.setattr(sl.experiment, "compute_breakdown", traced)
     return blocks

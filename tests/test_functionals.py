@@ -4,13 +4,14 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import shocklab as sl
 from references import p_relative, q_relative
-from shocklab.functionals import _dot, _yb_kernel, weighted_q_probe
+from shocklab.functionals import _dot, _yb_kernel, breakdown_work, weighted_q_probe
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +264,64 @@ def test_quick_yb_bits_do_not_depend_on_the_blas_thread_count():
         out.append(subprocess.run([sys.executable, "-c", QUICK_YB_BITS], env=env,
                                   capture_output=True, text=True, check=True).stdout)
     assert out[0] == out[1] and len(out[0].split()) == 2
+
+
+def state_block(profile, x, seeds):
+    """A (K, n) block of perturbed states, one seed per row."""
+    rows = [perturbed_state(profile, x, amp=0.02, seed=seed) for seed in seeds]
+    return np.array([v for v, _ in rows]), np.array([h for _, h in rows])
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0])
+def test_block_kernel_in_place_is_the_plain_closures_bit_for_bit(gamma):
+    # the kernel computes p(v), q(v|v_tilde) and p(v|v_tilde) of a block into
+    # its workspace by np.power(..., out=); numpy's ** takes np.reciprocal for
+    # q(v) = v**-1 at gamma 2, and the reference closures are written in **
+    gas = sl.GasModel(gamma, 1.0)
+    weight = sl.build_weight(sl.solve_profile(gas, 0.1), 0.5)
+    x = np.linspace(-60.0, 60.0, 1201)
+    fr = sl.functional_frame(weight, x)
+    V, H = state_block(weight.profile, x, seeds=(1, 2, 3))
+    work = breakdown_work(V.shape)
+    p = gas.pressure(V, out=work[4])
+    assert p is work[4]
+    assert p.tobytes() == (V ** -gamma).tobytes() == gas.pressure(V).tobytes()
+    _yb_kernel(V, H, p, fr, work)
+    w, q_rel, p_rel = work[1], work[3], work[4]
+    assert w.tobytes() == (V ** -gamma - fr["p"]).tobytes()
+    assert q_rel.tobytes() == q_relative(gas, V, fr["v"]).tobytes()
+    assert p_rel.tobytes() == p_relative(gas, V, fr["v"]).tobytes()
+
+
+def test_a_block_breakdown_in_a_workspace_allocates_less_than_one_block_array(
+        profile01, frame01, wide_x):
+    # every (K, n) temporary goes into the workspace: what is left are the K
+    # values of each field, so the traced peak stays under one K*n array
+    V, H = state_block(profile01, wide_x, seeds=range(4))
+    work = breakdown_work(V.shape)
+    tracemalloc.start()
+    try:
+        sl.compute_breakdown(V, H, frame01, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < V.nbytes, (peak, V.nbytes)
+
+
+def test_a_nan_filled_workspace_gives_the_bits_of_a_fresh_one(profile01, frame01, wide_x):
+    # the kernel reads no workspace entry that it did not write first
+    V, H = state_block(profile01, wide_x, seeds=range(3))
+    for v, h in ((V, H), (V[1], H[1])):
+        work = breakdown_work(v.shape)
+        for a in work:
+            a.fill(np.nan)
+        fresh = sl.compute_breakdown(v, h, frame01)
+        got = sl.compute_breakdown(v, h, frame01, work)
+        for f in dataclasses.fields(fresh):
+            assert np.asarray(getattr(got, f.name)).tobytes() == \
+                np.asarray(getattr(fresh, f.name)).tobytes(), f.name
+        for a in work:
+            a.fill(np.nan)
+        p = profile01.gas.pressure(v)
+        got, fresh = sl.quick_yb(v, h, p, frame01, work), sl.quick_yb(v, h, p, frame01)
+        assert np.asarray(got).tobytes() == np.asarray(fresh).tobytes()

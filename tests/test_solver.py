@@ -1,5 +1,7 @@
 """Finite-difference evolution: RHS accuracy, stepping, steady states."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -67,6 +69,21 @@ def test_rhs_is_the_difference_formulas_bit_for_bit(gas2, profile01):
     dv, dh = sl.semi_discrete_rhs(sigma, grid, v, h, p)
     assert np.array_equal(dv, np.concatenate([[0.0], sigma * d1v + d1h - d2p, [0.0]]))
     assert np.array_equal(dh, np.concatenate([[0.0], sigma * d1h - d1p, [0.0]]))
+
+
+def test_rhs_allocates_its_two_results_and_one_scratch_array(gas2, profile01):
+    # every stage of the march calls it; at n = 8001 (audit-r2's fine level)
+    # more temporaries than these went through glibc's trim-and-refault path
+    grid = make_grid(lo=-400.0, hi=400.0, dx=0.1)
+    v, h = profile_arrays(profile01, grid)
+    p = gas2.pressure(v)
+    tracemalloc.start()
+    try:
+        sl.semi_discrete_rhs(profile01.states.sigma, grid, v, h, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.size == 8001 and peak < 3.5 * v.nbytes, peak / v.nbytes
 
 
 def test_rhs_small_on_sampled_profile(gas2, profile01):
@@ -557,6 +574,20 @@ def test_np_gradient_is_the_central_difference_the_outputs_rest_on():
         ref[0] = (f[1] - f[0]) / dx
         ref[-1] = (f[-1] - f[-2]) / dx
         assert np.gradient(f, dx).tobytes() == ref.tobytes(), n
+
+
+def test_central_gradient_is_np_gradient_bit_for_bit():
+    # the helper that writes np.gradient's differences into a given array,
+    # for the rows of a block (the D term) as for one state
+    rng = np.random.default_rng(7)
+    for shape in [(3,), (1201,), (4, 2001), (1, 5)]:
+        f = rng.standard_normal(shape)
+        dx = 10.0 ** rng.uniform(-3, 1)
+        ref = np.gradient(f, dx, axis=-1).tobytes()
+        assert solver.central_gradient(f, dx).tobytes() == ref, shape
+        out = np.full(shape, np.nan)
+        assert solver.central_gradient(f, dx, out=out) is out
+        assert out.tobytes() == ref, shape
 
 
 def test_effective_velocity_recovers_h(gas2, profile01):
