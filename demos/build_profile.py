@@ -18,7 +18,7 @@ st = profile.states
 
 print("end states (eps = %g):" % eps)
 print("  v: %.10f -> %.10f" % (gas.v_minus, st.v_plus))
-print("  u: %.10f -> %.10f" % (gas.u_minus, st.u_plus))
+print("  u: %.10f -> %.10f" % (0.0, st.u_plus))
 print("  wave speed sigma = %.10f" % st.sigma)
 
 r1, r2 = st.rankine_hugoniot_residuals()

@@ -96,32 +96,29 @@ PROFILE_RESIDUAL_TOL = 1e-6
 
 
 #: the most the Rankine-Hugoniot residuals may be, relative to the jump
-#: |u_plus - u_minus| = eps/|sigma| that sets the size of their terms.  At
-#: u_minus = 0 the worst ratio is 1.1e-10 over the 288 end states of the
-#: 576-profile sweep above and 2.2e-10 over 200,000 random end states of the
-#: supported range, each at gamma near 1e6; the bound is the power of ten
-#: above.  The rounding of u_plus grows with |u_minus|: 2.9e-10 at the
-#: defaults with u_minus = 1e6
+#: |u_plus| = eps/|sigma| that sets the size of their terms.  The worst ratio
+#: is 1.1e-10 over the 288 end states of the 576-profile sweep above and
+#: 2.2e-10 over 200,000 random end states of the supported range, each at
+#: gamma near 1e6; the bound is the power of ten above
 JUMP_RESIDUAL_TOL = 1e-9
 
 
-def _jump_conditions_ok(states):
-    """Both Rankine-Hugoniot residuals within JUMP_RESIDUAL_TOL * |u_plus - u_minus|."""
-    rh = states.rankine_hugoniot_residuals()
-    jump = abs(states.u_plus - states.u_minus)
-    return max(abs(rh[0]), abs(rh[1])) <= JUMP_RESIDUAL_TOL * jump
+def _jump_conditions_ok(rh, u_plus):
+    """Both Rankine-Hugoniot residuals rh within JUMP_RESIDUAL_TOL * |u_plus|."""
+    return max(abs(rh[0]), abs(rh[1])) <= JUMP_RESIDUAL_TOL * abs(u_plus)
 
 
-def _profile_ok(profile):
-    """The verdict on a profile: the jump conditions (`_jump_conditions_ok`),
-    the ODE residual within PROFILE_RESIDUAL_TOL * eps, and monotone knots."""
-    return (_jump_conditions_ok(profile.states) and profile.monotone()
-            and profile.ode_residual_sup() <= PROFILE_RESIDUAL_TOL * profile.states.eps)
+def _profile_ok(profile, rh, resid):
+    """The verdict on a profile, from its Rankine-Hugoniot residuals rh and its
+    ODE residual resid: the jump conditions (`_jump_conditions_ok`), resid
+    within PROFILE_RESIDUAL_TOL * eps, and monotone knots."""
+    return (_jump_conditions_ok(rh, profile.states.u_plus) and profile.monotone()
+            and resid <= PROFILE_RESIDUAL_TOL * profile.states.eps)
 
 
 def cmd_profile(args):
     cfg = _config_from_args(args, check=ExperimentConfig.validate_profile)
-    gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus, u_minus=cfg.u_minus)
+    gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus)
     profile = solve_profile(gas, cfg.eps, span_over_eps=cfg.span_over_eps)
     states = profile.states
     rh = states.rankine_hugoniot_residuals()
@@ -138,7 +135,7 @@ def cmd_profile(args):
         weight = build_weight(profile, cfg.lam) if args.with_weight else None
         write_profile_csv(profile, args.out, weight=weight)
         print(f"wrote {args.out}")
-    ok = _profile_ok(profile)
+    ok = _profile_ok(profile, rh, resid)
     print("profile check:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -74,14 +74,6 @@ MAX_AMPLITUDE = 1e3
 #: any test, demo or benchmark workload runs (6 modes on 200 cells)
 MAX_MODE_CELLS = 10_000_000
 
-#: bound on |u_minus|.  u enters the equations only through differences, so
-#: u_minus shifts every velocity by a constant and costs about |u_minus| 1e-16
-#: of absolute precision in each.  The default run's entropy moves in its
-#: 11th digit at 1e6 and in its 8th at 1e8; `shocklab profile` fails its
-#: jump-condition check from about 2.1e6 (2^21) and `simulate` its entropy
-#: check by 1e12.  Near 1e100 the profile's arithmetic overflows
-MAX_ABS_U_MINUS = 1e6
-
 #: lower bound on width / L: the perturbation squares x / width over the grid,
 #: |x| <= L, which overflows once L / width passes 1.3e154.  Every width under
 #: half a cell (at least 1 / (2 MAX_CELLS) of L) already puts the bump on one
@@ -129,7 +121,6 @@ class ExperimentConfig:
 
     gamma: float = 2.0
     v_minus: float = 1.0
-    u_minus: float = 0.0
     eps: float = 0.1
     lam: float = 0.5            # weight slope; desk-scale default 5*eps
     span_over_eps: float = 40.0  # grid half-width L = span_over_eps/eps
@@ -156,16 +147,12 @@ class ExperimentConfig:
 
     def validate_profile(self):
         """Check the keys a profile and its weight read (`shocklab profile` reads no other)."""
-        self._check_numbers(("gamma", "v_minus", "u_minus", "eps", "span_over_eps", "lam"))
-        if abs(self.u_minus) > MAX_ABS_U_MINUS:
-            raise ValueError(f"u_minus must lie within [-{MAX_ABS_U_MINUS:g}, "
-                             f"{MAX_ABS_U_MINUS:g}], got {self.u_minus!r}")
+        self._check_numbers(("gamma", "v_minus", "eps", "span_over_eps", "lam"))
         if self.span_over_eps < MIN_SPAN_OVER_EPS:
             raise ValueError(f"span_over_eps must be at least {MIN_SPAN_OVER_EPS:g}, "
                              f"got {self.span_over_eps!r}")
         # the ranges of gamma, v_minus and eps are the gas's and the profile's
-        end_states_from_amplitude(GasModel(gamma=self.gamma, v_minus=self.v_minus,
-                                           u_minus=self.u_minus), self.eps)
+        end_states_from_amplitude(GasModel(gamma=self.gamma, v_minus=self.v_minus), self.eps)
         check_lam(self.lam)
         return self
 
@@ -259,7 +246,7 @@ def _setups(configs):
     weight do not read: one profile and one weight, from the first config,
     then each config's grid and functional frame as the set-up is drawn."""
     base = configs[0]
-    gas = GasModel(gamma=base.gamma, v_minus=base.v_minus, u_minus=base.u_minus)
+    gas = GasModel(gamma=base.gamma, v_minus=base.v_minus)
     # the profile window reaches 10/eps past each end of the grid
     profile = solve_profile(gas, base.eps, span_over_eps=base.span_over_eps + 10.0)
     weight = build_weight(profile, base.lam)
@@ -323,7 +310,7 @@ def phase_aligned_steady(setup):
     returns the best state seen, with no tolerance to choose.
     """
     gas, pr, grid = setup.gas, setup.profile, setup.grid
-    C = setup.sigma * gas.u_minus - gas.p_minus
+    C = -gas.p_minus
 
     def ymis(beta):
         v0 = pr.frame(grid.x + beta)["v"]
@@ -562,7 +549,7 @@ def identity_audit(config, refinements=(1, 2)):
         cfg = _audit_level(config, r)
         try:
             cfg.validate()
-            gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus, u_minus=cfg.u_minus)
+            gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus)
             sig = abs(end_states_from_amplitude(gas, cfg.eps).sigma)
             if not 2.0 * (cfg.record_sigma / sig) <= cfg.t_end_sigma / sig + 1e-12:
                 raise ValueError(f"t_end_sigma = {cfg.t_end_sigma!r} and record_sigma = "

@@ -42,18 +42,18 @@ P_MINUS_LOG10_RANGE = (-70.0, 1.0)
 
 @dataclass(frozen=True)
 class GasModel:
-    """Pressure law p(v) = v**(-gamma) with reference left state (v_minus, u_minus).
+    """Pressure law p(v) = v**(-gamma) with reference left state (v_minus, 0).
 
     1 < gamma <= MAX_GAMMA and log10 p(v_minus) in P_MINUS_LOG10_RANGE are
-    required; v_minus > 0 is the specific volume far to the left, u_minus
-    the velocity there.  The viscosity built into the transformed system is
-    mu(v) = gamma*v**(-gamma), which is what makes the v-equation diffuse
-    exactly p(v).
+    required; v_minus > 0 is the specific volume far to the left, where the
+    velocity is 0 (the equations are invariant under u -> u + c, so another
+    left velocity is a shift of every u).  The viscosity built into the
+    transformed system is mu(v) = gamma*v**(-gamma), which is what makes the
+    v-equation diffuse exactly p(v).
     """
 
     gamma: float
     v_minus: float
-    u_minus: float = 0.0
 
     def __post_init__(self):
         if not (1.0 < self.gamma <= MAX_GAMMA):

@@ -1,6 +1,6 @@
 """Viscous shock profiles as a scalar ODE in the pressure variable.
 
-A 1-shock connecting (v_minus, u_minus) to (v_plus, u_plus) with strength
+A 1-shock connecting (v_minus, 0) to (v_plus, u_plus) with strength
 eps = p(v_plus) - p(v_minus) > 0 travels with speed
 
     sigma = -sqrt((p_plus - p_minus) / (v_minus - v_plus))  < 0.
@@ -11,7 +11,9 @@ In the co-moving frame the profile solves the scalar equation
 
 integrated here in p_tilde = p(v_tilde) (monotone increasing in xi), outward
 from the normalization v_tilde(0) = (v_minus + v_plus)/2.  The effective
-velocity component is slaved pointwise: h_tilde = u_minus + (p_tilde - p_minus)/sigma.
+velocity component is slaved pointwise: h_tilde = (p_tilde - p_minus)/sigma.
+The equations are invariant under u -> u + c, so the shock from (v_minus, c)
+is this one with c added to u and h.
 
 The equation is scalar and autonomous, so xi(p_tilde) is a quadrature.  In
 the logit s = log(y/(1-y)) of the layer variable y = (p_tilde - p_minus)/eps
@@ -44,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShockEndStates:
-    """Rankine-Hugoniot data of a 1-shock of strength eps = [p]."""
+    """Rankine-Hugoniot data of a 1-shock of strength eps = [p] from (v_minus, 0)."""
 
     gas: GasModel
     eps: float
@@ -57,10 +59,6 @@ class ShockEndStates:
         return self.gas.v_minus
 
     @property
-    def u_minus(self):
-        return self.gas.u_minus
-
-    @property
     def p_minus(self):
         return self.gas.p_minus
 
@@ -69,11 +67,10 @@ class ShockEndStates:
         return self.gas.p_minus + self.eps
 
     def rankine_hugoniot_residuals(self):
-        """(sigma[v] + [u], sigma[u] - [p]) — both vanish for consistent data."""
+        """(sigma[v] + [u], sigma[u] - [p]), [u] = u_plus — both vanish for consistent data."""
         dv = self.v_plus - self.v_minus
-        du = self.u_plus - self.u_minus
         dp = self.p_plus - self.p_minus
-        return (self.sigma * dv + du, self.sigma * du - dp)
+        return (self.sigma * dv + self.u_plus, self.sigma * self.u_plus - dp)
 
 
 def end_states_from_amplitude(gas, eps):
@@ -93,7 +90,7 @@ def end_states_from_amplitude(gas, eps):
     p_plus = gas.p_minus + eps
     v_plus = float(gas.pressure_inverse(p_plus))
     sigma = -float(np.sqrt(eps / (gas.v_minus - v_plus)))
-    u_plus = gas.u_minus + eps / sigma
+    u_plus = eps / sigma
     return ShockEndStates(gas=gas, eps=eps, v_plus=v_plus, u_plus=u_plus, sigma=sigma)
 
 
@@ -200,7 +197,7 @@ class ShockProfile:
             "d2p": (sig * sig / dpv + 1.0) * dp / sig,
             "v": v,
             "dv": dp / dpv,
-            "h": self.states.u_minus + (p - self.states.p_minus) / sig,
+            "h": (p - self.states.p_minus) / sig,
             "dh": dp / sig,
             "dpv": dpv,
         }

@@ -325,3 +325,91 @@ def test_a_nan_filled_workspace_gives_the_bits_of_a_fresh_one(profile01, frame01
         p = profile01.gas.pressure(v)
         got, fresh = sl.quick_yb(v, h, p, frame01, work), sl.quick_yb(v, h, p, frame01)
         assert np.asarray(got).tobytes() == np.asarray(fresh).tobytes()
+
+
+# The equations are invariant under u -> u + c (h = u + d_xi p(v) shifts with
+# u), which is why the left velocity is fixed at 0.  In floating point a shift
+# is exact only up to rounding: with u = eps/2 the unit roundoff and M = max|h|
+# (max over h and h_tilde where both shift), fl(h_i + c) = h_i + c + delta_i
+# with |delta_i| <= u (|c| + M).  The bounds below are that rounding carried
+# through each evaluation to first order in u, plus the evaluation's own
+# rounding in each of the two computations, and then doubled.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def d1(f, dx):
+    return (f[2:] - f[:-2]) / (2.0 * dx)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3])
+def test_rhs_moves_by_roundoff_under_a_shift_of_h(profile01, setup_default, c):
+    # The rhs is linear in h and its central differences cancel c, so the
+    # shift enters as d1(delta), |d1(delta)| <= u (|c| + M)/dx: into dv as
+    # is, into dh times |sigma|.  Besides, each interior row takes 4 rounded
+    # operations after h enters (d1h: the subtraction and the division; dv:
+    # the addition and the subtraction; dh: the product with sigma and the
+    # subtraction), each within u of a value no larger than its row's term
+    # sum T (T_v = |sigma d1v| + |d1h| + |d2p|, T_h = |sigma d1h| + |d1p|),
+    # in each computation; the operations on v and p alone are the same bits
+    # in both.  So |ddv| <= u (|c| + M)/dx + 8 u T_v and |ddh| <= |sigma|
+    # u (|c| + M)/dx + 8 u T_h.
+    grid, sig = setup_default.grid, profile01.sigma
+    v, h = perturbed_state(profile01, grid.x)
+    p = profile01.gas.pressure(v)
+    dv, dh = sl.semi_discrete_rhs(sig, grid, v, h, p)
+    dv_c, dh_c = sl.semi_discrete_rhs(sig, grid, v, h + c, p)
+    dx, u, M = grid.dx, UNIT_ROUNDOFF, np.max(np.abs(h))
+    d2p = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / (dx * dx)
+    T_v = np.abs(sig * d1(v, dx)) + np.abs(d1(h, dx)) + np.abs(d2p)
+    T_h = np.abs(sig * d1(h, dx)) + np.abs(d1(p, dx))
+    bound_v = 2.0 * (u * (abs(c) + M) / dx + 8.0 * u * T_v)
+    bound_h = 2.0 * (abs(sig) * u * (abs(c) + M) / dx + 8.0 * u * T_h)
+    assert np.all(np.abs(dv_c - dv)[1:-1] <= bound_v)
+    assert np.all(np.abs(dh_c - dh)[1:-1] <= bound_h)
+    assert dv_c[0] == dv_c[-1] == dh_c[0] == dh_c[-1] == 0.0
+    # of the order of eps (|c| + max|h|)/dx
+    assert np.max(bound_v) < 10.0 * np.finfo(float).eps * (abs(c) + M) / dx
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3])
+def test_breakdown_moves_by_roundoff_when_h_and_the_frame_shift_together(
+        profile01, frame01, wide_x, c):
+    # h and the frame's h_tilde each round within u (|c| + M) of the shift,
+    # and dh = h - h_tilde within u |dh|, in each computation: the two dh
+    # differ by at most D = 2 u (|c| + M + max|dh|).  B reads v and p alone
+    # (B1 from p(v|v_tilde), B2 from w^2), so it keeps its bits.  Y reads dh
+    # in int ta_dh dh and, through eta = dh^2/2 + q(v|v_tilde), in int tda
+    # eta; G in G1 = sigma/2 int tda b^2 with b = dh - w/sigma.  To first
+    # order the shift moves them by D sum(|ta_dh| + |tda| |dh|) and by
+    # |sigma| D sum(|tda| |b|).  Each evaluation rounds too: a term passes
+    # through at most 5 pointwise operations and one n-term sum, so each
+    # computation is within gamma = (n + 5) u / (1 - (n + 5) u) of S, the sum
+    # of the absolute values of its terms (for G, G1 + G2 + D: sigma < 0 and
+    # a' <= 0 make every term of each the same sign).
+    v, h = perturbed_state(profile01, wide_x)
+    fr = frame01
+    shifted = {**fr, "h": fr["h"] + c}
+    base = sl.compute_breakdown(v, h, fr)
+    moved = sl.compute_breakdown(v, h + c, shifted)
+
+    u, sig, n = UNIT_ROUNDOFF, fr["sigma"], v.size
+    gas = fr["gas"]
+    dh = h - fr["h"]
+    w = gas.pressure(v) - fr["p"]
+    q_rel = q_relative(gas, v, fr["v"])
+    b = dh - w / sig
+    M = max(np.max(np.abs(h)), np.max(np.abs(fr["h"])))
+    D = 2.0 * u * (abs(c) + M + np.max(np.abs(dh)))
+    gamma = (n + 5) * u / (1.0 - (n + 5) * u)
+    S_Y = np.sum(np.abs(fr["ta_dh"] * dh) + np.abs(fr["tda"]) * (0.5 * dh * dh + np.abs(q_rel))
+                 + np.abs(fr["ta_dp"] * (v - fr["v"])))
+    S_G = abs(base.G1) + abs(base.G2) + abs(base.D)
+    bound_Y = 2.0 * (D * np.sum(np.abs(fr["ta_dh"]) + np.abs(fr["tda"] * dh)) + 2.0 * gamma * S_Y)
+    bound_G = 2.0 * (abs(sig) * D * np.sum(np.abs(fr["tda"] * b)) + 2.0 * gamma * S_G)
+
+    assert moved.B == base.B
+    assert abs(moved.Y - base.Y) <= bound_Y
+    assert abs(moved.G - base.G) <= bound_G
+    # negative control: h shifted without its frame moves Y by far more
+    alone = sl.compute_breakdown(v, h + c, fr)
+    assert abs(alone.Y - base.Y) > 1e6 * bound_Y

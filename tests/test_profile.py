@@ -14,7 +14,7 @@ import shocklab as sl
 from shocklab.profile import layer_coordinate_residual
 
 
-# Frozen reference values for gamma = 2, v_minus = 1, u_minus = 0, eps = 0.1,
+# Frozen reference values for gamma = 2, v_minus = 1, eps = 0.1,
 # produced by the end-state solver and kept as regression anchors.
 V_PLUS = 0.9534625892455922
 U_PLUS = -0.0682183338659101
@@ -107,12 +107,12 @@ def test_profile_end_limits(profile01):
 
 
 def test_h_slaved_to_pressure(profile01):
-    # steady relation: sigma*h - p is constant, equal to sigma*u_minus - p_minus
+    # steady relation: sigma*h - p is constant, equal to -p_minus (h = 0 at the left)
     st = profile01.states
     x = np.linspace(profile01.xi[0], profile01.xi[-1], 4001)
     fr = profile01.frame(x)
     c = st.sigma * fr["h"] - fr["p"]
-    c_ref = st.sigma * st.gas.u_minus - st.gas.p_minus
+    c_ref = -st.gas.p_minus
     assert np.max(np.abs(c - c_ref)) < 1e-11
 
 
