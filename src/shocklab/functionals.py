@@ -63,13 +63,11 @@ class FunctionalBreakdown:
 
 
 def _dot(c, g):
-    """<c, g> over g's last axis in np.einsum's loop (module docstring): a
-    float for 1-d g, one value per row for a 2-d g, each row's bit for bit
-    the value of that row alone.  The 1-d form parses faster, and a stage
-    takes five."""
-    if g.ndim == 1:
-        return float(np.einsum("i,i", c, g))
-    return np.einsum("...i,i->...", g, c)
+    """<c, g> over g's last axis in np.einsum's loop (module docstring), one
+    einsum form for a state and a block: a float for 1-d g, one value per
+    row for a 2-d g, each row's bit for bit the value of that row alone."""
+    out = np.einsum("...i,i->...", g, c)
+    return float(out) if g.ndim == 1 else out
 
 
 def _trapezoid_weights(x):

@@ -285,54 +285,50 @@ def P_delta_poly(z1, z2, delta):
             - 2.0 * (1.0 - delta - (2.0 / 3.0 + delta) * th * z2) * z2sq)
 
 
-def _band_columns(z1, z2_lo, step, n2, delta1):
-    """The columns of each row of the grid z1 x (z2_lo + j step, j < n2) that
-    can lie in the band |E| <= delta1: two ranges per row, ranges 2i and
-    2i + 1 in row i, as the flat arrays (first column, column count).
+#: the box (z1_lo, z1_hi, z2_lo, z2_hi) of certify_prop_algebra's grid
+PROP_BOX = (-3.0, 1.0, 0.0, 3.0)
+
+
+def _band_columns(z1, step, n2, delta1):
+    """The columns of each row of the PROP_BOX grid z1 x (j step, j < n2)
+    that can lie in the band |E| <= delta1, one range per row, as the
+    arrays (first column, column count).
 
     E = (z1+1)^2 + z2^2 - 1, so the band is the ring between the circles of
-    radius sqrt(1 -+ delta1) about (-1, 0).  Each row takes the columns of
-    the ring for both signs of z2, widened by 1e-9 (1 + delta1) in E (far
-    beyond E's rounding at the ring's points) and by one column on each
-    side; the caller applies the float test to them.
+    radius sqrt(1 -+ delta1) about (-1, 0); on the box z2 >= 0, so a row
+    meets the ring in [r_lo, r_hi] alone.  The range is widened by 1e-9
+    (1 + delta1) in E (far beyond E's rounding at the ring's points) and by
+    one column on each side, and is empty where the row misses the ring;
+    the caller applies the float test to it.
     """
     a = (z1 + 1.0) ** 2
     widen = 1e-9 * (1.0 + delta1)
     outer = 1.0 + delta1 + widen - a
     r_hi = np.sqrt(np.maximum(outer, 0.0))
     r_lo = np.sqrt(np.maximum(1.0 - delta1 - widen - a, 0.0))
-    # per row, the column ranges [start, stop) of z2 in [-r_hi, -r_lo] and in
-    # [r_lo, r_hi]; the second is emptied into the first where they meet,
-    # and both where the row misses the ring
-    start = np.floor((np.stack([-r_hi, r_lo], axis=1) - z2_lo) / step) - 1.0
-    stop = np.ceil((np.stack([-r_lo, r_hi], axis=1) - z2_lo) / step) + 2.0
-    joined = stop[:, 0] >= start[:, 1]
-    stop[joined, 0] = stop[joined, 1]
-    start[joined, 1] = stop[joined, 1]
-    stop[outer < 0.0] = start[outer < 0.0]
-    start = np.clip(start, 0, n2).astype(np.intp).ravel()
-    count = np.clip(stop, 0, n2).astype(np.intp).ravel() - start
-    return start, count
+    start = np.floor(r_lo / step) - 1.0
+    stop = np.where(outer < 0.0, start, np.ceil(r_hi / step) + 2.0)
+    start = np.clip(start, 0, n2).astype(np.intp)
+    return start, np.clip(stop, 0, n2).astype(np.intp) - start
 
 
-def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
-                         step=1e-3):
+def certify_prop_algebra(delta=0.01, delta1=0.01, step=1e-3):
     """Grid-certify  P_delta - E^2 <= 1e-10  on the band {|E| <= delta1}.
 
-    The box is (z1_lo, z1_hi, z2_lo, z2_hi).  E is evaluated only at the
+    The grid covers PROP_BOX, where z2 >= 0.  E is evaluated only at the
     grid points next to the band's ring (``_band_columns``), about
     BAND_BLOCK_POINTS at a time, and P_delta only at those that pass
     |E| <= delta1; the band points, the worst value and where it first
     occurs in row-major order are the full grid's.  details count the
-    grid's points, the E evaluations and the band's points.  A box whose
-    grid has no point in the band certifies nothing.
+    grid's points, the E evaluations and the band's points.  A grid with no
+    point in the band certifies nothing.
     """
     t0 = time.perf_counter()
     tol = 1e-10
-    z1_lo, z1_hi, z2_lo, z2_hi = box
+    z1_lo, z1_hi, z2_lo, z2_hi = PROP_BOX
     z1 = np.arange(0, round((z1_hi - z1_lo) / step) + 1) * step + z1_lo
     z2 = np.arange(0, round((z2_hi - z2_lo) / step) + 1) * step + z2_lo
-    start, count = _band_columns(z1, z2_lo, step, z2.size, delta1)
+    start, count = _band_columns(z1, step, z2.size, delta1)
     first = np.cumsum(count) - count
     blocks = np.split(np.arange(count.size),
                       np.flatnonzero(np.diff(first // BAND_BLOCK_POINTS)) + 1)
@@ -341,7 +337,7 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
     n_admissible = 0
     for k in blocks:
         n = count[k]
-        r = np.repeat(k // 2, n)
+        r = np.repeat(k, n)
         c = np.arange(n.sum()) + np.repeat(start[k] - (np.cumsum(n) - n), n)
         E = E_poly(z1[r], z2[c])
         band = np.abs(E) <= delta1
@@ -357,7 +353,7 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, box=(-3.0, 1.0, 0.0, 3.0),
     certified = n_admissible > 0 and worst <= tol
     return CertificationReport(
         target="P_delta - E^2 <= 0 on |E| <= delta1",
-        domain=f"box {box}, band |E|<={delta1}",
+        domain=f"box {PROP_BOX}, band |E|<={delta1}",
         resolution=step,
         worst_value=worst,
         margin=tol - worst,

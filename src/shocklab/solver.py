@@ -27,7 +27,6 @@ started from it stays put to machine precision, which the shift-coupled
 steady tests need), with a Thomas solve of its tridiagonal Jacobian.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -106,38 +105,42 @@ class FieldState:
 
 def central_gradient(f, dx, out=None):
     """np.gradient(f, dx, axis=-1) in its operations (central inside, one-sided
-    at the ends), into `out` when given: a float array of f's shape, not f."""
+    at the ends), into `out` when given: a float array of f's shape, not f.
+    Every first difference of the package is this one: the rhs's, D's and
+    those of the initial state."""
     out = np.empty(np.shape(f)) if out is None else out
     np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
     out[..., 1:-1] /= 2.0 * dx
-    out[..., [0, -1]] = (f[..., [1, -1]] - f[..., [0, -2]]) / dx
+    np.divide(f[..., 1] - f[..., 0], dx, out=out[..., 0])
+    np.divide(f[..., -1] - f[..., -2], dx, out=out[..., -1])
     return out
 
 
 def effective_velocity(gas, grid, v, u):
-    """h = u + (p(v))_xi, the derivative by central_gradient (the march uses
-    semi_discrete_rhs)."""
+    """h = u + (p(v))_xi, the derivative by central_gradient, as in the
+    march's semi_discrete_rhs."""
     return u + central_gradient(gas.pressure(v), grid.dx)
 
 
 def semi_discrete_rhs(sigma, grid, v, h, p):
     """Right-hand side arrays (dv, dh) with p = p(v); boundary rows are zero (pinned).
 
-    The caller passes p(v): the coupled march needs it again for the shift
-    functionals of the same stage.
+    The first differences of v, h and p are central_gradient's three
+    arrays; the one second difference of p is inline, in p's array once its
+    first difference is spent.  The caller passes p(v): the coupled march
+    needs it again for the shift functionals of the same stage.
     """
     dx = grid.dx
-    dv, dh, tmp = np.zeros_like(v), np.zeros_like(h), np.empty(v.size - 2)
-    iv, ih = dv[1:-1], dh[1:-1]
-    # sigma*d1v + d1h - d2p and sigma*d1h - d1p, d1 and d2 the central
-    # differences, in place: at n = 8001 temporaries would trim glibc's heap
-    np.divide(np.subtract(h[2:], h[:-2], out=ih), 2.0 * dx, out=ih)
-    np.divide(np.subtract(v[2:], v[:-2], out=iv), 2.0 * dx, out=iv)
+    dv, dh, dp = (central_gradient(f, dx) for f in (v, h, p))
+    iv, ih, tmp = dv[1:-1], dh[1:-1], dp[1:-1]
+    # sigma*d1v + d1h - d2p and sigma*d1h - d1p in place, d2p in d1p's array
+    # once d1p is spent: at n = 8001 temporaries would trim glibc's heap
     np.add(np.multiply(iv, sigma, out=iv), ih, out=iv)
+    np.multiply(ih, sigma, out=ih)
+    ih -= tmp
     np.add(np.subtract(p[2:], np.multiply(2.0, p[1:-1], out=tmp), out=tmp), p[:-2], out=tmp)
     iv -= np.divide(tmp, dx * dx, out=tmp)
-    np.multiply(ih, sigma, out=ih)
-    ih -= np.divide(np.subtract(p[2:], p[:-2], out=tmp), 2.0 * dx, out=tmp)
+    dv[0] = dv[-1] = dh[0] = dh[-1] = 0.0
     return dv, dh
 
 
@@ -224,10 +227,8 @@ def rkc2(rhs, y, dt, rho, f0):
 
 
 def _finite(y):
-    """Every entry of the tuple y is finite: one ndarray.all() per array,
-    math.isfinite per float."""
-    return all(np.isfinite(a).all() if isinstance(a, np.ndarray) else math.isfinite(a)
-               for a in y)
+    """Every entry of the tuple y of arrays and floats is finite."""
+    return all(np.isfinite(a).all() for a in y)
 
 
 def _dense(t0, y0, f0, t1, y1, f1, times):
@@ -268,7 +269,7 @@ def _dense(t0, y0, f0, t1, y1, f1, times):
     return tuple(out)
 
 
-def march(rhs, y, t, t_end, limits, v_floor, record_dt=None, on_record=None):
+def march(rhs, y, t, t_end, limits, v_floor, record_dt, on_record):
     """March the tuple y = (v, ...) from t to t_end by `rkc2` steps with the
     positivity guard.
 
@@ -279,12 +280,12 @@ def march(rhs, y, t, t_end, limits, v_floor, record_dt=None, on_record=None):
     evaluates F once at the start and once at the end of each accepted step,
     and hands that F to the next step's limits and to `rkc2` as f0 (first
     same as last), so the slopes at both ends of every step cost one extra
-    rhs call per march.  When record_dt is set, on_record(t, y) fires at the
-    start and at each time t + k*record_dt up to t_end; a record inside a
-    step is the cubic Hermite interpolant of y between the step's two ends
-    with their slopes (`_dense`, which evaluates the records of a step as
-    one block per component; y is then a tuple of row views of the blocks,
-    which the march does not reuse).
+    rhs call per march.  on_record(t, y) fires at the start and at each time
+    t + k*record_dt up to t_end; a record inside a step is the cubic Hermite
+    interpolant of y between the step's two ends with their slopes
+    (`_dense`, which evaluates the records of a step as one block per
+    component; y is then a tuple of row views of the blocks, which the
+    march does not reuse).
 
     The start must have v > 0 and every component finite.  A step is
     retried with halved dt, up to 5 times, if its result has a non-finite
@@ -300,17 +301,15 @@ def march(rhs, y, t, t_end, limits, v_floor, record_dt=None, on_record=None):
     the step result falls to the floor.  A march that would take more than
     MAX_STEPS steps raises instead of running on.  Returns (t, y).
     """
-    if record_dt is not None and not record_dt > 0.0:
+    if not record_dt > 0.0:
         raise ValueError(f"record_dt must be positive, got {record_dt}")
     if not _finite(y):
         raise ValueError("starting state must be finite")
     if not np.min(y[0]) > 0.0:
         raise ValueError("starting v must be positive")
     f = rhs(y)
-    if on_record is not None:
-        on_record(t, y)
-    t_rec, k = t, 1  # the next record is at t_rec + k*rec_dt
-    rec_dt = np.inf if record_dt is None else record_dt
+    on_record(t, y)
+    t_rec, k = t, 1  # the next record is at t_rec + k*record_dt
     steps = 0
     while t < t_end - 1e-12:
         if steps == MAX_STEPS:
@@ -324,9 +323,9 @@ def march(rhs, y, t, t_end, limits, v_floor, record_dt=None, on_record=None):
             if finite and np.min(cand[0]) > v_floor:
                 f_end = rhs(cand)
                 k_end = k
-                while t_rec + k_end * rec_dt <= t + dt + 1e-12:
+                while t_rec + k_end * record_dt <= t + dt + 1e-12:
                     k_end += 1
-                times = (t_rec + rec_dt * np.arange(k, k_end)).tolist()
+                times = (t_rec + record_dt * np.arange(k, k_end)).tolist()
                 if not times:
                     break
                 recs = _dense(t, y, f, t + dt, cand, f_end, times)
@@ -343,9 +342,8 @@ def march(rhs, y, t, t_end, limits, v_floor, record_dt=None, on_record=None):
             raise RuntimeError(
                 f"positivity guard: v <= {v_floor} persists after 5 dt halvings"
             )
-        if on_record is not None:
-            for j, tj in enumerate(times):
-                on_record(tj, tuple(block[j] for block in recs))
+        for j, tj in enumerate(times):
+            on_record(tj, tuple(block[j] for block in recs))
         t, y, f, k, steps = t + dt, cand, f_end, k_end, steps + 1
     return t, y
 

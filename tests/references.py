@@ -10,9 +10,11 @@ package computes in a faster or more general way, kept here as its oracle.
     moments, the oracle of the batched R_delta kernel's value test.
   * `q_relative` and `p_relative`: q(v|w) and p(v|w) in the operation
     order of `_yb_kernel`, which matches each bit for bit, from numpy's **.
+  * `config_to_text`: a config in the key = value form, the inverse of
+    `parse_config_text`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -21,14 +23,14 @@ from shocklab.inequalities import R_DELTA_N_GRID
 from shocklab.solver import FieldState, march, semi_discrete_rhs, stable_dt
 
 
-def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None,
-             record_dt=None):
+def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4,
+             on_record=lambda state: None, record_dt=None):
     """March the PDE to t_end with the guards of `march`.
 
     The starting state must be finite with v > 0 (ValueError otherwise).
 
-    When record_dt is set, on_record(state) fires at each record time
-    (including t = 0); without it, only at t = 0.
+    on_record(state) fires at each record time, every record_dt from the
+    start (by default t_end - state.t: the start and the end alone).
     """
 
     def rhs(y):
@@ -36,8 +38,9 @@ def simulate(gas, sigma, grid, state, t_end, v_floor, safety=0.4, on_record=None
 
     t, (v, h) = march(
         rhs, (state.v.copy(), state.h.copy()), state.t, t_end,
-        lambda y, f: stable_dt(gas, sigma, grid, y[0], safety), v_floor, record_dt,
-        None if on_record is None else lambda t, y: on_record(FieldState(t, *y)))
+        lambda y, f: stable_dt(gas, sigma, grid, y[0], safety), v_floor,
+        t_end - state.t if record_dt is None else record_dt,
+        lambda t, y: on_record(FieldState(t, *y)))
     return FieldState(t, v, h)
 
 
@@ -102,3 +105,8 @@ def p_relative(gas, v, w):
     w = np.asarray(w, dtype=float)
     g = gas.gamma
     return v ** (-g) - w ** (-g) - (-g * w ** (-g - 1.0)) * (v - w)
+
+
+def config_to_text(config):
+    """The config in the key = value form that parse_config_text reads."""
+    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(config))

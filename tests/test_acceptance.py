@@ -98,8 +98,7 @@ def test_criterion_03_weighted_poincare():
 
 
 def test_criterion_04_two_variable_certificate():
-    rep = sl.certify_prop_algebra(delta=0.01, delta1=0.01,
-                                  box=(-3.0, 1.0, 0.0, 3.0), step=1e-3)
+    rep = sl.certify_prop_algebra(delta=0.01, delta1=0.01, step=1e-3)
     ok = rep.certified and rep.worst_value <= 1e-10
     check("04", ok,
           f"worst excess {rep.worst_value:.2e} (tol 1e-10) over "

@@ -5,21 +5,17 @@ import os
 import re
 import tempfile
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shocklab as sl
+from references import config_to_text
 from shocklab.cli import (AUDIT_MISMATCH_TOL, AUDIT_RATIO_BAND, JUMP_RESIDUAL_TOL,
                           PROFILE_RESIDUAL_TOL, _audit_ok, _jump_conditions_ok, _profile_ok,
                           main)
-
-
-def config_to_text(config):
-    """The config in the key = value form that parse_config_text reads."""
-    return "".join(f"{f.name} = {getattr(config, f.name)}\n" for f in fields(config))
 
 
 def test_parse_config_text_basics():

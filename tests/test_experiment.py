@@ -131,6 +131,18 @@ def recorded_blocks(monkeypatch):
     return blocks
 
 
+def counted_march(monkeypatch):
+    """Two lists that receive an entry per step (a `stable_dt` call) and per
+    rhs evaluation (a `semi_discrete_rhs` call) of the next runs."""
+    steps, evaluations = [], []
+    stable_dt, rhs = sl.experiment.stable_dt, sl.experiment.semi_discrete_rhs
+    monkeypatch.setattr(sl.experiment, "stable_dt",
+                        lambda *a, **kw: steps.append(1) or stable_dt(*a, **kw))
+    monkeypatch.setattr(sl.experiment, "semi_discrete_rhs",
+                        lambda *a: evaluations.append(1) or rhs(*a))
+    return steps, evaluations
+
+
 def assert_trace_is_the_breakdowns_of_the_blocks(trace, blocks, setup):
     """Every record's trace entries are those of its state alone, bit for
     bit: the 1-d breakdown of the block row and the scalar shift functions."""
@@ -147,23 +159,29 @@ def assert_trace_is_the_breakdowns_of_the_blocks(trace, blocks, setup):
         assert np.array(values).tobytes() == getattr(trace, name).tobytes(), name
 
 
-@pytest.mark.parametrize("config", [
-    _audit_level(sl.ExperimentConfig(), 1),
-    sl.ExperimentConfig(steady_relax=True, perturb_kind="none", span_over_eps=20.0,
-                        t_end_sigma=10.0),
-    sl.ExperimentConfig(perturb_kind="random-fourier"),
-    _audit_level(sl.ExperimentConfig(), 2),
+@pytest.mark.parametrize("config, counts", [
+    (_audit_level(sl.ExperimentConfig(), 1), (115, 346, 201)),
+    (sl.ExperimentConfig(steady_relax=True, perturb_kind="none", span_over_eps=20.0,
+                         t_end_sigma=10.0), (255, 1020, 1001)),
+    (sl.ExperimentConfig(perturb_kind="random-fourier"), (53, 211, 201)),
+    (_audit_level(sl.ExperimentConfig(), 2), (230, 921, 401)),
 ], ids=["default-and-audit-r1", "steady-hold", "random-fourier", "audit-r2"])
-def test_each_record_of_a_block_is_the_breakdown_of_its_state_alone(config, monkeypatch):
+def test_each_record_of_a_block_is_the_breakdown_of_its_state_alone(config, counts,
+                                                                    monkeypatch):
     # a run evaluates its records in blocks of K = RECORD_BLOCK_FLOATS // n
     # states (8, 4 and 2 at n = 2001, 4001 and 8001), the last block partial
     # (each of these runs ends in a block of 1), and each row of a block is
-    # the record that the 1-d breakdown of its state gives
+    # the record that the 1-d breakdown of its state gives.  The steps, rhs
+    # evaluations and records are those that README's "Where a run spends
+    # its time" quotes: refinement 2 takes 230 steps of 4 stages, so
+    # 1 + 4*230 = 921 evaluations
     assert _audit_level(sl.ExperimentConfig(), 1) == sl.ExperimentConfig()
     setup = sl.build_setup(config)
     blocks = recorded_blocks(monkeypatch)
+    steps, evaluations = counted_march(monkeypatch)
     trace, _, _ = sl.run_experiment(setup)
     n, records = setup.grid.x.size, len(trace.t)
+    assert (len(steps), len(evaluations), records) == counts
     K = RECORD_BLOCK_FLOATS // n
     assert K == {2001: 8, 4001: 4, 8001: 2}[n] and K * n <= RECORD_BLOCK_FLOATS
     assert [len(v) for v, _ in blocks] == [K] * (records // K) + [records % K]
@@ -330,14 +348,17 @@ def test_step_size_counts_the_shift_drift(monkeypatch):
     assert max(rate for _, _, rate in steps) > abs(sig)  # the drift matters
 
 
-def test_default_run_records_on_the_cadence():
+def test_default_run_records_on_the_cadence(monkeypatch):
     # the march steps at the advective limit and writes each record by dense
-    # output, so the records land on k * record_dt: 201 of them to t_end
+    # output, so the records land on k * record_dt: 201 of them to t_end, in
+    # 115 steps of 3 stages, whose first is the evaluation at the end of the
+    # step before: 1 + 3*115 = 346 rhs evaluations
     cfg = sl.ExperimentConfig()
     setup = sl.build_setup(cfg)
     rec_dt = cfg.record_sigma / abs(setup.sigma)
+    steps, evaluations = counted_march(monkeypatch)
     trace, (state, _), summary = sl.run_experiment(setup)
-    assert summary["records"] == 201
+    assert (len(steps), len(evaluations), summary["records"]) == (115, 346, 201)
     npt.assert_array_equal(trace.t, np.arange(201) * rec_dt)
     assert state.t == cfg.t_end_sigma / abs(setup.sigma)
 
@@ -345,16 +366,14 @@ def test_default_run_records_on_the_cadence():
 def test_steady_hold_march_is_not_set_by_the_record_cadence(monkeypatch):
     # a step clipped to each record time makes 1,000 steps of 3 stages
     # (3,000 rhs calls) on the benchmark's steady-hold config; at the
-    # advective limit the march needs about a third of that
-    calls = []
-    rhs = sl.experiment.semi_discrete_rhs
-    monkeypatch.setattr(sl.experiment, "semi_discrete_rhs",
-                        lambda *a: calls.append(1) or rhs(*a))
+    # advective limit the march takes 255 steps, all but one of 4 stages:
+    # 1 + 4*255 - 1 = 1,020 rhs calls for its 1,001 records
     cfg = sl.ExperimentConfig(steady_relax=True, perturb_kind="none", span_over_eps=20.0,
                               t_end_sigma=10.0)
-    trace, _, _ = sl.run_experiment(sl.build_setup(cfg))
-    assert len(trace.t) == 1001
-    assert 0 < len(calls) < 1500
+    setup = sl.build_setup(cfg)
+    steps, evaluations = counted_march(monkeypatch)
+    trace, _, _ = sl.run_experiment(setup)
+    assert (len(steps), len(evaluations), len(trace.t)) == (255, 1020, 1001)
 
 
 def test_phase_aligned_steady_is_steady():

@@ -133,10 +133,10 @@ def test_importing_the_cli_loads_no_scipy(report):
     assert report["cli_import"] == "ok", report["cli_import"]
 
 
-def test_only_the_cli_entry_sets_the_malloc_thresholds(report):
-    # and it does not either: importing shocklab or its CLI, build_setup,
-    # run_experiment, the report helpers and the CLI part's five cli.main
-    # calls, three of which march, leave the allocator as it is
+def test_nothing_sets_the_malloc_thresholds(report):
+    # importing shocklab or its CLI, build_setup, run_experiment, the report
+    # helpers and the CLI part's five cli.main calls, three of which march,
+    # leave the allocator as it is
     assert report["mallopt"] == {name: [] for name, _ in PARTS}
 
 

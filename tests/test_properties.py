@@ -13,7 +13,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import shocklab as sl
-from references import p_relative, q_relative
+from references import config_to_text, p_relative, q_relative
 from shocklab.functionals import _dot, _trapezoid_weights
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -31,12 +31,6 @@ def _value_strategy(f):
     return st.sampled_from(
         {"perturb_kind": ["none", "bump", "random-fourier", "large-amplitude"],
          "h_mode": ["direct", "from-velocity"]}[f.name])
-
-
-def config_to_text(config):
-    """The config in the key = value form that parse_config_text reads."""
-    return "".join(f"{f.name} = {getattr(config, f.name)}\n"
-                   for f in dataclasses.fields(config))
 
 
 any_config_values = st.fixed_dictionaries(

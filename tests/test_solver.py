@@ -281,6 +281,10 @@ def fake_rkc2(monkeypatch, step):
     monkeypatch.setattr(solver, "rkc2", lambda rhs, y, dt, rho, f0: step(y, dt, f0))
 
 
+def _ignore_records(t, y):
+    """on_record for a march whose records the test does not read."""
+
+
 def test_march_halves_dt_until_the_guard_clears(monkeypatch):
     # a step is accepted only once dt <= 0.26: 0.5 is halved once, 0.25 passes;
     # F is evaluated at the start and at each accepted step's end, never at
@@ -296,11 +300,11 @@ def test_march_halves_dt_until_the_guard_clears(monkeypatch):
         return (np.zeros_like(y[0]),)
 
     fake_rkc2(monkeypatch, step)
-    t, (v,) = march(rhs, (np.ones(3),), 0.0, 0.5, lambda y, f: (1.0, 0.0), 0.0,
-                    on_record=lambda t, y: records.append(t))
+    t, (v,) = march(rhs, (np.ones(3),), 0.0, 0.5, lambda y, f: (1.0, 0.0), 0.0, 0.5,
+                    lambda t, y: records.append(t))
     assert tried == [0.5, 0.25, 0.25]
     assert t == 0.5 and np.all(v == 1.0)
-    assert records == [0.0]
+    assert records == [0.0, 0.5]
     assert evaluated == [1.0, 1.0, 1.0]
 
 
@@ -320,7 +324,7 @@ def test_march_calls_limits_once_per_step_and_hands_each_try_its_rho(monkeypatch
 
     monkeypatch.setattr(solver, "rkc2", fake)
     t, (v,) = march(lambda y: (np.zeros_like(y[0]),), (np.ones(1),), 0.0, 0.75,
-                    step_limits, 0.1)
+                    step_limits, 0.1, 0.75, _ignore_records)
     assert asked == [1.0, 2.0, 3.0]
     assert tries == [(0.5, 11.0), (0.25, 11.0), (0.5, 12.0), (0.25, 12.0), (0.25, 13.0)]
     assert t == 0.75 and v[0] == 4.0
@@ -388,7 +392,7 @@ def test_march_hands_dt_limit_the_f_it_evaluated_at_the_same_state(monkeypatch):
         return (y[0] * np.exp(-dt),)
 
     fake_rkc2(monkeypatch, step)
-    t, _ = march(rhs, (np.ones(1),), 0.0, 1.0, step_limits, 0.1)
+    t, _ = march(rhs, (np.ones(1),), 0.0, 1.0, step_limits, 0.1, 1.0, _ignore_records)
     assert t == 1.0 and len(limits) == len(steps) == 4 and len(evaluated) == 5
     for (y, f), (y_lim, f_lim), (y_step, f_step) in zip(evaluated, limits, steps):
         assert y_lim is y and f_lim is f
@@ -408,7 +412,7 @@ def test_march_names_a_non_finite_state(bad, monkeypatch):
     fake_rkc2(monkeypatch, step)
     with pytest.raises(RuntimeError) as exc:
         march(lambda y: tuple(np.zeros_like(a) for a in y), (np.ones(3), np.zeros(3)),
-              0.0, 0.5, lambda y, f: (1.0, 0.0), 0.1)
+              0.0, 0.5, lambda y, f: (1.0, 0.0), 0.1, 0.5, _ignore_records)
     assert str(exc.value) == (
         "non-finite state: NaN or inf in the stepped state persists after 5 dt halvings")
 
@@ -433,7 +437,8 @@ def test_march_judges_a_negative_stage_only_by_the_step_result(monkeypatch):
         return (v + dt * rhs((mid,))[0],)
 
     fake_rkc2(monkeypatch, step)
-    t, (v,) = march(rhs, (np.ones(1),), 0.0, 1.5, lambda y, f: (1.5, 0.0), 0.1)
+    t, (v,) = march(rhs, (np.ones(1),), 0.0, 1.5, lambda y, f: (1.5, 0.0), 0.1, 1.5,
+                    _ignore_records)
     assert stages[1] == -0.5
     assert tried == [1.5] and t == 1.5
     assert v[0] == 25.0
@@ -452,11 +457,11 @@ def test_march_rejects_a_bad_starting_state(profile01, monkeypatch):
         v_bad = v.copy()
         v_bad[7] = bad
         with pytest.raises(ValueError, match="starting"):
-            march(_unreachable, (v_bad, h), 0.0, 0.1, _unreachable, 0.1)
+            march(_unreachable, (v_bad, h), 0.0, 0.1, _unreachable, 0.1, 0.1, _unreachable)
     h_bad = h.copy()
     h_bad[3] = np.inf
     with pytest.raises(ValueError, match="starting state must be finite"):
-        march(_unreachable, (v, h_bad), 0.0, 0.1, _unreachable, 0.1)
+        march(_unreachable, (v, h_bad), 0.0, 0.1, _unreachable, 0.1, 0.1, _unreachable)
 
 
 def test_grid_points_are_built_once_and_read_only():
