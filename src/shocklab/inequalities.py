@@ -35,6 +35,8 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from .profile import BLOCK_POINTS
+
 __all__ = [
     "CertificationReport",
     "theta_constant",
@@ -175,11 +177,6 @@ G_ANALYTIC_THRESHOLD = (6.0 / (4.0 * theta_constant() * 2.0 ** 1.5)) ** 2
 G_CUSP = 0.15
 
 
-#: the grid points certify_g_negative evaluates at once, and certify_prop_algebra
-#: too, plus up to one row
-BAND_BLOCK_POINTS = 1 << 17
-
-
 def certify_g_negative(step=1e-5):
     """Certify g < 0 on (-2, 0): grid + Lipschitz slack on [-2, -G_CUSP],
     analytic cusp bound on (-G_CUSP, 0).
@@ -189,16 +186,16 @@ def certify_g_negative(step=1e-5):
     where the bound 2x + (4 theta/3)(2|x|)^(3/2) is strictly negative away
     from 0 (with margin -> 0 as x -> 0 since g(0) = 0).  The grid is that
     of np.arange(-2, -G_CUSP + step/2, step) with its last point moved to
-    -G_CUSP, evaluated BAND_BLOCK_POINTS at a time; the worst value and where
-    it first occurs are the full grid's.
+    -G_CUSP, evaluated BLOCK_POINTS at a time; the worst value and where it
+    first occurs are the full grid's.
     """
     t0 = time.perf_counter()
     # np.arange's own points: -2 + i dx, with dx = (-2 + step) + 2 its step
     n = int(np.ceil((-G_CUSP + 0.5 * step + 2.0) / step))
     dx = (-2.0 + step) + 2.0
     worst, arg = -np.inf, np.nan
-    for lo in range(0, n, BAND_BLOCK_POINTS):
-        x = -2.0 + np.arange(lo, min(lo + BAND_BLOCK_POINTS, n)) * dx
+    for lo in range(0, n, BLOCK_POINTS):
+        x = -2.0 + np.arange(lo, min(lo + BLOCK_POINTS, n)) * dx
         if lo + x.size == n:
             x[-1] = -G_CUSP
         vals = g_poly(x)
@@ -316,8 +313,8 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, step=1e-3):
     """Grid-certify  P_delta - E^2 <= 1e-10  on the band {|E| <= delta1}.
 
     The grid covers PROP_BOX, where z2 >= 0.  E is evaluated only at the
-    grid points next to the band's ring (``_band_columns``), about
-    BAND_BLOCK_POINTS at a time, and P_delta only at those that pass
+    grid points next to the band's ring (``_band_columns``), BLOCK_POINTS
+    at a time plus up to one row, and P_delta only at those that pass
     |E| <= delta1; the band points, the worst value and where it first
     occurs in row-major order are the full grid's.  details count the
     grid's points, the E evaluations and the band's points.  A grid with no
@@ -331,7 +328,7 @@ def certify_prop_algebra(delta=0.01, delta1=0.01, step=1e-3):
     start, count = _band_columns(z1, step, z2.size, delta1)
     first = np.cumsum(count) - count
     blocks = np.split(np.arange(count.size),
-                      np.flatnonzero(np.diff(first // BAND_BLOCK_POINTS)) + 1)
+                      np.flatnonzero(np.diff(first // BLOCK_POINTS)) + 1)
     worst = -np.inf
     arg = (np.nan, np.nan)
     n_admissible = 0

@@ -138,7 +138,7 @@ class ShockProfile:
 
     def __post_init__(self):
         f, v_of = _profile_rhs(self.states), self.gas.pressure_inverse
-        cuts = range(KNOT_BLOCK, self.p.size, KNOT_BLOCK)
+        cuts = range(BLOCK_POINTS, self.p.size, BLOCK_POINTS)
         self.dp = np.concatenate([f(p, v_of(p)) for p in np.split(self.p, cuts)])
         self.tail_rate_minus, self.tail_rate_plus = analytic_tail_rates(self.states)
 
@@ -270,9 +270,11 @@ def _hermite_eval(xk, y, dy, x):
     return out
 
 
-#: the knots that solve_profile and ShockProfile take at a time: no temporary
-#: of theirs crosses glibc's 128 KiB mmap threshold, so none moves it when freed
-KNOT_BLOCK = 8192
+#: the points a blocked vector pass takes at a time (the knots of solve_profile
+#: and ShockProfile, the grid points of both certify grids in inequalities): no
+#: temporary of theirs crosses glibc's 128 KiB mmap threshold, so none moves it
+#: when freed
+BLOCK_POINTS = 8192
 #: the quadrature xi(s): Chebyshev panels of this width in s and this degree
 #: (half the width at degree 20 moves no knot value by more than 5e-15*eps)
 PANEL_WIDTH = 0.25
@@ -392,7 +394,7 @@ def solve_profile(gas, eps, span_over_eps=40.0):
     # Newton from linear interpolation in the panel nodes, a block of knots at a
     # time; a step of at most 1e-7 leaves an error of the order of its square
     s = np.interp(xi, (xi_left[:-1, None] + g @ to_nodes.T).ravel(), nodes.ravel())
-    cuts = range(KNOT_BLOCK, xi.size, KNOT_BLOCK)
+    cuts = range(BLOCK_POINTS, xi.size, BLOCK_POINTS)
     blocks = list(zip(np.split(s, cuts), np.split(xi, cuts)))  # views
     for _ in range(8):
         step = 0.0

@@ -1,5 +1,7 @@
 """Standalone functional inequalities: constants, certifications, maximizers."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -157,7 +159,7 @@ def test_certify_g_negative_blocks_match_full_grid(monkeypatch, step, g):
     vals = g(x)
     i = int(np.argmax(vals))
     monkeypatch.setattr(inequalities, "g_poly", g)
-    monkeypatch.setattr(inequalities, "BAND_BLOCK_POINTS", 97)
+    monkeypatch.setattr(inequalities, "BLOCK_POINTS", 97)
     assert x.size % 97
     rep = sl.certify_g_negative(step=step)
     assert rep.worst_value == vals[i]
@@ -225,11 +227,11 @@ def test_circle_identity():
     assert np.max(np.abs(p0 - g)) < 5e-14
 
 
-def test_certify_prop_algebra_small_box():
+def test_certify_prop_algebra_certifies_prop_box_at_step_2e_3():
     rep = sl.certify_prop_algebra(step=2e-3)
     assert rep.certified
     assert rep.worst_value <= 1e-10
-    assert rep.details["admissible_points"] > 1000
+    assert rep.details["admissible_points"] == 7848
 
 
 def full_grid_prop_reference(delta=0.01, delta1=0.01, step=1e-3):
@@ -268,12 +270,30 @@ def test_certify_prop_algebra_matches_full_grid(kwargs):
 def test_certify_prop_algebra_blocks_match_full_grid(monkeypatch, kwargs):
     # blocks of about 97 points: hundreds of blocks, seams inside a row's
     # column range and between rows
-    monkeypatch.setattr(inequalities, "BAND_BLOCK_POINTS", 97)
+    monkeypatch.setattr(inequalities, "BLOCK_POINTS", 97)
     worst, arg, count = full_grid_prop_reference(**kwargs)
     rep = sl.certify_prop_algebra(**kwargs)
     assert rep.worst_value == worst
     npt.assert_array_equal(rep.details["argmax"], arg)
     assert rep.details["admissible_points"] == count
+
+
+@pytest.mark.parametrize("certify, step, limit", [
+    (sl.certify_g_negative, 1e-5, 1e6),
+    (sl.certify_prop_algebra, 1e-3, 1.5e6),
+], ids=["g", "prop"])
+def test_certify_grids_hold_little_at_a_time(certify, step, limit):
+    # both grids are evaluated BLOCK_POINTS at a time, so no temporary of
+    # theirs crosses glibc's mmap threshold and a default grid's traced
+    # peak stays under its limit (blocks of 1 << 17 points took 4.2 MB for
+    # g and 3.3 MB for P_delta)
+    tracemalloc.start()
+    try:
+        certify(step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
 
 
 def test_certify_prop_algebra_evaluates_e_near_the_band_only(monkeypatch):

@@ -324,7 +324,7 @@ def test_knot_values_solve_the_ode_to_roundoff(profile01):
 
 
 def test_solve_profile_holds_little_besides_the_profile():
-    # the knots are solved a block at a time (KNOT_BLOCK) and the profile
+    # the knots are solved a block at a time (BLOCK_POINTS) and the profile
     # keeps its knot slopes, not a table of cell cubics, so the traced peak
     # over the returned profile's own arrays stays under 1 MB at the audit's
     # window of 36,423 knots, where a solve of every knot at once takes 5.9 MB
