@@ -1,7 +1,8 @@
 """Build a viscous shock wave and look at its basic health indicators.
 
-The wave connects v_minus = 1 to a compressed state picked so the pressure
-jump equals eps.  We print the end states, the jump-condition residuals, the
+The wave connects the left state (v_minus, 0) = (1, 0), where p = 1, to a
+compressed state picked so the pressure jump equals eps; `GasModel` states
+the scaling that maps it onto a wave from another left volume.  We print the end states, the jump-condition residuals, the
 internal ODE residual of the connecting orbit, and the exponential tail
 rates on both sides, then drop the whole thing to CSV.
 """
@@ -10,7 +11,7 @@ import numpy as np
 
 import shocklab as sl
 
-gas = sl.GasModel(gamma=2.0, v_minus=1.0)
+gas = sl.GasModel(gamma=2.0)
 eps = 0.1
 
 profile = sl.solve_profile(gas, eps)

@@ -14,7 +14,7 @@ import shocklab as sl
 from shocklab.functionals import weighted_q_probe
 from shocklab.profile import layer_coordinate_residual
 
-gas = sl.GasModel(2.0, 1.0)
+gas = sl.GasModel(2.0)
 
 print("layer closure residual vs wave strength")
 print("  eps      sup|y' - closure|   sup y'     relative")

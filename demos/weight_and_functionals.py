@@ -11,7 +11,7 @@ import numpy as np
 
 import shocklab as sl
 
-gas = sl.GasModel(2.0, 1.0)
+gas = sl.GasModel(2.0)
 profile = sl.solve_profile(gas, 0.1)
 weight = sl.build_weight(profile, lam=0.5)
 

@@ -87,19 +87,17 @@ def _add_config_args(p):
 
 
 #: the most the profile's ODE residual may be, relative to eps.  The residual
-#: is the interpolant's error, so it scales with the amplitude: over 1,936
-#: profiles spanning the supported gamma, p(v_minus), eps/p(v_minus) and
-#: span_over_eps, residual/eps is 1.8e-13 at the defaults, at most 1.9e-8
-#: for gamma <= 1e4, and at most 2.7e-7 (gamma 1e6, eps = 1e-3*p(v_minus),
-#: 279 knots); the bound is about 4x that
+#: is the interpolant's error, so it scales with the amplitude: over 3,234
+#: profiles spanning the supported gamma and eps and span_over_eps 1 to 1000,
+#: residual/eps is 1.8e-13 at the defaults, at most 1.3e-9 for gamma <= 1e4,
+#: and at most 1.0e-7 (gamma 1e6, eps = 1e-3, 101 knots); the bound is 10x that
 PROFILE_RESIDUAL_TOL = 1e-6
 
 
 #: the most the Rankine-Hugoniot residuals may be, relative to the jump
 #: |u_plus| = eps/|sigma| that sets the size of their terms.  The worst ratio
-#: is 1.1e-10 over the 288 end states of the 576-profile sweep above and
-#: 2.2e-10 over 200,000 random end states of the supported range, each at
-#: gamma near 1e6; the bound is the power of ten above
+#: is 9.1e-11 over 200,000 random end states of the supported range, at
+#: gamma near 1e6; the bound is 10x that
 JUMP_RESIDUAL_TOL = 1e-9
 
 
@@ -118,7 +116,7 @@ def _profile_ok(profile, rh, resid):
 
 def cmd_profile(args):
     cfg = _config_from_args(args, check=ExperimentConfig.validate_profile)
-    gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus)
+    gas = GasModel(cfg.gamma)
     profile = solve_profile(gas, cfg.eps, span_over_eps=cfg.span_over_eps)
     states = profile.states
     rh = states.rankine_hugoniot_residuals()
@@ -213,15 +211,13 @@ def cmd_verify_inequalities(args):
                    f"{POINCARE_TRIALS} polynomials",
                    time.perf_counter() - t0))
 
-    step = 1e-4 if args.fast else 1e-5
-    rep_g = ineq.certify_g_negative(step=step)
+    rep_g = ineq.certify_g_negative()
     checks.append((rep_g.target, rep_g.certified,
                    f"worst = {rep_g.worst_value:.6g}, margin = {rep_g.margin:.3e}",
                    f"{rep_g.details['grid_points']} grid points",
                    rep_g.runtime_s))
 
-    pstep = 5e-3 if args.fast else 1e-3
-    rep_p = ineq.certify_prop_algebra(step=pstep)
+    rep_p = ineq.certify_prop_algebra()
     checks.append((rep_p.target, rep_p.certified,
                    f"worst = {rep_p.worst_value:.3e}",
                    f"{rep_p.details['grid_points']} grid points, "
@@ -229,8 +225,7 @@ def cmd_verify_inequalities(args):
                    f"{rep_p.details['admissible_points']} in the band",
                    rep_p.runtime_s))
 
-    n_starts = 30 if args.fast else 200
-    rep_r = ineq.maximize_r_delta(n_starts=n_starts, seed=args.seed)
+    rep_r = ineq.maximize_r_delta(seed=args.seed)
     checks.append((rep_r.target, rep_r.certified,
                    f"max found = {rep_r.worst_value:.3e}",
                    f"{rep_r.details['nfev']} batched calls over "
@@ -301,8 +296,6 @@ def build_parser():
 
     sp = sub.add_parser("verify-inequalities",
                         help="certify the standalone inequalities")
-    sp.add_argument("--fast", action="store_true",
-                    help="coarser grids / fewer starts for a quick look")
     sp.add_argument("--seed", type=_nonnegative_int, default=20240817)
     sp.set_defaults(func=cmd_verify_inequalities)
 

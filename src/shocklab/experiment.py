@@ -95,12 +95,11 @@ MAX_RECORDS = 100_000
 RECORD_BLOCK_FLOATS = 16384
 
 #: the profile's knot spacing is at most L/50, and its ODE residual grows
-#: about like 1/span_over_eps once the knots crowd.  With gamma <= 1e6 and eps
-#: over the whole supported range, `shocklab profile` passes down to 0.01
-#: (worst residual 4.1e-7*eps at gamma 1e6, eps 9.99*p(v_minus)) and fails at
-#: 0.003 (1.3e-6*eps, over the check's 1e-6*eps); at 1 the worst is
-#: 2.7e-7*eps (gamma 1e6, eps 1e-3*p(v_minus)).  Near 1e-300 the tail fit's
-#: polyfit fails
+#: once the knots crowd.  With gamma <= 1e6 and eps over the whole supported
+#: range, `shocklab profile` passes down to 1e-3 (worst residual 1.2e-7*eps at
+#: gamma 1e6, eps 1e-3) and fails at 1e-4 (1.3e-6*eps at gamma 1e6, eps 9.99,
+#: over the check's 1e-6*eps); at 1 the worst is 8.4e-8*eps (gamma 1e6, eps
+#: 1e-3).  Near 1e-300 the tail fit's polyfit fails
 MIN_SPAN_OVER_EPS = 1.0
 
 #: a step is CFL_SAFETY times the advective limit.  Larger is hardly faster:
@@ -120,7 +119,6 @@ class ExperimentConfig:
     """Flat, file-mappable configuration of a contraction run."""
 
     gamma: float = 2.0
-    v_minus: float = 1.0
     eps: float = 0.1
     lam: float = 0.5            # weight slope; desk-scale default 5*eps
     span_over_eps: float = 40.0  # grid half-width L = span_over_eps/eps
@@ -147,12 +145,12 @@ class ExperimentConfig:
 
     def validate_profile(self):
         """Check the keys a profile and its weight read (`shocklab profile` reads no other)."""
-        self._check_numbers(("gamma", "v_minus", "eps", "span_over_eps", "lam"))
+        self._check_numbers(("gamma", "eps", "span_over_eps", "lam"))
         if self.span_over_eps < MIN_SPAN_OVER_EPS:
             raise ValueError(f"span_over_eps must be at least {MIN_SPAN_OVER_EPS:g}, "
                              f"got {self.span_over_eps!r}")
-        # the ranges of gamma, v_minus and eps are the gas's and the profile's
-        end_states_from_amplitude(GasModel(gamma=self.gamma, v_minus=self.v_minus), self.eps)
+        # the ranges of gamma and eps are the gas's and the profile's
+        end_states_from_amplitude(GasModel(self.gamma), self.eps)
         check_lam(self.lam)
         return self
 
@@ -246,7 +244,7 @@ def _setups(configs):
     weight do not read: one profile and one weight, from the first config,
     then each config's grid and functional frame as the set-up is drawn."""
     base = configs[0]
-    gas = GasModel(gamma=base.gamma, v_minus=base.v_minus)
+    gas = GasModel(base.gamma)
     # the profile window reaches 10/eps past each end of the grid
     profile = solve_profile(gas, base.eps, span_over_eps=base.span_over_eps + 10.0)
     weight = build_weight(profile, base.lam)
@@ -549,7 +547,7 @@ def identity_audit(config, refinements=(1, 2)):
         cfg = _audit_level(config, r)
         try:
             cfg.validate()
-            gas = GasModel(gamma=cfg.gamma, v_minus=cfg.v_minus)
+            gas = GasModel(cfg.gamma)
             sig = abs(end_states_from_amplitude(gas, cfg.eps).sigma)
             if not 2.0 * (cfg.record_sigma / sig) <= cfg.t_end_sigma / sig + 1e-12:
                 raise ValueError(f"t_end_sigma = {cfg.t_end_sigma!r} and record_sigma = "

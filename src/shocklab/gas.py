@@ -19,52 +19,39 @@ import numpy as np
 
 __all__ = ["GasModel"]
 
-#: v_minus - v_plus is about v_minus*log(1 + eps/p(v_minus))/gamma, so the
-#: profile's ODE residual grows with gamma.  At p(v_minus) = 1 `shocklab
-#: profile` passes up to gamma 1e7 for every eps of the supported range
-#: (worst residual 7.7e-7*eps at eps = 1e-3*p(v_minus), under the check's
-#: 1e-6*eps) and fails from 3e7 (2.9e-6*eps there); at 1e6 the worst is
-#: 9.8e-8*eps.  From 1e15 p(v) at the layer's middle rounds onto p(v_minus)
-#: and the profile quadrature's panel count overflows; from 1e17 v_plus
-#: rounds onto v_minus
+#: v_minus - v_plus is about log(1 + eps)/gamma, so the profile's ODE
+#: residual grows with gamma.  `shocklab profile` passes up to gamma 1e7 for
+#: every eps of the supported range (worst residual 7.7e-7*eps at eps = 1e-3,
+#: under the check's 1e-6*eps) and fails from 3e7 (2.9e-6*eps there); at 1e6
+#: the worst is 9.8e-8*eps.  From 1e15 p(v) at the layer's middle rounds onto
+#: p(v_minus) and the profile quadrature's panel count overflows; from 1e17
+#: v_plus rounds onto v_minus
 MAX_GAMMA = 1e6
-
-#: log10 range of p(v_minus) = v_minus**-gamma, checked in logs so that no
-#: power overflows.  The profile's ODE residual relative to eps grows with
-#: p(v_minus) above 1: `shocklab profile` passes for every eps of the
-#: supported range and every gamma from 1.01 to 1e6 up to p(v_minus) = 10**2
-#: (worst residual 1.3e-7*eps, at gamma 1e6), and at gamma 1e6 for none from
-#: 10**3.5; the upper bound is 10x inside 10**2.  Near gamma 1 the profile
-#: solve's step estimate overflows from p(v_minus) = 1e-78 (gamma 1.0001,
-#: eps = 9.99*p(v_minus)); the lower bound is 8 decades above that
-P_MINUS_LOG10_RANGE = (-70.0, 1.0)
 
 
 @dataclass(frozen=True)
 class GasModel:
-    """Pressure law p(v) = v**(-gamma) with reference left state (v_minus, 0).
+    """Pressure law p(v) = v**(-gamma), 1 < gamma <= MAX_GAMMA, with the
+    left state (v_minus, 0) = (1, 0), so p(v_minus) = 1.
 
-    1 < gamma <= MAX_GAMMA and log10 p(v_minus) in P_MINUS_LOG10_RANGE are
-    required; v_minus > 0 is the specific volume far to the left, where the
-    velocity is 0 (the equations are invariant under u -> u + c, so another
-    left velocity is a shift of every u).  The viscosity built into the
-    transformed system is mu(v) = gamma*v**(-gamma), which is what makes the
-    v-equation diffuse exactly p(v).
+    Another left state is no new physics.  The equations are invariant under
+    u -> u + c and covariant under v -> k*v, u and h -> k**((1-gamma)/2)*u,
+    x -> b*x with b = k**(-(gamma+1)/2) (t fixed), p and eps -> k**(-gamma)*p,
+    which maps the shock from (1, 0) onto the shock from (k, 0); Y scales by
+    k**(1-gamma), and the weighted entropy, B, G and D by b*k**(1-gamma).
+    Only the shift law's gain Phi_eps(Y)*(2|B| + 1) does not map.  The
+    viscosity built into the transformed system is mu(v) = gamma*v**(-gamma),
+    which is what makes the v-equation diffuse exactly p(v).
     """
 
     gamma: float
-    v_minus: float
+
+    #: the specific volume far to the left, where the velocity is 0
+    v_minus = 1.0
 
     def __post_init__(self):
         if not (1.0 < self.gamma <= MAX_GAMMA):
             raise ValueError(f"gamma must lie in (1, {MAX_GAMMA:g}], got {self.gamma!r}")
-        if not (self.v_minus > 0.0):
-            raise ValueError(f"v_minus must be > 0, got {self.v_minus!r}")
-        lo, hi = P_MINUS_LOG10_RANGE
-        log_p = -self.gamma * np.log10(self.v_minus)
-        if not lo <= log_p <= hi:
-            raise ValueError(f"gamma = {self.gamma!r} and v_minus = {self.v_minus!r} give "
-                             f"p(v_minus) = 10**{log_p:.6g}, outside [1e{lo:g}, 1e{hi:g}]")
 
     # -- bare closures (pressure and entropy also into a given out) -------
 

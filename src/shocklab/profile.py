@@ -1,6 +1,6 @@
 """Viscous shock profiles as a scalar ODE in the pressure variable.
 
-A 1-shock connecting (v_minus, 0) to (v_plus, u_plus) with strength
+A 1-shock connecting (v_minus, 0) = (1, 0) to (v_plus, u_plus) with strength
 eps = p(v_plus) - p(v_minus) > 0 travels with speed
 
     sigma = -sqrt((p_plus - p_minus) / (v_minus - v_plus))  < 0.
@@ -12,8 +12,9 @@ In the co-moving frame the profile solves the scalar equation
 integrated here in p_tilde = p(v_tilde) (monotone increasing in xi), outward
 from the normalization v_tilde(0) = (v_minus + v_plus)/2.  The effective
 velocity component is slaved pointwise: h_tilde = (p_tilde - p_minus)/sigma.
-The equations are invariant under u -> u + c, so the shock from (v_minus, c)
-is this one with c added to u and h.
+The equations are invariant under u -> u + c, so the shock from (1, c) is
+this one with c added to u and h; `GasModel` states the scaling that maps it
+onto a shock from another left volume.
 
 The equation is scalar and autonomous, so xi(p_tilde) is a quadrature.  In
 the logit s = log(y/(1-y)) of the layer variable y = (p_tilde - p_minus)/eps
@@ -79,14 +80,13 @@ def end_states_from_amplitude(gas, eps):
     if not (eps > 0.0 and np.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     # the profile window ends 1e-12*eps short of each end state, a gap that p
-    # resolves only for eps above 2.2e-4*p(v_minus) (one ulp over 1e-12).  At
-    # gamma 2 and 1.4 with v_minus 1, and gamma 2 with v_minus 3, `shocklab
-    # profile` passes and its fitted tail rates are within 0.3% of the
-    # linearized ones at eps = 3e-4*p(v_minus); at 1e-4 or 5e-5 the outer
-    # knots round onto the end state and the rates are off by 8x to 22x
-    if not 1e-3 * gas.p_minus <= eps < 10.0 * gas.p_minus:
-        raise ValueError(f"eps out of supported range (need 1e-3*p(v_minus) <= eps < "
-                         f"10*p(v_minus), p(v_minus) = {gas.p_minus:g}), got {eps!r}")
+    # resolves only for eps above 2.2e-4 (one ulp of p(v_minus) = 1 over
+    # 1e-12).  At gamma 2 and 1.4, `shocklab profile` passes and its fitted
+    # tail rates are within 0.3% of the linearized ones at eps = 3e-4; at 1e-4
+    # or 5e-5 the outer knots round onto the end state and the rates are off
+    # by 8x to 22x
+    if not 1e-3 <= eps < 10.0:
+        raise ValueError(f"eps out of supported range [1e-3, 10), got {eps!r}")
     p_plus = gas.p_minus + eps
     v_plus = float(gas.pressure_inverse(p_plus))
     sigma = -float(np.sqrt(eps / (gas.v_minus - v_plus)))

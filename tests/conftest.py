@@ -29,7 +29,7 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def gas2():
     """Reference gas: gamma = 2, v_minus = 1."""
-    return sl.GasModel(2.0, 1.0)
+    return sl.GasModel(2.0)
 
 
 @pytest.fixture(scope="session")

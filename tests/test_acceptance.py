@@ -37,7 +37,7 @@ def check(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def profiles():
-    gas = sl.GasModel(2.0, 1.0)
+    gas = sl.GasModel(2.0)
     return {eps: sl.solve_profile(gas, eps) for eps in (0.1, 0.05)}
 
 
@@ -212,7 +212,7 @@ def test_criterion_10_shift_bounds(shared_run):
 
 
 def test_criterion_11_scaling_diagnostics():
-    gas = sl.GasModel(2.0, 1.0)
+    gas = sl.GasModel(2.0)
     eps_list = [0.1, 0.05, 0.025, 0.0125]
     sups = []
     for eps in eps_list:

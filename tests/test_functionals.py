@@ -12,6 +12,7 @@ import pytest
 import shocklab as sl
 from references import p_relative, q_relative
 from shocklab.functionals import _dot, _yb_kernel, breakdown_work, weighted_q_probe
+from shocklab.solver import central_gradient
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +278,7 @@ def test_block_kernel_in_place_is_the_plain_closures_bit_for_bit(gamma):
     # the kernel computes p(v), q(v|v_tilde) and p(v|v_tilde) of a block into
     # its workspace by np.power(..., out=); numpy's ** takes np.reciprocal for
     # q(v) = v**-1 at gamma 2, and the reference closures are written in **
-    gas = sl.GasModel(gamma, 1.0)
+    gas = sl.GasModel(gamma)
     weight = sl.build_weight(sl.solve_profile(gas, 0.1), 0.5)
     x = np.linspace(-60.0, 60.0, 1201)
     fr = sl.functional_frame(weight, x)
@@ -413,3 +414,128 @@ def test_breakdown_moves_by_roundoff_when_h_and_the_frame_shift_together(
     # negative control: h shifted without its frame moves Y by far more
     alone = sl.compute_breakdown(v, h + c, fr)
     assert abs(alone.Y - base.Y) > 1e6 * bound_Y
+
+
+# The equations are also covariant under a scaling of the left volume
+# (`GasModel`): v -> k v, u and h -> k**((1-gamma)/2) u, x -> b x with
+# b = k**(-(gamma+1)/2) (t fixed), p and eps -> k**-gamma p, so Y scales by
+# k**(1-gamma) and the weighted entropy, B, G and D by b k**(1-gamma).  That
+# is why the left volume is fixed at 1.  At gamma = 3 and k = 4 every factor
+# is a power of two (b = 1/16), so each rounded operation on scaled inputs is
+# the scaled operation, bit for bit: only the gas's pow, which computes p(v)
+# and q(v) afresh from the scaled v, rounds differently.  pow is within 1 ulp
+# of the exact value, so the scaled p(v) and q(v) are within 2 ulp <= 4u of
+# the scaled originals; the bounds below carry that through each functional
+# to first order, add each computation's own rounding as in the gauge tests
+# above, and double the sum.
+COV_GAMMA, COV_K = 3.0, 4.0
+
+
+def covariant_scales(gamma, k, h_exp=None):
+    """The factor of each frame entry and state field under the scaling with
+    k, with h scaled by k**h_exp (the covariant exponent (1-gamma)/2 if None)."""
+    b = k ** (-(gamma + 1.0) / 2.0)
+    h = k ** ((1.0 - gamma) / 2.0 if h_exp is None else h_exp)
+    p = k ** -gamma
+    return {"dx": b, "sigma": b, "v": k, "p": p, "h": h, "dpv": p / k, "pv": p,
+            "qv": k ** (1.0 - gamma), "ta": b, "tda": 1.0, "ta_dp": p, "ta_dh": h,
+            "tb1": b * k, "tb2": 1.0 / b}
+
+
+@pytest.fixture(scope="module")
+def covariance_case():
+    gas = sl.GasModel(COV_GAMMA)
+    weight = sl.build_weight(sl.solve_profile(gas, 0.1), 0.5)
+    grid = sl.Grid(lo=-200.0, hi=200.0, n=4000)
+    fr = sl.functional_frame(weight, grid.x)
+    v, h = perturbed_state(weight.profile, grid.x, amp=0.02)
+    return gas, grid, fr, v, h
+
+
+def scaled_case(case, h_exp=None):
+    gas, grid, fr, v, h = case
+    s = covariant_scales(COV_GAMMA, COV_K, h_exp)
+    frame = {**fr, **{key: fr[key] * s[key] for key in s}}
+    return (sl.Grid(lo=grid.lo * s["dx"], hi=grid.hi * s["dx"], n=grid.n), frame,
+            v * s["v"], h * s["h"], gas.pressure(v) * s["p"])
+
+
+def test_rhs_maps_bit_for_bit_under_the_left_volume_scaling(covariance_case):
+    # every operation of the rhs is a product, quotient or sum of terms that
+    # each scale by the same power of two; p is passed in, so no pow runs
+    gas, grid, fr, v, h = covariance_case
+    dv, dh = sl.semi_discrete_rhs(fr["sigma"], grid, v, h, gas.pressure(v))
+    grid_k, fr_k, v_k, h_k, p_k = scaled_case(covariance_case)
+    dv_k, dh_k = sl.semi_discrete_rhs(fr_k["sigma"], grid_k, v_k, h_k, p_k)
+    s = covariant_scales(COV_GAMMA, COV_K)
+    assert (dv_k / s["v"]).tobytes() == dv.tobytes()
+    assert (dh_k / s["h"]).tobytes() == dh.tobytes()
+    # negative control: h scaled by k**-1.5, not k**-1, moves dv by far more
+    # than roundoff
+    grid_k, fr_k, v_k, h_k, p_k = scaled_case(covariance_case, h_exp=-1.5)
+    dv_w, _ = sl.semi_discrete_rhs(fr_k["sigma"], grid_k, v_k, h_k, p_k)
+    assert np.max(np.abs(dv_w / s["v"] - dv)) > 1e6 * np.finfo(float).eps * np.max(np.abs(dv))
+
+
+def covariance_bounds(frame, v, h, u=UNIT_ROUNDOFF):
+    """Bounds on |F(scaled) - scale*F| for Y, B, the weighted entropy, G and D
+    of the state (v, h) on the scaled frame, where p(v) and q(v) differ from
+    the scaled originals by at most 4u of themselves (comment above)."""
+    gas, sig, n = frame["gas"], frame["sigma"], v.size
+    p, q = gas.pressure(v), gas.entropy(v)
+    dp, dq = 4.0 * u * np.abs(p), 4.0 * u * np.abs(q)
+    dv, dh, w = v - frame["v"], h - frame["h"], p - frame["p"]
+    q_rel = q - frame["qv"] + frame["pv"] * dv
+    p_rel = p - frame["pv"] - frame["dpv"] * dv
+    b = dh - w / sig
+    g = central_gradient(w, frame["dx"])
+    dg = np.empty(n)
+    dg[1:-1] = (dp[2:] + dp[:-2]) / (2.0 * frame["dx"])
+    dg[[0, -1]] = (dp[[0, -1]] + dp[[1, -2]]) / frame["dx"]
+    ta, tda = frame["ta"], np.abs(frame["tda"])
+    eta = 0.5 * dh * dh + q_rel
+    gamma = (n + 5) * u / (1.0 - (n + 5) * u)
+    G1, G2, D = 0.5 * sig * np.sum(tda * b * b), sig * np.sum(tda * q_rel), np.sum(ta * g * g)
+    moved = {
+        "Y": np.sum(tda * dq),
+        "B": np.sum(np.abs(frame["tb1"]) * dp + np.abs(frame["tb2"]) * (2.0 * np.abs(w) + dp) * dp),
+        "weighted_entropy": np.sum(ta * dq),
+        "G": (np.sum(tda * (np.abs(b) * dp + dp * dp / (2.0 * abs(sig)))) + abs(sig) * np.sum(tda * dq)
+              + np.sum(ta * (2.0 * np.abs(g) + dg) * dg)),
+        "D": np.sum(ta * (2.0 * np.abs(g) + dg) * dg),
+    }
+    rounded = {
+        "Y": np.sum(np.abs(frame["ta_dh"] * dh) + tda * (0.5 * dh * dh + np.abs(q_rel))
+                    + np.abs(frame["ta_dp"] * dv)),
+        "B": np.sum(np.abs(frame["tb1"] * p_rel) + np.abs(frame["tb2"]) * w * w),
+        "weighted_entropy": np.sum(ta * np.abs(eta)),
+        "G": abs(G1) + abs(G2) + abs(D),
+        "D": abs(D),
+    }
+    return {key: 2.0 * (moved[key] + 2.0 * gamma * rounded[key]) for key in moved}
+
+
+def test_functionals_map_under_the_left_volume_scaling(covariance_case):
+    # Y by k**(1-gamma) = 1/16; B, G, D and the weighted entropy by
+    # b k**(1-gamma) = 1/256
+    gas, _, fr, v, h = covariance_case
+    _, fr_k, v_k, h_k, p_k = scaled_case(covariance_case)
+    s = covariant_scales(COV_GAMMA, COV_K)
+    s_Y = s["qv"]
+    s_B = s["qv"] * s["dx"]
+    bounds = covariance_bounds(fr_k, v_k, h_k)
+    # quick_yb is given the scaled p, so only q(v)'s pow moves Y, and B keeps its bits
+    Y, B = sl.quick_yb(v, h, gas.pressure(v), fr)
+    Y_k, B_k = sl.quick_yb(v_k, h_k, p_k, fr_k)
+    assert B_k == B * s_B
+    assert abs(Y_k - Y * s_Y) <= bounds["Y"]
+    bd, bd_k = sl.compute_breakdown(v, h, fr), sl.compute_breakdown(v_k, h_k, fr_k)
+    for key, scale in (("Y", s_Y), ("B", s_B), ("weighted_entropy", s_B), ("G", s_B),
+                       ("D", s_B)):
+        assert abs(getattr(bd_k, key) - getattr(bd, key) * scale) <= bounds[key], key
+        # each bound is roundoff of its functional, not of its order
+        assert bounds[key] < 1e-10 * abs(getattr(bd_k, key)), key
+    # negative control: h scaled by k**-1.5, not k**-1, moves Y by far more
+    _, fr_w, v_w, h_w, p_w = scaled_case(covariance_case, h_exp=-1.5)
+    Y_w, _ = sl.quick_yb(v_w, h_w, p_w, fr_w)
+    assert abs(Y_w - Y * s_Y) > 1e6 * covariance_bounds(fr_w, v_w, h_w)["Y"]

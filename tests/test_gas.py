@@ -63,6 +63,7 @@ def test_layer_constant_value(gas2):
 
 def test_gas_model_validation():
     with pytest.raises(ValueError):
-        sl.GasModel(1.0, 1.0)
-    with pytest.raises(ValueError):
-        sl.GasModel(2.0, -1.0)
+        sl.GasModel(1.0)
+    # the left state is the unit, not a field
+    with pytest.raises(TypeError):
+        sl.GasModel(2.0, v_minus=1.0)

@@ -47,7 +47,7 @@ SHORT = ["--set", "span_over_eps=10", "--set", "t_end_sigma=0.2", "--set", "widt
 CLI = NO_SCIPY + f"""
 import contextlib, io
 from shocklab.cli import main
-for argv in (["profile"], ["verify-inequalities", "--fast"],
+for argv in (["profile"], ["verify-inequalities"],
              ["simulate", *{SHORT!r}],
              ["simulate", *{SHORT!r}, "--set", "perturb_kind=random-fourier"],
              ["audit", *{SHORT!r}]):
@@ -59,7 +59,7 @@ for argv in (["profile"], ["verify-inequalities", "--fast"],
 REPORTS = NO_SCIPY + """
 import shocklab as sl
 from shocklab.functionals import weighted_q_probe
-profile = sl.solve_profile(sl.GasModel(2.0, 1.0), 0.1)
+profile = sl.solve_profile(sl.GasModel(2.0), 0.1)
 weight = sl.build_weight(profile, 0.5)
 assert 0.5 < weighted_q_probe(weight)["t_star_over_eps_by_lam"] < 2.5
 """ + LOADED_SCIPY

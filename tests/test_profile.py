@@ -55,7 +55,7 @@ def test_end_states_validation(gas2):
 @pytest.mark.parametrize("eps", [1e-17, 1e-9, 9.99e-4])
 def test_end_states_reject_an_eps_the_window_cannot_hold(gas2, eps):
     # at 1e-17 p_plus rounds to p_minus; at 1e-9 the knot Newton fails; below
-    # 2.2e-4*p(v_minus) the window's 1e-12*eps gap rounds away
+    # 2.2e-4 the window's 1e-12*eps gap rounds away
     with pytest.raises(ValueError, match="eps out of supported range"):
         sl.end_states_from_amplitude(gas2, eps)
     sl.end_states_from_amplitude(gas2, 1e-3)
@@ -64,7 +64,7 @@ def test_end_states_reject_an_eps_the_window_cannot_hold(gas2, eps):
 def test_knot_spacing_follows_the_window_not_the_half_width():
     # the window ends at |xi| ~ 570 long before L = 1e10, so a knot spacing
     # floored by 2L/500000 would leave 17 knots
-    profile = sl.solve_profile(sl.GasModel(2.0, 1.0), 0.1, span_over_eps=1e9)
+    profile = sl.solve_profile(sl.GasModel(2.0), 0.1, span_over_eps=1e9)
     assert profile.ode_residual_sup() < 1e-10  # criterion 06
 
 
@@ -79,7 +79,7 @@ def test_profile_monotone(profile01):
 def test_profile_monotone_where_tail_knots_round_to_one_double():
     # at gamma = 1.4 far-tail neighbours round to the same double: the knot
     # differences hold exact zeros and no negative, and the profile is monotone
-    profile = sl.solve_profile(sl.GasModel(1.4, 1.0), 0.1)
+    profile = sl.solve_profile(sl.GasModel(1.4), 0.1)
     assert np.any(np.diff(profile.p) == 0.0)
     assert profile.monotone()
 
@@ -147,7 +147,7 @@ def test_splice_rates_are_the_linearized_rates():
     # at gamma 100 the outer knots are not yet in the exponential regime: a
     # fit on them misses the rate by about 17%, so the tails beyond the
     # window continue at the linearized rates instead
-    profile = sl.solve_profile(sl.GasModel(100.0, 1.0), 0.1)
+    profile = sl.solve_profile(sl.GasModel(100.0), 0.1)
     rm, rp = sl.analytic_tail_rates(profile.states)
     assert profile.tail_rate_minus == rm and profile.tail_rate_plus == rp
     rep = sl.tail_decay_report(profile)
@@ -248,7 +248,7 @@ def test_pressure_profile_is_scipys_spline_bit_for_bit(gamma, eps):
     # the cell index comes from a search of the knots and the cubic is
     # evaluated in scipy's order; every value must be CubicHermiteSpline's
     # on the knot values and the ODE slopes there
-    profile = sl.solve_profile(sl.GasModel(gamma, 1.0), eps)
+    profile = sl.solve_profile(sl.GasModel(gamma), eps)
     xi = profile.xi
     lo, hi = xi[0], xi[-1]
     rng = np.random.default_rng(7)
@@ -277,7 +277,7 @@ def test_ode_residual_sees_one_wrong_knot(gamma, eps):
     # the residual is read between the knots, where the Hermite form does not
     # take its slope from the ODE: one knot raised by 1e-9*eps must push it
     # above criterion 06's bound of 1e-10
-    profile = sl.solve_profile(sl.GasModel(gamma, 1.0), eps)
+    profile = sl.solve_profile(sl.GasModel(gamma), eps)
     assert profile.ode_residual_sup() < 1e-12
     for i in (profile.xi.size // 3, int(np.searchsorted(profile.xi, 0.0)), profile.xi.size - 5):
         p = profile.p.copy()
@@ -292,7 +292,7 @@ def test_ode_residual_sees_one_wrong_knot(gamma, eps):
     (1.4, 0.05, (-780.476113456, 816.363925868)),
 ])
 def test_window_ends_where_the_gap_is_1e12_eps(gamma, eps, ends):
-    profile = sl.solve_profile(sl.GasModel(gamma, 1.0), eps, span_over_eps=50.0)
+    profile = sl.solve_profile(sl.GasModel(gamma), eps, span_over_eps=50.0)
     npt.assert_allclose([profile.xi[0], profile.xi[-1]], ends, rtol=1e-9)
     st = profile.states
     npt.assert_allclose([profile.p[0] - st.p_minus, st.p_plus - profile.p[-1]],
@@ -328,7 +328,7 @@ def test_solve_profile_holds_little_besides_the_profile():
     # keeps its knot slopes, not a table of cell cubics, so the traced peak
     # over the returned profile's own arrays stays under 1 MB at the audit's
     # window of 36,423 knots, where a solve of every knot at once takes 5.9 MB
-    gas = sl.GasModel(2.0, 1.0)
+    gas = sl.GasModel(2.0)
     tracemalloc.start()
     try:
         profile = sl.solve_profile(gas, 0.1, span_over_eps=50)

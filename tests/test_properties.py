@@ -65,7 +65,7 @@ def test_config_text_roundtrip_through_validation(eps, lam, amplitude, modes, se
 @PROPERTY
 @given(gamma=st.floats(1.05, 5.0), v=st.floats(0.05, 20.0), w=st.floats(0.05, 20.0))
 def test_bregman_gaps_are_nonnegative_and_vanish_on_the_diagonal(gamma, v, w):
-    gas = sl.GasModel(gamma, 1.0)
+    gas = sl.GasModel(gamma)
     q_rel = float(q_relative(gas, v, w))
     p_rel = float(p_relative(gas, v, w))
     # both gaps are differences of O(1) terms, so near v = w the computed

@@ -423,7 +423,7 @@ def test_march_judges_a_negative_stage_only_by_the_step_result(monkeypatch):
     # result.  v' = p'(v) with gamma = 2 and dt = 1.5 under the explicit
     # midpoint step puts stage 2 at v = -0.5, yet the result 1 + 1.5*16 = 25
     # clears the floor and is accepted.
-    gas = sl.GasModel(gamma=2.0, v_minus=1.0)
+    gas = sl.GasModel(gamma=2.0)
     stages, tried = [], []
 
     def rhs(y):

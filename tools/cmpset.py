@@ -43,7 +43,6 @@ CASES = [
     ("audit-r2", ("audit", "--refine", "2")),
     ("audit-r3", ("audit", "--refine", "3")),
     ("verify-full", ("verify-inequalities",)),
-    ("verify-fast", ("verify-inequalities", "--fast")),
     ("sweep", ("sweep", "amplitude", "0.005,0.01", "--out", "sweep.json")),
 ]
 
